@@ -9,7 +9,6 @@ comment lines) with an optional JSON mirror. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__
@@ -20,18 +19,6 @@ from .experiments import compare_filters, converge_filter, converge_propagation,
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERIC = 2
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("PROXFLOW_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"PROXFLOW_THREADS must be an integer, got {env!r}") from exc
-    return 1
 
 
 def _parse_dims(text: str):
@@ -55,12 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="CSV output path (overrides the config)")
         p.add_argument("--out-json", default=None, help="optional JSON mirror path")
         p.add_argument("--seed", type=int, default=None, help="override the seed list")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker threads for independent cells (PROXFLOW_THREADS fallback)",
-        )
+        p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
 
     add_common(sub.add_parser("converge-propagation", help="propagation order study"))
     add_common(sub.add_parser("converge-filter", help="filter order study vs reference run"))
@@ -73,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     lemma.add_argument("--seed", type=int, default=0)
     lemma.add_argument("--out", default=None, help="CSV output path")
     lemma.add_argument("--out-json", default=None)
-    lemma.add_argument("--threads", type=int, default=None)
+    lemma.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     return parser
 
 
@@ -81,7 +63,7 @@ def _run_config_command(args, runner):
     cfg = load_config(args.config)
     if args.seed is not None:
         object.__setattr__(cfg, "seeds", (args.seed,))
-    table = runner(cfg, threads=_threads(args))
+    table = runner(cfg)
     csv_path = args.out or cfg.out_csv
     json_path = args.out_json or cfg.out_json
     if not csv_path:

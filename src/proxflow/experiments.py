@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,13 +88,6 @@ class ResultTable:
                 fh.write(self.to_json())
 
 
-def _map_cells(fn, cells, threads: int):
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, cells))
-    return [fn(cell) for cell in cells]
-
-
 def _ratio_rows(rows_by_h, metric: str, seed=None):
     """Consecutive-h error ratios err(2h)/err(h), attached to the smaller h."""
     out = []
@@ -107,7 +99,7 @@ def _ratio_rows(rows_by_h, metric: str, seed=None):
     return out
 
 
-def converge_propagation(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
+def converge_propagation(cfg: ExperimentConfig) -> ResultTable:
     """Terminal mean/covariance errors of the proximal propagation against
     the exact references, per step size, with consecutive-h ratios."""
     if cfg.task != "propagation":
@@ -127,11 +119,10 @@ def converge_propagation(cfg: ExperimentConfig, threads: int = 1) -> ResultTable
             max_abs(terminal.cov.mat - ref_cov.mat),
         )
 
-    results = _map_cells(cell, sorted(cfg.h_values, reverse=True), threads)
     rows = []
     mean_errors = {}
     cov_errors = {}
-    for h, mean_err, cov_err in results:
+    for h, mean_err, cov_err in map(cell, sorted(cfg.h_values, reverse=True)):
         rows.append(ResultRow(h, None, "terminal_mean_error", mean_err))
         rows.append(ResultRow(h, None, "terminal_cov_error", cov_err))
         mean_errors[h] = mean_err
@@ -146,7 +137,7 @@ def _reference_run(cfg: ExperimentConfig, g0, dz, h):
     return runner(cfg.system, cfg.measurement, g0, dz, h, OdeConfig.for_step(h))
 
 
-def converge_filter(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
+def converge_filter(cfg: ExperimentConfig) -> ResultTable:
     """Per-step-size filter error against the continuous-time reference run
     on a shared noise realization (coarse increments are partial sums of the
     finest path's increments)."""
@@ -185,7 +176,7 @@ def converge_filter(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
         return out
 
     rows = []
-    for cells in _map_cells(seed_cells, list(cfg.seeds), threads):
+    for cells in map(seed_cells, cfg.seeds):
         cov_errors = {}
         seed = cells[0][1]
         for h, s, cov_err, mean_rmse in cells:
@@ -196,7 +187,7 @@ def converge_filter(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
     return ResultTable(tuple(rows), cfg.config_hash)
 
 
-def compare_filters(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
+def compare_filters(cfg: ExperimentConfig) -> ResultTable:
     """Monte Carlo comparison of the two proximal filters on shared paths:
     truth-based terminal errors per seed, aggregate RMSE, and each filter's
     self-assessed terminal covariance."""
@@ -228,7 +219,7 @@ def compare_filters(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
     rows = []
     terminal_sq = {"lmmr": [], "wasserstein": []}
     traces = None
-    for seed, errors, cell_traces in _map_cells(cell, list(cfg.seeds), threads):
+    for seed, errors, cell_traces in map(cell, cfg.seeds):
         traces = cell_traces
         for kind in ("lmmr", "wasserstein"):
             rows.append(

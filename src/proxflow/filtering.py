@@ -19,6 +19,7 @@ from .oracles import OdeConfig, exact_cov, exact_mean
 from .propagation import (
     LinearSystem,
     StepConfig,
+    general_mean_map,
     jko_step_general_cov,
     jko_step_general_mean,
     make_equipartition,
@@ -160,14 +161,14 @@ def run_filter(
     if meas.state_dim != sys.dim or g0.dim != sys.dim:
         raise DimensionError("system, measurement model, and prior dimensions disagree")
     update_fn = _UPDATES[update]
-    frame = make_equipartition(sys) if predict == "jko" else None
     h = cfg.h
+    mean_map = general_mean_map(make_equipartition(sys), h) if predict == "jko" else None
     posteriors = [g0]
     innovations = []
     g = g0
     for k in range(1, cfg.steps + 1):
         if predict == "jko":
-            prior_mean = jko_step_general_mean(g.mean, frame, k, h)
+            prior_mean = jko_step_general_mean(g.mean, mean_map)
             prior_cov = jko_step_general_cov(g.cov, sys, h)
         else:
             prior_mean = exact_mean(sys, g.mean, h)

@@ -46,12 +46,21 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def is_symmetric(m: np.ndarray) -> bool:
+    """max|M - M^T| <= SYMMETRY_RTOL (1 + max|M|), for a square array M."""
+    return max_abs(m - m.T) <= SYMMETRY_RTOL * (1.0 + max_abs(m))
+
+
+def is_isotropic(m: np.ndarray, level: float) -> bool:
+    """max|M - level I| <= SYMMETRY_RTOL (1 + |level|), for a square array M."""
+    return max_abs(m - level * np.eye(m.shape[0])) <= SYMMETRY_RTOL * (1.0 + abs(level))
+
+
 def symmetrize(a, name: str = "matrix") -> np.ndarray:
     """Return (A + A^T)/2, rejecting inputs beyond the asymmetry tolerance."""
     m = as_square(a, name)
-    gap = max_abs(m - m.T)
-    if gap > SYMMETRY_RTOL * (1.0 + max_abs(m)):
-        raise ValidationError(f"{name} is not symmetric: asymmetry {gap:.3e}")
+    if not is_symmetric(m):
+        raise ValidationError(f"{name} is not symmetric: asymmetry {max_abs(m - m.T):.3e}")
     return 0.5 * (m + m.T)
 
 

@@ -23,7 +23,7 @@ from .gaussians import (
     phi_expectation,
     w2_gaussian,
 )
-from .matrices import SpdMatrix, expm, inv_spd, max_abs
+from .matrices import SpdMatrix, expm, inv_spd, is_isotropic, is_symmetric
 from .propagation import LinearSystem
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -78,9 +78,7 @@ def _isotropic_level(sys: LinearSystem) -> float | None:
     """Return q with B B^T = q I if the noise is isotropic, else None."""
     bbt = sys.b @ sys.b.T
     q = float(np.trace(bbt)) / sys.dim
-    if max_abs(bbt - q * np.eye(sys.dim)) <= 1e-9 * (1.0 + abs(q)):
-        return q
-    return None
+    return q if is_isotropic(bbt, q) else None
 
 
 def exact_cov(
@@ -103,7 +101,7 @@ def exact_cov(
         raise ValidationError(f"time must be nonnegative and finite, got {t}")
     if t == 0.0:
         return p0
-    symmetric = max_abs(sys.a - sys.a.T) <= 1e-9 * (1.0 + max_abs(sys.a))
+    symmetric = is_symmetric(sys.a)
     iso = _isotropic_level(sys)
     if method not in ("auto", "closed", "rk4"):
         raise ValidationError(f"unknown method {method!r}")

@@ -4,6 +4,12 @@ The exact proximal step is available when the drift is symmetric and the
 noise isotropic; the general Hurwitz/controllable case goes through the
 equipartition and symmetrization coordinate changes and first-order
 mean/covariance recursions.
+
+The rotating frame of the symmetrization cancels from the mean recursion:
+with S the skew part of the equipartition drift and F(t) = e^(-S t) A_sym
+e^(S t), e^(S t) (I - h F(t))^-1 e^(S h) e^(-S t) = (I - h A_sym)^-1 e^(S h)
+for every t. The general-case mean step is therefore one constant matrix per
+(system, h), built once per run by general_mean_map.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from .matrices import (
     as_square,
     expm,
     inv_sqrt_spd,
+    is_isotropic,
+    is_symmetric,
     lyapunov_solve,
     max_abs,
     quadratic_matrix_solve,
@@ -156,8 +164,6 @@ def symmetrized_pair(frame: EquipartitionFrame, t: float) -> tuple[np.ndarray, n
     symmetric negative semidefinite with G G^T = -F, so the stationary
     covariance theta I is preserved at every t.
     """
-    if max_abs(frame.a_ep_skew) == 0.0:
-        return frame.a_ep_sym.copy(), frame.b_ep.copy()
     rot = expm(frame.a_ep_skew, -t)
     f = rot @ frame.a_ep_sym @ rot.T
     return 0.5 * (f + f.T), rot @ frame.b_ep
@@ -192,33 +198,28 @@ def jko_step_symmetric(
     return Gaussian(mean, SpdMatrix(cov))
 
 
-def jko_step_general_mean(
-    mu_prev, frame: EquipartitionFrame, k: int, h: float
-) -> np.ndarray:
-    """Mean recursion for the general case, expressed in original coordinates.
+def general_mean_map(frame: EquipartitionFrame, h: float) -> np.ndarray:
+    """The general-case mean step M_h, the same matrix at every step of a run.
 
-    mu_k = Pinf^(1/2) e^(skew kh) (I - h F(kh))^-1 e^(skew h) e^(-skew kh)
-    Pinf^(-1/2) mu_{k-1}; I - h F(kh) >= I since F <= 0, so the solve never
-    degenerates. Agrees with (I + h A) mu_{k-1} to first order.
+    The rotating-frame recursion mu_k = Pinf^(1/2) e^(S kh) (I - h F(kh))^-1
+    e^(S h) e^(-S kh) Pinf^(-1/2) mu_{k-1}, with S the skew part and F the
+    symmetrized drift, loses its rotation exactly: I - h F(kh) =
+    e^(-S kh) (I - h A_sym) e^(S kh), and e^(S kh) commutes with e^(S h), so
+    M_h = Pinf^(1/2) (I - h A_sym)^-1 e^(S h) Pinf^(-1/2). I - h A_sym >= I
+    since A_sym <= 0, so the solve never degenerates. M_h agrees with
+    I + h A to first order.
     """
-    if k < 1:
-        raise ValidationError(f"step index must be >= 1, got {k}")
     if not (np.isfinite(h) and h > 0.0):
         raise ValidationError(f"step size must be positive, got {h}")
-    mu = as_vector(mu_prev, dim=frame.pinf.dim, name="mean")
     n = frame.pinf.dim
-    t = k * h
-    f_kh, _ = symmetrized_pair(frame, t)
-    v = frame.pinf_inv_sqrt @ mu
-    if max_abs(frame.a_ep_skew) != 0.0:
-        rot = expm(frame.a_ep_skew, t)
-        v = rot.T @ v
-        v = expm(frame.a_ep_skew, h) @ v
-        v = np.linalg.solve(np.eye(n) - h * f_kh, v)
-        v = rot @ v
-    else:
-        v = np.linalg.solve(np.eye(n) - h * f_kh, v)
-    return frame.pinf_sqrt @ v
+    step = np.linalg.solve(np.eye(n) - h * frame.a_ep_sym, expm(frame.a_ep_skew, h))
+    return frame.pinf_sqrt @ step @ frame.pinf_inv_sqrt
+
+
+def jko_step_general_mean(mu_prev, mean_map: np.ndarray) -> np.ndarray:
+    """Mean recursion for the general case: mu_k = M_h mu_{k-1}, with M_h
+    from general_mean_map."""
+    return mean_map @ as_vector(mu_prev, dim=mean_map.shape[0], name="mean")
 
 
 def jko_step_general_cov(p_prev: SpdMatrix, sys: LinearSystem, h: float) -> SpdMatrix:
@@ -255,19 +256,18 @@ def propagate(
         raise ValidationError(f"dimension mismatch: state {g0.dim} vs system {sys.dim}")
     out = [(0.0, g0)]
     if mode == MODE_SYMMETRIC:
-        asym = max_abs(sys.a - sys.a.T)
-        if asym > 1e-9 * (1.0 + max_abs(sys.a)):
+        if not is_symmetric(sys.a):
             raise ModeMismatchError(
-                f"symmetric-exact mode requires a symmetric drift; asymmetry {asym:.3e}"
+                "symmetric-exact mode requires a symmetric drift; "
+                f"asymmetry {max_abs(sys.a - sys.a.T):.3e}"
             )
         if cfg.beta is None:
             raise ModeMismatchError("symmetric-exact mode requires beta in the step config")
         bbt = sys.b @ sys.b.T
-        iso_gap = max_abs(bbt - np.eye(sys.dim) / cfg.beta)
-        if iso_gap > 1e-9 * (1.0 + 1.0 / cfg.beta):
+        if not is_isotropic(bbt, 1.0 / cfg.beta):
             raise ModeMismatchError(
                 "symmetric-exact mode requires isotropic noise B B^T = I/beta; "
-                f"deviation {iso_gap:.3e}"
+                f"deviation {max_abs(bbt - np.eye(sys.dim) / cfg.beta):.3e}"
             )
         gamma = SpdMatrix(-sys.a)
         g = g0
@@ -275,10 +275,10 @@ def propagate(
             g = jko_step_symmetric(g, gamma, cfg.beta, cfg.h)
             out.append((k * cfg.h, g))
     elif mode == MODE_GENERAL:
-        frame = make_equipartition(sys)
+        mean_map = general_mean_map(make_equipartition(sys), cfg.h)
         g = g0
         for k in range(1, cfg.steps + 1):
-            mean = jko_step_general_mean(g.mean, frame, k, cfg.h)
+            mean = jko_step_general_mean(g.mean, mean_map)
             cov = jko_step_general_cov(g.cov, sys, cfg.h)
             g = Gaussian(mean, cov)
             out.append((k * cfg.h, g))

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -7,6 +8,8 @@ from proxflow.cli import main
 from proxflow.config import parse_config
 from proxflow.errors import ConfigError
 from proxflow.experiments import lemma_checks
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 PROPAGATION_CONFIG = {
     "system": {"A": [[-1.0]], "B": [[1.0]]},
@@ -285,9 +288,15 @@ class TestConfigParsing:
         b = parse_config(json.dumps(edited))
         assert a.config_hash != b.config_hash
 
-    def test_env_threads_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PROXFLOW_THREADS", "2")
-        cfg = write_config(tmp_path, PROPAGATION_CONFIG)
-        out = tmp_path / "env.csv"
-        assert main(["converge-propagation", "--config", cfg, "--out", str(out)]) == 0
-        assert out.exists()
+
+@pytest.mark.parametrize("name", ["propagation_scalar", "propagation_general_2d"])
+def test_bundled_propagation_tables_reproduce(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    cfg = REPO / "scripts" / "configs" / f"{name}.json"
+    assert main(["converge-propagation", "--config", str(cfg), "--out", str(out)]) == 0
+    got_comments, got_rows = read_rows(out)
+    want_comments, want_rows = read_rows(REPO / "results" / f"{name}.csv")
+    assert got_comments == want_comments
+    assert [row[:3] for row in got_rows] == [row[:3] for row in want_rows]
+    for got, want in zip(got_rows, want_rows):
+        assert got[3] == pytest.approx(want[3], rel=1e-9, abs=0.0)

@@ -13,6 +13,7 @@ from proxflow import (
     StepConfig,
     ValidationError,
     error_metrics,
+    general_mean_map,
     jko_step_general_cov,
     jko_step_general_mean,
     lmmr_update,
@@ -165,7 +166,7 @@ class TestPredictUpdateComposition:
         def residual(h):
             g = scalar_gaussian(0.4, p)
             prior = Gaussian(
-                jko_step_general_mean(g.mean, frame, 1, h),
+                jko_step_general_mean(g.mean, general_mean_map(frame, h)),
                 jko_step_general_cov(g.cov, SCALAR_SYS, h),
             )
             out = lmmr_update(prior, SCALAR_MEAS, [0.0], h)
@@ -182,7 +183,7 @@ class TestPredictUpdateComposition:
         def residual(h):
             g = scalar_gaussian(0.4, p)
             prior = Gaussian(
-                jko_step_general_mean(g.mean, frame, 1, h),
+                jko_step_general_mean(g.mean, general_mean_map(frame, h)),
                 jko_step_general_cov(g.cov, SCALAR_SYS, h),
             )
             out = wasserstein_update(prior, SCALAR_MEAS, [0.0], h)

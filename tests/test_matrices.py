@@ -18,7 +18,7 @@ from proxflow import (
     sqrt_spd,
     sym_skew_split,
 )
-from proxflow.matrices import max_abs, symmetrize
+from proxflow.matrices import is_isotropic, max_abs, symmetrize
 from support import random_hurwitz, random_spd
 
 
@@ -252,3 +252,8 @@ def test_symmetrize_tolerance_boundary():
     assert max_abs(out - out.T) == 0.0
     with pytest.raises(ValidationError):
         symmetrize(base + np.array([[0.0, 1e-3], [0.0, 0.0]]))
+
+
+def test_is_isotropic_tolerance_boundary():
+    assert is_isotropic(2.0 * np.eye(2) + 1e-12, 2.0)
+    assert not is_isotropic(2.0 * np.eye(2) + np.diag([1e-8, 0.0]), 2.0)

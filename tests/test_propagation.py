@@ -15,6 +15,8 @@ from proxflow import (
     ValidationError,
     exact_cov,
     exact_mean,
+    expm,
+    general_mean_map,
     grad_w2_cross,
     inv_spd,
     jko_step_general_cov,
@@ -216,39 +218,55 @@ class TestJkoStepGeneralMean:
         rng = np.random.default_rng(23)
         gamma = random_spd(rng, 2)
         sys = LinearSystem(-gamma.mat, 0.7 * np.eye(2))
-        frame = make_equipartition(sys)
-        mu = rng.normal(size=2)
         h = 0.05
-        out = jko_step_general_mean(mu, frame, 3, h)
+        mean_map = general_mean_map(make_equipartition(sys), h)
+        mu = rng.normal(size=2)
+        out = jko_step_general_mean(mu, mean_map)
         want = np.linalg.solve(np.eye(2) + h * gamma.mat, mu)
         assert max_abs(out - want) < 1e-10
 
     def test_zero_is_fixed(self):
         rng = np.random.default_rng(24)
-        frame = make_equipartition(random_system(rng, 3))
-        out = jko_step_general_mean(np.zeros(3), frame, 1, 0.01)
+        mean_map = general_mean_map(make_equipartition(random_system(rng, 3)), 0.01)
+        out = jko_step_general_mean(np.zeros(3), mean_map)
         assert max_abs(out) == 0.0
 
     def test_first_order_agreement_richardson(self):
         a = np.array([[-1.0, 2.0], [0.0, -3.0]])
-        sys = LinearSystem(a, np.eye(2))
-        frame = make_equipartition(sys)
+        frame = make_equipartition(LinearSystem(a, np.eye(2)))
         rng = np.random.default_rng(25)
         mu = rng.normal(size=2)
 
-        def residual(h, k):
-            out = jko_step_general_mean(mu, frame, k, h)
+        def residual(h):
+            out = jko_step_general_mean(mu, general_mean_map(frame, h))
             return max_abs(out - (np.eye(2) + h * a) @ mu)
 
-        for k in (1, 7):
-            for h in (1e-2, 5e-3):
-                assert 3.2 < residual(h, k) / residual(h / 2, k) < 4.8
+        for h in (1e-2, 5e-3):
+            assert 3.2 < residual(h) / residual(h / 2) < 4.8
 
-    def test_rejects_bad_step_index(self):
+    def test_map_matches_rotating_frame_product(self):
+        # M_h against P^(1/2) e^(S kh) (I - h F(kh))^-1 e^(S h) e^(-S kh) P^(-1/2),
+        # the per-step product before the rotation was cancelled
+        rng = np.random.default_rng(29)
+        h = 0.02
+        for n in (2, 3, 5, 8):
+            frame = make_equipartition(random_system(rng, n))
+            mean_map = general_mean_map(frame, h)
+            for k in (1, 7, 60, 300):
+                f_kh, _ = symmetrized_pair(frame, k * h)
+                rot = expm(frame.a_ep_skew, k * h)
+                inner = np.linalg.solve(np.eye(n) - h * f_kh, expm(frame.a_ep_skew, h))
+                want = frame.pinf_sqrt @ rot @ inner @ rot.T @ frame.pinf_inv_sqrt
+                assert max_abs(mean_map - want) <= 1e-11 * max_abs(want)
+
+    def test_rejects_bad_inputs(self):
         rng = np.random.default_rng(26)
         frame = make_equipartition(random_system(rng, 2))
-        with pytest.raises(ValidationError):
-            jko_step_general_mean(np.zeros(2), frame, 0, 0.1)
+        for h in (0.0, -0.1, math.nan):
+            with pytest.raises(ValidationError):
+                general_mean_map(frame, h)
+        with pytest.raises(ValidationError, match="length"):
+            jko_step_general_mean(np.zeros(3), general_mean_map(frame, 0.1))
 
 
 class TestJkoStepGeneralCov:
@@ -331,6 +349,16 @@ class TestPropagate:
             propagate(sym, g0, StepConfig(h=0.1, steps=1, beta=3.0), "symmetric-exact")
         with pytest.raises(ModeMismatchError, match="beta"):
             propagate(sym, g0, StepConfig(h=0.1, steps=1), "symmetric-exact")
+
+    def test_isotropic_noise_tolerance(self):
+        g0 = Gaussian([0.0, 0.0], SpdMatrix(np.eye(2)))
+        cfg = StepConfig(h=0.1, steps=1, beta=2.0)
+        scale = math.sqrt(0.5)
+        near = LinearSystem(-np.eye(2), scale * np.eye(2) + np.diag([1e-12, 0.0]))
+        assert len(propagate(near, g0, cfg, "symmetric-exact")) == 2
+        off = LinearSystem(-np.eye(2), scale * np.eye(2) + np.diag([1e-6, 0.0]))
+        with pytest.raises(ModeMismatchError, match="deviation"):
+            propagate(off, g0, cfg, "symmetric-exact")
 
     def test_unknown_mode(self):
         sys = LinearSystem([[-1.0]], [[1.0]])
