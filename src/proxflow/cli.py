@@ -9,6 +9,7 @@ comment lines) with an optional JSON mirror. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import __version__
@@ -62,8 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_config_command(args, runner):
     cfg = load_config(args.config)
     if args.seed is not None:
-        object.__setattr__(cfg, "seeds", (args.seed,))
+        cfg = dataclasses.replace(cfg, seeds=(args.seed,))
     table = runner(cfg)
+    if args.seed is not None:
+        table = dataclasses.replace(table, overrides=f"seed:{args.seed}")
     csv_path = args.out or cfg.out_csv
     json_path = args.out_json or cfg.out_json
     if not csv_path:

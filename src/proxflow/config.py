@@ -146,8 +146,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"steps.beta: must be positive, got {beta}")
 
     seeds = raw.get("seeds", [])
-    if not isinstance(seeds, list) or any(int(s) != s for s in seeds):
+    if not isinstance(seeds, list):
         raise ConfigError("seeds: must be a list of integers")
+    for i, seed in enumerate(seeds):
+        integral = isinstance(seed, int) or (isinstance(seed, float) and seed.is_integer())
+        if isinstance(seed, bool) or not integral:
+            raise ConfigError(f"seeds[{i}]: must be an integer, got {seed!r}")
     seeds = tuple(int(s) for s in seeds)
     if task in ("filter", "compare") and not seeds:
         raise ConfigError("seeds: at least one seed is required for filter tasks")

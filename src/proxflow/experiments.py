@@ -31,11 +31,16 @@ class ResultRow:
 
 @dataclass(frozen=True, eq=False)
 class ResultTable:
-    """Deterministically ordered result rows plus provenance metadata."""
+    """Deterministically ordered result rows plus provenance metadata.
+
+    config_hash describes the config file; overrides, when set, names the
+    command-line values that replaced parts of it (e.g. "seed:7").
+    """
 
     rows: tuple
     config_hash: str
     version: str = __version__
+    overrides: str | None = None
 
     @staticmethod
     def _key(row: ResultRow):
@@ -57,11 +62,10 @@ class ResultTable:
         raise KeyError(f"no row for metric={metric!r}, h={h}, seed={seed}")
 
     def to_csv(self) -> str:
-        lines = [
-            f"# config_hash={self.config_hash}",
-            f"# tool_version={self.version}",
-            "h,seed,metric,value",
-        ]
+        lines = [f"# config_hash={self.config_hash}", f"# tool_version={self.version}"]
+        if self.overrides:
+            lines.append(f"# overrides={self.overrides}")
+        lines.append("h,seed,metric,value")
         for row in self.sorted_rows():
             h = repr(row.h) if row.h is not None else ""
             seed = str(row.seed) if row.seed is not None else ""
@@ -77,6 +81,8 @@ class ResultTable:
                 for r in self.sorted_rows()
             ],
         }
+        if self.overrides:
+            payload["overrides"] = self.overrides
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
     def write(self, csv_path: str | None, json_path: str | None = None) -> None:
@@ -190,45 +196,33 @@ def converge_filter(cfg: ExperimentConfig) -> ResultTable:
 def compare_filters(cfg: ExperimentConfig) -> ResultTable:
     """Monte Carlo comparison of the two proximal filters on shared paths:
     truth-based terminal errors per seed, aggregate RMSE, and each filter's
-    self-assessed terminal covariance."""
+    self-assessed terminal covariance. Each filter runs once over all seeds'
+    increments as one batch."""
     if cfg.task != "compare":
         raise ConfigError(f"mode.task: expected 'compare', got {cfg.task!r}")
     h = cfg.h_values[0]
-    steps = cfg.steps_for(h)
-
-    def cell(seed: int):
-        path = simulate(
-            cfg.system, cfg.measurement, cfg.initial, StepConfig(h=h, steps=steps), seed
-        )
-        runs = {
-            kind: run_filter(
-                cfg.system,
-                cfg.measurement,
-                cfg.initial,
-                path.increments,
-                StepConfig(h=h, steps=steps),
-                update=kind,
-                predict=cfg.predict_kind,
-            )
-            for kind in ("lmmr", "wasserstein")
-        }
-        errors = {kind: error_metrics(run, path.states) for kind, run in runs.items()}
-        traces = {kind: run.terminal.cov.trace() for kind, run in runs.items()}
-        return seed, errors, traces
-
+    step_cfg = StepConfig(h=h, steps=cfg.steps_for(h))
+    paths = [
+        simulate(cfg.system, cfg.measurement, cfg.initial, step_cfg, seed) for seed in cfg.seeds
+    ]
+    increments = np.stack([path.increments for path in paths])
+    truth = np.stack([path.states for path in paths])
     rows = []
-    terminal_sq = {"lmmr": [], "wasserstein": []}
-    traces = None
-    for seed, errors, cell_traces in map(cell, cfg.seeds):
-        traces = cell_traces
-        for kind in ("lmmr", "wasserstein"):
-            rows.append(
-                ResultRow(h, seed, f"terminal_sq_error_{kind}", errors[kind].terminal_squared)
-            )
-            terminal_sq[kind].append(errors[kind].terminal_squared)
     for kind in ("lmmr", "wasserstein"):
-        rows.append(ResultRow(h, None, f"rmse_{kind}", float(np.sqrt(np.mean(terminal_sq[kind])))))
-        rows.append(ResultRow(h, None, f"terminal_cov_trace_{kind}", traces[kind]))
+        run = run_filter(
+            cfg.system,
+            cfg.measurement,
+            cfg.initial,
+            increments,
+            step_cfg,
+            update=kind,
+            predict=cfg.predict_kind,
+        )
+        terminal_sq = error_metrics(run, truth).terminal_squared
+        for seed, value in zip(cfg.seeds, terminal_sq.tolist()):
+            rows.append(ResultRow(h, seed, f"terminal_sq_error_{kind}", value))
+        rows.append(ResultRow(h, None, f"rmse_{kind}", float(np.sqrt(np.mean(terminal_sq)))))
+        rows.append(ResultRow(h, None, f"terminal_cov_trace_{kind}", run.terminal.cov.trace()))
     return ResultTable(tuple(rows), cfg.config_hash)
 
 

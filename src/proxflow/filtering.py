@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .gaussians import Gaussian, as_vector
-from .matrices import SpdMatrix, inv_spd
+from .gaussians import Gaussian, as_vectors, require_single
+from .matrices import SpdMatrix, inv_spd, matvec
 from .oracles import OdeConfig, exact_cov, exact_mean
 from .propagation import (
     LinearSystem,
@@ -70,7 +70,12 @@ def _check_update_inputs(g_prior: Gaussian, meas: MeasurementModel, y, h: float)
         )
     if not (np.isfinite(h) and h > 0.0):
         raise ValidationError(f"step size must be positive, got {h}")
-    return as_vector(y, dim=meas.obs_dim, name="measurement")
+    y = as_vectors(y, dim=meas.obs_dim, name="measurement")
+    if y.shape[:-1] != g_prior.mean.shape[:-1]:
+        raise DimensionError(
+            f"measurements have shape {y.shape}, prior means {g_prior.mean.shape}"
+        )
+    return y
 
 
 def lmmr_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -> Gaussian:
@@ -78,14 +83,15 @@ def lmmr_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -> Gauss
 
     Mean solves (I + h P- C' R^-1 C) mu+ = mu- + h P- C' R^-1 y exactly;
     covariance updates in information form (P+)^-1 = (P-)^-1 + h C' R^-1 C,
-    so P+ <= P- always.
+    so P+ <= P- always. The prior mean and y may be batches (S, n), (S, m)
+    sharing the covariance.
     """
     y = _check_update_inputs(g_prior, meas, y, h)
     p_prior = g_prior.cov.mat
     info = meas.information_matrix()
     lhs = np.eye(g_prior.dim) + h * p_prior @ info
-    rhs = g_prior.mean + h * p_prior @ meas.c.T @ meas.rinv @ y
-    mean = np.linalg.solve(lhs, rhs)
+    rhs = g_prior.mean + matvec(h * p_prior @ meas.c.T @ meas.rinv, y)
+    mean = np.linalg.solve(lhs, rhs[..., None])[..., 0]
     post_info = inv_spd(g_prior.cov).mat + h * info
     cov = inv_spd(SpdMatrix(post_info))
     return Gaussian(mean, cov)
@@ -95,12 +101,14 @@ def wasserstein_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -
     """Transport-proximal measurement update.
 
     Mean solves (I + h C' R^-1 C) mu+ = mu- + h C' R^-1 y; covariance obeys
-    (P+)^-1 = (I + h C' R^-1 C) (P-)^-1 (I + h C' R^-1 C).
+    (P+)^-1 = (I + h C' R^-1 C) (P-)^-1 (I + h C' R^-1 C). The prior mean
+    and y may be batches (S, n), (S, m) sharing the covariance.
     """
     y = _check_update_inputs(g_prior, meas, y, h)
     info = meas.information_matrix()
     scaled = np.eye(g_prior.dim) + h * info
-    mean = np.linalg.solve(scaled, g_prior.mean + h * meas.c.T @ meas.rinv @ y)
+    rhs = g_prior.mean + matvec(h * meas.c.T @ meas.rinv, y)
+    mean = np.linalg.solve(scaled, rhs[..., None])[..., 0]
     half = np.linalg.solve(scaled, g_prior.cov.mat)
     cov = np.linalg.solve(scaled, half.T).T
     return Gaussian(mean, SpdMatrix(0.5 * (cov + cov.T)))
@@ -111,7 +119,11 @@ _UPDATES = {"lmmr": lmmr_update, "wasserstein": wasserstein_update}
 
 @dataclass(frozen=True, eq=False)
 class FilterRun:
-    """Posterior path, innovations, and the discretization that produced them."""
+    """Posterior path, innovations, and the discretization that produced them.
+
+    For a batch of S measurement paths each posterior holds S means, shape
+    (S, n), and each innovation has shape (S, m).
+    """
 
     posteriors: tuple
     innovations: tuple
@@ -128,7 +140,8 @@ class FilterRun:
         return self.posteriors[-1]
 
     def means(self) -> np.ndarray:
-        return np.array([g.mean for g in self.posteriors])
+        """Posterior means, shape (steps + 1, n), or (S, steps + 1, n) for a batch."""
+        return np.stack([g.mean for g in self.posteriors], axis=-2)
 
 
 def run_filter(
@@ -143,8 +156,11 @@ def run_filter(
 ) -> FilterRun:
     """Alternate prediction and proximal measurement updates over the data.
 
-    dz holds cfg.steps measurement increments; the per-step measurement is
-    y_k = dz_k / h, computed internally. predict "jko" uses the proximal
+    dz holds cfg.steps measurement increments, shape (steps, m), or one such
+    path per seed, shape (S, steps, m); the per-step measurement is
+    y_k = dz_k / h, computed internally. The covariances do not depend on the
+    data, so a batch computes them once and advances S means from g0's mean,
+    each bit for bit as its one-path run. predict "jko" uses the proximal
     mean/covariance recursions, "exact" the closed-form/ODE propagation.
     """
     if update not in _UPDATES:
@@ -154,15 +170,18 @@ def run_filter(
     dz = np.asarray(dz, dtype=float)
     if dz.ndim == 1:
         dz = dz.reshape(-1, 1)
-    if dz.shape != (cfg.steps, meas.obs_dim):
+    if dz.ndim not in (2, 3) or dz.shape[-2:] != (cfg.steps, meas.obs_dim):
         raise DimensionError(
-            f"increments have shape {dz.shape}, expected ({cfg.steps}, {meas.obs_dim})"
+            f"increments have shape {dz.shape}, expected ([S,] {cfg.steps}, {meas.obs_dim})"
         )
     if meas.state_dim != sys.dim or g0.dim != sys.dim:
         raise DimensionError("system, measurement model, and prior dimensions disagree")
+    require_single(g0)
     update_fn = _UPDATES[update]
     h = cfg.h
     mean_map = general_mean_map(make_equipartition(sys), h) if predict == "jko" else None
+    if dz.ndim == 3:
+        g0 = Gaussian(np.broadcast_to(g0.mean, (dz.shape[0], sys.dim)), g0.cov)
     posteriors = [g0]
     innovations = []
     g = g0
@@ -173,8 +192,8 @@ def run_filter(
         else:
             prior_mean = exact_mean(sys, g.mean, h)
             prior_cov = exact_cov(sys, g.cov, h, ode)
-        y = dz[k - 1] / h
-        innovations.append(y - meas.c @ prior_mean)
+        y = dz[..., k - 1, :] / h
+        innovations.append(y - matvec(meas.c, prior_mean))
         g = update_fn(Gaussian(prior_mean, prior_cov), meas, y, h)
         posteriors.append(g)
     return FilterRun(tuple(posteriors), tuple(innovations), cfg)
@@ -182,15 +201,20 @@ def run_filter(
 
 @dataclass(frozen=True, eq=False)
 class ErrorSummary:
-    """Squared estimation errors of one run against the true state path."""
+    """Squared estimation errors of one run against the true state path.
+
+    For a batched run the fields carry a leading seed axis: per_time_squared
+    is (S, steps + 1), terminal_squared and path_rmse are (S,) arrays.
+    """
 
     per_time_squared: np.ndarray
-    terminal_squared: float
-    path_rmse: float
+    terminal_squared: float | np.ndarray
+    path_rmse: float | np.ndarray
 
 
 def error_metrics(run: FilterRun, truth_states) -> ErrorSummary:
-    """Per-time squared error and path RMSE of the posterior means vs truth."""
+    """Per-time squared error and path RMSE of the posterior means vs truth,
+    per seed for a batched run (truth then has shape (S, steps + 1, n))."""
     truth = np.asarray(truth_states, dtype=float)
     if truth.ndim == 1:
         truth = truth.reshape(-1, 1)
@@ -199,12 +223,12 @@ def error_metrics(run: FilterRun, truth_states) -> ErrorSummary:
         raise DimensionError(
             f"truth path has shape {truth.shape}, run has {means.shape}"
         )
-    sq = np.sum((means - truth) ** 2, axis=1)
-    return ErrorSummary(
-        per_time_squared=sq,
-        terminal_squared=float(sq[-1]),
-        path_rmse=float(np.sqrt(np.mean(sq))),
-    )
+    sq = np.sum((means - truth) ** 2, axis=-1)
+    terminal = sq[..., -1]
+    rmse = np.sqrt(np.mean(sq, axis=-1))
+    if sq.ndim == 1:
+        terminal, rmse = float(terminal), float(rmse)
+    return ErrorSummary(per_time_squared=sq, terminal_squared=terminal, path_rmse=rmse)
 
 
 def terminal_rmse(summaries) -> float:

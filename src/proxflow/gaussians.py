@@ -20,30 +20,43 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
+    v = as_vectors(x, dim, name)
+    if v.ndim != 1:
+        raise ValidationError(f"{name} must be one-dimensional, got shape {v.shape}")
+    return v
+
+
+def as_vectors(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
+    """One vector, shape (n,), or a batch of S vectors, shape (S, n)."""
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
-    if v.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional, got shape {v.shape}")
+    if v.ndim > 2:
+        raise DimensionError(f"{name} must have shape (n,) or (S, n), got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValidationError(f"{name} has non-finite entries")
-    if dim is not None and v.shape[0] != dim:
-        raise DimensionError(f"{name} has length {v.shape[0]}, expected {dim}")
+    if dim is not None and v.shape[-1] != dim:
+        raise DimensionError(f"{name} has length {v.shape[-1]}, expected {dim}")
     return v
 
 
 @dataclass(frozen=True, eq=False)
 class Gaussian:
-    """Mean vector plus SPD covariance."""
+    """Mean vector plus SPD covariance.
+
+    A mean of shape (S, n) stands for S densities sharing the one covariance,
+    as in a filter run over S measurement paths. The single-density
+    functionals below reject such a batch.
+    """
 
     mean: np.ndarray
     cov: SpdMatrix
 
     def __post_init__(self):
-        mean = np.array(as_vector(self.mean, name="mean"))  # own copy before freezing
-        if mean.shape[0] != self.cov.dim:
+        mean = np.array(as_vectors(self.mean, name="mean"))  # own copy before freezing
+        if mean.shape[-1] != self.cov.dim:
             raise DimensionError(
-                f"mean has length {mean.shape[0]} but covariance is {self.cov.dim}x{self.cov.dim}"
+                f"mean has length {mean.shape[-1]} but covariance is {self.cov.dim}x{self.cov.dim}"
             )
         mean.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -51,6 +64,15 @@ class Gaussian:
     @property
     def dim(self) -> int:
         return self.cov.dim
+
+
+def require_single(*gs: Gaussian) -> None:
+    """Reject a batched mean where one density is meant."""
+    for g in gs:
+        if g.mean.ndim != 1:
+            raise DimensionError(
+                f"expected a single density, got a batch of {g.mean.shape[0]} means"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +101,7 @@ class AffineMap:
 
 
 def _same_dim(g1: Gaussian, g2: Gaussian) -> int:
+    require_single(g1, g2)
     if g1.dim != g2.dim:
         raise DimensionError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
     return g1.dim
@@ -134,6 +157,7 @@ def neg_entropy(g: Gaussian) -> float:
 
 def energy_quadratic(g: Gaussian, gamma: SpdMatrix) -> float:
     """Expected quadratic potential (mu' Gamma mu + tr(Gamma P))/2."""
+    require_single(g)
     if gamma.dim != g.dim:
         raise DimensionError(f"dimension mismatch: {gamma.dim} vs {g.dim}")
     return 0.5 * float(g.mean @ gamma.mat @ g.mean + np.trace(gamma.mat @ g.cov.mat))
@@ -151,6 +175,7 @@ def phi_expectation(g: Gaussian, c, rinv: SpdMatrix, y) -> float:
 
     Takes the inverse noise covariance directly.
     """
+    require_single(g)
     cm = np.asarray(c, dtype=float)
     if cm.ndim == 0:
         cm = cm.reshape(1, 1)
@@ -188,6 +213,7 @@ def trace_projection(g0: Gaussian, mu, tau: float) -> tuple[float, Gaussian]:
     and the optimal distance satisfies w2^2 = (sqrt(tau) - sqrt(tau0))^2 + |mu - mu0|^2.
     Returns (w2, minimizer).
     """
+    require_single(g0)
     if not (np.isfinite(tau) and tau > 0.0):
         raise ValidationError(f"target trace must be positive, got {tau}")
     mu_v = as_vector(mu, dim=g0.dim, name="target mean")

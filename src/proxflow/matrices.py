@@ -46,6 +46,16 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mat @ x for one vector x (n,) or for each row of a batch (S, n).
+
+    The stacked product gives every row exactly its one-vector arithmetic,
+    so a batched recursion reproduces its one-vector runs bit for bit; a
+    multi-column product (mat @ x.T).T would not.
+    """
+    return (mat @ x[..., None])[..., 0]
+
+
 def is_symmetric(m: np.ndarray) -> bool:
     """max|M - M^T| <= SYMMETRY_RTOL (1 + max|M|), for a square array M."""
     return max_abs(m - m.T) <= SYMMETRY_RTOL * (1.0 + max_abs(m))

@@ -18,12 +18,13 @@ from .errors import DimensionError, OracleFailure, ValidationError
 from .gaussians import (
     Gaussian,
     as_vector,
+    as_vectors,
     free_energy,
     kl_gaussian,
     phi_expectation,
     w2_gaussian,
 )
-from .matrices import SpdMatrix, expm, inv_spd, is_isotropic, is_symmetric
+from .matrices import SpdMatrix, expm, inv_spd, is_isotropic, is_symmetric, matvec
 from .propagation import LinearSystem
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -67,11 +68,12 @@ def rk4_integrate(f, y0, horizon: float, substep: float):
 
 
 def exact_mean(sys: LinearSystem, mu0, t: float) -> np.ndarray:
-    """Mean of the state at time t: e^(A t) mu0."""
-    mu = as_vector(mu0, dim=sys.dim, name="initial mean")
+    """Mean of the state at time t: e^(A t) mu0, for one mean (n,) or a
+    batch (S, n)."""
+    mu = as_vectors(mu0, dim=sys.dim, name="initial mean")
     if t == 0.0:
         return mu.copy()
-    return expm(sys.a, t) @ mu
+    return matvec(expm(sys.a, t), mu)
 
 
 def _isotropic_level(sys: LinearSystem) -> float | None:

@@ -25,7 +25,7 @@ from .errors import (
     StepSizeError,
     ValidationError,
 )
-from .gaussians import Gaussian, as_vector
+from .gaussians import Gaussian, as_vectors, require_single
 from .matrices import (
     SpdMatrix,
     as_square,
@@ -34,6 +34,7 @@ from .matrices import (
     is_isotropic,
     is_symmetric,
     lyapunov_solve,
+    matvec,
     max_abs,
     quadratic_matrix_solve,
     require_hurwitz,
@@ -180,6 +181,7 @@ def jko_step_symmetric(
     set P = P0^(-1/2) Z^-2 P0^(-1/2). The Gibbs density N(0, (beta Gamma)^-1)
     is an exact fixed point.
     """
+    require_single(g_prev)
     if gamma.dim != g_prev.dim:
         raise ValidationError(
             f"dimension mismatch: state {g_prev.dim} vs potential {gamma.dim}"
@@ -218,8 +220,8 @@ def general_mean_map(frame: EquipartitionFrame, h: float) -> np.ndarray:
 
 def jko_step_general_mean(mu_prev, mean_map: np.ndarray) -> np.ndarray:
     """Mean recursion for the general case: mu_k = M_h mu_{k-1}, with M_h
-    from general_mean_map."""
-    return mean_map @ as_vector(mu_prev, dim=mean_map.shape[0], name="mean")
+    from general_mean_map. mu_prev is one mean (n,) or a batch (S, n)."""
+    return matvec(mean_map, as_vectors(mu_prev, dim=mean_map.shape[0], name="mean"))
 
 
 def jko_step_general_cov(p_prev: SpdMatrix, sys: LinearSystem, h: float) -> SpdMatrix:

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .filtering import MeasurementModel
-from .gaussians import Gaussian, as_vector
-from .matrices import sqrt_spd
+from .gaussians import Gaussian, as_vector, require_single
+from .matrices import matvec, sqrt_spd
 from .propagation import LinearSystem, StepConfig
 from .rng import GaussianStream
 
@@ -55,31 +55,39 @@ def simulate(
     x0 is either an exact state vector or a Gaussian to draw the initial
     state from (one draw). The two noise-scale hooks exist for deterministic
     degenerate tests; both default to 1.
+
+    The normals come from one draw, in step order: the initial state's, then
+    per step p process draws followed by m measurement draws. Only the state
+    recursion loops; the noise terms are formed for all steps at once.
     """
     if meas.state_dim != sys.dim:
         raise DimensionError("system and measurement model dimensions disagree")
-    stream = GaussianStream(seed)
+    p = sys.noise_dim
+    m = meas.obs_dim
+    lead = 0
     if isinstance(x0, Gaussian):
         if x0.dim != sys.dim:
             raise DimensionError("initial Gaussian dimension does not match the system")
-        x = x0.mean + sqrt_spd(x0.cov).mat @ stream.draw(sys.dim)
+        require_single(x0)
+        lead = sys.dim
     else:
         x = as_vector(x0, dim=sys.dim, name="initial state").copy()
+    draws = GaussianStream(seed).draw(lead + cfg.steps * (p + m))
+    if lead:
+        x = x0.mean + sqrt_spd(x0.cov).mat @ draws[:lead]
+    noise = draws[lead:].reshape(cfg.steps, p + m)
     h = cfg.h
     sqrt_2h = np.sqrt(2.0 * h)
     sqrt_h = np.sqrt(h)
     r_half = sqrt_spd(meas.r).mat
-    p = sys.noise_dim
-    m = meas.obs_dim
+    process = process_noise_scale * sqrt_2h * matvec(sys.b, noise[:, :p])
+    sensor = measurement_noise_scale * sqrt_h * matvec(r_half, noise[:, p:])
     states = np.empty((cfg.steps + 1, sys.dim))
-    increments = np.empty((cfg.steps, m))
     states[0] = x
     for k in range(cfg.steps):
-        xi = stream.draw(p)
-        eta = stream.draw(m)
-        increments[k] = h * (meas.c @ x) + measurement_noise_scale * sqrt_h * (r_half @ eta)
-        x = x + h * (sys.a @ x) + process_noise_scale * sqrt_2h * (sys.b @ xi)
+        x = x + h * (sys.a @ x) + process[k]
         states[k + 1] = x
+    increments = h * matvec(meas.c, states[:-1]) + sensor
     states.flags.writeable = False
     increments.flags.writeable = False
     return SimPath(states=states, increments=increments, h=h, seed=seed)

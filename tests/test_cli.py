@@ -209,10 +209,19 @@ class TestCompareFilters:
     def test_seed_override_flag(self, tmp_path):
         cfg = write_config(tmp_path, COMPARE_CONFIG)
         out = tmp_path / "cmp_seed.csv"
-        assert main(["compare-filters", "--config", cfg, "--out", str(out), "--seed", "99"]) == 0
-        _, rows = read_rows(out)
+        mirror = tmp_path / "cmp_seed.json"
+        assert main(["compare-filters", "--config", cfg, "--out", str(out), "--seed", "99",
+                     "--out-json", str(mirror)]) == 0
+        comments, rows = read_rows(out)
         seeds = {s for (_, s, m, _) in rows if m == "terminal_sq_error_lmmr"}
         assert seeds == {"99"}
+        assert "# overrides=seed:99" in comments
+        assert json.loads(mirror.read_text())["overrides"] == "seed:99"
+        plain = tmp_path / "cmp_plain.csv"
+        assert main(["compare-filters", "--config", cfg, "--out", str(plain)]) == 0
+        plain_comments, _ = read_rows(plain)
+        assert not any(c.startswith("# overrides=") for c in plain_comments)
+        assert [c for c in comments if not c.startswith("# overrides=")] == plain_comments
 
     def test_mismatched_measurement_dims_rejected(self, tmp_path):
         payload = json.loads(json.dumps(COMPARE_CONFIG))
@@ -281,6 +290,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="horizon"):
             parse_config(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "seeds,bad",
+        [(["a"], 0), ([True], 0), ([1, 2.5], 1), ([4, None], 1)],
+        ids=["string", "bool", "fraction", "null"],
+    )
+    def test_seeds_must_be_integers(self, seeds, bad):
+        payload = json.loads(json.dumps(FILTER_CONFIG))
+        payload["seeds"] = seeds
+        with pytest.raises(ConfigError, match=rf"seeds\[{bad}\]"):
+            parse_config(json.dumps(payload))
+
+    def test_seeds_cli_exit_code(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(FILTER_CONFIG))
+        payload["seeds"] = ["a"]
+        cfg = write_config(tmp_path, payload)
+        assert main(["converge-filter", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        assert "seeds[0]" in capsys.readouterr().err
+
     def test_hash_changes_with_edits(self):
         a = parse_config(json.dumps(PROPAGATION_CONFIG))
         edited = json.loads(json.dumps(PROPAGATION_CONFIG))
@@ -289,11 +316,20 @@ class TestConfigParsing:
         assert a.config_hash != b.config_hash
 
 
-@pytest.mark.parametrize("name", ["propagation_scalar", "propagation_general_2d"])
-def test_bundled_propagation_tables_reproduce(tmp_path, name):
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        pytest.param("converge-propagation", "propagation_scalar", id="propagation_scalar"),
+        pytest.param("converge-propagation", "propagation_general_2d", id="propagation_general_2d"),
+        pytest.param("compare-filters", "compare_scalar", id="compare_scalar"),
+    ],
+)
+def test_bundled_propagation_tables_reproduce(tmp_path, command, name):
     out = tmp_path / f"{name}.csv"
     cfg = REPO / "scripts" / "configs" / f"{name}.json"
-    assert main(["converge-propagation", "--config", str(cfg), "--out", str(out)]) == 0
+    argv = [command, "--config", str(cfg), "--out", str(out),
+            "--out-json", str(tmp_path / f"{name}.json")]
+    assert main(argv) == 0
     got_comments, got_rows = read_rows(out)
     want_comments, want_rows = read_rows(REPO / "results" / f"{name}.csv")
     assert got_comments == want_comments

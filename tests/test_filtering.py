@@ -300,21 +300,80 @@ class TestMonteCarloBenchmark:
         h, horizon = 0.02, 6.0
         steps = round(horizon / h)
         cfg = StepConfig(h=h, steps=steps)
-        diffs = []
-        for seed in range(1000, 1200):
-            path = simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, seed)
-            truth = path.states
-            summaries = {}
-            for kind in ("lmmr", "wasserstein"):
-                run = run_filter(SCALAR_SYS, SCALAR_MEAS, g0, path.increments, cfg, update=kind)
-                summaries[kind] = error_metrics(run, truth)
-            diffs.append(
-                summaries["lmmr"].terminal_squared - summaries["wasserstein"].terminal_squared
-            )
-        diffs = np.array(diffs)
+        paths = [simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, seed) for seed in range(1000, 1200)]
+        dz = np.stack([path.increments for path in paths])
+        truth = np.stack([path.states for path in paths])
+        terminal = {}
+        for kind in ("lmmr", "wasserstein"):
+            run = run_filter(SCALAR_SYS, SCALAR_MEAS, g0, dz, cfg, update=kind)
+            terminal[kind] = error_metrics(run, truth).terminal_squared
+        diffs = terminal["lmmr"] - terminal["wasserstein"]
+        assert diffs.shape == (200,)
         mean_diff = float(diffs.mean())
         stderr = float(diffs.std(ddof=1) / math.sqrt(len(diffs)))
         assert mean_diff <= 2.0 * stderr
+
+
+def _dense_problem(n, m):
+    rng = np.random.default_rng(48 + n)
+    a = rng.normal(size=(n, n)) / math.sqrt(n)
+    a -= (np.max(np.linalg.eigvals(a).real) + 0.5) * np.eye(n)
+    sys = LinearSystem(a, np.eye(n) + 0.3 * rng.normal(size=(n, n)) / math.sqrt(n))
+    meas = MeasurementModel(rng.normal(size=(m, n)) / math.sqrt(n), random_spd(rng, m))
+    g0 = Gaussian(rng.normal(size=n), random_spd(rng, n))
+    return sys, meas, g0, rng
+
+
+class TestBatchedRunFilter:
+    @pytest.mark.parametrize("update", ["lmmr", "wasserstein"])
+    @pytest.mark.parametrize("predict", ["jko", "exact"])
+    @pytest.mark.parametrize("n,m", [(1, 1), (8, 3)])
+    def test_batch_equals_one_seed_runs_bitwise(self, n, m, update, predict):
+        sys, meas, g0, rng = _dense_problem(n, m)
+        cfg = StepConfig(h=0.02, steps=25)
+        dz = 0.1 * rng.normal(size=(6, cfg.steps, m))
+        batch = run_filter(sys, meas, g0, dz, cfg, update=update, predict=predict)
+        singles = [run_filter(sys, meas, g0, path, cfg, update=update, predict=predict)
+                   for path in dz]
+        assert batch.means().shape == (6, cfg.steps + 1, n)
+        assert np.array_equal(batch.means(), np.stack([r.means() for r in singles]))
+        for k, innovation in enumerate(batch.innovations):
+            assert np.array_equal(innovation, np.stack([r.innovations[k] for r in singles]))
+        for g, g_single in zip(batch.posteriors, singles[0].posteriors):
+            assert np.array_equal(g.cov.mat, g_single.cov.mat)
+
+    def test_error_metrics_per_seed(self):
+        cfg = StepConfig(h=0.05, steps=10)
+        dz = np.zeros((3, cfg.steps, 1))
+        run = run_filter(SCALAR_SYS, SCALAR_MEAS, scalar_gaussian(0, 1), dz, cfg)
+        offsets = np.array([0.5, 1.0, 2.0])
+        summary = error_metrics(run, run.means() + offsets[:, None, None])
+        assert summary.per_time_squared.shape == (3, cfg.steps + 1)
+        assert np.allclose(summary.terminal_squared, offsets ** 2, rtol=1e-12, atol=0.0)
+        assert np.allclose(summary.path_rmse, offsets, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 2, 5, 1), (2, 4, 1), (2, 5, 2)], ids=["rank4", "steps", "obs_dim"]
+    )
+    def test_rejects_bad_increment_shapes(self, shape):
+        with pytest.raises(DimensionError):
+            run_filter(SCALAR_SYS, SCALAR_MEAS, scalar_gaussian(0, 1), np.zeros(shape),
+                       StepConfig(h=0.1, steps=5))
+
+    def test_rejects_batched_prior(self):
+        g0 = Gaussian(np.zeros((2, 1)), SpdMatrix(1.0))
+        with pytest.raises(DimensionError):
+            run_filter(SCALAR_SYS, SCALAR_MEAS, g0, np.zeros((2, 5, 1)), StepConfig(h=0.1, steps=5))
+
+    @pytest.mark.parametrize("update", [lmmr_update, wasserstein_update])
+    def test_update_rejects_mismatched_measurement_batch(self, update):
+        batch = Gaussian(np.zeros((3, 1)), SpdMatrix(1.0))
+        with pytest.raises(DimensionError):
+            update(batch, SCALAR_MEAS, np.zeros((2, 1)), 0.1)
+        with pytest.raises(DimensionError):
+            update(batch, SCALAR_MEAS, np.zeros(1), 0.1)
+        with pytest.raises(DimensionError):
+            update(scalar_gaussian(0, 1), SCALAR_MEAS, np.zeros((3, 1)), 0.1)
 
 
 def test_filter_run_length_invariant():

@@ -270,3 +270,42 @@ class TestTraceProjection:
     def test_rejects_nonpositive_trace(self):
         with pytest.raises(ValidationError):
             trace_projection(scalar_gaussian(0, 1), [0.0], 0.0)
+
+
+class TestBatchedMean:
+    def test_batch_shares_covariance(self):
+        g = Gaussian(np.arange(6.0).reshape(3, 2), SpdMatrix(np.eye(2)))
+        assert g.mean.shape == (3, 2)
+        assert g.dim == 2
+        assert not g.mean.flags.writeable
+
+    def test_three_dimensional_mean_rejected(self):
+        with pytest.raises(DimensionError):
+            Gaussian(np.zeros((2, 3, 1)), SpdMatrix(1.0))
+
+    def test_trailing_size_must_match(self):
+        with pytest.raises(DimensionError):
+            Gaussian(np.zeros((4, 2)), SpdMatrix(np.eye(3)))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValidationError):
+            Gaussian([[0.0], [math.nan]], SpdMatrix(1.0))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b, g: w2_gaussian(b, g),
+            lambda b, g: w2_gaussian(g, b),
+            lambda b, g: kl_gaussian(b, g),
+            lambda b, g: transport_map(g, b),
+            lambda b, g: energy_quadratic(b, SpdMatrix(np.eye(2))),
+            lambda b, g: phi_expectation(b, [[1.0, 0.0]], SpdMatrix(1.0), [0.5]),
+            lambda b, g: trace_projection(b, [0.0, 0.0], 1.0),
+        ],
+        ids=["w2_first", "w2_second", "kl", "transport_map", "energy", "phi", "trace_projection"],
+    )
+    def test_single_density_functions_reject_batch(self, call):
+        batch = Gaussian(np.zeros((3, 2)), SpdMatrix(np.eye(2)))
+        single = Gaussian(np.zeros(2), SpdMatrix(np.eye(2)))
+        with pytest.raises(DimensionError, match="single density"):
+            call(batch, single)

@@ -19,7 +19,9 @@ from proxflow import (
     increments_to_y,
     lyapunov_solve,
     simulate,
+    sqrt_spd,
 )
+from support import random_spd, random_system
 
 SCALAR_SYS = LinearSystem([[-1.0]], [[1.0]])
 SCALAR_MEAS = MeasurementModel([[1.0]], SpdMatrix(1.0))
@@ -121,6 +123,41 @@ class TestSimulate:
         eta = (path.increments[:, 0] - h * path.states[:-1, 0]) / math.sqrt(h)
         corr = float(np.corrcoef(xi, eta)[0, 1])
         assert abs(corr) < 3.0 / math.sqrt(n_steps)
+
+
+def _stepwise_simulate(sys, meas, x0, cfg, seed, process_scale, measurement_scale):
+    """The recursion one step at a time, drawing per step on the stream."""
+    stream = GaussianStream(seed)
+    if isinstance(x0, Gaussian):
+        x = x0.mean + sqrt_spd(x0.cov).mat @ stream.draw(sys.dim)
+    else:
+        x = np.array(x0, dtype=float)
+    h = cfg.h
+    r_half = sqrt_spd(meas.r).mat
+    states, increments = [x], []
+    for _ in range(cfg.steps):
+        xi = stream.draw(sys.noise_dim)
+        eta = stream.draw(meas.obs_dim)
+        increments.append(h * (meas.c @ x) + measurement_scale * np.sqrt(h) * (r_half @ eta))
+        x = x + h * (sys.a @ x) + process_scale * np.sqrt(2.0 * h) * (sys.b @ xi)
+        states.append(x)
+    return np.array(states), np.array(increments).reshape(cfg.steps, meas.obs_dim)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (8, 3)])
+@pytest.mark.parametrize("initial", ["gaussian", "vector"])
+@pytest.mark.parametrize("scales", [(1.0, 1.0), (0.7, 1.3)])
+def test_simulate_matches_stepwise_recursion_bitwise(n, m, initial, scales):
+    rng = np.random.default_rng(90 + n)
+    sys = random_system(rng, n)
+    meas = MeasurementModel(rng.normal(size=(m, n)), random_spd(rng, m))
+    g0 = Gaussian(rng.normal(size=n), random_spd(rng, n))
+    x0 = g0 if initial == "gaussian" else g0.mean
+    cfg = StepConfig(h=0.02, steps=40)
+    path = simulate(sys, meas, x0, cfg, 17, *scales)
+    states, increments = _stepwise_simulate(sys, meas, x0, cfg, 17, *scales)
+    assert np.array_equal(path.states, states)
+    assert np.array_equal(path.increments, increments)
 
 
 class TestIncrementsToY:
