@@ -3,7 +3,8 @@
 Subcommands: converge-propagation, converge-filter, compare-filters,
 lemma-checks. Results go to CSV (header mandatory, provenance in leading
 comment lines) with an optional JSON mirror. Exit codes: 0 success,
-1 validation error, 2 numeric failure.
+1 validation error (including usage errors and unwritable outputs), 2 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -76,7 +77,10 @@ def _run_config_command(args, runner):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help/--version, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
         if args.command == "converge-propagation":
             _run_config_command(args, converge_propagation)

@@ -55,24 +55,56 @@ def _require(raw: dict, field: str, path: str):
     return raw[field]
 
 
-def _matrix(value, path: str) -> np.ndarray:
-    try:
-        m = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a numeric array ({exc})") from exc
-    if m.ndim != 2:
-        raise ConfigError(f"{path}: expected a nested (row-major) array of rows")
-    return m
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: must be an object")
+    return value
 
 
-def _vector(value, path: str) -> np.ndarray:
+def _array(value, path: str, ndim: int) -> np.ndarray:
+    """A finite numeric array of rank ndim: a flat array of decimals (1) or a
+    row-major nested array of rows (2)."""
     try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        a = np.asarray(value)
+    except ValueError as exc:
         raise ConfigError(f"{path}: not a numeric array ({exc})") from exc
-    if v.ndim != 1:
-        raise ConfigError(f"{path}: expected a flat array of decimals")
-    return v
+    if a.dtype.kind not in "iuf":
+        raise ConfigError(f"{path}: not a numeric array")
+    if a.ndim != ndim:
+        shape = "a flat array of decimals" if ndim == 1 else "a nested (row-major) array of rows"
+        raise ConfigError(f"{path}: expected {shape}")
+    a = a.astype(float)
+    if not np.all(np.isfinite(a)):
+        raise ConfigError(f"{path}: entries must be finite")
+    return a
+
+
+def _positive(value, path: str) -> float:
+    """A finite positive number; bools are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = np.inf
+    if not (np.isfinite(number) and number > 0.0):
+        raise ConfigError(f"{path}: must be a finite positive number, got {number}")
+    return number
+
+
+def _output_path(value, path: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{path}: must be a string or null")
+    return value
+
+
+def _build(path: str, make):
+    """Run a constructor on parsed fields, reporting its validation error
+    under the section path."""
+    try:
+        return make()
+    except ProxflowError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -81,69 +113,50 @@ def parse_config(text: str) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # too many digits, too deep
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
 
-    mode = raw.get("mode", {})
+    mode = _object(raw.get("mode", {}), "mode")
     task = mode.get("task", "propagation")
     if task not in TASKS:
         raise ConfigError(f"mode.task: must be one of {TASKS}, got {task!r}")
 
-    sys_raw = _require(raw, "system", "")
-    try:
-        system = LinearSystem(
-            _matrix(_require(sys_raw, "A", "system."), "system.A"),
-            _matrix(_require(sys_raw, "B", "system."), "system.B"),
-        )
-    except ConfigError:
-        raise
-    except ProxflowError as exc:
-        raise ConfigError(f"system: {exc}") from exc
+    sys_raw = _object(_require(raw, "system", ""), "system")
+    a = _array(_require(sys_raw, "A", "system."), "system.A", 2)
+    b = _array(_require(sys_raw, "B", "system."), "system.B", 2)
+    system = _build("system", lambda: LinearSystem(a, b))
 
     measurement = None
     if task in ("filter", "compare"):
-        meas_raw = _require(raw, "measurement", "")
-        try:
-            measurement = MeasurementModel(
-                _matrix(_require(meas_raw, "C", "measurement."), "measurement.C"),
-                SpdMatrix(_matrix(_require(meas_raw, "R", "measurement."), "measurement.R")),
-            )
-        except ConfigError:
-            raise
-        except ProxflowError as exc:
-            raise ConfigError(f"measurement: {exc}") from exc
+        meas_raw = _object(_require(raw, "measurement", ""), "measurement")
+        c = _array(_require(meas_raw, "C", "measurement."), "measurement.C", 2)
+        r = _array(_require(meas_raw, "R", "measurement."), "measurement.R", 2)
+        measurement = _build("measurement", lambda: MeasurementModel(c, SpdMatrix(r)))
         if measurement.state_dim != system.dim:
             raise ConfigError(
                 f"measurement.C: acts on dim {measurement.state_dim}, system has dim {system.dim}"
             )
 
-    init_raw = _require(raw, "initial", "")
-    try:
-        initial = Gaussian(
-            _vector(_require(init_raw, "mean", "initial."), "initial.mean"),
-            SpdMatrix(_matrix(_require(init_raw, "cov", "initial."), "initial.cov")),
-        )
-    except ConfigError:
-        raise
-    except ProxflowError as exc:
-        raise ConfigError(f"initial: {exc}") from exc
+    init_raw = _object(_require(raw, "initial", ""), "initial")
+    mean = _array(_require(init_raw, "mean", "initial."), "initial.mean", 1)
+    cov = _array(_require(init_raw, "cov", "initial."), "initial.cov", 2)
+    initial = _build("initial", lambda: Gaussian(mean, SpdMatrix(cov)))
     if initial.dim != system.dim:
         raise ConfigError(f"initial.mean: dim {initial.dim} does not match system {system.dim}")
 
-    steps_raw = _require(raw, "steps", "")
-    h_values = tuple(float(h) for h in _vector(_require(steps_raw, "h", "steps."), "steps.h"))
-    if not h_values or any(h <= 0 for h in h_values):
+    steps_raw = _object(_require(raw, "steps", ""), "steps")
+    h_array = _array(_require(steps_raw, "h", "steps."), "steps.h", 1)
+    h_values = tuple(_positive(float(h), "steps.h") for h in h_array)
+    if not h_values:
         raise ConfigError("steps.h: need at least one positive step size")
     if len(set(h_values)) != len(h_values):
         raise ConfigError("steps.h: step sizes must be distinct")
-    horizon = float(_require(steps_raw, "horizon", "steps."))
-    if horizon <= 0:
-        raise ConfigError(f"steps.horizon: must be positive, got {horizon}")
+    horizon = _positive(_require(steps_raw, "horizon", "steps."), "steps.horizon")
     beta = steps_raw.get("beta")
     if beta is not None:
-        beta = float(beta)
-        if beta <= 0:
-            raise ConfigError(f"steps.beta: must be positive, got {beta}")
+        beta = _positive(beta, "steps.beta")
 
     seeds = raw.get("seeds", [])
     if not isinstance(seeds, list):
@@ -166,9 +179,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if predict_kind not in PREDICT_KINDS:
         raise ConfigError(f"mode.predict: must be one of {PREDICT_KINDS}")
 
-    output = raw.get("output", {})
-    out_csv = output.get("csv")
-    out_json = output.get("json")
+    output = _object(raw.get("output", {}), "output")
+    out_csv = _output_path(output.get("csv"), "output.csv")
+    out_json = _output_path(output.get("json"), "output.json")
 
     cfg = ExperimentConfig(
         task=task,

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .filtering import error_metrics, run_filter
 from .geometry_checks import run_all_checks
 from .matrices import max_abs
@@ -86,12 +86,14 @@ class ResultTable:
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
     def write(self, csv_path: str | None, json_path: str | None = None) -> None:
-        if csv_path:
-            with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(self.to_csv())
-        if json_path:
-            with open(json_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(self.to_json())
+        for path, render in ((csv_path, self.to_csv), (json_path, self.to_json)):
+            if not path:
+                continue
+            try:
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(render())
+            except OSError as exc:
+                raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _ratio_rows(rows_by_h, metric: str, seed=None):
@@ -113,34 +115,19 @@ def converge_propagation(cfg: ExperimentConfig) -> ResultTable:
     ref_ode = OdeConfig(substep=min(cfg.h_values) / 20.0)
     ref_mean = exact_mean(cfg.system, cfg.initial.mean, cfg.horizon)
     ref_cov = exact_cov(cfg.system, cfg.initial.cov, cfg.horizon, ref_ode)
-
-    def cell(h: float):
-        steps = cfg.steps_for(h)
-        step_cfg = StepConfig(h=h, steps=steps, beta=cfg.beta)
-        path = propagate(cfg.system, cfg.initial, step_cfg, cfg.propagation_mode)
-        terminal = path[-1][1]
-        return (
-            h,
-            max_abs(terminal.mean - ref_mean),
-            max_abs(terminal.cov.mat - ref_cov.mat),
-        )
-
     rows = []
     mean_errors = {}
     cov_errors = {}
-    for h, mean_err, cov_err in map(cell, sorted(cfg.h_values, reverse=True)):
-        rows.append(ResultRow(h, None, "terminal_mean_error", mean_err))
-        rows.append(ResultRow(h, None, "terminal_cov_error", cov_err))
-        mean_errors[h] = mean_err
-        cov_errors[h] = cov_err
+    for h in sorted(cfg.h_values, reverse=True):
+        step_cfg = StepConfig(h=h, steps=cfg.steps_for(h), beta=cfg.beta)
+        terminal = propagate(cfg.system, cfg.initial, step_cfg, cfg.propagation_mode)[-1][1]
+        mean_errors[h] = max_abs(terminal.mean - ref_mean)
+        cov_errors[h] = max_abs(terminal.cov.mat - ref_cov.mat)
+        rows.append(ResultRow(h, None, "terminal_mean_error", mean_errors[h]))
+        rows.append(ResultRow(h, None, "terminal_cov_error", cov_errors[h]))
     rows.extend(_ratio_rows(mean_errors, "terminal_mean_error"))
     rows.extend(_ratio_rows(cov_errors, "terminal_cov_error"))
     return ResultTable(tuple(rows), cfg.config_hash)
-
-
-def _reference_run(cfg: ExperimentConfig, g0, dz, h):
-    runner = kalman_bucy_run if cfg.update_kind == "lmmr" else luenberger_run
-    return runner(cfg.system, cfg.measurement, g0, dz, h, OdeConfig.for_step(h))
 
 
 def converge_filter(cfg: ExperimentConfig) -> ResultTable:
@@ -150,8 +137,9 @@ def converge_filter(cfg: ExperimentConfig) -> ResultTable:
     if cfg.task != "filter":
         raise ConfigError(f"mode.task: expected 'filter', got {cfg.task!r}")
     h_min = min(cfg.h_values)
-
-    def seed_cells(seed: int):
+    reference_run = kalman_bucy_run if cfg.update_kind == "lmmr" else luenberger_run
+    rows = []
+    for seed in cfg.seeds:
         master = simulate(
             cfg.system,
             cfg.measurement,
@@ -159,10 +147,12 @@ def converge_filter(cfg: ExperimentConfig) -> ResultTable:
             StepConfig(h=h_min, steps=cfg.steps_for(h_min)),
             seed,
         )
-        reference = _reference_run(cfg, cfg.initial, master.increments, h_min)
+        reference = reference_run(
+            cfg.system, cfg.measurement, cfg.initial, master.increments, h_min
+        )
         ref_cov = reference[-1].cov.mat
         ref_means = np.array([g.mean for g in reference])
-        out = []
+        cov_errors = {}
         for h in sorted(cfg.h_values, reverse=True):
             factor = round(h / h_min)
             path = coarsen(master, factor)
@@ -175,20 +165,11 @@ def converge_filter(cfg: ExperimentConfig) -> ResultTable:
                 update=cfg.update_kind,
                 predict=cfg.predict_kind,
             )
-            cov_err = max_abs(run.terminal.cov.mat - ref_cov)
+            cov_errors[h] = max_abs(run.terminal.cov.mat - ref_cov)
             diff = run.means() - ref_means[::factor]
             mean_rmse = float(np.sqrt(np.mean(np.sum(diff ** 2, axis=1))))
-            out.append((h, seed, cov_err, mean_rmse))
-        return out
-
-    rows = []
-    for cells in map(seed_cells, cfg.seeds):
-        cov_errors = {}
-        seed = cells[0][1]
-        for h, s, cov_err, mean_rmse in cells:
-            rows.append(ResultRow(h, s, "terminal_cov_error", cov_err))
-            rows.append(ResultRow(h, s, "mean_path_rmse_vs_reference", mean_rmse))
-            cov_errors[h] = cov_err
+            rows.append(ResultRow(h, seed, "terminal_cov_error", cov_errors[h]))
+            rows.append(ResultRow(h, seed, "mean_path_rmse_vs_reference", mean_rmse))
         rows.extend(_ratio_rows(cov_errors, "terminal_cov_error", seed=seed))
     return ResultTable(tuple(rows), cfg.config_hash)
 
@@ -226,7 +207,7 @@ def compare_filters(cfg: ExperimentConfig) -> ResultTable:
     return ResultTable(tuple(rows), cfg.config_hash)
 
 
-def lemma_checks(trials: int, dims, seed: int, config_hash: str | None = None) -> ResultTable:
+def lemma_checks(trials: int, dims, seed: int) -> ResultTable:
     """Randomized geometry identity report: per suite, the trial count,
     failure count, and worst slack/residual."""
     if trials < 1:
@@ -234,11 +215,8 @@ def lemma_checks(trials: int, dims, seed: int, config_hash: str | None = None) -
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ConfigError(f"dims: must be positive integers, got {dims}")
-    if config_hash is None:
-        descriptor = json.dumps(
-            {"trials": trials, "dims": list(dims), "seed": seed}, sort_keys=True
-        )
-        config_hash = hashlib.sha256(descriptor.encode("utf-8")).hexdigest()
+    descriptor = json.dumps({"trials": trials, "dims": list(dims), "seed": seed}, sort_keys=True)
+    config_hash = hashlib.sha256(descriptor.encode("utf-8")).hexdigest()
     rows = []
     for result in run_all_checks(trials, dims, seed):
         rows.append(ResultRow(None, seed, f"{result.name}_trials", float(result.trials)))

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .gaussians import Gaussian, as_vectors, require_single
 from .matrices import SpdMatrix, inv_spd, matvec
-from .oracles import OdeConfig, exact_cov, exact_mean
+from .oracles import exact_cov, exact_mean
 from .propagation import (
     LinearSystem,
     StepConfig,
@@ -152,7 +152,6 @@ def run_filter(
     cfg: StepConfig,
     update: str = "lmmr",
     predict: str = "jko",
-    ode: OdeConfig | None = None,
 ) -> FilterRun:
     """Alternate prediction and proximal measurement updates over the data.
 
@@ -191,7 +190,7 @@ def run_filter(
             prior_cov = jko_step_general_cov(g.cov, sys, h)
         else:
             prior_mean = exact_mean(sys, g.mean, h)
-            prior_cov = exact_cov(sys, g.cov, h, ode)
+            prior_cov = exact_cov(sys, g.cov, h)
         y = dz[..., k - 1, :] / h
         innovations.append(y - matvec(meas.c, prior_mean))
         g = update_fn(Gaussian(prior_mean, prior_cov), meas, y, h)
@@ -229,11 +228,3 @@ def error_metrics(run: FilterRun, truth_states) -> ErrorSummary:
     if sq.ndim == 1:
         terminal, rmse = float(terminal), float(rmse)
     return ErrorSummary(per_time_squared=sq, terminal_squared=terminal, path_rmse=rmse)
-
-
-def terminal_rmse(summaries) -> float:
-    """Root mean terminal squared error across repeated runs."""
-    values = [s.terminal_squared for s in summaries]
-    if not values:
-        raise ValidationError("no runs to aggregate")
-    return float(np.sqrt(np.mean(values)))

@@ -36,7 +36,6 @@ class OdeConfig:
     compared scheme's step (h/10 or finer)."""
 
     substep: float = 1e-3
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         if not (np.isfinite(self.substep) and self.substep > 0.0):
@@ -145,6 +144,29 @@ def _check_run_inputs(sys, meas, g0, dz, h, cfg):
     return dz, cfg
 
 
+def _observer_run(sys, meas, g0, dz, h, cfg, gain_of, rate) -> list[Gaussian]:
+    """Shared substep loop of the two reference runs. Per substep: an Euler
+    mean step with the gain from the pre-step covariance, gain_of(P), against
+    the piecewise-constant data rate dz_k / h; an RK4 covariance step of
+    P' = rate(P); symmetrization. Returns the filter state at the interval
+    boundaries (length len(dz) + 1)."""
+    n_sub = max(1, round(h / cfg.substep))
+    dt = h / n_sub
+    c = meas.c
+    mu = g0.mean.copy()
+    p = g0.cov.mat.copy()
+    out = [g0]
+    for k in range(dz.shape[0]):
+        y = dz[k] / h
+        for _ in range(n_sub):
+            gain = gain_of(p)
+            mu = mu + dt * (sys.a @ mu + gain @ (y - c @ mu))
+            p = rk4_step(rate, p, dt)
+            p = 0.5 * (p + p.T)
+        out.append(Gaussian(mu.copy(), SpdMatrix(p)))
+    return out
+
+
 def kalman_bucy_run(
     sys: LinearSystem,
     meas,
@@ -156,35 +178,21 @@ def kalman_bucy_run(
     """Integrate the optimal continuous-time filter across the data intervals.
 
     Covariance follows the Riccati ODE
-    P' = A P + P A^T + 2 B B^T - P C^T R^-1 C P (RK4 substeps); the mean is
-    advanced by Euler substeps with the gain K = P C^T R^-1 against the
-    piecewise-constant data rate dz_k / h. Returns the filter state at the
-    interval boundaries (length len(dz) + 1).
+    P' = A P + P A^T + 2 B B^T - P C^T R^-1 C P; the mean uses the gain
+    K = P C^T R^-1. Returns the states at the interval boundaries.
     """
     dz, cfg = _check_run_inputs(sys, meas, g0, dz, h, cfg)
-    n_sub = max(1, round(h / cfg.substep))
-    dt = h / n_sub
     forcing = sys.diffusion()
-    c = meas.c
-    rinv = meas.rinv
-    ct_rinv = c.T @ rinv
+    ct_rinv = meas.c.T @ meas.rinv
+
+    def gain_of(p):
+        return p @ ct_rinv
 
     def riccati(p):
-        gain = p @ ct_rinv
+        gain = gain_of(p)
         return sys.a @ p + p @ sys.a.T + forcing - gain @ meas.r.mat @ gain.T
 
-    mu = g0.mean.copy()
-    p = g0.cov.mat.copy()
-    out = [g0]
-    for k in range(dz.shape[0]):
-        y = dz[k] / h
-        for _ in range(n_sub):
-            gain = p @ ct_rinv
-            mu = mu + dt * (sys.a @ mu + gain @ (y - c @ mu))
-            p = rk4_step(riccati, p, dt)
-            p = 0.5 * (p + p.T)
-        out.append(Gaussian(mu.copy(), SpdMatrix(p)))
-    return out
+    return _observer_run(sys, meas, g0, dz, h, cfg, gain_of, riccati)
 
 
 def luenberger_run(
@@ -201,27 +209,14 @@ def luenberger_run(
     P' = (A - L C) P + P (A - L C)^T + 2 B B^T, decoupled from the gain.
     """
     dz, cfg = _check_run_inputs(sys, meas, g0, dz, h, cfg)
-    n_sub = max(1, round(h / cfg.substep))
-    dt = h / n_sub
     forcing = sys.diffusion()
-    c = meas.c
-    gain = c.T @ meas.rinv
-    closed = sys.a - gain @ c
+    gain = meas.c.T @ meas.rinv
+    closed = sys.a - gain @ meas.c
 
     def lyapunov(p):
         return closed @ p + p @ closed.T + forcing
 
-    mu = g0.mean.copy()
-    p = g0.cov.mat.copy()
-    out = [g0]
-    for k in range(dz.shape[0]):
-        y = dz[k] / h
-        for _ in range(n_sub):
-            mu = mu + dt * (sys.a @ mu + gain @ (y - c @ mu))
-            p = rk4_step(lyapunov, p, dt)
-            p = 0.5 * (p + p.T)
-        out.append(Gaussian(mu.copy(), SpdMatrix(p)))
-    return out
+    return _observer_run(sys, meas, g0, dz, h, cfg, lambda p: gain, lyapunov)
 
 
 KIND_JKO = "jko-free-energy"

@@ -69,9 +69,9 @@ class LinearSystem:
             bm = bm.reshape(1, 1)
         elif bm.ndim == 1:
             bm = bm.reshape(-1, 1)
-        if bm.ndim != 2 or bm.shape[0] != a.shape[0]:
+        if bm.ndim != 2 or bm.shape[0] != a.shape[0] or bm.shape[1] == 0:
             raise ValidationError(
-                f"B must have {a.shape[0]} rows, got shape {bm.shape}"
+                f"B must have {a.shape[0]} rows and a column, got shape {bm.shape}"
             )
         if not np.all(np.isfinite(bm)):
             raise ValidationError("B has non-finite entries")

@@ -93,11 +93,6 @@ def simulate(
     return SimPath(states=states, increments=increments, h=h, seed=seed)
 
 
-def increments_to_y(path: SimPath) -> np.ndarray:
-    """Per-step measurements y_k = dz_k / h."""
-    return path.increments / path.h
-
-
 def coarsen(path: SimPath, factor: int) -> SimPath:
     """Regroup a fine path onto step factor*h: increments are exact partial
     sums of the fine increments, states are subsampled, so every step size

@@ -1,8 +1,11 @@
 import json
 import math
 import pathlib
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from proxflow.cli import main
 from proxflow.config import parse_config
@@ -269,6 +272,32 @@ class TestLemmaChecks:
         assert main(["lemma-checks", "--trials", "0", "--dims", "1", "--seed", "1"]) == 1
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lemma-checks", "--trials", "x"],
+            ["lemma-checks", "--seed", "z"],
+            ["no-such-command"],
+        ],
+        ids=["bad-int", "bad-seed", "unknown-subcommand"],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["lemma-checks", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, PROPAGATION_CONFIG)
+        out = tmp_path / "missing" / "prop.csv"
+        assert main(["converge-propagation", "--config", cfg, "--out", str(out)]) == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
+
+
 class TestConfigParsing:
     def test_missing_field_named(self):
         with pytest.raises(ConfigError, match="system"):
@@ -308,6 +337,43 @@ class TestConfigParsing:
         assert main(["converge-filter", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert "seeds[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path,value,field",
+        [
+            (("mode",), [1], "mode"),
+            (("output",), None, "output"),
+            (("steps",), 3, "steps"),
+            (("system",), "x", "system"),
+            (("measurement",), "x", "measurement"),
+            (("initial",), [], "initial"),
+            (("steps", "horizon"), "abc", "steps.horizon"),
+            (("steps", "horizon"), None, "steps.horizon"),
+            (("steps", "horizon"), math.inf, "steps.horizon"),
+            (("steps", "horizon"), True, "steps.horizon"),
+            (("steps", "h"), [math.nan], "steps.h"),
+            (("steps", "beta"), "x", "steps.beta"),
+            (("steps", "beta"), math.nan, "steps.beta"),
+            (("steps", "beta"), math.inf, "steps.beta"),
+            (("output",), {"csv": True}, "output.csv"),
+            (("output",), {"csv": 7}, "output.csv"),
+            (("system", "B"), [[]], "system"),
+        ],
+        ids=[
+            "mode-array", "output-null", "steps-number", "system-string",
+            "measurement-string", "initial-array", "horizon-string", "horizon-null",
+            "horizon-inf", "horizon-bool", "h-nan", "beta-string", "beta-nan", "beta-inf",
+            "csv-bool", "csv-number", "B-no-columns",
+        ],
+    )
+    def test_wrongly_typed_field_named(self, path, value, field):
+        payload = json.loads(json.dumps(FILTER_CONFIG))
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
+            parse_config(json.dumps(payload))
+
     def test_hash_changes_with_edits(self):
         a = parse_config(json.dumps(PROPAGATION_CONFIG))
         edited = json.loads(json.dumps(PROPAGATION_CONFIG))
@@ -336,3 +402,54 @@ def test_bundled_propagation_tables_reproduce(tmp_path, command, name):
     assert [row[:3] for row in got_rows] == [row[:3] for row in want_rows]
     for got, want in zip(got_rows, want_rows):
         assert got[3] == pytest.approx(want[3], rel=1e-9, abs=0.0)
+
+
+_MUTATED = [
+    ("converge-propagation", "propagation_scalar"),
+    ("converge-propagation", "propagation_general_2d"),
+    ("compare-filters", "compare_scalar"),
+]
+_REMOVE = object()
+_BAD_VALUES = [
+    _REMOVE, "x", "", True, False, None, math.nan, math.inf, -math.inf, 0, -1, -2.5,
+    [], {}, [[]], [math.nan], ["x"], [True],
+]
+
+
+def _field_paths(node, prefix=()):
+    """Every key and list index below node, as a path from the root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+def _mutation(case):
+    doc = json.loads((REPO / "scripts" / "configs" / f"{case[1]}.json").read_text())
+    paths = list(_field_paths(doc))
+    return st.tuples(st.just(case), st.just(doc), st.sampled_from(paths),
+                     st.sampled_from(_BAD_VALUES))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_MUTATED).flatmap(_mutation))
+def test_mutated_bundled_configs_exit_cleanly(tmp_path, mutation):
+    # One field of a bundled config replaced by a wrong type, a bool, null,
+    # a non-finite or non-positive number, or an empty array or object (or
+    # removed): the CLI must return an exit code, never raise.
+    (command, _), doc, path, value = mutation
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _REMOVE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    cfg = tmp_path / "mutated.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
+            "--out-json", str(tmp_path / "out.json")]
+    assert main(argv) in (0, 1, 2)

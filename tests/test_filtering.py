@@ -20,7 +20,6 @@ from proxflow import (
     make_equipartition,
     run_filter,
     simulate,
-    terminal_rmse,
     wasserstein_update,
 )
 from proxflow.matrices import max_abs
@@ -277,7 +276,6 @@ class TestErrorMetrics:
         summary = error_metrics(run, truth)
         assert summary.path_rmse == pytest.approx(0.7)
         assert math.sqrt(summary.terminal_squared) == pytest.approx(0.7)
-        assert terminal_rmse([summary]) == pytest.approx(0.7)
 
     def test_misaligned_lengths(self):
         run = run_filter(
@@ -285,10 +283,6 @@ class TestErrorMetrics:
         )
         with pytest.raises(DimensionError):
             error_metrics(run, np.zeros((7, 1)))
-
-    def test_terminal_rmse_requires_runs(self):
-        with pytest.raises(ValidationError):
-            terminal_rmse([])
 
 
 class TestMonteCarloBenchmark:

@@ -23,7 +23,7 @@ from proxflow import (
     wasserstein_update,
 )
 from proxflow.matrices import max_abs
-from support import random_spd
+from support import random_spd, random_system
 
 SCALAR_SYS = LinearSystem([[-1.0]], [[1.0]])
 SCALAR_MEAS = MeasurementModel([[1.0]], SpdMatrix(1.0))
@@ -154,6 +154,61 @@ class TestLuenbergerRun:
         lue = luenberger_run(SCALAR_SYS, SCALAR_MEAS, g0, dz, h)[-1].cov.mat[0, 0]
         kb = kalman_bucy_run(SCALAR_SYS, SCALAR_MEAS, g0, dz, h)[-1].cov.mat[0, 0]
         assert lue < kb
+
+
+def _rk4(f, y, dt):
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("kind", ["kalman-bucy", "luenberger"])
+def test_reference_runs_match_substep_loop_bitwise(kind, n):
+    # Both reference runs against their substep recursions written out here:
+    # per substep an Euler mean step with the gain from the pre-step P, an
+    # RK4 covariance step, then symmetrization; 20 substeps per data step.
+    rng = np.random.default_rng(40 + n)
+    m = max(1, n // 2)
+    sys = random_system(rng, n)
+    meas = MeasurementModel(rng.normal(size=(m, n)), random_spd(rng, m))
+    g0 = Gaussian(rng.normal(size=n), random_spd(rng, n))
+    h, steps, substeps = 0.02, 12, 20
+    dz = 0.1 * rng.normal(size=(steps, m))
+    a, c = sys.a, meas.c
+    forcing = 2.0 * sys.b @ sys.b.T
+    ct_rinv = c.T @ meas.rinv
+    if kind == "kalman-bucy":
+        out = kalman_bucy_run(sys, meas, g0, dz, h)
+
+        def gain_of(p):
+            return p @ ct_rinv
+
+        def rate(p):
+            gain = p @ ct_rinv
+            return a @ p + p @ a.T + forcing - gain @ meas.r.mat @ gain.T
+    else:
+        out = luenberger_run(sys, meas, g0, dz, h)
+        closed = a - ct_rinv @ c
+
+        def gain_of(p):
+            return ct_rinv
+
+        def rate(p):
+            return closed @ p + p @ closed.T + forcing
+    assert len(out) == steps + 1 and out[0] is g0
+    dt = h / substeps
+    mu, p = g0.mean.copy(), g0.cov.mat.copy()
+    for k in range(steps):
+        y = dz[k] / h
+        for _ in range(substeps):
+            mu = mu + dt * (a @ mu + gain_of(p) @ (y - c @ mu))
+            p = _rk4(rate, p, dt)
+            p = 0.5 * (p + p.T)
+        assert np.array_equal(out[k + 1].mean, mu)
+        assert np.array_equal(out[k + 1].cov.mat, p)
 
 
 class TestProxObjective:

@@ -16,7 +16,6 @@ from proxflow import (
     StepConfig,
     ValidationError,
     coarsen,
-    increments_to_y,
     lyapunov_solve,
     simulate,
     sqrt_spd,
@@ -158,25 +157,6 @@ def test_simulate_matches_stepwise_recursion_bitwise(n, m, initial, scales):
     states, increments = _stepwise_simulate(sys, meas, x0, cfg, 17, *scales)
     assert np.array_equal(path.states, states)
     assert np.array_equal(path.increments, increments)
-
-
-class TestIncrementsToY:
-    def test_arithmetic(self):
-        path = SimPath(
-            states=np.zeros((2, 1)), increments=np.array([[0.2]]), h=0.1, seed=0
-        )
-        assert increments_to_y(path)[0, 0] == pytest.approx(2.0)
-
-    def test_zeros(self):
-        path = SimPath(states=np.zeros((4, 1)), increments=np.zeros((3, 1)), h=0.5, seed=0)
-        assert np.all(increments_to_y(path) == 0.0)
-
-    @given(st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=1, max_size=20))
-    @settings(deadline=None, max_examples=50)
-    def test_round_trip(self, values):
-        inc = np.array(values).reshape(-1, 1)
-        path = SimPath(states=np.zeros((len(values) + 1, 1)), increments=inc, h=0.25, seed=0)
-        assert np.array_equal(increments_to_y(path) * 0.25, inc)
 
 
 class TestCoarsen:
