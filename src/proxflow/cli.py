@@ -14,7 +14,7 @@ import dataclasses
 import sys
 
 from . import __version__
-from .config import load_config
+from .config import SEED_LIMIT, load_config
 from .errors import ProxflowError, ValidationError
 from .experiments import compare_filters, converge_filter, converge_propagation, lemma_checks
 
@@ -30,6 +30,13 @@ def _parse_dims(text: str):
     return tuple(int(d) for d in text.split(","))
 
 
+def seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proxflow",
@@ -38,12 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"proxflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to the JSON config")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="CSV output path (overrides the config)")
         p.add_argument("--out-json", default=None, help="optional JSON mirror path")
-        p.add_argument("--seed", type=int, default=None, help="override the seed list")
+        p.add_argument("--seed", type=seed, default=None, help="override the seed list")
         p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
 
     add_common(sub.add_parser("converge-propagation", help="propagation order study"))
@@ -54,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     lemma.add_argument("--trials", type=int, default=1000)
     lemma.add_argument("--dims", type=_parse_dims, default=(1, 2, 3, 4, 5),
                        help="dimensions, e.g. '1-5' or '1,3,4'")
-    lemma.add_argument("--seed", type=int, default=0)
+    lemma.add_argument("--seed", type=seed, default=0)
     lemma.add_argument("--out", default=None, help="CSV output path")
     lemma.add_argument("--out-json", default=None)
     lemma.add_argument("--threads", type=int, default=None, help="accepted and ignored")

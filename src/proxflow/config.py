@@ -13,14 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ProxflowError
-from .filtering import MeasurementModel
+from .filtering import PREDICT_KINDS, UPDATE_KINDS, MeasurementModel
 from .gaussians import Gaussian
 from .matrices import SpdMatrix
 from .propagation import MODE_GENERAL, MODE_SYMMETRIC, LinearSystem
 
 TASKS = ("propagation", "filter", "compare")
-UPDATE_KINDS = ("lmmr", "wasserstein")
-PREDICT_KINDS = ("jko", "exact")
+MAX_STEPS = 10**6
+SEED_LIMIT = 2**64  # SplitMix64 keeps a seed's low 64 bits only
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +43,10 @@ class ExperimentConfig:
     config_hash: str
 
     def steps_for(self, h: float) -> int:
-        steps = round(self.horizon / h)
+        ratio = self.horizon / h
+        if not ratio <= MAX_STEPS:
+            raise ConfigError(f"steps.h: horizon {self.horizon} / {h} exceeds {MAX_STEPS} steps")
+        steps = round(ratio)
         if steps < 1 or abs(steps * h - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ConfigError(f"steps.h: horizon {self.horizon} is not a multiple of {h}")
         return steps
@@ -90,6 +93,16 @@ def _positive(value, path: str) -> float:
     if not (np.isfinite(number) and number > 0.0):
         raise ConfigError(f"{path}: must be a finite positive number, got {number}")
     return number
+
+
+def _seed(value, path: str) -> int:
+    """An integer seed in [0, 2**64); integral floats pass, bools do not."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{path}: must be an integer, got {value!r}")
+    if not 0 <= value < SEED_LIMIT:
+        raise ConfigError(f"{path}: must lie in [0, 2**64), got {value!r}")
+    return int(value)
 
 
 def _output_path(value, path: str) -> str | None:
@@ -161,11 +174,7 @@ def parse_config(text: str) -> ExperimentConfig:
     seeds = raw.get("seeds", [])
     if not isinstance(seeds, list):
         raise ConfigError("seeds: must be a list of integers")
-    for i, seed in enumerate(seeds):
-        integral = isinstance(seed, int) or (isinstance(seed, float) and seed.is_integer())
-        if isinstance(seed, bool) or not integral:
-            raise ConfigError(f"seeds[{i}]: must be an integer, got {seed!r}")
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(_seed(seed, f"seeds[{i}]") for i, seed in enumerate(seeds))
     if task in ("filter", "compare") and not seeds:
         raise ConfigError("seeds: at least one seed is required for filter tasks")
 

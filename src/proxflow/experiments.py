@@ -12,8 +12,8 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .errors import ConfigError, ValidationError
-from .filtering import error_metrics, run_filter
+from .errors import ConfigError, NumericFailure, ValidationError
+from .filtering import UPDATE_KINDS, error_metrics, run_filter
 from .geometry_checks import run_all_checks
 from .matrices import max_abs
 from .oracles import OdeConfig, exact_cov, exact_mean, kalman_bucy_run, luenberger_run
@@ -34,13 +34,20 @@ class ResultTable:
     """Deterministically ordered result rows plus provenance metadata.
 
     config_hash describes the config file; overrides, when set, names the
-    command-line values that replaced parts of it (e.g. "seed:7").
+    command-line values that replaced parts of it (e.g. "seed:7"). Every
+    value must be finite: a non-finite one raises NumericFailure.
     """
 
     rows: tuple
     config_hash: str
-    version: str = __version__
     overrides: str | None = None
+
+    def __post_init__(self):
+        for row in self.rows:
+            if not np.isfinite(row.value):
+                raise NumericFailure(
+                    f"{row.metric} is {row.value} at h={row.h}, seed={row.seed}"
+                )
 
     @staticmethod
     def _key(row: ResultRow):
@@ -55,14 +62,8 @@ class ResultTable:
     def sorted_rows(self) -> list:
         return sorted(self.rows, key=self._key)
 
-    def value(self, metric: str, h: float | None = None, seed: int | None = None) -> float:
-        for row in self.rows:
-            if row.metric == metric and row.h == h and row.seed == seed:
-                return row.value
-        raise KeyError(f"no row for metric={metric!r}, h={h}, seed={seed}")
-
     def to_csv(self) -> str:
-        lines = [f"# config_hash={self.config_hash}", f"# tool_version={self.version}"]
+        lines = [f"# config_hash={self.config_hash}", f"# tool_version={__version__}"]
         if self.overrides:
             lines.append(f"# overrides={self.overrides}")
         lines.append("h,seed,metric,value")
@@ -75,7 +76,7 @@ class ResultTable:
     def to_json(self) -> str:
         payload = {
             "config_hash": self.config_hash,
-            "tool_version": self.version,
+            "tool_version": __version__,
             "rows": [
                 {"h": r.h, "seed": r.seed, "metric": r.metric, "value": r.value}
                 for r in self.sorted_rows()
@@ -189,7 +190,7 @@ def compare_filters(cfg: ExperimentConfig) -> ResultTable:
     increments = np.stack([path.increments for path in paths])
     truth = np.stack([path.states for path in paths])
     rows = []
-    for kind in ("lmmr", "wasserstein"):
+    for kind in UPDATE_KINDS:
         run = run_filter(
             cfg.system,
             cfg.measurement,

@@ -115,25 +115,19 @@ def wasserstein_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -
 
 
 _UPDATES = {"lmmr": lmmr_update, "wasserstein": wasserstein_update}
+UPDATE_KINDS = tuple(_UPDATES)
+PREDICT_KINDS = ("jko", "exact")
 
 
 @dataclass(frozen=True, eq=False)
 class FilterRun:
-    """Posterior path, innovations, and the discretization that produced them.
+    """Posterior path of one filter run, g0 first.
 
     For a batch of S measurement paths each posterior holds S means, shape
-    (S, n), and each innovation has shape (S, m).
+    (S, n).
     """
 
     posteriors: tuple
-    innovations: tuple
-    config: StepConfig
-
-    def __post_init__(self):
-        if len(self.posteriors) != len(self.innovations) + 1:
-            raise ValidationError(
-                f"got {len(self.posteriors)} posteriors for {len(self.innovations)} innovations"
-            )
 
     @property
     def terminal(self) -> Gaussian:
@@ -162,9 +156,9 @@ def run_filter(
     each bit for bit as its one-path run. predict "jko" uses the proximal
     mean/covariance recursions, "exact" the closed-form/ODE propagation.
     """
-    if update not in _UPDATES:
+    if update not in UPDATE_KINDS:
         raise ValidationError(f"unknown update kind {update!r}")
-    if predict not in ("jko", "exact"):
+    if predict not in PREDICT_KINDS:
         raise ValidationError(f"unknown predict kind {predict!r}")
     dz = np.asarray(dz, dtype=float)
     if dz.ndim == 1:
@@ -182,7 +176,6 @@ def run_filter(
     if dz.ndim == 3:
         g0 = Gaussian(np.broadcast_to(g0.mean, (dz.shape[0], sys.dim)), g0.cov)
     posteriors = [g0]
-    innovations = []
     g = g0
     for k in range(1, cfg.steps + 1):
         if predict == "jko":
@@ -191,11 +184,9 @@ def run_filter(
         else:
             prior_mean = exact_mean(sys, g.mean, h)
             prior_cov = exact_cov(sys, g.cov, h)
-        y = dz[..., k - 1, :] / h
-        innovations.append(y - matvec(meas.c, prior_mean))
-        g = update_fn(Gaussian(prior_mean, prior_cov), meas, y, h)
+        g = update_fn(Gaussian(prior_mean, prior_cov), meas, dz[..., k - 1, :] / h, h)
         posteriors.append(g)
-    return FilterRun(tuple(posteriors), tuple(innovations), cfg)
+    return FilterRun(tuple(posteriors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +194,8 @@ class ErrorSummary:
     """Squared estimation errors of one run against the true state path.
 
     For a batched run the fields carry a leading seed axis: per_time_squared
-    is (S, steps + 1), terminal_squared and path_rmse are (S,) arrays.
+    is (S, steps + 1), terminal_squared and path_rmse are (S,) arrays; for
+    one path the latter two are numpy floats.
     """
 
     per_time_squared: np.ndarray
@@ -223,8 +215,8 @@ def error_metrics(run: FilterRun, truth_states) -> ErrorSummary:
             f"truth path has shape {truth.shape}, run has {means.shape}"
         )
     sq = np.sum((means - truth) ** 2, axis=-1)
-    terminal = sq[..., -1]
-    rmse = np.sqrt(np.mean(sq, axis=-1))
-    if sq.ndim == 1:
-        terminal, rmse = float(terminal), float(rmse)
-    return ErrorSummary(per_time_squared=sq, terminal_squared=terminal, path_rmse=rmse)
+    return ErrorSummary(
+        per_time_squared=sq,
+        terminal_squared=sq[..., -1],
+        path_rmse=np.sqrt(np.mean(sq, axis=-1)),
+    )

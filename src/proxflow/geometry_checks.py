@@ -26,6 +26,7 @@ TRACE_SLACK_TOL = -1e-12
 TRANSPORT_RESIDUAL_TOL = 1e-10
 GRADIENT_REL_TOL = 1e-6
 PROJECTION_RESIDUAL_TOL = 1e-10
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,7 @@ def _trace_sqrt_cross(p_mat: np.ndarray, s0: np.ndarray) -> float:
     return sqrt_spd(SpdMatrix(s0 @ p_mat @ s0)).trace()
 
 
-def check_w2_gradient(
-    trials: int, dims, rng: np.random.Generator, fd_step: float = 1e-5
-) -> CheckResult:
+def check_w2_gradient(trials: int, dims, rng: np.random.Generator) -> CheckResult:
     """Analytic derivative of the transport cross term against central
     finite differences over symmetric perturbations."""
     worst = 0.0
@@ -113,9 +112,9 @@ def check_w2_gradient(
                 pert = np.zeros((n, n))
                 pert[i, j] = 1.0
                 pert[j, i] = 1.0
-                up = _trace_sqrt_cross(p.mat + fd_step * pert, s0)
-                dn = _trace_sqrt_cross(p.mat - fd_step * pert, s0)
-                fd[i, j] = fd[j, i] = (up - dn) / (2.0 * fd_step)
+                up = _trace_sqrt_cross(p.mat + FD_STEP * pert, s0)
+                dn = _trace_sqrt_cross(p.mat - FD_STEP * pert, s0)
+                fd[i, j] = fd[j, i] = (up - dn) / (2.0 * FD_STEP)
         # diagonal perturbation moves one entry, off-diagonal moves two
         analytic = 2.0 * grad - np.diag(np.diag(grad))
         rel = max_abs(fd - analytic) / max(1.0, max_abs(analytic))

@@ -83,18 +83,13 @@ def _isotropic_level(sys: LinearSystem) -> float | None:
 
 
 def exact_cov(
-    sys: LinearSystem,
-    p0: SpdMatrix,
-    t: float,
-    cfg: OdeConfig | None = None,
-    method: str = "auto",
+    sys: LinearSystem, p0: SpdMatrix, t: float, cfg: OdeConfig | None = None
 ) -> SpdMatrix:
     """Covariance of the state at time t.
 
-    For a symmetric drift -Gamma with isotropic noise B B^T = I/beta the
-    closed form Gamma^-1 (I - e^(-2 Gamma t)) / beta + e^(-Gamma t) P0
-    e^(-Gamma t) is used; otherwise the covariance ODE
-    P' = A P + P A^T + 2 B B^T is integrated with fixed-substep RK4.
+    For a symmetric drift -Gamma with isotropic noise B B^T = q I the
+    closed form is used; otherwise the covariance ODE is integrated with
+    fixed-substep RK4 (cfg, default substep min(1e-3, t/10)).
     """
     if p0.dim != sys.dim:
         raise DimensionError(f"dimension mismatch: {p0.dim} vs {sys.dim}")
@@ -102,19 +97,23 @@ def exact_cov(
         raise ValidationError(f"time must be nonnegative and finite, got {t}")
     if t == 0.0:
         return p0
-    symmetric = is_symmetric(sys.a)
     iso = _isotropic_level(sys)
-    if method not in ("auto", "closed", "rk4"):
-        raise ValidationError(f"unknown method {method!r}")
-    use_closed = method == "closed" or (method == "auto" and symmetric and iso is not None)
-    if use_closed:
-        if not (symmetric and iso is not None):
-            raise ValidationError("closed form needs a symmetric drift and isotropic noise")
-        gamma = SpdMatrix(-sys.a)
-        decay = gamma.map_eigenvalues(lambda w: np.exp(-w * t))
-        settled = gamma.map_eigenvalues(lambda w: 2.0 * iso * (1.0 - np.exp(-2.0 * w * t)) / (2.0 * w))
-        return SpdMatrix(settled + decay @ p0.mat @ decay)
-    cfg = cfg or OdeConfig(substep=min(1e-3, t / 10.0))
+    if is_symmetric(sys.a) and iso is not None:
+        return _closed_form_cov(sys, p0, t, iso)
+    return _rk4_cov(sys, p0, t, cfg or OdeConfig(substep=min(1e-3, t / 10.0)))
+
+
+def _closed_form_cov(sys: LinearSystem, p0: SpdMatrix, t: float, iso: float) -> SpdMatrix:
+    """Gamma^-1 (I - e^(-2 Gamma t)) q + e^(-Gamma t) P0 e^(-Gamma t) for the
+    symmetric drift -Gamma and isotropic noise B B^T = q I."""
+    gamma = SpdMatrix(-sys.a)
+    decay = gamma.map_eigenvalues(lambda w: np.exp(-w * t))
+    settled = gamma.map_eigenvalues(lambda w: 2.0 * iso * (1.0 - np.exp(-2.0 * w * t)) / (2.0 * w))
+    return SpdMatrix(settled + decay @ p0.mat @ decay)
+
+
+def _rk4_cov(sys: LinearSystem, p0: SpdMatrix, t: float, cfg: OdeConfig) -> SpdMatrix:
+    """RK4 integral of the covariance ODE P' = A P + P A^T + 2 B B^T."""
     forcing = sys.diffusion()
 
     def rate(p):
@@ -272,14 +271,11 @@ def prox_objective_value(obj: ProxObjective, g: Gaussian, h: float) -> float:
     return 0.5 * w2_gaussian(g, obj.anchor) ** 2 + h * misfit
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Brute-force search knobs: grid for n=1, descent for n=2."""
-
-    grid_points: int = 200
-    refinements: int = 3
-    max_iterations: int = 5000
-    gradient_tol: float = 1e-7
+# Brute-force search settings: a refined grid for n = 1, descent for n = 2.
+GRID_POINTS = 200
+GRID_REFINEMENTS = 3
+DESCENT_MAX_ITERATIONS = 5000
+DESCENT_GRADIENT_TOL = 1e-7
 
 
 def _scalar_objective_grid(obj: ProxObjective, h: float, mu, p):
@@ -307,7 +303,7 @@ def _scalar_objective_grid(obj: ProxObjective, h: float, mu, p):
     return 0.5 * w2sq + h * misfit
 
 
-def _grid_search_scalar(obj: ProxObjective, h: float, search: SearchConfig):
+def _grid_search_scalar(obj: ProxObjective, h: float):
     mu0 = float(obj.anchor.mean[0])
     p0 = float(obj.anchor.cov.mat[0, 0])
     span_mu = 3.0 + 2.0 * math.sqrt(p0)
@@ -315,9 +311,9 @@ def _grid_search_scalar(obj: ProxObjective, h: float, search: SearchConfig):
     p_lo, p_hi = max(1e-8, 0.05 * p0), 4.0 * p0 + 4.0 * h * (
         1.0 / obj.beta if obj.kind == KIND_JKO else 1.0
     )
-    npts = search.grid_points
+    npts = GRID_POINTS
     best_mu = best_p = best_val = None
-    for stage in range(search.refinements + 1):
+    for stage in range(GRID_REFINEMENTS + 1):
         mu_axis = np.linspace(mu_lo, mu_hi, npts)
         p_axis = np.linspace(p_lo, p_hi, npts)
         vals = _scalar_objective_grid(obj, h, mu_axis[:, None], p_axis[None, :])
@@ -344,7 +340,7 @@ def _unpack_cholesky(theta: np.ndarray):
     return mean, ell @ ell.T
 
 
-def _descent_2d(obj: ProxObjective, h: float, search: SearchConfig):
+def _descent_2d(obj: ProxObjective, h: float):
     def value(theta):
         if theta[2] <= 1e-8 or theta[4] <= 1e-8:
             return np.inf
@@ -364,10 +360,10 @@ def _descent_2d(obj: ProxObjective, h: float, search: SearchConfig):
 
     theta = _pack_cholesky(obj.anchor.mean, obj.anchor.cov.mat)
     f0 = value(theta)
-    for _ in range(search.max_iterations):
+    for _ in range(DESCENT_MAX_ITERATIONS):
         grad = gradient(theta)
         gmax = float(np.max(np.abs(grad)))
-        if gmax < search.gradient_tol:
+        if gmax < DESCENT_GRADIENT_TOL:
             mean, cov = _unpack_cholesky(theta)
             return Gaussian(mean, SpdMatrix(cov)), f0
         step = 1.0
@@ -382,7 +378,7 @@ def _descent_2d(obj: ProxObjective, h: float, search: SearchConfig):
             step *= 0.5
         if not improved:
             # line search stalled at numeric noise: accept if gradient is small
-            if gmax < 1e2 * search.gradient_tol:
+            if gmax < 1e2 * DESCENT_GRADIENT_TOL:
                 mean, cov = _unpack_cholesky(theta)
                 return Gaussian(mean, SpdMatrix(cov)), f0
             raise OracleFailure(
@@ -391,9 +387,7 @@ def _descent_2d(obj: ProxObjective, h: float, search: SearchConfig):
     raise OracleFailure("descent did not converge within the iteration budget")
 
 
-def brute_force_prox(
-    obj: ProxObjective, h: float, search: SearchConfig | None = None
-) -> tuple[Gaussian, float]:
+def brute_force_prox(obj: ProxObjective, h: float) -> tuple[Gaussian, float]:
     """Numerically minimize the proximal objective over (mu, P), for n <= 2.
 
     n = 1 uses a two-stage refined grid; n = 2 uses gradient descent with
@@ -402,11 +396,10 @@ def brute_force_prox(
     """
     if not (np.isfinite(h) and h >= 0.0):
         raise ValidationError(f"step size must be nonnegative, got {h}")
-    search = search or SearchConfig()
     if h == 0.0:
         return obj.anchor, 0.0
     if obj.anchor.dim == 1:
-        return _grid_search_scalar(obj, h, search)
+        return _grid_search_scalar(obj, h)
     if obj.anchor.dim == 2:
-        return _descent_2d(obj, h, search)
+        return _descent_2d(obj, h)
     raise ValidationError("brute-force search supports dimensions 1 and 2 only")

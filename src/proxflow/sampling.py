@@ -22,9 +22,12 @@ def random_spd(
     return SpdMatrix((q * eigs) @ q.T)
 
 
-def random_hurwitz(rng: np.random.Generator, n: int, margin: float = 0.3) -> np.ndarray:
+HURWITZ_MARGIN = 0.3
+
+
+def random_hurwitz(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.normal(size=(n, n))
-    return a - (spectral_abscissa(a) + margin) * np.eye(n)
+    return a - (spectral_abscissa(a) + HURWITZ_MARGIN) * np.eye(n)
 
 
 def random_system(

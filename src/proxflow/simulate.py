@@ -46,15 +46,12 @@ def simulate(
     x0,
     cfg: StepConfig,
     seed: int,
-    process_noise_scale: float = 1.0,
-    measurement_noise_scale: float = 1.0,
 ) -> SimPath:
     """Simulate x_{k+1} = x_k + h A x_k + sqrt(2h) B xi_k and
     dz_k = h C x_k + sqrt(h) R^(1/2) eta_k.
 
     x0 is either an exact state vector or a Gaussian to draw the initial
-    state from (one draw). The two noise-scale hooks exist for deterministic
-    degenerate tests; both default to 1.
+    state from (one draw).
 
     The normals come from one draw, in step order: the initial state's, then
     per step p process draws followed by m measurement draws. Only the state
@@ -80,8 +77,8 @@ def simulate(
     sqrt_2h = np.sqrt(2.0 * h)
     sqrt_h = np.sqrt(h)
     r_half = sqrt_spd(meas.r).mat
-    process = process_noise_scale * sqrt_2h * matvec(sys.b, noise[:, :p])
-    sensor = measurement_noise_scale * sqrt_h * matvec(r_half, noise[:, p:])
+    process = sqrt_2h * matvec(sys.b, noise[:, :p])
+    sensor = sqrt_h * matvec(r_half, noise[:, p:])
     states = np.empty((cfg.steps + 1, sys.dim))
     states[0] = x
     for k in range(cfg.steps):

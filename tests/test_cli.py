@@ -226,6 +226,17 @@ class TestCompareFilters:
         assert not any(c.startswith("# overrides=") for c in plain_comments)
         assert [c for c in comments if not c.startswith("# overrides=")] == plain_comments
 
+    def test_non_finite_result_exits_2(self, tmp_path, capsys):
+        payload = json.loads((REPO / "scripts" / "configs" / "compare_scalar.json").read_text())
+        payload["initial"]["mean"] = [1e300]  # squared terminal errors overflow
+        cfg = write_config(tmp_path, payload)
+        out, mirror = tmp_path / "x.csv", tmp_path / "x.json"
+        argv = ["compare-filters", "--config", cfg, "--out", str(out), "--out-json", str(mirror)]
+        assert main(argv) == 2
+        assert re.search(r"^numeric failure: terminal_sq_error_lmmr is inf at h=0\.02, seed=\d+$",
+                         capsys.readouterr().err, re.MULTILINE)
+        assert not out.exists() and not mirror.exists()
+
     def test_mismatched_measurement_dims_rejected(self, tmp_path):
         payload = json.loads(json.dumps(COMPARE_CONFIG))
         payload["measurement"]["C"] = [[1.0, 0.0]]
@@ -321,8 +332,9 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "seeds,bad",
-        [(["a"], 0), ([True], 0), ([1, 2.5], 1), ([4, None], 1)],
-        ids=["string", "bool", "fraction", "null"],
+        [(["a"], 0), ([True], 0), ([1, 2.5], 1), ([4, None], 1), ([-5], 0), ([1, 5 + 2**64], 1),
+         ([2**64], 0), ([1e300], 0)],
+        ids=["string", "bool", "fraction", "null", "negative", "beyond-64-bits", "2**64", "1e300"],
     )
     def test_seeds_must_be_integers(self, seeds, bad):
         payload = json.loads(json.dumps(FILTER_CONFIG))
@@ -331,11 +343,23 @@ class TestConfigParsing:
             parse_config(json.dumps(payload))
 
     def test_seeds_cli_exit_code(self, tmp_path, capsys):
-        payload = json.loads(json.dumps(FILTER_CONFIG))
-        payload["seeds"] = ["a"]
-        cfg = write_config(tmp_path, payload)
-        assert main(["converge-filter", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
-        assert "seeds[0]" in capsys.readouterr().err
+        for seeds in (["a"], [-5], [5 + 2**64]):
+            payload = json.loads(json.dumps(FILTER_CONFIG))
+            payload["seeds"] = seeds
+            cfg = write_config(tmp_path, payload)
+            assert main(["converge-filter", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+            assert "seeds[0]" in capsys.readouterr().err
+        # SplitMix64 keeps 64 bits, so 5 + 2**64 and -5 would alias 5 and 2**64 - 5
+        cfg = write_config(tmp_path, FILTER_CONFIG)
+        for seed in ("-5", str(5 + 2**64), "z"):
+            for command in ("converge-filter", "lemma-checks"):
+                argv = [command, "--seed", seed, "--out", str(tmp_path / "x.csv")]
+                if command == "converge-filter":
+                    argv += ["--config", cfg]
+                assert main(argv) == 1
+                err = capsys.readouterr().err
+                assert "usage:" in err and "--seed" in err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
         "path,value,field",
@@ -357,12 +381,16 @@ class TestConfigParsing:
             (("output",), {"csv": True}, "output.csv"),
             (("output",), {"csv": 7}, "output.csv"),
             (("system", "B"), [[]], "system"),
+            (("steps", "horizon"), 1e300, "steps.h"),
+            (("steps", "horizon"), 1e6, "steps.h"),
+            (("steps", "h"), [1e-300], "steps.h"),
         ],
         ids=[
             "mode-array", "output-null", "steps-number", "system-string",
             "measurement-string", "initial-array", "horizon-string", "horizon-null",
             "horizon-inf", "horizon-bool", "h-nan", "beta-string", "beta-nan", "beta-inf",
-            "csv-bool", "csv-number", "B-no-columns",
+            "csv-bool", "csv-number", "B-no-columns", "horizon-1e300", "horizon-1e6",
+            "h-1e-300",
         ],
     )
     def test_wrongly_typed_field_named(self, path, value, field):
@@ -372,6 +400,14 @@ class TestConfigParsing:
             node = node[key]
         node[path[-1]] = value
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
+            parse_config(json.dumps(payload))
+
+    def test_step_cap_is_inclusive(self):
+        payload = json.loads(json.dumps(FILTER_CONFIG))
+        payload["steps"] = {"h": [0.05], "horizon": 50000.0}
+        assert parse_config(json.dumps(payload)).steps_for(0.05) == 10**6
+        payload["steps"]["horizon"] = 50000.05
+        with pytest.raises(ConfigError, match=r"^steps\.h: .* exceeds 1000000 steps"):
             parse_config(json.dumps(payload))
 
     def test_hash_changes_with_edits(self):
@@ -388,13 +424,16 @@ class TestConfigParsing:
         pytest.param("converge-propagation", "propagation_scalar", id="propagation_scalar"),
         pytest.param("converge-propagation", "propagation_general_2d", id="propagation_general_2d"),
         pytest.param("compare-filters", "compare_scalar", id="compare_scalar"),
+        pytest.param("lemma-checks", "lemma_checks", id="lemma_checks"),  # about 4 s
     ],
 )
 def test_bundled_propagation_tables_reproduce(tmp_path, command, name):
     out = tmp_path / f"{name}.csv"
-    cfg = REPO / "scripts" / "configs" / f"{name}.json"
-    argv = [command, "--config", str(cfg), "--out", str(out),
-            "--out-json", str(tmp_path / f"{name}.json")]
+    if command == "lemma-checks":  # the arguments scripts/run_all_experiments.py passes
+        inputs = ["--trials", "1000", "--dims", "1-5", "--seed", "0"]
+    else:
+        inputs = ["--config", str(REPO / "scripts" / "configs" / f"{name}.json")]
+    argv = [command, *inputs, "--out", str(out), "--out-json", str(tmp_path / f"{name}.json")]
     assert main(argv) == 0
     got_comments, got_rows = read_rows(out)
     want_comments, want_rows = read_rows(REPO / "results" / f"{name}.csv")
@@ -412,7 +451,7 @@ _MUTATED = [
 _REMOVE = object()
 _BAD_VALUES = [
     _REMOVE, "x", "", True, False, None, math.nan, math.inf, -math.inf, 0, -1, -2.5,
-    [], {}, [[]], [math.nan], ["x"], [True],
+    [], {}, [[]], [math.nan], ["x"], [True], 1e300, 1e-300,
 ]
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from proxflow import (
     DimensionError,
-    FilterRun,
     Gaussian,
     LinearSystem,
     MeasurementModel,
@@ -201,7 +200,6 @@ class TestRunFilter:
             SCALAR_SYS, SCALAR_MEAS, g0, np.zeros((0, 1)), StepConfig(h=0.1, steps=0)
         )
         assert run.posteriors == (g0,)
-        assert run.innovations == ()
 
     def test_lmmr_covariance_near_optimal_steady_state(self):
         h = 0.01
@@ -331,8 +329,6 @@ class TestBatchedRunFilter:
                    for path in dz]
         assert batch.means().shape == (6, cfg.steps + 1, n)
         assert np.array_equal(batch.means(), np.stack([r.means() for r in singles]))
-        for k, innovation in enumerate(batch.innovations):
-            assert np.array_equal(innovation, np.stack([r.innovations[k] for r in singles]))
         for g, g_single in zip(batch.posteriors, singles[0].posteriors):
             assert np.array_equal(g.cov.mat, g_single.cov.mat)
 
@@ -368,9 +364,3 @@ class TestBatchedRunFilter:
             update(batch, SCALAR_MEAS, np.zeros(1), 0.1)
         with pytest.raises(DimensionError):
             update(scalar_gaussian(0, 1), SCALAR_MEAS, np.zeros((3, 1)), 0.1)
-
-
-def test_filter_run_length_invariant():
-    g0 = scalar_gaussian(0, 1)
-    with pytest.raises(ValidationError):
-        FilterRun((g0, g0, g0), (np.zeros(1),), StepConfig(h=0.1, steps=1))

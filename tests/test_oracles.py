@@ -22,7 +22,9 @@ from proxflow import (
     prox_objective_value,
     wasserstein_update,
 )
+from proxflow import oracles
 from proxflow.matrices import max_abs
+from proxflow.oracles import _closed_form_cov, _rk4_cov
 from support import random_spd, random_system
 
 SCALAR_SYS = LinearSystem([[-1.0]], [[1.0]])
@@ -59,17 +61,27 @@ class TestExactCov:
         beta = 1.7
         sys = LinearSystem(-gamma.mat, math.sqrt(1.0 / beta) * np.eye(3))
         p0 = random_spd(rng, 3)
-        closed = exact_cov(sys, p0, 0.5, method="closed")
-        rk4 = exact_cov(sys, p0, 0.5, OdeConfig(substep=1e-3), method="rk4")
+        closed = _closed_form_cov(sys, p0, 0.5, 1.0 / beta)
+        rk4 = _rk4_cov(sys, p0, 0.5, OdeConfig(substep=1e-3))
         assert max_abs(closed.mat - rk4.mat) < 1e-9
 
     def test_rk4_self_consistency(self):
         a = np.array([[-1.0, 2.0], [0.0, -3.0]])
         sys = LinearSystem(a, np.eye(2))
         p0 = SpdMatrix([[2.0, 0.5], [0.5, 1.5]])
-        coarse = exact_cov(sys, p0, 1.0, OdeConfig(substep=1e-2), method="rk4")
-        fine = exact_cov(sys, p0, 1.0, OdeConfig(substep=5e-3), method="rk4")
+        coarse = _rk4_cov(sys, p0, 1.0, OdeConfig(substep=1e-2))
+        fine = _rk4_cov(sys, p0, 1.0, OdeConfig(substep=5e-3))
         assert max_abs(coarse.mat - fine.mat) < 1e-8
+
+    def test_method_follows_system(self):
+        # closed form for a symmetric drift with isotropic noise, else RK4
+        cfg = OdeConfig(substep=0.25)
+        p0 = SpdMatrix(2.0)
+        closed = _closed_form_cov(SCALAR_SYS, p0, 0.5, 1.0)
+        assert np.array_equal(exact_cov(SCALAR_SYS, p0, 0.5, cfg).mat, closed.mat)
+        sys = LinearSystem([[-1.0, 2.0], [0.0, -3.0]], np.eye(2))
+        p0 = SpdMatrix([[2.0, 0.5], [0.5, 1.5]])
+        assert np.array_equal(exact_cov(sys, p0, 0.5, cfg).mat, _rk4_cov(sys, p0, 0.5, cfg).mat)
 
 
 class TestKalmanBucyRun:
@@ -311,13 +323,13 @@ class TestBruteForceProx:
         with pytest.raises(ValidationError):
             brute_force_prox(obj, 0.1)
 
-    def test_descent_budget_exhaustion_fails_loudly(self):
-        from proxflow import SearchConfig
-
+    def test_descent_budget_exhaustion_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(oracles, "DESCENT_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(oracles, "DESCENT_GRADIENT_TOL", 1e-16)
         anchor = Gaussian(np.zeros(2), SpdMatrix(np.eye(2)))
         obj = ProxObjective("jko-free-energy", anchor, gamma=SpdMatrix(2.0 * np.eye(2)), beta=1.0)
         with pytest.raises(OracleFailure):
-            brute_force_prox(obj, 0.1, SearchConfig(max_iterations=1, gradient_tol=1e-16))
+            brute_force_prox(obj, 0.1)
 
 
 def test_zero_innovation_mean_follows_flow():
