@@ -184,23 +184,19 @@ def compare_filters(cfg: ExperimentConfig) -> ResultTable:
         raise ConfigError(f"mode.task: expected 'compare', got {cfg.task!r}")
     h = cfg.h_values[0]
     step_cfg = StepConfig(h=h, steps=cfg.steps_for(h))
-    paths = [
-        simulate(cfg.system, cfg.measurement, cfg.initial, step_cfg, seed) for seed in cfg.seeds
-    ]
-    increments = np.stack([path.increments for path in paths])
-    truth = np.stack([path.states for path in paths])
+    paths = simulate(cfg.system, cfg.measurement, cfg.initial, step_cfg, cfg.seeds)
     rows = []
     for kind in UPDATE_KINDS:
         run = run_filter(
             cfg.system,
             cfg.measurement,
             cfg.initial,
-            increments,
+            paths.increments,
             step_cfg,
             update=kind,
             predict=cfg.predict_kind,
         )
-        terminal_sq = error_metrics(run, truth).terminal_squared
+        terminal_sq = error_metrics(run, paths.states).terminal_squared
         for seed, value in zip(cfg.seeds, terminal_sq.tolist()):
             rows.append(ResultRow(h, seed, f"terminal_sq_error_{kind}", value))
         rows.append(ResultRow(h, None, f"rmse_{kind}", float(np.sqrt(np.mean(terminal_sq)))))

@@ -8,6 +8,8 @@ equation through its closed form. Everything targets small dense matrices
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -25,6 +27,9 @@ SYMMETRY_RTOL = 1e-9
 # Smallest admissible eigenvalue, relative to (1 + largest); anything below
 # is treated as singular rather than silently regularized.
 POSITIVITY_RTOL = 1e-12
+
+_EIGENVECTORS_1X1 = np.ones((1, 1))
+_EIGENVECTORS_1X1.setflags(write=False)
 
 
 def as_square(a, name: str = "matrix") -> np.ndarray:
@@ -85,26 +90,29 @@ class SpdMatrix:
     __slots__ = ("mat", "eigenvalues", "eigenvectors")
 
     def __init__(self, mat):
-        m = symmetrize(mat, "SPD matrix")
+        m = np.asarray(mat, dtype=float)
+        if m.ndim <= 2 and m.size == 1:  # scalar fast path: symmetrize's checks in one pass
+            x = m.item()
+            if not math.isfinite(x):
+                raise ValidationError("SPD matrix has non-finite entries")
+            x = 0.5 * (x + x)  # as symmetrize: inf where x + x overflows
+            _check_eigenvalues(math.isfinite(x), x, x)
+            m = np.array([[x]])
+            m.setflags(write=False)  # and so its view m[0]
+            self.mat, self.eigenvalues, self.eigenvectors = m, m[0], _EIGENVECTORS_1X1
+            return
+        m = symmetrize(m, "SPD matrix")
         try:
-            if m.shape == (1, 1):  # scalar fast path; eigh overhead dominates 1x1 work
-                w, v = m[0].copy(), np.ones((1, 1))
-            else:
-                w, v = np.linalg.eigh(m)
+            w, v = np.linalg.eigh(m)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on finite input
             raise NumericFailure(f"eigendecomposition failed: {exc}") from exc
-        if not np.all(np.isfinite(w)):
-            raise NumericFailure("eigendecomposition produced non-finite eigenvalues")
-        if w[0] <= POSITIVITY_RTOL * (1.0 + w[-1]):
-            raise SingularityError(
-                "matrix is not positive definite within the floor: "
-                f"eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]"
-            )
+        self._freeze(m, w, v)
+
+    def _freeze(self, m: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
+        _check_eigenvalues(np.isfinite(w).all(), w[0], w[-1])
         for arr in (m, w, v):
-            arr.flags.writeable = False
-        self.mat = m
-        self.eigenvalues = w
-        self.eigenvectors = v
+            arr.setflags(write=False)
+        self.mat, self.eigenvalues, self.eigenvectors = m, w, v
 
     @property
     def dim(self) -> int:
@@ -112,9 +120,16 @@ class SpdMatrix:
 
     def map_eigenvalues(self, fn) -> np.ndarray:
         """V diag(fn(w)) V^T as a plain symmetric array."""
-        scaled = self.eigenvectors * fn(self.eigenvalues)
-        out = scaled @ self.eigenvectors.T
-        return 0.5 * (out + out.T)
+        return _compose(fn(self.eigenvalues), self.eigenvectors)
+
+    def _map(self, fn) -> SpdMatrix:
+        """fn(P) with the eigenpairs (fn(w), V) for a monotone fn: checks fn(w), runs no eigh."""
+        w, v = fn(self.eigenvalues), self.eigenvectors
+        out, mat = SpdMatrix.__new__(SpdMatrix), _compose(w, v)
+        if w[0] > w[-1]:  # decreasing fn: keep the eigenvalues ascending
+            w, v = w[::-1], v[:, ::-1]
+        out._freeze(mat, w, v)
+        return out
 
     def logdet(self) -> float:
         return float(np.sum(np.log(self.eigenvalues)))
@@ -126,17 +141,32 @@ class SpdMatrix:
         return f"SpdMatrix({self.mat!r})"
 
 
+def _check_eigenvalues(finite: bool, lo: float, hi: float) -> None:
+    if not finite:
+        raise NumericFailure("eigendecomposition produced non-finite eigenvalues")
+    if lo <= POSITIVITY_RTOL * (1.0 + hi):
+        raise SingularityError(
+            "matrix is not positive definite within the floor: "
+            f"eigenvalues in [{lo:.3e}, {hi:.3e}]"
+        )
+
+
+def _compose(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    out = (v * w) @ v.T
+    return 0.5 * (out + out.T)
+
+
 def sqrt_spd(p: SpdMatrix) -> SpdMatrix:
     """Principal square root S with S @ S = P."""
-    return SpdMatrix(p.map_eigenvalues(np.sqrt))
+    return p._map(np.sqrt)
 
 
 def inv_spd(p: SpdMatrix) -> SpdMatrix:
-    return SpdMatrix(p.map_eigenvalues(lambda w: 1.0 / w))
+    return p._map(lambda w: 1.0 / w)
 
 
 def inv_sqrt_spd(p: SpdMatrix) -> SpdMatrix:
-    return SpdMatrix(p.map_eigenvalues(lambda w: 1.0 / np.sqrt(w)))
+    return p._map(lambda w: 1.0 / np.sqrt(w))
 
 
 def expm(a, t: float = 1.0) -> np.ndarray:
@@ -197,8 +227,7 @@ def quadratic_matrix_solve(c: float, rhs: SpdMatrix) -> SpdMatrix:
     """
     if not (np.isfinite(c) and c > 0.0):
         raise ValidationError(f"coefficient must be a positive finite scalar, got {c}")
-    z = rhs.map_eigenvalues(lambda w: 0.5 * c * (np.sqrt(1.0 + 4.0 * w / c) - 1.0))
-    return SpdMatrix(z)
+    return rhs._map(lambda w: 0.5 * c * (np.sqrt(1.0 + 4.0 * w / c) - 1.0))
 
 
 def sym_skew_split(a) -> tuple[np.ndarray, np.ndarray]:

@@ -60,7 +60,7 @@ class LinearSystem:
     2 B B^T. A must be Hurwitz and (A, B) controllable.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "_diffusion")
 
     def __init__(self, a, b):
         a = np.array(require_hurwitz(as_square(a, "A")))  # own copy before freezing
@@ -75,16 +75,20 @@ class LinearSystem:
             )
         if not np.all(np.isfinite(bm)):
             raise ValidationError("B has non-finite entries")
+        diffusion = 2.0 * bm @ bm.T
+        if not np.all(np.isfinite(diffusion)):
+            raise ValidationError("B is too large: the diffusion 2 B B^T overflows")
         sv = np.linalg.svd(controllability_matrix(a, bm), compute_uv=False)
         rank = int(np.sum(sv > CONTROLLABILITY_RTOL * sv[0])) if sv[0] > 0 else 0
         if rank < a.shape[0]:
             raise ControllabilityError(
                 f"(A, B) is not controllable: rank {rank} < {a.shape[0]}"
             )
-        a.flags.writeable = False
-        bm.flags.writeable = False
+        for arr in (a, bm, diffusion):
+            arr.flags.writeable = False
         self.a = a
         self.b = bm
+        self._diffusion = diffusion
 
     @property
     def dim(self) -> int:
@@ -95,8 +99,8 @@ class LinearSystem:
         return self.b.shape[1]
 
     def diffusion(self) -> np.ndarray:
-        """The Fokker-Planck forcing 2 B B^T."""
-        return 2.0 * self.b @ self.b.T
+        """The Fokker-Planck forcing 2 B B^T (read-only, formed once)."""
+        return self._diffusion
 
 
 @dataclass(frozen=True)

@@ -39,21 +39,28 @@ class SplitMix64:
         """53-bit uniform in [0, 1)."""
         return (self.next_uint64() >> 11) * _INV53
 
+    def next_uniforms(self, count: int) -> np.ndarray:
+        """The next count uniforms as one array: output k is mix(state + k gamma)."""
+        z = np.uint64(self._state) + np.uint64(_GAMMA) * np.arange(1, count + 1, dtype=np.uint64)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * _INV53
+
 
 class GaussianStream:
     """Standard normal draws over a seeded SplitMix64 stream."""
 
-    __slots__ = ("_uniforms", "_spare", "_has_spare")
+    __slots__ = ("_uniforms", "_spare")
 
     def __init__(self, seed: int):
         self._uniforms = SplitMix64(seed)
-        self._spare = 0.0
-        self._has_spare = False
+        self._spare = None
 
     def next_normal(self) -> float:
-        if self._has_spare:
-            self._has_spare = False
-            return self._spare
+        if self._spare is not None:
+            spare, self._spare = self._spare, None
+            return spare
         u1 = self._uniforms.next_uniform()
         while u1 == 0.0:  # log(0) guard; probability 2^-53 per draw
             u1 = self._uniforms.next_uniform()
@@ -61,12 +68,21 @@ class GaussianStream:
         radius = math.sqrt(-2.0 * math.log(u1))
         angle = _TWO_PI * u2
         self._spare = radius * math.sin(angle)
-        self._has_spare = True
         return radius * math.cos(angle)
 
     def draw(self, count: int) -> np.ndarray:
-        out = np.empty(count)
-        next_normal = self.next_normal
-        for i in range(count):
-            out[i] = next_normal()
-        return out
+        """The next count normals, bit for bit those of next_normal, from one block of uniforms."""
+        head = [self._spare] if count and self._spare is not None else []
+        pairs = (count - len(head) + 1) // 2
+        u = self._uniforms.next_uniforms(2 * pairs)
+        while not u[::2].all():  # as in next_normal, skip a u1 == 0; later pairs shift by one
+            j = 2 * int(np.argmin(u[::2]))
+            u = np.concatenate((u[:j], u[j + 1 :], self._uniforms.next_uniforms(1)))
+        radius = np.sqrt(-2.0 * np.fromiter(map(math.log, u[::2].tolist()), float, pairs))
+        angle = (_TWO_PI * u[1::2]).tolist()
+        normals = np.empty(2 * pairs)
+        normals[::2] = radius * np.fromiter(map(math.cos, angle), float, pairs)
+        normals[1::2] = radius * np.fromiter(map(math.sin, angle), float, pairs)
+        if count:  # the old spare went into head; keep the new one, if any
+            self._spare = float(normals[-1]) if (count - len(head)) % 2 else None
+        return np.concatenate((head, normals[: count - len(head)]))

@@ -21,23 +21,23 @@ from .rng import GaussianStream
 
 @dataclass(frozen=True, eq=False)
 class SimPath:
-    """True state path plus measurement increments for one realization."""
+    """True state path plus measurement increments for one realization, or for S."""
 
-    states: np.ndarray  # (steps + 1, n)
-    increments: np.ndarray  # (steps, m)
+    states: np.ndarray  # ([S,] steps + 1, n)
+    increments: np.ndarray  # ([S,] steps, m)
     h: float
-    seed: int
+    seed: int | tuple
 
     def __post_init__(self):
-        if self.states.shape[0] != self.increments.shape[0] + 1:
+        if self.states.shape[-2] != self.increments.shape[-2] + 1:
             raise ValidationError(
-                f"{self.states.shape[0]} states require "
-                f"{self.states.shape[0] - 1} increments, got {self.increments.shape[0]}"
+                f"{self.states.shape[-2]} states require "
+                f"{self.states.shape[-2] - 1} increments, got {self.increments.shape[-2]}"
             )
 
     @property
     def steps(self) -> int:
-        return self.increments.shape[0]
+        return self.increments.shape[-2]
 
 
 def simulate(
@@ -45,20 +45,24 @@ def simulate(
     meas: MeasurementModel,
     x0,
     cfg: StepConfig,
-    seed: int,
+    seed,
 ) -> SimPath:
     """Simulate x_{k+1} = x_k + h A x_k + sqrt(2h) B xi_k and
     dz_k = h C x_k + sqrt(h) R^(1/2) eta_k.
 
     x0 is either an exact state vector or a Gaussian to draw the initial
-    state from (one draw).
+    state from (one draw). A sequence of S seeds gives states (S, steps + 1, n)
+    and increments (S, steps, m), each seed's path bit for bit its own run.
 
-    The normals come from one draw, in step order: the initial state's, then
-    per step p process draws followed by m measurement draws. Only the state
-    recursion loops; the noise terms are formed for all steps at once.
+    Each seed's normals come from one draw, in step order: the initial state's,
+    then per step p process draws and m measurement draws. Only the state
+    recursion loops, over all seeds at once.
     """
     if meas.state_dim != sys.dim:
         raise DimensionError("system and measurement model dimensions disagree")
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    if not seeds:
+        raise ValidationError("seeds must not be empty")
     p = sys.noise_dim
     m = meas.obs_dim
     lead = 0
@@ -68,32 +72,32 @@ def simulate(
         require_single(x0)
         lead = sys.dim
     else:
-        x = as_vector(x0, dim=sys.dim, name="initial state").copy()
-    draws = GaussianStream(seed).draw(lead + cfg.steps * (p + m))
+        x = as_vector(x0, dim=sys.dim, name="initial state")
+    draws = np.stack([GaussianStream(s).draw(lead + cfg.steps * (p + m)) for s in seeds])
     if lead:
-        x = x0.mean + sqrt_spd(x0.cov).mat @ draws[:lead]
-    noise = draws[lead:].reshape(cfg.steps, p + m)
+        x = x0.mean + matvec(sqrt_spd(x0.cov).mat, draws[:, :lead])
+    noise = draws[:, lead:].reshape(len(seeds), cfg.steps, p + m)
     h = cfg.h
-    sqrt_2h = np.sqrt(2.0 * h)
-    sqrt_h = np.sqrt(h)
     r_half = sqrt_spd(meas.r).mat
-    process = sqrt_2h * matvec(sys.b, noise[:, :p])
-    sensor = sqrt_h * matvec(r_half, noise[:, p:])
-    states = np.empty((cfg.steps + 1, sys.dim))
-    states[0] = x
+    process = np.sqrt(2.0 * h) * matvec(sys.b, noise[..., :p])
+    sensor = np.sqrt(h) * matvec(r_half, noise[..., p:])
+    states = np.empty((len(seeds), cfg.steps + 1, sys.dim))
+    states[:, 0] = x
     for k in range(cfg.steps):
-        x = x + h * (sys.a @ x) + process[k]
-        states[k + 1] = x
-    increments = h * matvec(meas.c, states[:-1]) + sensor
+        x = x + h * matvec(sys.a, x) + process[:, k]
+        states[:, k + 1] = x
+    increments = h * matvec(meas.c, states[:, :-1]) + sensor
     states.flags.writeable = False
     increments.flags.writeable = False
-    return SimPath(states=states, increments=increments, h=h, seed=seed)
+    if np.ndim(seed) == 0:
+        return SimPath(states=states[0], increments=increments[0], h=h, seed=seed)
+    return SimPath(states=states, increments=increments, h=h, seed=tuple(seeds))
 
 
 def coarsen(path: SimPath, factor: int) -> SimPath:
-    """Regroup a fine path onto step factor*h: increments are exact partial
-    sums of the fine increments, states are subsampled, so every step size
-    sees the same underlying noise realization."""
+    """Regroup a fine path, or a batch of them, onto step factor*h:
+    increments are exact partial sums of the fine increments, states are
+    subsampled, so every step size sees the same underlying noise realization."""
     if int(factor) != factor or factor < 1:
         raise ValidationError(f"factor must be a positive integer, got {factor}")
     factor = int(factor)
@@ -101,9 +105,10 @@ def coarsen(path: SimPath, factor: int) -> SimPath:
         raise ValidationError(
             f"{path.steps} steps cannot be regrouped by a factor of {factor}"
         )
-    grouped = path.increments.reshape(path.steps // factor, factor, -1).sum(axis=1)
+    lead = path.increments.shape[:-2]
+    grouped = path.increments.reshape(*lead, path.steps // factor, factor, -1).sum(axis=-2)
     return SimPath(
-        states=path.states[::factor],
+        states=path.states[..., ::factor, :],
         increments=grouped,
         h=path.h * factor,
         seed=path.seed,

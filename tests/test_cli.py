@@ -4,8 +4,6 @@ import pathlib
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from proxflow.cli import main
 from proxflow.config import parse_config
@@ -384,13 +382,14 @@ class TestConfigParsing:
             (("steps", "horizon"), 1e300, "steps.h"),
             (("steps", "horizon"), 1e6, "steps.h"),
             (("steps", "h"), [1e-300], "steps.h"),
+            (("system", "B"), [[1e300]], "system"),
         ],
         ids=[
             "mode-array", "output-null", "steps-number", "system-string",
             "measurement-string", "initial-array", "horizon-string", "horizon-null",
             "horizon-inf", "horizon-bool", "h-nan", "beta-string", "beta-nan", "beta-inf",
             "csv-bool", "csv-number", "B-no-columns", "horizon-1e300", "horizon-1e6",
-            "h-1e-300",
+            "h-1e-300", "B-overflow",
         ],
     )
     def test_wrongly_typed_field_named(self, path, value, field):
@@ -399,8 +398,9 @@ class TestConfigParsing:
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
-        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: ") as err:
             parse_config(json.dumps(payload))
+        assert path[-1] in str(err.value)
 
     def test_step_cap_is_inclusive(self):
         payload = json.loads(json.dumps(FILTER_CONFIG))
@@ -464,31 +464,35 @@ def _field_paths(node, prefix=()):
             yield from _field_paths(value, prefix + (key,))
 
 
-def _mutation(case):
-    doc = json.loads((REPO / "scripts" / "configs" / f"{case[1]}.json").read_text())
-    paths = list(_field_paths(doc))
-    return st.tuples(st.just(case), st.just(doc), st.sampled_from(paths),
-                     st.sampled_from(_BAD_VALUES))
+def _mutations():
+    """Every (config, field path, bad value) triple over the bundled configs, in a
+    fixed order: configs as listed, fields depth first, values as in _BAD_VALUES."""
+    for command, name in _MUTATED:
+        doc = json.loads((REPO / "scripts" / "configs" / f"{name}.json").read_text())
+        for path in _field_paths(doc):
+            for value in _BAD_VALUES:
+                yield command, doc, path, value
 
 
-@settings(derandomize=True, deadline=None, max_examples=200, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(_MUTATED).flatmap(_mutation))
-def test_mutated_bundled_configs_exit_cleanly(tmp_path, mutation):
+def test_mutated_bundled_configs_exit_cleanly(tmp_path):
     # One field of a bundled config replaced by a wrong type, a bool, null,
     # a non-finite or non-positive number, or an empty array or object (or
-    # removed): the CLI must return an exit code, never raise.
-    (command, _), doc, path, value = mutation
-    doc = json.loads(json.dumps(doc))
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    if value is _REMOVE:
-        del node[path[-1]]
-    else:
-        node[path[-1]] = value
-    cfg = tmp_path / "mutated.json"
-    cfg.write_text(json.dumps(doc))
-    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
-            "--out-json", str(tmp_path / "out.json")]
-    assert main(argv) in (0, 1, 2)
+    # removed): the CLI must return an exit code, never raise. Every 11th
+    # entry of the table runs; 11 is coprime to the 20 bad values, so every
+    # value and every field path is hit, and each tree runs the same cases.
+    table = list(_mutations())
+    assert len(table) == 2380  # 119 field paths x 20 values
+    for command, doc, path, value in table[::11]:
+        doc = json.loads(json.dumps(doc))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is _REMOVE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        cfg = tmp_path / "mutated.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
+                "--out-json", str(tmp_path / "out.json")]
+        assert main(argv) in (0, 1, 2), (command, path, value)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxflow import (
+    NumericFailure,
     SingularityError,
     SpdMatrix,
     StabilityError,
@@ -44,6 +45,65 @@ class TestSpdMatrix:
         p = SpdMatrix(np.eye(2))
         with pytest.raises(ValueError):
             p.mat[0, 0] = 5.0
+
+
+_FLOOR = "matrix is not positive definite within the floor: eigenvalues in "
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+@pytest.mark.parametrize(
+    "value,error,message",
+    [
+        (math.nan, ValidationError, "SPD matrix has non-finite entries"),
+        (math.inf, ValidationError, "SPD matrix has non-finite entries"),
+        (-math.inf, ValidationError, "SPD matrix has non-finite entries"),
+        (0.0, SingularityError, _FLOOR + "[0.000e+00, 0.000e+00]"),
+        (-1.0, SingularityError, _FLOOR + "[-1.000e+00, -1.000e+00]"),
+        (1e-13, SingularityError, _FLOOR + "[1.000e-13, 1.000e-13]"),
+        # (M + M^T)/2 overflows although M is finite
+        (1e308, NumericFailure, "eigendecomposition produced non-finite eigenvalues"),
+    ],
+    ids=["nan", "inf", "-inf", "zero", "negative", "1e-13", "1e308"],
+)
+def test_scalar_spd_errors(shape, value, error, message):
+    """The one-pass 1x1 checks raise what the general path always raised."""
+    with pytest.raises(error) as exc:
+        SpdMatrix(np.full(shape, value))
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_scalar_spd_accepts(shape):
+    p = SpdMatrix(np.full(shape, 2.5))
+    for arr, want in ((p.mat, [[2.5]]), (p.eigenvalues, [2.5]), (p.eigenvectors, [[1.0]])):
+        assert arr.tolist() == want and not arr.flags.writeable
+
+
+_FACTORS = [
+    (sqrt_spd, np.sqrt),
+    (inv_spd, lambda w: 1.0 / w),
+    (inv_sqrt_spd, lambda w: 1.0 / np.sqrt(w)),
+    (lambda p: quadratic_matrix_solve(0.7, p),
+     lambda w: 0.5 * 0.7 * (np.sqrt(1.0 + 4.0 * w / 0.7) - 1.0)),
+]
+
+
+@pytest.mark.parametrize("factor,fn", _FACTORS, ids=["sqrt", "inv", "inv_sqrt", "quadratic"])
+def test_derived_factors_reuse_eigenpairs(factor, fn):
+    """A factor built from its parent's eigenpairs has the matrix the old
+    route (map_eigenvalues, then a fresh SpdMatrix) gave, bit for bit."""
+    rng = np.random.default_rng(21)
+    for n in range(1, 17):
+        p = random_spd(rng, n)
+        got = factor(p)
+        assert np.array_equal(got.mat, SpdMatrix(p.map_eigenvalues(fn)).mat)
+        w = got.eigenvalues
+        assert np.all(w[:-1] <= w[1:]) and not w.flags.writeable
+        assert not got.mat.flags.writeable and not got.eigenvectors.flags.writeable
+        rebuilt = (got.eigenvectors * w) @ got.eigenvectors.T
+        assert max_abs(rebuilt - got.mat) < 1e-12 * max_abs(got.mat)
+        if n == 1:
+            assert np.array_equal(w, fn(p.eigenvalues))
 
 
 class TestSqrtSpd:

@@ -43,6 +43,7 @@ class TestLinearSystem:
     def test_diffusion_convention(self):
         sys = LinearSystem([[-1.0]], [[2.0]])
         assert sys.diffusion()[0, 0] == pytest.approx(8.0)
+        assert not sys.diffusion().flags.writeable
 
 
 class TestStepConfig:

@@ -20,6 +20,7 @@ from proxflow import (
     simulate,
     sqrt_spd,
 )
+from proxflow.rng import _GAMMA
 from support import random_spd, random_system
 
 SCALAR_SYS = LinearSystem([[-1.0]], [[1.0]])
@@ -55,6 +56,27 @@ class TestGaussianStream:
 
     def test_reproducible(self):
         assert np.array_equal(GaussianStream(5).draw(100), GaussianStream(5).draw(100))
+
+    @pytest.mark.parametrize("seed", [0, 17, 2**63 + 5, 2**64 - 1])
+    def test_block_draw_matches_scalar_stream(self, seed):
+        # In sequence, so the spare normal of an odd count carries to the next call.
+        block, scalar = GaussianStream(seed), GaussianStream(seed)
+        for count in (0, 1, 5, 4, 7, 1000):
+            want = np.array([scalar.next_normal() for _ in range(count)], dtype=float)
+            assert block.draw(count).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 9])
+    def test_zero_uniform_rejection_matches_scalar_stream(self, k):
+        # Uniform k is mix(seed + k gamma), and mix(0) = 0: seed -k gamma makes
+        # uniform k exactly 0, a rejected u1 for odd k and a kept u2 for even k;
+        # k = 5, 6 and 9 fall in the second call.
+        seed = (-k * _GAMMA) % 2**64
+        uniforms = SplitMix64(seed)
+        assert [uniforms.next_uniform() for _ in range(k)][-1] == 0.0
+        block, scalar = GaussianStream(seed), GaussianStream(seed)
+        for count in (3, 8):
+            want = np.array([scalar.next_normal() for _ in range(count)])
+            assert block.draw(count).tobytes() == want.tobytes()
 
 
 class TestSimulate:
@@ -141,6 +163,34 @@ def test_simulate_matches_stepwise_recursion_bitwise(n, m, initial, scales):
     states, increments = _stepwise_simulate(sys, meas, x0, cfg, 17, *scales)
     assert np.array_equal(path.states, states)
     assert np.array_equal(path.increments, increments)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 16])
+@pytest.mark.parametrize("initial", ["gaussian", "vector"])
+def test_seed_batch_matches_one_seed_runs_bitwise(n, initial):
+    rng = np.random.default_rng(70 + n)
+    sys = random_system(rng, n)
+    meas = MeasurementModel(rng.normal(size=(2, n)), random_spd(rng, 2))
+    g0 = Gaussian(rng.normal(size=n), random_spd(rng, n))
+    x0 = g0 if initial == "gaussian" else g0.mean
+    cfg = StepConfig(h=0.02, steps=48)
+    seeds = [4, 0, 2**64 - 1, 4]
+    batch = simulate(sys, meas, x0, cfg, seeds)
+    assert batch.states.shape == (4, 49, n) and batch.increments.shape == (4, 48, 2)
+    assert batch.seed == tuple(seeds) and batch.steps == 48
+    for i, seed in enumerate(seeds):
+        one = simulate(sys, meas, x0, cfg, seed)
+        assert np.array_equal(batch.states[i], one.states)
+        assert np.array_equal(batch.increments[i], one.increments)
+    for factor in (2, 3, 8, 16):
+        coarse = coarsen(batch, factor)
+        assert coarse.steps == 48 // factor and coarse.h == batch.h * factor
+        for i, seed in enumerate(seeds):
+            one = coarsen(simulate(sys, meas, x0, cfg, seed), factor)
+            assert np.array_equal(coarse.states[i], one.states)
+            assert np.array_equal(coarse.increments[i], one.increments)
+    with pytest.raises(ValidationError, match="seeds must not be empty"):
+        simulate(sys, meas, x0, cfg, [])
 
 
 class TestCoarsen:
