@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from . import __version__
@@ -67,17 +68,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(*paths) -> None:
+    """Reject an output path before any work runs, so a bad path leaves no
+    partial results behind; ResultTable.write still reports a later failure."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path) or not os.path.isdir(parent):
+            raise ValidationError(f"cannot write {path}: not a file in an existing directory")
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise ValidationError(f"cannot write {path}: permission denied")
+
+
 def _run_config_command(args, runner):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seeds=(args.seed,))
-    table = runner(cfg)
-    if args.seed is not None:
-        table = dataclasses.replace(table, overrides=f"seed:{args.seed}")
     csv_path = args.out or cfg.out_csv
     json_path = args.out_json or cfg.out_json
     if not csv_path:
         raise ValidationError("no output path: pass --out or set output.csv in the config")
+    _check_writable(csv_path, json_path)
+    table = runner(cfg)
+    if args.seed is not None:
+        table = dataclasses.replace(table, overrides=f"seed:{args.seed}")
     table.write(csv_path, json_path)
     print(f"wrote {len(table.rows)} rows to {csv_path} (config {table.config_hash[:12]})")
 
@@ -95,6 +108,8 @@ def main(argv=None) -> int:
         elif args.command == "compare-filters":
             _run_config_command(args, compare_filters)
         elif args.command == "lemma-checks":
+            if args.out:
+                _check_writable(args.out, args.out_json)
             table = lemma_checks(args.trials, args.dims, args.seed)
             if args.out:
                 table.write(args.out, args.out_json)

@@ -166,6 +166,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("steps.h: need at least one positive step size")
     if len(set(h_values)) != len(h_values):
         raise ConfigError("steps.h: step sizes must be distinct")
+    if task == "compare" and len(h_values) > 1:
+        raise ConfigError(f"steps.h: a compare task takes one step size, got {len(h_values)}")
     horizon = _positive(_require(steps_raw, "horizon", "steps."), "steps.horizon")
     beta = steps_raw.get("beta")
     if beta is not None:

@@ -193,18 +193,16 @@ def run_filter(
 class ErrorSummary:
     """Squared estimation errors of one run against the true state path.
 
-    For a batched run the fields carry a leading seed axis: per_time_squared
-    is (S, steps + 1), terminal_squared and path_rmse are (S,) arrays; for
-    one path the latter two are numpy floats.
+    For a batched run both fields are (S,) arrays, one entry per seed; for one
+    path they are numpy floats.
     """
 
-    per_time_squared: np.ndarray
     terminal_squared: float | np.ndarray
     path_rmse: float | np.ndarray
 
 
 def error_metrics(run: FilterRun, truth_states) -> ErrorSummary:
-    """Per-time squared error and path RMSE of the posterior means vs truth,
+    """Terminal squared error and path RMSE of the posterior means vs truth,
     per seed for a batched run (truth then has shape (S, steps + 1, n))."""
     truth = np.asarray(truth_states, dtype=float)
     if truth.ndim == 1:
@@ -216,7 +214,6 @@ def error_metrics(run: FilterRun, truth_states) -> ErrorSummary:
         )
     sq = np.sum((means - truth) ** 2, axis=-1)
     return ErrorSummary(
-        per_time_squared=sq,
         terminal_squared=sq[..., -1],
         path_rmse=np.sqrt(np.mean(sq, axis=-1)),
     )

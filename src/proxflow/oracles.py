@@ -22,28 +22,14 @@ from .gaussians import (
     free_energy,
     kl_gaussian,
     phi_expectation,
+    require_single,
     w2_gaussian,
 )
 from .matrices import SpdMatrix, expm, inv_spd, is_isotropic, is_symmetric, matvec
 from .propagation import LinearSystem
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class OdeConfig:
-    """Fixed-substep integrator settings; substep should be well below any
-    compared scheme's step (h/10 or finer)."""
-
-    substep: float = 1e-3
-
-    def __post_init__(self):
-        if not (np.isfinite(self.substep) and self.substep > 0.0):
-            raise ValidationError(f"substep must be positive, got {self.substep}")
-
-    @staticmethod
-    def for_step(h: float) -> "OdeConfig":
-        return OdeConfig(substep=h / 20.0)
+REFERENCE_SUBSTEPS = 20  # per data interval of the reference runs
 
 
 def rk4_step(f, y, dt: float):
@@ -83,24 +69,26 @@ def _isotropic_level(sys: LinearSystem) -> float | None:
 
 
 def exact_cov(
-    sys: LinearSystem, p0: SpdMatrix, t: float, cfg: OdeConfig | None = None
+    sys: LinearSystem, p0: SpdMatrix, t: float, substep: float | None = None
 ) -> SpdMatrix:
     """Covariance of the state at time t.
 
     For a symmetric drift -Gamma with isotropic noise B B^T = q I the
     closed form is used; otherwise the covariance ODE is integrated with
-    fixed-substep RK4 (cfg, default substep min(1e-3, t/10)).
+    fixed-substep RK4 (default substep min(1e-3, t/10)).
     """
     if p0.dim != sys.dim:
         raise DimensionError(f"dimension mismatch: {p0.dim} vs {sys.dim}")
     if t < 0.0 or not np.isfinite(t):
         raise ValidationError(f"time must be nonnegative and finite, got {t}")
+    if substep is not None and not (np.isfinite(substep) and substep > 0.0):
+        raise ValidationError(f"substep must be positive, got {substep}")
     if t == 0.0:
         return p0
     iso = _isotropic_level(sys)
     if is_symmetric(sys.a) and iso is not None:
         return _closed_form_cov(sys, p0, t, iso)
-    return _rk4_cov(sys, p0, t, cfg or OdeConfig(substep=min(1e-3, t / 10.0)))
+    return _rk4_cov(sys, p0, t, substep or min(1e-3, t / 10.0))
 
 
 def _closed_form_cov(sys: LinearSystem, p0: SpdMatrix, t: float, iso: float) -> SpdMatrix:
@@ -112,75 +100,68 @@ def _closed_form_cov(sys: LinearSystem, p0: SpdMatrix, t: float, iso: float) -> 
     return SpdMatrix(settled + decay @ p0.mat @ decay)
 
 
-def _rk4_cov(sys: LinearSystem, p0: SpdMatrix, t: float, cfg: OdeConfig) -> SpdMatrix:
+def _rk4_cov(sys: LinearSystem, p0: SpdMatrix, t: float, substep: float) -> SpdMatrix:
     """RK4 integral of the covariance ODE P' = A P + P A^T + 2 B B^T."""
     forcing = sys.diffusion()
 
     def rate(p):
         return sys.a @ p + p @ sys.a.T + forcing
 
-    final = rk4_integrate(rate, p0.mat, t, cfg.substep)
+    final = rk4_integrate(rate, p0.mat, t, substep)
     return SpdMatrix(0.5 * (final + final.T))
 
 
-def _check_run_inputs(sys, meas, g0, dz, h, cfg):
+def _check_run_inputs(sys, meas, g0, dz, h):
     dz = np.asarray(dz, dtype=float)
     if dz.ndim == 1:
         dz = dz.reshape(-1, 1)
-    if dz.ndim != 2 or dz.shape[1] != meas.obs_dim:
+    if dz.ndim not in (2, 3) or dz.shape[-1] != meas.obs_dim:
         raise DimensionError(
-            f"increments have shape {dz.shape}, expected (*, {meas.obs_dim})"
+            f"increments have shape {dz.shape}, expected ([S,] steps, {meas.obs_dim})"
         )
     if meas.state_dim != sys.dim or g0.dim != sys.dim:
         raise DimensionError("system, measurement model, and prior dimensions disagree")
+    require_single(g0)
     if not (np.isfinite(h) and h > 0.0):
         raise ValidationError(f"step size must be positive, got {h}")
-    cfg = cfg or OdeConfig.for_step(h)
-    if cfg.substep > h / 10.0 * (1.0 + 1e-9):
-        raise ValidationError(
-            f"reference substep {cfg.substep} must be at most a tenth of the data step {h}"
-        )
-    return dz, cfg
+    return dz
 
 
-def _observer_run(sys, meas, g0, dz, h, cfg, gain_of, rate) -> list[Gaussian]:
+def _observer_run(sys, meas, g0, dz, h, gain_of, rate) -> list[Gaussian]:
     """Shared substep loop of the two reference runs. Per substep: an Euler
     mean step with the gain from the pre-step covariance, gain_of(P), against
     the piecewise-constant data rate dz_k / h; an RK4 covariance step of
-    P' = rate(P); symmetrization. Returns the filter state at the interval
-    boundaries (length len(dz) + 1)."""
-    n_sub = max(1, round(h / cfg.substep))
-    dt = h / n_sub
+    P' = rate(P); symmetrization. dz is (steps, m), or (S, steps, m) for S
+    paths that share the covariance path. The means are held as columns,
+    (n, 1) or (S, n, 1), so a batch does each seed's arithmetic as its
+    one-path run does. Returns the filter state at the interval boundaries
+    (length steps + 1), with means (n,) or (S, n)."""
+    dt = h / REFERENCE_SUBSTEPS
     c = meas.c
-    mu = g0.mean.copy()
+    if dz.ndim == 3:
+        g0 = Gaussian(np.broadcast_to(g0.mean, (dz.shape[0], sys.dim)), g0.cov)
+    mu = g0.mean[..., None]
     p = g0.cov.mat.copy()
     out = [g0]
-    for k in range(dz.shape[0]):
-        y = dz[k] / h
-        for _ in range(n_sub):
+    for k in range(dz.shape[-2]):
+        y = dz[..., k, :, None] / h
+        for _ in range(REFERENCE_SUBSTEPS):
             gain = gain_of(p)
             mu = mu + dt * (sys.a @ mu + gain @ (y - c @ mu))
             p = rk4_step(rate, p, dt)
             p = 0.5 * (p + p.T)
-        out.append(Gaussian(mu.copy(), SpdMatrix(p)))
+        out.append(Gaussian(mu[..., 0], SpdMatrix(p)))
     return out
 
 
-def kalman_bucy_run(
-    sys: LinearSystem,
-    meas,
-    g0: Gaussian,
-    dz,
-    h: float,
-    cfg: OdeConfig | None = None,
-) -> list[Gaussian]:
+def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> list[Gaussian]:
     """Integrate the optimal continuous-time filter across the data intervals.
 
     Covariance follows the Riccati ODE
     P' = A P + P A^T + 2 B B^T - P C^T R^-1 C P; the mean uses the gain
     K = P C^T R^-1. Returns the states at the interval boundaries.
     """
-    dz, cfg = _check_run_inputs(sys, meas, g0, dz, h, cfg)
+    dz = _check_run_inputs(sys, meas, g0, dz, h)
     forcing = sys.diffusion()
     ct_rinv = meas.c.T @ meas.rinv
 
@@ -191,23 +172,16 @@ def kalman_bucy_run(
         gain = gain_of(p)
         return sys.a @ p + p @ sys.a.T + forcing - gain @ meas.r.mat @ gain.T
 
-    return _observer_run(sys, meas, g0, dz, h, cfg, gain_of, riccati)
+    return _observer_run(sys, meas, g0, dz, h, gain_of, riccati)
 
 
-def luenberger_run(
-    sys: LinearSystem,
-    meas,
-    g0: Gaussian,
-    dz,
-    h: float,
-    cfg: OdeConfig | None = None,
-) -> list[Gaussian]:
+def luenberger_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> list[Gaussian]:
     """Integrate the static-gain observer with injection L = C^T R^-1.
 
     The covariance follows the Lyapunov ODE
     P' = (A - L C) P + P (A - L C)^T + 2 B B^T, decoupled from the gain.
     """
-    dz, cfg = _check_run_inputs(sys, meas, g0, dz, h, cfg)
+    dz = _check_run_inputs(sys, meas, g0, dz, h)
     forcing = sys.diffusion()
     gain = meas.c.T @ meas.rinv
     closed = sys.a - gain @ meas.c
@@ -215,7 +189,7 @@ def luenberger_run(
     def lyapunov(p):
         return closed @ p + p @ closed.T + forcing
 
-    return _observer_run(sys, meas, g0, dz, h, cfg, lambda p: gain, lyapunov)
+    return _observer_run(sys, meas, g0, dz, h, lambda p: gain, lyapunov)
 
 
 KIND_JKO = "jko-free-energy"

@@ -14,7 +14,6 @@ from proxflow import (
     Gaussian,
     LinearSystem,
     MeasurementModel,
-    OdeConfig,
     ProxObjective,
     SpdMatrix,
     StepConfig,
@@ -106,7 +105,7 @@ def test_c03_general_case_order_and_frame():
     sys2 = LinearSystem(a, np.eye(2))
     g0 = Gaussian([2.0, 1.0], SpdMatrix([[2.0, 0.5], [0.5, 1.5]]))
     ref_mean = exact_mean(sys2, g0.mean, 1.0)
-    ref_cov = exact_cov(sys2, g0.cov, 1.0, OdeConfig(substep=2.5e-4))
+    ref_cov = exact_cov(sys2, g0.cov, 1.0, 2.5e-4)
     sweep = (0.04, 0.02, 0.01, 0.005)
     mean_err, cov_err = [], []
     for h in sweep:
@@ -257,9 +256,7 @@ def test_c07_kalman_bucy_limit():
     ratios = [a / b for a, b in zip(cov_errors, cov_errors[1:])]
     cov_ok = all(1.6 < r < 2.4 for r in ratios)
 
-    reference = kalman_bucy_run(
-        sys1, meas, g0, master.increments, master.h, OdeConfig.for_step(master.h)
-    )
+    reference = kalman_bucy_run(sys1, meas, g0, master.increments, master.h)
     ref_means = np.array([g.mean[0] for g in reference])
     mean_errors = []
     for h in (0.02, 0.01, 0.005):

@@ -168,6 +168,24 @@ class TestConvergeFilter:
             assert len(ratios) == 2
             assert all(1.6 < r < 2.4 for r in ratios)
 
+    @pytest.mark.parametrize("update", ["lmmr", "wasserstein"])
+    def test_seed_batch_equals_one_seed_runs(self, tmp_path, update):
+        seeds = [3, 0, 2**64 - 1]
+        payload = json.loads(json.dumps(FILTER_CONFIG))
+        payload["seeds"] = seeds
+        payload["mode"]["update"] = update
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "batch.csv"
+        assert main(["converge-filter", "--config", cfg, "--out", str(out)]) == 0
+        _, batch_rows = read_rows(out)
+        single_rows = []
+        for seed in seeds:
+            single = tmp_path / f"seed{seed}.csv"
+            argv = ["converge-filter", "--config", cfg, "--out", str(single), "--seed", str(seed)]
+            assert main(argv) == 0
+            single_rows += read_rows(single)[1]
+        assert batch_rows == sorted(single_rows, key=lambda r: (float(r[0]), int(r[1]), r[2]))
+
     def test_zero_seeds_rejected(self, tmp_path):
         payload = json.loads(json.dumps(FILTER_CONFIG))
         payload["seeds"] = []
@@ -306,6 +324,18 @@ class TestExitCodes:
         assert main(["converge-propagation", "--config", cfg, "--out", str(out)]) == 1
         assert f"cannot write {out}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compare-filters", "lemma-checks"])
+    def test_unwritable_mirror_fails_before_the_run(self, tmp_path, capsys, command):
+        # the CSV is written first, so an existing CSV would mean the run went ahead
+        out, mirror = tmp_path / "x.csv", tmp_path / "missing_dir" / "x.json"
+        if command == "lemma-checks":
+            inputs = ["--trials", "1", "--dims", "1"]
+        else:
+            inputs = ["--config", write_config(tmp_path, COMPARE_CONFIG)]
+        assert main([command, *inputs, "--out", str(out), "--out-json", str(mirror)]) == 1
+        assert f"cannot write {mirror}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigParsing:
     def test_missing_field_named(self):
@@ -402,6 +432,12 @@ class TestConfigParsing:
             parse_config(json.dumps(payload))
         assert path[-1] in str(err.value)
 
+    def test_compare_takes_one_step_size(self):
+        payload = json.loads(json.dumps(COMPARE_CONFIG))
+        payload["steps"]["h"] = [0.02, 0.01]
+        with pytest.raises(ConfigError, match=r"^steps\.h: a compare task takes one step size"):
+            parse_config(json.dumps(payload))
+
     def test_step_cap_is_inclusive(self):
         payload = json.loads(json.dumps(FILTER_CONFIG))
         payload["steps"] = {"h": [0.05], "horizon": 50000.0}
@@ -419,20 +455,24 @@ class TestConfigParsing:
 
 
 @pytest.mark.parametrize(
-    "command,name",
+    "command,config,name",
     [
-        pytest.param("converge-propagation", "propagation_scalar", id="propagation_scalar"),
-        pytest.param("converge-propagation", "propagation_general_2d", id="propagation_general_2d"),
-        pytest.param("compare-filters", "compare_scalar", id="compare_scalar"),
-        pytest.param("lemma-checks", "lemma_checks", id="lemma_checks"),  # about 4 s
+        pytest.param("converge-propagation", "propagation_scalar", "propagation_scalar",
+                     id="propagation_scalar"),
+        pytest.param("converge-propagation", "propagation_general_2d", "propagation_general_2d",
+                     id="propagation_general_2d"),
+        pytest.param("converge-filter", "filter_scalar", "filter_scalar_lmmr",
+                     id="filter_scalar_lmmr"),  # about 8 s
+        pytest.param("compare-filters", "compare_scalar", "compare_scalar", id="compare_scalar"),
+        pytest.param("lemma-checks", None, "lemma_checks", id="lemma_checks"),  # about 4 s
     ],
 )
-def test_bundled_propagation_tables_reproduce(tmp_path, command, name):
+def test_bundled_propagation_tables_reproduce(tmp_path, command, config, name):
     out = tmp_path / f"{name}.csv"
     if command == "lemma-checks":  # the arguments scripts/run_all_experiments.py passes
         inputs = ["--trials", "1000", "--dims", "1-5", "--seed", "0"]
     else:
-        inputs = ["--config", str(REPO / "scripts" / "configs" / f"{name}.json")]
+        inputs = ["--config", str(REPO / "scripts" / "configs" / f"{config}.json")]
     argv = [command, *inputs, "--out", str(out), "--out-json", str(tmp_path / f"{name}.json")]
     assert main(argv) == 0
     got_comments, got_rows = read_rows(out)

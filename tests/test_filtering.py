@@ -338,7 +338,6 @@ class TestBatchedRunFilter:
         run = run_filter(SCALAR_SYS, SCALAR_MEAS, scalar_gaussian(0, 1), dz, cfg)
         offsets = np.array([0.5, 1.0, 2.0])
         summary = error_metrics(run, run.means() + offsets[:, None, None])
-        assert summary.per_time_squared.shape == (3, cfg.steps + 1)
         assert np.allclose(summary.terminal_squared, offsets ** 2, rtol=1e-12, atol=0.0)
         assert np.allclose(summary.path_rmse, offsets, rtol=1e-12, atol=0.0)
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from proxflow import (
+    DimensionError,
     Gaussian,
     LinearSystem,
     MeasurementModel,
-    OdeConfig,
     OracleFailure,
     ProxObjective,
     SpdMatrix,
@@ -62,26 +62,27 @@ class TestExactCov:
         sys = LinearSystem(-gamma.mat, math.sqrt(1.0 / beta) * np.eye(3))
         p0 = random_spd(rng, 3)
         closed = _closed_form_cov(sys, p0, 0.5, 1.0 / beta)
-        rk4 = _rk4_cov(sys, p0, 0.5, OdeConfig(substep=1e-3))
+        rk4 = _rk4_cov(sys, p0, 0.5, 1e-3)
         assert max_abs(closed.mat - rk4.mat) < 1e-9
 
     def test_rk4_self_consistency(self):
         a = np.array([[-1.0, 2.0], [0.0, -3.0]])
         sys = LinearSystem(a, np.eye(2))
         p0 = SpdMatrix([[2.0, 0.5], [0.5, 1.5]])
-        coarse = _rk4_cov(sys, p0, 1.0, OdeConfig(substep=1e-2))
-        fine = _rk4_cov(sys, p0, 1.0, OdeConfig(substep=5e-3))
+        coarse = _rk4_cov(sys, p0, 1.0, 1e-2)
+        fine = _rk4_cov(sys, p0, 1.0, 5e-3)
         assert max_abs(coarse.mat - fine.mat) < 1e-8
 
     def test_method_follows_system(self):
         # closed form for a symmetric drift with isotropic noise, else RK4
-        cfg = OdeConfig(substep=0.25)
+        substep = 0.25
         p0 = SpdMatrix(2.0)
         closed = _closed_form_cov(SCALAR_SYS, p0, 0.5, 1.0)
-        assert np.array_equal(exact_cov(SCALAR_SYS, p0, 0.5, cfg).mat, closed.mat)
+        assert np.array_equal(exact_cov(SCALAR_SYS, p0, 0.5, substep).mat, closed.mat)
         sys = LinearSystem([[-1.0, 2.0], [0.0, -3.0]], np.eye(2))
         p0 = SpdMatrix([[2.0, 0.5], [0.5, 1.5]])
-        assert np.array_equal(exact_cov(sys, p0, 0.5, cfg).mat, _rk4_cov(sys, p0, 0.5, cfg).mat)
+        rk4 = _rk4_cov(sys, p0, 0.5, substep)
+        assert np.array_equal(exact_cov(sys, p0, 0.5, substep).mat, rk4.mat)
 
 
 class TestKalmanBucyRun:
@@ -122,12 +123,6 @@ class TestKalmanBucyRun:
         b = kalman_bucy_run(SCALAR_SYS, SCALAR_MEAS, g0, rng.normal(size=(steps, 1)), h)
         for ga, gb in zip(a, b):
             assert max_abs(ga.cov.mat - gb.cov.mat) == 0.0
-
-    def test_rejects_coarse_substep(self):
-        dz = np.zeros((5, 1))
-        g0 = Gaussian([0.0], SpdMatrix(1.0))
-        with pytest.raises(ValidationError):
-            kalman_bucy_run(SCALAR_SYS, SCALAR_MEAS, g0, dz, 0.01, OdeConfig(substep=0.005))
 
     def test_riccati_monotone_from_both_sides(self):
         h, steps = 0.01, 1000
@@ -221,6 +216,30 @@ def test_reference_runs_match_substep_loop_bitwise(kind, n):
             p = 0.5 * (p + p.T)
         assert np.array_equal(out[k + 1].mean, mu)
         assert np.array_equal(out[k + 1].cov.mat, p)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize(
+    "run", [kalman_bucy_run, luenberger_run], ids=["kalman-bucy", "luenberger"]
+)
+def test_reference_run_batch_equals_one_path_runs_bitwise(run, n):
+    rng = np.random.default_rng(50 + n)
+    m = max(1, n // 2)
+    sys = random_system(rng, n)
+    meas = MeasurementModel(rng.normal(size=(m, n)), random_spd(rng, m))
+    g0 = Gaussian(rng.normal(size=n), random_spd(rng, n))
+    h, steps = 0.02, 6
+    dz = 0.1 * rng.normal(size=(3, steps, m))
+    batch = run(sys, meas, g0, dz, h)
+    singles = [run(sys, meas, g0, path, h) for path in dz]
+    assert len(batch) == steps + 1
+    for k, g in enumerate(batch):
+        assert g.mean.shape == (3, n)
+        assert np.array_equal(g.mean, np.stack([single[k].mean for single in singles]))
+        assert np.array_equal(g.cov.mat, singles[0][k].cov.mat)
+    for shape in [(1, 3, steps, m), (3, steps, m + 1), (steps, m + 1)]:
+        with pytest.raises(DimensionError):
+            run(sys, meas, g0, np.zeros(shape), h)
 
 
 class TestProxObjective:
