@@ -108,11 +108,10 @@ def main(argv=None) -> int:
         elif args.command == "compare-filters":
             _run_config_command(args, compare_filters)
         elif args.command == "lemma-checks":
-            if args.out:
-                _check_writable(args.out, args.out_json)
+            _check_writable(args.out, args.out_json)
             table = lemma_checks(args.trials, args.dims, args.seed)
+            table.write(args.out, args.out_json)
             if args.out:
-                table.write(args.out, args.out_json)
                 print(f"wrote {len(table.rows)} rows to {args.out}")
             else:
                 sys.stdout.write(table.to_csv())

@@ -105,6 +105,13 @@ def _seed(value, path: str) -> int:
     return int(value)
 
 
+def _choice(mode: dict, key: str, choices: tuple, default: str) -> str:
+    value = mode.get(key, default)
+    if value not in choices:
+        raise ConfigError(f"mode.{key}: must be one of {choices}, got {value!r}")
+    return value
+
+
 def _output_path(value, path: str) -> str | None:
     if value is not None and not isinstance(value, str):
         raise ConfigError(f"{path}: must be a string or null")
@@ -132,9 +139,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("config root must be an object")
 
     mode = _object(raw.get("mode", {}), "mode")
-    task = mode.get("task", "propagation")
-    if task not in TASKS:
-        raise ConfigError(f"mode.task: must be one of {TASKS}, got {task!r}")
+    task = _choice(mode, "task", TASKS, "propagation")
 
     sys_raw = _object(_require(raw, "system", ""), "system")
     a = _array(_require(sys_raw, "A", "system."), "system.A", 2)
@@ -180,15 +185,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if task in ("filter", "compare") and not seeds:
         raise ConfigError("seeds: at least one seed is required for filter tasks")
 
-    propagation_mode = mode.get("propagation", MODE_SYMMETRIC)
-    if propagation_mode not in (MODE_SYMMETRIC, MODE_GENERAL):
-        raise ConfigError(f"mode.propagation: unknown mode {propagation_mode!r}")
-    update_kind = mode.get("update", "lmmr")
-    if update_kind not in UPDATE_KINDS:
-        raise ConfigError(f"mode.update: must be one of {UPDATE_KINDS}")
-    predict_kind = mode.get("predict", "jko")
-    if predict_kind not in PREDICT_KINDS:
-        raise ConfigError(f"mode.predict: must be one of {PREDICT_KINDS}")
+    propagation_mode = _choice(mode, "propagation", (MODE_SYMMETRIC, MODE_GENERAL), MODE_SYMMETRIC)
+    update_kind = _choice(mode, "update", UPDATE_KINDS, "lmmr")
+    predict_kind = _choice(mode, "predict", PREDICT_KINDS, "jko")
 
     output = _object(raw.get("output", {}), "output")
     out_csv = _output_path(output.get("csv"), "output.csv")

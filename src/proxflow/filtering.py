@@ -16,20 +16,13 @@ from .errors import DimensionError, ValidationError
 from .gaussians import Gaussian, as_vectors, require_single
 from .matrices import SpdMatrix, inv_spd, matvec
 from .oracles import exact_cov, exact_mean
-from .propagation import (
-    LinearSystem,
-    StepConfig,
-    general_mean_map,
-    jko_step_general_cov,
-    jko_step_general_mean,
-    make_equipartition,
-)
+from .propagation import LinearSystem, StepConfig, general_step
 
 
 class MeasurementModel:
     """Linear observation dz = C x dt + dv with noise intensity R."""
 
-    __slots__ = ("c", "r", "rinv")
+    __slots__ = ("c", "r", "rinv", "_info")
 
     def __init__(self, c, r: SpdMatrix):
         cm = np.array(c, dtype=float)
@@ -49,6 +42,8 @@ class MeasurementModel:
         self.c = cm
         self.r = r
         self.rinv = inv_spd(r).mat
+        self._info = cm.T @ self.rinv @ cm
+        self._info.flags.writeable = False
 
     @property
     def obs_dim(self) -> int:
@@ -59,8 +54,8 @@ class MeasurementModel:
         return self.c.shape[1]
 
     def information_matrix(self) -> np.ndarray:
-        """C^T R^-1 C."""
-        return self.c.T @ self.rinv @ self.c
+        """C^T R^-1 C (read-only, formed once)."""
+        return self._info
 
 
 def _check_update_inputs(g_prior: Gaussian, meas: MeasurementModel, y, h: float):
@@ -153,8 +148,8 @@ def run_filter(
     path per seed, shape (S, steps, m); the per-step measurement is
     y_k = dz_k / h, computed internally. The covariances do not depend on the
     data, so a batch computes them once and advances S means from g0's mean,
-    each bit for bit as its one-path run. predict "jko" uses the proximal
-    mean/covariance recursions, "exact" the closed-form/ODE propagation.
+    each bit for bit as its one-path run. predict "jko" is propagate's
+    general-first-order step, "exact" the closed-form/ODE propagation.
     """
     if update not in UPDATE_KINDS:
         raise ValidationError(f"unknown update kind {update!r}")
@@ -172,19 +167,16 @@ def run_filter(
     require_single(g0)
     update_fn = _UPDATES[update]
     h = cfg.h
-    mean_map = general_mean_map(make_equipartition(sys), h) if predict == "jko" else None
+    if predict == "jko":
+        predict_step = general_step(sys, h)
+    else:
+        predict_step = lambda g: Gaussian(exact_mean(sys, g.mean, h), exact_cov(sys, g.cov, h))
     if dz.ndim == 3:
         g0 = Gaussian(np.broadcast_to(g0.mean, (dz.shape[0], sys.dim)), g0.cov)
     posteriors = [g0]
     g = g0
-    for k in range(1, cfg.steps + 1):
-        if predict == "jko":
-            prior_mean = jko_step_general_mean(g.mean, mean_map)
-            prior_cov = jko_step_general_cov(g.cov, sys, h)
-        else:
-            prior_mean = exact_mean(sys, g.mean, h)
-            prior_cov = exact_cov(sys, g.cov, h)
-        g = update_fn(Gaussian(prior_mean, prior_cov), meas, dz[..., k - 1, :] / h, h)
+    for k in range(cfg.steps):
+        g = update_fn(predict_step(g), meas, dz[..., k, :] / h, h)
         posteriors.append(g)
     return FilterRun(tuple(posteriors))
 

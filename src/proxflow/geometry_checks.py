@@ -38,10 +38,6 @@ class CheckResult:
     failures: int
     worst: float
 
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
 
 def _dims_cycle(dims, trials):
     dims = list(dims)
@@ -69,12 +65,23 @@ def check_trace_inequality(trials: int, dims, rng: np.random.Generator) -> Check
     return CheckResult("trace_inequality", trials, failures, worst)
 
 
-def check_transport_identities(trials: int, dims, rng: np.random.Generator) -> CheckResult:
-    """Push-forward moment identities of the optimal affine map, plus
-    agreement of the closed-moment transport cost with the distance."""
+def _residual_suite(name: str, trials: int, dims, rng, residual, tol: float) -> CheckResult:
+    """Run residual(rng, n) once per trial; a trial fails when its residual
+    exceeds tol, and worst is the largest residual (0.0 for zero trials)."""
     worst = 0.0
     failures = 0
     for n in _dims_cycle(dims, trials):
+        resid = residual(rng, n)
+        worst = max(worst, resid)
+        if resid > tol:
+            failures += 1
+    return CheckResult(name, trials, failures, worst)
+
+
+def check_transport_identities(trials: int, dims, rng: np.random.Generator) -> CheckResult:
+    """Push-forward moment identities of the optimal affine map, plus
+    agreement of the closed-moment transport cost with the distance."""
+    def residual(rng: np.random.Generator, n: int) -> float:
         g0 = Gaussian(rng.normal(size=n), random_spd(rng, n))
         g1 = Gaussian(rng.normal(size=n), random_spd(rng, n))
         t = transport_map(g0, g1)
@@ -85,11 +92,8 @@ def check_transport_identities(trials: int, dims, rng: np.random.Generator) -> C
         spread = (np.eye(n) - t.linear) @ g0.cov.mat @ (np.eye(n) - t.linear).T
         cost = float(shift @ shift + np.trace(spread))
         w2_resid = abs(cost - w2_gaussian(g0, g1) ** 2)
-        resid = max(mean_resid, cov_resid, w2_resid)
-        worst = max(worst, resid)
-        if resid > TRANSPORT_RESIDUAL_TOL:
-            failures += 1
-    return CheckResult("transport_map", trials, failures, worst)
+        return max(mean_resid, cov_resid, w2_resid)
+    return _residual_suite("transport_map", trials, dims, rng, residual, TRANSPORT_RESIDUAL_TOL)
 
 
 def _trace_sqrt_cross(p_mat: np.ndarray, s0: np.ndarray) -> float:
@@ -99,9 +103,7 @@ def _trace_sqrt_cross(p_mat: np.ndarray, s0: np.ndarray) -> float:
 def check_w2_gradient(trials: int, dims, rng: np.random.Generator) -> CheckResult:
     """Analytic derivative of the transport cross term against central
     finite differences over symmetric perturbations."""
-    worst = 0.0
-    failures = 0
-    for n in _dims_cycle(dims, trials):
+    def residual(rng: np.random.Generator, n: int) -> float:
         p = random_spd(rng, n)
         p0 = random_spd(rng, n)
         s0 = sqrt_spd(p0).mat
@@ -117,28 +119,22 @@ def check_w2_gradient(trials: int, dims, rng: np.random.Generator) -> CheckResul
                 fd[i, j] = fd[j, i] = (up - dn) / (2.0 * FD_STEP)
         # diagonal perturbation moves one entry, off-diagonal moves two
         analytic = 2.0 * grad - np.diag(np.diag(grad))
-        rel = max_abs(fd - analytic) / max(1.0, max_abs(analytic))
-        worst = max(worst, rel)
-        if rel > GRADIENT_REL_TOL:
-            failures += 1
-    return CheckResult("w2_gradient", trials, failures, worst)
+        return max_abs(fd - analytic) / max(1.0, max_abs(analytic))
+    return _residual_suite("w2_gradient", trials, dims, rng, residual, GRADIENT_REL_TOL)
 
 
 def check_trace_projection(trials: int, dims, rng: np.random.Generator) -> CheckResult:
     """Dilation formula for the trace-constrained projection against the
     transport distance computed from the returned Gaussian."""
-    worst = 0.0
-    failures = 0
-    for n in _dims_cycle(dims, trials):
+    def residual(rng: np.random.Generator, n: int) -> float:
         g0 = Gaussian(rng.normal(size=n), random_spd(rng, n))
         mu = rng.normal(size=n)
         tau = float(rng.uniform(0.5, 4.0) * g0.cov.trace())
         w2, g = trace_projection(g0, mu, tau)
-        resid = abs(w2 - w2_gaussian(g, g0))
-        worst = max(worst, resid)
-        if resid > PROJECTION_RESIDUAL_TOL:
-            failures += 1
-    return CheckResult("trace_projection", trials, failures, worst)
+        return abs(w2 - w2_gaussian(g, g0))
+    return _residual_suite(
+        "trace_projection", trials, dims, rng, residual, PROJECTION_RESIDUAL_TOL
+    )
 
 
 def run_all_checks(trials: int, dims, seed: int) -> list[CheckResult]:

@@ -244,6 +244,15 @@ def jko_step_general_cov(p_prev: SpdMatrix, sys: LinearSystem, h: float) -> SpdM
         ) from exc
 
 
+def general_step(sys: LinearSystem, h: float):
+    """The general-first-order step g -> (M_h mu, P + h (A P + P A^T + 2 B B^T)),
+    with M_h built once. propagate and the filter's "jko" predict both take it."""
+    mean_map = general_mean_map(make_equipartition(sys), h)
+    return lambda g: Gaussian(
+        jko_step_general_mean(g.mean, mean_map), jko_step_general_cov(g.cov, sys, h)
+    )
+
+
 MODE_SYMMETRIC = "symmetric-exact"
 MODE_GENERAL = "general-first-order"
 
@@ -260,7 +269,6 @@ def propagate(
     """
     if g0.dim != sys.dim:
         raise ValidationError(f"dimension mismatch: state {g0.dim} vs system {sys.dim}")
-    out = [(0.0, g0)]
     if mode == MODE_SYMMETRIC:
         if not is_symmetric(sys.a):
             raise ModeMismatchError(
@@ -276,18 +284,12 @@ def propagate(
                 f"deviation {max_abs(bbt - np.eye(sys.dim) / cfg.beta):.3e}"
             )
         gamma = SpdMatrix(-sys.a)
-        g = g0
-        for k in range(1, cfg.steps + 1):
-            g = jko_step_symmetric(g, gamma, cfg.beta, cfg.h)
-            out.append((k * cfg.h, g))
+        step = lambda g: jko_step_symmetric(g, gamma, cfg.beta, cfg.h)
     elif mode == MODE_GENERAL:
-        mean_map = general_mean_map(make_equipartition(sys), cfg.h)
-        g = g0
-        for k in range(1, cfg.steps + 1):
-            mean = jko_step_general_mean(g.mean, mean_map)
-            cov = jko_step_general_cov(g.cov, sys, cfg.h)
-            g = Gaussian(mean, cov)
-            out.append((k * cfg.h, g))
+        step = general_step(sys, cfg.h)
     else:
         raise ValidationError(f"unknown propagation mode {mode!r}")
+    out = [(0.0, g0)]
+    for k in range(1, cfg.steps + 1):
+        out.append((k * cfg.h, step(out[-1][1])))
     return out

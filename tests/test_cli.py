@@ -336,6 +336,23 @@ class TestExitCodes:
         assert f"cannot write {mirror}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_lemma_mirror_without_out(self, tmp_path, capsys):
+        mirror = tmp_path / "x.json"
+        argv = ["lemma-checks", "--trials", "1", "--dims", "1", "--out-json", str(mirror)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("# config_hash=") and "h,seed,metric,value" in printed
+        doc = json.loads(mirror.read_text())
+        assert len(doc["rows"]) == len(printed.splitlines()) - 3  # two comments, one header
+
+    def test_lemma_mirror_missing_dir_exits_1_before_the_run(self, tmp_path, capsys):
+        mirror = tmp_path / "missing_dir" / "x.json"
+        argv = ["lemma-checks", "--trials", "1", "--dims", "1", "--out-json", str(mirror)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"cannot write {mirror}" in captured.err
+        assert captured.out == ""  # no rows printed: the run never started
+
 
 class TestConfigParsing:
     def test_missing_field_named(self):
@@ -413,13 +430,18 @@ class TestConfigParsing:
             (("steps", "horizon"), 1e6, "steps.h"),
             (("steps", "h"), [1e-300], "steps.h"),
             (("system", "B"), [[1e300]], "system"),
+            (("mode", "task"), "estimate", "mode.task"),
+            (("mode", "propagation"), "exact", "mode.propagation"),
+            (("mode", "update"), "kalman", "mode.update"),
+            (("mode", "predict"), "euler", "mode.predict"),
         ],
         ids=[
             "mode-array", "output-null", "steps-number", "system-string",
             "measurement-string", "initial-array", "horizon-string", "horizon-null",
             "horizon-inf", "horizon-bool", "h-nan", "beta-string", "beta-nan", "beta-inf",
             "csv-bool", "csv-number", "B-no-columns", "horizon-1e300", "horizon-1e6",
-            "h-1e-300", "B-overflow",
+            "h-1e-300", "B-overflow", "task-unknown", "propagation-unknown",
+            "update-unknown", "predict-unknown",
         ],
     )
     def test_wrongly_typed_field_named(self, path, value, field):
@@ -431,6 +453,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: ") as err:
             parse_config(json.dumps(payload))
         assert path[-1] in str(err.value)
+        if path[0] == "mode" and len(path) == 2:  # a choice names the bad value
+            assert re.search(rf"must be one of \(.*\), got {re.escape(repr(value))}$",
+                             str(err.value))
 
     def test_compare_takes_one_step_size(self):
         payload = json.loads(json.dumps(COMPARE_CONFIG))

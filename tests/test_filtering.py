@@ -17,6 +17,7 @@ from proxflow import (
     jko_step_general_mean,
     lmmr_update,
     make_equipartition,
+    propagate,
     run_filter,
     simulate,
     wasserstein_update,
@@ -40,7 +41,10 @@ class TestMeasurementModel:
     def test_information_matrix(self):
         m = MeasurementModel([[1.0, 0.0]], SpdMatrix(2.0))
         want = np.array([[0.5, 0.0], [0.0, 0.0]])
-        assert max_abs(m.information_matrix() - want) < 1e-14
+        info = m.information_matrix()
+        assert max_abs(info - want) < 1e-14
+        assert not info.flags.writeable
+        assert m.information_matrix() is info  # formed once, not per update
 
 
 class TestLmmrUpdate:
@@ -236,6 +240,24 @@ class TestRunFilter:
             )
         gap = max_abs(runs["jko"].means() - runs["exact"].means())
         assert gap < 1e-3
+
+    @pytest.mark.parametrize("batch", [None, 3], ids=["one-path", "batch"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_jko_predict_is_the_general_propagation_step(self, n, batch):
+        # With C = 0 the transport update is the identity, so the posteriors
+        # are the predicts alone. The KL update cannot show this: it returns
+        # inv(inv(P)), not P.
+        sys, _, g0, rng = _dense_problem(n, 1)
+        meas = MeasurementModel(np.zeros((1, n)), random_spd(rng, 1))
+        cfg = StepConfig(h=0.02, steps=50)
+        shape = (cfg.steps, 1) if batch is None else (batch, cfg.steps, 1)
+        run = run_filter(sys, meas, g0, rng.normal(size=shape), cfg,
+                         update="wasserstein", predict="jko")
+        path = propagate(sys, g0, cfg, "general-first-order")
+        assert len(run.posteriors) == len(path) == cfg.steps + 1
+        for g, (_, want) in zip(run.posteriors, path):
+            assert np.array_equal(g.mean, np.broadcast_to(want.mean, g.mean.shape))
+            assert np.array_equal(g.cov.mat, want.cov.mat)
 
     def test_increment_length_mismatch(self):
         with pytest.raises(DimensionError):
