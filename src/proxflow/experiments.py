@@ -204,7 +204,7 @@ def lemma_checks(trials: int, dims, seed: int) -> ResultTable:
         raise ConfigError(f"trials: must be >= 1, got {trials}")
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
-        raise ConfigError(f"dims: must be positive integers, got {dims}")
+        raise ConfigError(f"dims: every entry must be a positive integer, got {dims}")
     descriptor = json.dumps({"trials": trials, "dims": list(dims), "seed": seed}, sort_keys=True)
     config_hash = hashlib.sha256(descriptor.encode("utf-8")).hexdigest()
     rows = []

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .gaussians import Gaussian, as_vectors, require_single
-from .matrices import SpdMatrix, inv_spd, matvec
+from .gaussians import Gaussian, as_vectors, batch_prior
+from .matrices import SpdMatrix, as_matrix, inv_spd, matvec, require_positive, require_same_dim
 from .oracles import exact_cov, exact_mean
 from .propagation import LinearSystem, StepConfig, general_step
 
@@ -25,19 +25,8 @@ class MeasurementModel:
     __slots__ = ("c", "r", "rinv", "_info")
 
     def __init__(self, c, r: SpdMatrix):
-        cm = np.array(c, dtype=float)
-        if cm.ndim == 0:
-            cm = cm.reshape(1, 1)
-        elif cm.ndim == 1:
-            cm = cm.reshape(1, -1)
-        if cm.ndim != 2:
-            raise ValidationError(f"C must be a matrix, got shape {cm.shape}")
-        if not np.all(np.isfinite(cm)):
-            raise ValidationError("C has non-finite entries")
-        if r.dim != cm.shape[0]:
-            raise DimensionError(
-                f"R is {r.dim}x{r.dim} but C has {cm.shape[0]} rows"
-            )
+        cm = np.array(as_matrix(c, "C"))  # own copy before freezing
+        require_same_dim("C rows and R", cm.shape[0], r.dim)
         cm.flags.writeable = False
         self.c = cm
         self.r = r
@@ -59,12 +48,8 @@ class MeasurementModel:
 
 
 def _check_update_inputs(g_prior: Gaussian, meas: MeasurementModel, y, h: float):
-    if meas.state_dim != g_prior.dim:
-        raise DimensionError(
-            f"measurement model acts on dim {meas.state_dim}, prior has dim {g_prior.dim}"
-        )
-    if not (np.isfinite(h) and h > 0.0):
-        raise ValidationError(f"step size must be positive, got {h}")
+    require_same_dim("prior and measurement model", g_prior.dim, meas.state_dim)
+    require_positive(h, "step size")
     y = as_vectors(y, dim=meas.obs_dim, name="measurement")
     if y.shape[:-1] != g_prior.mean.shape[:-1]:
         raise DimensionError(
@@ -155,24 +140,14 @@ def run_filter(
         raise ValidationError(f"unknown update kind {update!r}")
     if predict not in PREDICT_KINDS:
         raise ValidationError(f"unknown predict kind {predict!r}")
-    dz = np.asarray(dz, dtype=float)
-    if dz.ndim == 1:
-        dz = dz.reshape(-1, 1)
-    if dz.ndim not in (2, 3) or dz.shape[-2:] != (cfg.steps, meas.obs_dim):
-        raise DimensionError(
-            f"increments have shape {dz.shape}, expected ([S,] {cfg.steps}, {meas.obs_dim})"
-        )
-    if meas.state_dim != sys.dim or g0.dim != sys.dim:
-        raise DimensionError("system, measurement model, and prior dimensions disagree")
-    require_single(g0)
+    require_same_dim("system, measurement model and prior", sys.dim, meas.state_dim, g0.dim)
+    g0, dz = batch_prior(g0, dz, meas.obs_dim, cfg.steps)
     update_fn = _UPDATES[update]
     h = cfg.h
     if predict == "jko":
         predict_step = general_step(sys, h)
     else:
         predict_step = lambda g: Gaussian(exact_mean(sys, g.mean, h), exact_cov(sys, g.cov, h))
-    if dz.ndim == 3:
-        g0 = Gaussian(np.broadcast_to(g0.mean, (dz.shape[0], sys.dim)), g0.cov)
     posteriors = [g0]
     g = g0
     for k in range(cfg.steps):
@@ -204,7 +179,8 @@ def error_metrics(run: FilterRun, truth_states) -> ErrorSummary:
         raise DimensionError(
             f"truth path has shape {truth.shape}, run has {means.shape}"
         )
-    sq = np.sum((means - truth) ** 2, axis=-1)
+    with np.errstate(over="ignore"):  # ResultTable turns a non-finite error into exit 2
+        sq = np.sum((means - truth) ** 2, axis=-1)
     return ErrorSummary(
         terminal_squared=sq[..., -1],
         path_rmse=np.sqrt(np.mean(sq, axis=-1)),

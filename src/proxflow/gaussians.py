@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .matrices import SpdMatrix, inv_spd, inv_sqrt_spd, sqrt_spd
+from .matrices import (
+    SpdMatrix,
+    as_matrix,
+    inv_spd,
+    inv_sqrt_spd,
+    require_positive,
+    require_same_dim,
+    sqrt_spd,
+)
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -54,10 +62,7 @@ class Gaussian:
 
     def __post_init__(self):
         mean = np.array(as_vectors(self.mean, name="mean"))  # own copy before freezing
-        if mean.shape[-1] != self.cov.dim:
-            raise DimensionError(
-                f"mean has length {mean.shape[-1]} but covariance is {self.cov.dim}x{self.cov.dim}"
-            )
+        require_same_dim("mean and covariance", self.cov.dim, mean.shape[-1])
         mean.flags.writeable = False
         object.__setattr__(self, "mean", mean)
 
@@ -75,6 +80,25 @@ def require_single(*gs: Gaussian) -> None:
             )
 
 
+def batch_prior(g0: Gaussian, dz, obs_dim: int, steps: int | None = None):
+    """Check measurement increments dz, shape ([S,] steps, m), against one
+    prior g0; return (g0, dz), with g0's mean broadcast to (S, n) for a batch."""
+    require_single(g0)
+    dz = np.asarray(dz, dtype=float)
+    if dz.ndim == 1:
+        dz = dz.reshape(-1, 1)
+    if dz.ndim not in (2, 3) or dz.shape[-1] != obs_dim or steps not in (None, dz.shape[-2]):
+        expected = "steps" if steps is None else steps
+        raise DimensionError(
+            f"increments have shape {dz.shape}, expected ([S,] {expected}, {obs_dim})"
+        )
+    if not np.all(np.isfinite(dz)):
+        raise ValidationError("increments have non-finite entries")
+    if dz.ndim == 3:
+        g0 = Gaussian(np.broadcast_to(g0.mean, (dz.shape[0], g0.dim)), g0.cov)
+    return g0, dz
+
+
 @dataclass(frozen=True, eq=False)
 class AffineMap:
     """x -> linear @ x + offset."""
@@ -83,14 +107,9 @@ class AffineMap:
     offset: np.ndarray
 
     def __post_init__(self):
-        lin = np.array(self.linear, dtype=float)
+        lin = np.array(as_matrix(self.linear, "linear part"))  # own copy before freezing
         off = np.array(as_vector(self.offset, name="offset"))
-        if lin.ndim != 2 or lin.shape != (off.shape[0], off.shape[0]):
-            raise DimensionError(
-                f"linear part {lin.shape} inconsistent with offset length {off.shape[0]}"
-            )
-        if not np.all(np.isfinite(lin)):
-            raise ValidationError("linear part has non-finite entries")
+        require_same_dim("linear part and offset", off.shape[0], *lin.shape)
         lin.flags.writeable = False
         off.flags.writeable = False
         object.__setattr__(self, "linear", lin)
@@ -102,9 +121,7 @@ class AffineMap:
 
 def _same_dim(g1: Gaussian, g2: Gaussian) -> int:
     require_single(g1, g2)
-    if g1.dim != g2.dim:
-        raise DimensionError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
-    return g1.dim
+    return require_same_dim("density", g1.dim, g2.dim)
 
 
 def w2_gaussian(g1: Gaussian, g2: Gaussian) -> float:
@@ -158,15 +175,13 @@ def neg_entropy(g: Gaussian) -> float:
 def energy_quadratic(g: Gaussian, gamma: SpdMatrix) -> float:
     """Expected quadratic potential (mu' Gamma mu + tr(Gamma P))/2."""
     require_single(g)
-    if gamma.dim != g.dim:
-        raise DimensionError(f"dimension mismatch: {gamma.dim} vs {g.dim}")
+    require_same_dim("density and potential", g.dim, gamma.dim)
     return 0.5 * float(g.mean @ gamma.mat @ g.mean + np.trace(gamma.mat @ g.cov.mat))
 
 
 def free_energy(g: Gaussian, gamma: SpdMatrix, beta: float) -> float:
     """Quadratic energy plus beta^-1 times negative entropy."""
-    if not (np.isfinite(beta) and beta > 0.0):
-        raise ValidationError(f"beta must be a positive finite scalar, got {beta}")
+    require_positive(beta, "beta")
     return energy_quadratic(g, gamma) + neg_entropy(g) / beta
 
 
@@ -176,15 +191,9 @@ def phi_expectation(g: Gaussian, c, rinv: SpdMatrix, y) -> float:
     Takes the inverse noise covariance directly.
     """
     require_single(g)
-    cm = np.asarray(c, dtype=float)
-    if cm.ndim == 0:
-        cm = cm.reshape(1, 1)
-    if cm.ndim != 2 or cm.shape[1] != g.dim:
-        raise DimensionError(f"observation matrix {cm.shape} does not act on dim {g.dim}")
-    if rinv.dim != cm.shape[0]:
-        raise DimensionError(
-            f"inverse noise covariance is {rinv.dim}x{rinv.dim}, expected {cm.shape[0]}"
-        )
+    cm = as_matrix(c, "observation matrix")
+    require_same_dim("density and observation matrix", g.dim, cm.shape[1])
+    require_same_dim("observation matrix and inverse noise covariance", cm.shape[0], rinv.dim)
     yv = as_vector(y, dim=cm.shape[0], name="measurement")
     resid = yv - cm @ g.mean
     spread = np.trace(rinv.mat @ cm @ g.cov.mat @ cm.T)
@@ -197,8 +206,7 @@ def grad_w2_cross(p: SpdMatrix, p0: SpdMatrix) -> np.ndarray:
     Equals P0^(1/2) (P0^(-1/2) P^-1 P0^(-1/2))^(1/2) P0^(1/2) / 2; defined on
     the symmetric cone, returned as a plain symmetric array.
     """
-    if p.dim != p0.dim:
-        raise DimensionError(f"dimension mismatch: {p.dim} vs {p0.dim}")
+    require_same_dim("covariance", p.dim, p0.dim)
     s0 = sqrt_spd(p0).mat
     i0 = inv_sqrt_spd(p0).mat
     mid = sqrt_spd(SpdMatrix(i0 @ inv_spd(p).mat @ i0)).mat
@@ -214,8 +222,7 @@ def trace_projection(g0: Gaussian, mu, tau: float) -> tuple[float, Gaussian]:
     Returns (w2, minimizer).
     """
     require_single(g0)
-    if not (np.isfinite(tau) and tau > 0.0):
-        raise ValidationError(f"target trace must be positive, got {tau}")
+    require_positive(tau, "target trace")
     mu_v = as_vector(mu, dim=g0.dim, name="target mean")
     tau0 = g0.cov.trace()
     g = Gaussian(mu_v, SpdMatrix((tau / tau0) * g0.cov.mat))

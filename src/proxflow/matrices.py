@@ -14,6 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    DimensionError,
     NumericFailure,
     SingularityError,
     StabilityError,
@@ -32,17 +33,40 @@ _EIGENVECTORS_1X1 = np.ones((1, 1))
 _EIGENVECTORS_1X1.setflags(write=False)
 
 
-def as_square(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite square float array (scalars become 1x1)."""
+def require_positive(x, name: str, zero_ok: bool = False) -> float:
+    """x as a float, rejecting non-finite values and x <= 0 (x < 0 when zero_ok)."""
+    if not (math.isfinite(x) and (x > 0.0 or (zero_ok and x == 0.0))):
+        kind = "nonnegative" if zero_ok else "positive"
+        raise ValidationError(f"{name} must be {kind} and finite, got {x}")
+    return float(x)
+
+
+def require_same_dim(what: str, dim: int, *others: int) -> int:
+    """dim, after checking that every other dimension equals it."""
+    for other in others:
+        if other != dim:
+            dims = " vs ".join(str(d) for d in (dim, *others))
+            raise DimensionError(f"{what} dimensions disagree: {dims}")
+    return dim
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite 2-D float array (a scalar becomes 1x1)."""
     m = np.asarray(a, dtype=float)
     if m.ndim == 0:
         m = m.reshape(1, 1)
-    elif m.ndim == 1 and m.size == 1:
-        m = m.reshape(1, 1)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {m.shape}")
+    if m.ndim != 2:
+        raise DimensionError(f"{name} must be a matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} has non-finite entries")
+    return m
+
+
+def as_square(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite square float array (a scalar becomes 1x1)."""
+    m = as_matrix(a, name)
+    if m.shape[0] != m.shape[1]:
+        raise ValidationError(f"{name} must be square, got shape {m.shape}")
     return m
 
 
@@ -203,8 +227,7 @@ def lyapunov_solve(a, qrhs) -> np.ndarray:
     """
     m = require_hurwitz(a, "A")
     q = symmetrize(qrhs, "Qrhs")
-    if q.shape != m.shape:
-        raise ValidationError(f"shape mismatch: A {m.shape} vs Qrhs {q.shape}")
+    require_same_dim("A and Qrhs", m.shape[0], q.shape[0])
     wq = np.linalg.eigvalsh(q)
     if wq[0] < -SYMMETRY_RTOL * (1.0 + abs(wq[-1])):
         raise ValidationError(f"Qrhs is not positive semidefinite: min eig {wq[0]:.3e}")
@@ -225,8 +248,7 @@ def quadratic_matrix_solve(c: float, rhs: SpdMatrix) -> SpdMatrix:
     Closed form Z = (c/2)(-I + (I + (4/c) Rhs)^(1/2)), evaluated on the
     eigenbasis of Rhs so Z commutes with Rhs exactly.
     """
-    if not (np.isfinite(c) and c > 0.0):
-        raise ValidationError(f"coefficient must be a positive finite scalar, got {c}")
+    require_positive(c, "coefficient")
     return rhs._map(lambda w: 0.5 * c * (np.sqrt(1.0 + 4.0 * w / c) - 1.0))
 
 

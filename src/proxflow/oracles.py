@@ -14,18 +14,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, OracleFailure, ValidationError
+from .errors import OracleFailure, ValidationError
 from .gaussians import (
     Gaussian,
     as_vector,
     as_vectors,
+    batch_prior,
     free_energy,
     kl_gaussian,
     phi_expectation,
-    require_single,
     w2_gaussian,
 )
-from .matrices import SpdMatrix, expm, inv_spd, is_isotropic, is_symmetric, matvec
+from .matrices import (
+    SpdMatrix,
+    as_matrix,
+    expm,
+    inv_spd,
+    is_isotropic,
+    is_symmetric,
+    matvec,
+    require_positive,
+    require_same_dim,
+)
 from .propagation import LinearSystem
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -77,12 +87,10 @@ def exact_cov(
     closed form is used; otherwise the covariance ODE is integrated with
     fixed-substep RK4 (default substep min(1e-3, t/10)).
     """
-    if p0.dim != sys.dim:
-        raise DimensionError(f"dimension mismatch: {p0.dim} vs {sys.dim}")
-    if t < 0.0 or not np.isfinite(t):
-        raise ValidationError(f"time must be nonnegative and finite, got {t}")
-    if substep is not None and not (np.isfinite(substep) and substep > 0.0):
-        raise ValidationError(f"substep must be positive, got {substep}")
+    require_same_dim("covariance and system", sys.dim, p0.dim)
+    require_positive(t, "time", zero_ok=True)
+    if substep is not None:
+        require_positive(substep, "substep")
     if t == 0.0:
         return p0
     iso = _isotropic_level(sys)
@@ -111,35 +119,20 @@ def _rk4_cov(sys: LinearSystem, p0: SpdMatrix, t: float, substep: float) -> SpdM
     return SpdMatrix(0.5 * (final + final.T))
 
 
-def _check_run_inputs(sys, meas, g0, dz, h):
-    dz = np.asarray(dz, dtype=float)
-    if dz.ndim == 1:
-        dz = dz.reshape(-1, 1)
-    if dz.ndim not in (2, 3) or dz.shape[-1] != meas.obs_dim:
-        raise DimensionError(
-            f"increments have shape {dz.shape}, expected ([S,] steps, {meas.obs_dim})"
-        )
-    if meas.state_dim != sys.dim or g0.dim != sys.dim:
-        raise DimensionError("system, measurement model, and prior dimensions disagree")
-    require_single(g0)
-    if not (np.isfinite(h) and h > 0.0):
-        raise ValidationError(f"step size must be positive, got {h}")
-    return dz
-
-
 def _observer_run(sys, meas, g0, dz, h, gain_of, rate) -> list[Gaussian]:
-    """Shared substep loop of the two reference runs. Per substep: an Euler
-    mean step with the gain from the pre-step covariance, gain_of(P), against
-    the piecewise-constant data rate dz_k / h; an RK4 covariance step of
-    P' = rate(P); symmetrization. dz is (steps, m), or (S, steps, m) for S
-    paths that share the covariance path. The means are held as columns,
-    (n, 1) or (S, n, 1), so a batch does each seed's arithmetic as its
-    one-path run does. Returns the filter state at the interval boundaries
-    (length steps + 1), with means (n,) or (S, n)."""
+    """Shared input checks and substep loop of the two reference runs. Per
+    substep: an Euler mean step with the gain from the pre-step covariance,
+    gain_of(P), against the piecewise-constant data rate dz_k / h; an RK4
+    covariance step of P' = rate(P); symmetrization. dz is (steps, m), or
+    (S, steps, m) for S paths that share the covariance path. The means are
+    held as columns, (n, 1) or (S, n, 1), so a batch does each seed's
+    arithmetic as its one-path run does. Returns the filter state at the
+    interval boundaries (length steps + 1), with means (n,) or (S, n)."""
+    require_same_dim("system, measurement model and prior", sys.dim, meas.state_dim, g0.dim)
+    require_positive(h, "step size")
+    g0, dz = batch_prior(g0, dz, meas.obs_dim)
     dt = h / REFERENCE_SUBSTEPS
     c = meas.c
-    if dz.ndim == 3:
-        g0 = Gaussian(np.broadcast_to(g0.mean, (dz.shape[0], sys.dim)), g0.cov)
     mu = g0.mean[..., None]
     p = g0.cov.mat.copy()
     out = [g0]
@@ -161,7 +154,6 @@ def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> list
     P' = A P + P A^T + 2 B B^T - P C^T R^-1 C P; the mean uses the gain
     K = P C^T R^-1. Returns the states at the interval boundaries.
     """
-    dz = _check_run_inputs(sys, meas, g0, dz, h)
     forcing = sys.diffusion()
     ct_rinv = meas.c.T @ meas.rinv
 
@@ -181,7 +173,6 @@ def luenberger_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> list[
     The covariance follows the Lyapunov ODE
     P' = (A - L C) P + P (A - L C)^T + 2 B B^T, decoupled from the gain.
     """
-    dz = _check_run_inputs(sys, meas, g0, dz, h)
     forcing = sys.diffusion()
     gain = meas.c.T @ meas.rinv
     closed = sys.a - gain @ meas.c
@@ -217,16 +208,14 @@ class ProxObjective:
         if self.kind == KIND_JKO:
             if self.gamma is None or self.beta is None:
                 raise ValidationError("jko-free-energy objective needs gamma and beta")
-            if self.gamma.dim != self.anchor.dim:
-                raise DimensionError("potential dimension does not match the anchor")
+            require_same_dim("anchor and potential", self.anchor.dim, self.gamma.dim)
+            require_positive(self.beta, "beta")
         elif self.kind in (KIND_LMMR, KIND_WFILTER):
             if self.c is None or self.r is None or self.y is None:
                 raise ValidationError(f"{self.kind} objective needs c, r, and y")
-            c = np.asarray(self.c, dtype=float)
-            if c.ndim == 0:
-                c = c.reshape(1, 1)
-            if c.shape[1] != self.anchor.dim or c.shape[0] != self.r.dim:
-                raise DimensionError("observation shapes are inconsistent")
+            c = as_matrix(self.c, "c")
+            require_same_dim("anchor and observation matrix", self.anchor.dim, c.shape[1])
+            require_same_dim("observation matrix and R", c.shape[0], self.r.dim)
             object.__setattr__(self, "c", c)
             object.__setattr__(self, "y", as_vector(self.y, dim=c.shape[0], name="y"))
         else:
@@ -368,8 +357,7 @@ def brute_force_prox(obj: ProxObjective, h: float) -> tuple[Gaussian, float]:
     numeric gradients and backtracking. Raises OracleFailure rather than
     returning a dubious minimizer.
     """
-    if not (np.isfinite(h) and h >= 0.0):
-        raise ValidationError(f"step size must be nonnegative, got {h}")
+    require_positive(h, "step size", zero_ok=True)
     if h == 0.0:
         return obj.anchor, 0.0
     if obj.anchor.dim == 1:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     ControllabilityError,
+    DimensionError,
     ModeMismatchError,
     SingularityError,
     StepSizeError,
@@ -28,6 +29,7 @@ from .errors import (
 from .gaussians import Gaussian, as_vectors, require_single
 from .matrices import (
     SpdMatrix,
+    as_matrix,
     as_square,
     expm,
     inv_sqrt_spd,
@@ -38,6 +40,8 @@ from .matrices import (
     max_abs,
     quadratic_matrix_solve,
     require_hurwitz,
+    require_positive,
+    require_same_dim,
     sqrt_spd,
     sym_skew_split,
 )
@@ -64,18 +68,13 @@ class LinearSystem:
 
     def __init__(self, a, b):
         a = np.array(require_hurwitz(as_square(a, "A")))  # own copy before freezing
-        bm = np.array(b, dtype=float)
-        if bm.ndim == 0:
-            bm = bm.reshape(1, 1)
-        elif bm.ndim == 1:
-            bm = bm.reshape(-1, 1)
-        if bm.ndim != 2 or bm.shape[0] != a.shape[0] or bm.shape[1] == 0:
-            raise ValidationError(
+        bm = np.array(as_matrix(b, "B"))
+        if bm.shape[0] != a.shape[0] or bm.shape[1] == 0:
+            raise DimensionError(
                 f"B must have {a.shape[0]} rows and a column, got shape {bm.shape}"
             )
-        if not np.all(np.isfinite(bm)):
-            raise ValidationError("B has non-finite entries")
-        diffusion = 2.0 * bm @ bm.T
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            diffusion = 2.0 * bm @ bm.T
         if not np.all(np.isfinite(diffusion)):
             raise ValidationError("B is too large: the diffusion 2 B B^T overflows")
         sv = np.linalg.svd(controllability_matrix(a, bm), compute_uv=False)
@@ -112,13 +111,11 @@ class StepConfig:
     beta: float | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.h) and self.h > 0.0):
-            raise ValidationError(f"step size must be positive, got {self.h}")
+        object.__setattr__(self, "h", require_positive(self.h, "step size"))
         if int(self.steps) != self.steps or self.steps < 0:
             raise ValidationError(f"step count must be a nonnegative integer, got {self.steps}")
-        if self.beta is not None and not (np.isfinite(self.beta) and self.beta > 0.0):
-            raise ValidationError(f"beta must be positive when given, got {self.beta}")
-        object.__setattr__(self, "h", float(self.h))
+        if self.beta is not None:
+            require_positive(self.beta, "beta")
         object.__setattr__(self, "steps", int(self.steps))
 
 
@@ -186,15 +183,9 @@ def jko_step_symmetric(
     is an exact fixed point.
     """
     require_single(g_prev)
-    if gamma.dim != g_prev.dim:
-        raise ValidationError(
-            f"dimension mismatch: state {g_prev.dim} vs potential {gamma.dim}"
-        )
-    if not (np.isfinite(beta) and beta > 0.0):
-        raise ValidationError(f"beta must be positive, got {beta}")
-    if not (np.isfinite(h) and h > 0.0):
-        raise ValidationError(f"step size must be positive, got {h}")
-    n = g_prev.dim
+    n = require_same_dim("state and potential", g_prev.dim, gamma.dim)
+    require_positive(beta, "beta")
+    require_positive(h, "step size")
     shifted = np.eye(n) + h * gamma.mat
     mean = np.linalg.solve(shifted, g_prev.mean)
     p0_isqrt = inv_sqrt_spd(g_prev.cov).mat
@@ -215,8 +206,7 @@ def general_mean_map(frame: EquipartitionFrame, h: float) -> np.ndarray:
     since A_sym <= 0, so the solve never degenerates. M_h agrees with
     I + h A to first order.
     """
-    if not (np.isfinite(h) and h > 0.0):
-        raise ValidationError(f"step size must be positive, got {h}")
+    require_positive(h, "step size")
     n = frame.pinf.dim
     step = np.linalg.solve(np.eye(n) - h * frame.a_ep_sym, expm(frame.a_ep_skew, h))
     return frame.pinf_sqrt @ step @ frame.pinf_inv_sqrt
@@ -230,10 +220,8 @@ def jko_step_general_mean(mu_prev, mean_map: np.ndarray) -> np.ndarray:
 
 def jko_step_general_cov(p_prev: SpdMatrix, sys: LinearSystem, h: float) -> SpdMatrix:
     """First-order covariance recursion P + h (A P + P A^T + 2 B B^T)."""
-    if p_prev.dim != sys.dim:
-        raise ValidationError(f"dimension mismatch: {p_prev.dim} vs {sys.dim}")
-    if not (np.isfinite(h) and h >= 0.0):
-        raise ValidationError(f"step size must be nonnegative, got {h}")
+    require_same_dim("covariance and system", sys.dim, p_prev.dim)
+    require_positive(h, "step size", zero_ok=True)
     p = p_prev.mat
     nxt = p + h * (sys.a @ p + p @ sys.a.T + sys.diffusion())
     try:
@@ -267,8 +255,7 @@ def propagate(
     "general-first-order" uses the equipartition-frame mean recursion and the
     first-order covariance recursion.
     """
-    if g0.dim != sys.dim:
-        raise ValidationError(f"dimension mismatch: state {g0.dim} vs system {sys.dim}")
+    require_same_dim("state and system", sys.dim, g0.dim)
     if mode == MODE_SYMMETRIC:
         if not is_symmetric(sys.a):
             raise ModeMismatchError(

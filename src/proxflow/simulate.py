@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError
 from .filtering import MeasurementModel
 from .gaussians import Gaussian, as_vector, require_single
-from .matrices import matvec, sqrt_spd
+from .matrices import matvec, require_same_dim, sqrt_spd
 from .propagation import LinearSystem, StepConfig
 from .rng import GaussianStream
 
@@ -58,8 +58,7 @@ def simulate(
     then per step p process draws and m measurement draws. Only the state
     recursion loops, over all seeds at once.
     """
-    if meas.state_dim != sys.dim:
-        raise DimensionError("system and measurement model dimensions disagree")
+    require_same_dim("system and measurement model", sys.dim, meas.state_dim)
     seeds = [seed] if np.ndim(seed) == 0 else list(seed)
     if not seeds:
         raise ValidationError("seeds must not be empty")
@@ -67,8 +66,7 @@ def simulate(
     m = meas.obs_dim
     lead = 0
     if isinstance(x0, Gaussian):
-        if x0.dim != sys.dim:
-            raise DimensionError("initial Gaussian dimension does not match the system")
+        require_same_dim("system and initial Gaussian", sys.dim, x0.dim)
         require_single(x0)
         lead = sys.dim
     else:

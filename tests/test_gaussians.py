@@ -220,6 +220,10 @@ class TestPhiExpectation:
         with pytest.raises(DimensionError):
             phi_expectation(g, np.ones((2, 2)), SpdMatrix(np.eye(2)), [1.0, 1.0])
 
+    def test_rejects_non_finite_observation_matrix(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            phi_expectation(scalar_gaussian(0, 1), [[math.inf]], SpdMatrix(1.0), [1.0])
+
 
 class TestGradW2Cross:
     def test_scalar_calculus(self):

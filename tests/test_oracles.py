@@ -252,6 +252,17 @@ class TestProxObjective:
         with pytest.raises(ValidationError):
             ProxObjective("heat-flow", anchor)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_positive_beta(self, beta):
+        anchor = Gaussian([0.0], SpdMatrix(1.0))
+        with pytest.raises(ValidationError, match="beta must be positive"):
+            ProxObjective("jko-free-energy", anchor, gamma=SpdMatrix(1.0), beta=beta)
+
+    def test_rejects_non_finite_observation_matrix(self):
+        anchor = Gaussian([0.0], SpdMatrix(1.0))
+        with pytest.raises(ValidationError, match="non-finite"):
+            ProxObjective("lmmr-kl", anchor, c=[[math.nan]], r=SpdMatrix(1.0), y=[0.0])
+
 
 class TestBruteForceProx:
     def test_zero_step_returns_anchor(self):
