@@ -20,7 +20,7 @@ from .propagation import MODE_GENERAL, MODE_SYMMETRIC, LinearSystem
 
 TASKS = ("propagation", "filter", "compare")
 MAX_STEPS = 10**6
-SEED_LIMIT = 2**64  # SplitMix64 keeps a seed's low 64 bits only
+SEED_LIMIT = 2**64  # the generator keeps a seed's low 64 bits only
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +182,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(seeds, list):
         raise ConfigError("seeds: must be a list of integers")
     seeds = tuple(_seed(seed, f"seeds[{i}]") for i, seed in enumerate(seeds))
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds: seeds must be distinct")
     if task in ("filter", "compare") and not seeds:
         raise ConfigError("seeds: at least one seed is required for filter tasks")
 

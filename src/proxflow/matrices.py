@@ -115,7 +115,7 @@ class SpdMatrix:
 
     def __init__(self, mat):
         m = np.asarray(mat, dtype=float)
-        if m.ndim <= 2 and m.size == 1:  # scalar fast path: symmetrize's checks in one pass
+        if m.ndim == 0 or m.shape == (1, 1):  # scalar fast path: symmetrize's checks in one pass
             x = m.item()
             if not math.isfinite(x):
                 raise ValidationError("SPD matrix has non-finite entries")

@@ -66,6 +66,7 @@ def exact_mean(sys: LinearSystem, mu0, t: float) -> np.ndarray:
     """Mean of the state at time t: e^(A t) mu0, for one mean (n,) or a
     batch (S, n)."""
     mu = as_vectors(mu0, dim=sys.dim, name="initial mean")
+    require_positive(t, "time", zero_ok=True)
     if t == 0.0:
         return mu.copy()
     return matvec(expm(sys.a, t), mu)

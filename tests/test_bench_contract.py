@@ -10,9 +10,7 @@ Every call goes through a proxflow module attribute: a name imported into
 this module is not rebound by the tracer.
 """
 
-import importlib.util
 import json
-import pathlib
 
 import numpy as np
 
@@ -21,15 +19,7 @@ import proxflow.cli
 import proxflow.config
 import proxflow.filtering
 import proxflow.propagation
-
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from support import load_bench_module
 
 
 def _scalar_config(tmp_path, name, h, horizon, mode):
@@ -61,7 +51,7 @@ def _dense_config(tmp_path):
 
 
 def test_every_workload_records_its_required_spans(tmp_path):
-    tracing = _load_tracing()
+    tracing = load_bench_module("tracing")
     compare = _scalar_config(tmp_path, "compare", [0.02], 0.2,
                              {"task": "compare", "predict": "jko"})
     converge = _scalar_config(tmp_path, "converge", [0.02, 0.01], 0.1,

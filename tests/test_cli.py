@@ -394,7 +394,7 @@ class TestConfigParsing:
             cfg = write_config(tmp_path, payload)
             assert main(["converge-filter", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
             assert "seeds[0]" in capsys.readouterr().err
-        # SplitMix64 keeps 64 bits, so 5 + 2**64 and -5 would alias 5 and 2**64 - 5
+        # the generator keeps 64 bits, so 5 + 2**64 and -5 would alias 5 and 2**64 - 5
         cfg = write_config(tmp_path, FILTER_CONFIG)
         for seed in ("-5", str(5 + 2**64), "z"):
             for command in ("converge-filter", "lemma-checks"):
@@ -434,6 +434,7 @@ class TestConfigParsing:
             (("mode", "propagation"), "exact", "mode.propagation"),
             (("mode", "update"), "kalman", "mode.update"),
             (("mode", "predict"), "euler", "mode.predict"),
+            (("seeds",), [5, 5], "seeds"),
         ],
         ids=[
             "mode-array", "output-null", "steps-number", "system-string",
@@ -441,7 +442,7 @@ class TestConfigParsing:
             "horizon-inf", "horizon-bool", "h-nan", "beta-string", "beta-nan", "beta-inf",
             "csv-bool", "csv-number", "B-no-columns", "horizon-1e300", "horizon-1e6",
             "h-1e-300", "B-overflow", "task-unknown", "propagation-unknown",
-            "update-unknown", "predict-unknown",
+            "update-unknown", "predict-unknown", "seeds-repeated",
         ],
     )
     def test_wrongly_typed_field_named(self, path, value, field):
@@ -498,7 +499,8 @@ def test_bundled_propagation_tables_reproduce(tmp_path, command, config, name):
         inputs = ["--trials", "1000", "--dims", "1-5", "--seed", "0"]
     else:
         inputs = ["--config", str(REPO / "scripts" / "configs" / f"{config}.json")]
-    argv = [command, *inputs, "--out", str(out), "--out-json", str(tmp_path / f"{name}.json")]
+    mirror = tmp_path / f"{name}.json"
+    argv = [command, *inputs, "--out", str(out), "--out-json", str(mirror)]
     assert main(argv) == 0
     got_comments, got_rows = read_rows(out)
     want_comments, want_rows = read_rows(REPO / "results" / f"{name}.csv")
@@ -506,6 +508,20 @@ def test_bundled_propagation_tables_reproduce(tmp_path, command, config, name):
     assert [row[:3] for row in got_rows] == [row[:3] for row in want_rows]
     for got, want in zip(got_rows, want_rows):
         assert got[3] == pytest.approx(want[3], rel=1e-9, abs=0.0)
+    tracked = REPO / "results" / f"{name}.json"
+    if tracked.exists():
+        got, want = json.loads(mirror.read_text()), json.loads(tracked.read_text())
+        for key in ("config_hash", "tool_version"):
+            assert got[key] == want[key]
+        got_values, want_values = _json_values(got), _json_values(want)
+        assert got_values.keys() == want_values.keys()
+        for key, value in want_values.items():
+            assert got_values[key] == pytest.approx(value, rel=1e-9, abs=0.0)
+
+
+def _json_values(doc):
+    """A JSON mirror's rows as {(h, seed, metric): value}."""
+    return {(row["h"], row["seed"], row["metric"]): row["value"] for row in doc["rows"]}
 
 
 _MUTATED = [

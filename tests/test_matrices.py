@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxflow import (
+    DimensionError,
     NumericFailure,
     SingularityError,
     SpdMatrix,
@@ -66,13 +67,16 @@ _FLOOR = "matrix is not positive definite within the floor: eigenvalues in "
     ids=["nan", "inf", "-inf", "zero", "negative", "1e-13", "1e308"],
 )
 def test_scalar_spd_errors(shape, value, error, message):
-    """The one-pass 1x1 checks raise what the general path always raised."""
+    """The one-pass 1x1 checks raise what the general path always raised; a
+    1-element vector is not a matrix, whatever its value."""
+    if shape == (1,):
+        error, message = DimensionError, "SPD matrix must be a matrix, got shape (1,)"
     with pytest.raises(error) as exc:
         SpdMatrix(np.full(shape, value))
     assert type(exc.value) is error and str(exc.value) == message
 
 
-@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+@pytest.mark.parametrize("shape", [(), (1, 1)], ids=["shape0", "shape2"])
 def test_scalar_spd_accepts(shape):
     p = SpdMatrix(np.full(shape, 2.5))
     for arr, want in ((p.mat, [[2.5]]), (p.eigenvalues, [2.5]), (p.eigenvectors, [[1.0]])):

@@ -41,6 +41,12 @@ class TestExactMean:
     def test_zero_state(self):
         assert max_abs(exact_mean(SCALAR_SYS, [0.0], 1.7)) == 0.0
 
+    @pytest.mark.parametrize("t", [-2.0, math.nan, math.inf])
+    def test_time_must_be_nonnegative_and_finite(self, t):
+        # as exact_cov: a negative time would run the state backwards
+        with pytest.raises(ValidationError, match="time must be nonnegative and finite"):
+            exact_mean(SCALAR_SYS, [1.0], t)
+
 
 class TestExactCov:
     def test_time_zero(self):

@@ -70,6 +70,7 @@ ONE_DIMENSIONAL = {
     "B": lambda: LinearSystem(-np.eye(2), np.ones(2)),
     "C": lambda: MeasurementModel(np.ones(2), SpdMatrix(1.0)),
     "square": lambda: expm(np.array([0.5])),
+    "spd": lambda: SpdMatrix(np.array([2.0])),
 }
 
 

@@ -12,7 +12,6 @@ from proxflow import (
     MeasurementModel,
     SimPath,
     SpdMatrix,
-    SplitMix64,
     StepConfig,
     ValidationError,
     coarsen,
@@ -21,30 +20,17 @@ from proxflow import (
     sqrt_spd,
 )
 from proxflow.rng import _GAMMA
-from support import random_spd, random_system
+from support import load_bench_module, random_spd, random_system
+
+# An independent plain-float generator: the stream's normals, one at a time.
+_normals = load_bench_module("reference")._normals
 
 SCALAR_SYS = LinearSystem([[-1.0]], [[1.0]])
 SCALAR_MEAS = MeasurementModel([[1.0]], SpdMatrix(1.0))
 
 
-class TestSplitMix64:
-    def test_deterministic_stream(self):
-        a = SplitMix64(1234)
-        b = SplitMix64(1234)
-        assert [a.next_uint64() for _ in range(5)] == [b.next_uint64() for _ in range(5)]
-
-    def test_seeds_differ(self):
-        a = SplitMix64(1)
-        b = SplitMix64(2)
-        assert [a.next_uint64() for _ in range(4)] != [b.next_uint64() for _ in range(4)]
-
-    @given(st.integers(min_value=0, max_value=2**64 - 1))
-    @settings(deadline=None, max_examples=50)
-    def test_uniforms_in_unit_interval(self, seed):
-        rng = SplitMix64(seed)
-        for _ in range(20):
-            u = rng.next_uniform()
-            assert 0.0 <= u < 1.0
+def _reference(seed, count):
+    return np.fromiter(_normals(seed), float, count)
 
 
 class TestGaussianStream:
@@ -57,26 +43,33 @@ class TestGaussianStream:
     def test_reproducible(self):
         assert np.array_equal(GaussianStream(5).draw(100), GaussianStream(5).draw(100))
 
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(deadline=None, max_examples=50)
+    def test_uniforms_in_unit_interval(self, seed):
+        u = GaussianStream(seed)._uniforms(20)
+        assert ((0.0 <= u) & (u < 1.0)).all()
+
     @pytest.mark.parametrize("seed", [0, 17, 2**63 + 5, 2**64 - 1])
     def test_block_draw_matches_scalar_stream(self, seed):
-        # In sequence, so the spare normal of an odd count carries to the next call.
-        block, scalar = GaussianStream(seed), GaussianStream(seed)
-        for count in (0, 1, 5, 4, 7, 1000):
-            want = np.array([scalar.next_normal() for _ in range(count)], dtype=float)
-            assert block.draw(count).tobytes() == want.tobytes()
+        for count in (0, 1, 5, 4, 7, 1000):  # fresh streams, as simulate draws
+            assert GaussianStream(seed).draw(count).tobytes() == _reference(seed, count).tobytes()
+
+    def test_each_draw_starts_a_pair(self):
+        # draw(5) takes three pairs and drops the third sine, normal 5.
+        stream, want = GaussianStream(17), _reference(17, 7)
+        assert stream.draw(5).tobytes() == want[0:5].tobytes()
+        assert stream.draw(1).tobytes() == want[6:7].tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 9])
     def test_zero_uniform_rejection_matches_scalar_stream(self, k):
         # Uniform k is mix(seed + k gamma), and mix(0) = 0: seed -k gamma makes
         # uniform k exactly 0, a rejected u1 for odd k and a kept u2 for even k;
-        # k = 5, 6 and 9 fall in the second call.
+        # k = 5, 6 and 9 fall in the second call, which starts after two pairs.
         seed = (-k * _GAMMA) % 2**64
-        uniforms = SplitMix64(seed)
-        assert [uniforms.next_uniform() for _ in range(k)][-1] == 0.0
-        block, scalar = GaussianStream(seed), GaussianStream(seed)
-        for count in (3, 8):
-            want = np.array([scalar.next_normal() for _ in range(count)])
-            assert block.draw(count).tobytes() == want.tobytes()
+        assert GaussianStream(seed)._uniforms(k)[-1] == 0.0
+        stream, want = GaussianStream(seed), _reference(seed, 12)
+        assert stream.draw(3).tobytes() == want[0:3].tobytes()
+        assert stream.draw(8).tobytes() == want[4:12].tobytes()
 
 
 class TestSimulate:
@@ -131,18 +124,22 @@ class TestSimulate:
 
 
 def _stepwise_simulate(sys, meas, x0, cfg, seed, process_scale, measurement_scale):
-    """The recursion one step at a time, drawing per step on the stream."""
-    stream = GaussianStream(seed)
+    """The recursion one step at a time, drawing per step from the reference stream."""
+    normals = _normals(seed)
+
+    def draw(count):
+        return np.fromiter(normals, float, count)
+
     if isinstance(x0, Gaussian):
-        x = x0.mean + sqrt_spd(x0.cov).mat @ stream.draw(sys.dim)
+        x = x0.mean + sqrt_spd(x0.cov).mat @ draw(sys.dim)
     else:
         x = np.array(x0, dtype=float)
     h = cfg.h
     r_half = sqrt_spd(meas.r).mat
     states, increments = [x], []
     for _ in range(cfg.steps):
-        xi = stream.draw(sys.noise_dim)
-        eta = stream.draw(meas.obs_dim)
+        xi = draw(sys.noise_dim)
+        eta = draw(meas.obs_dim)
         increments.append(h * (meas.c @ x) + measurement_scale * np.sqrt(h) * (r_half @ eta))
         x = x + h * (sys.a @ x) + process_scale * np.sqrt(2.0 * h) * (sys.b @ xi)
         states.append(x)
