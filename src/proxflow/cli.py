@@ -17,7 +17,13 @@ import sys
 from . import __version__
 from .config import SEED_LIMIT, load_config
 from .errors import ProxflowError, ValidationError
-from .experiments import compare_filters, converge_filter, converge_propagation, lemma_checks
+from .experiments import (
+    MAX_DIM,
+    compare_filters,
+    converge_filter,
+    converge_propagation,
+    lemma_checks,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -25,10 +31,12 @@ EXIT_NUMERIC = 2
 
 
 def _parse_dims(text: str):
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(d) for d in text.split(","))
+    """'lo-hi' or 'a,b,c'; a bound above MAX_DIM is refused before any range is built."""
+    is_range = "-" in text
+    values = [int(d) for d in (text.split("-", 1) if is_range else text.split(","))]
+    if max(values) > MAX_DIM:
+        raise argparse.ArgumentTypeError(f"each dimension must be at most {MAX_DIM}")
+    return tuple(range(values[0], values[1] + 1)) if is_range else tuple(values)
 
 
 def seed(text: str) -> int:
@@ -68,15 +76,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_writable(*paths) -> None:
+def _check_writable(*paths, config=None) -> None:
     """Reject an output path before any work runs, so a bad path leaves no
-    partial results behind; ResultTable.write still reports a later failure."""
+    partial results behind; ResultTable.write still reports a later failure.
+    The outputs and the config must be different files."""
+    taken = {os.path.realpath(config): config} if config else {}
     for path in filter(None, paths):
         parent = os.path.dirname(path) or "."
         if os.path.isdir(path) or not os.path.isdir(parent):
             raise ValidationError(f"cannot write {path}: not a file in an existing directory")
         if not os.access(path if os.path.exists(path) else parent, os.W_OK):
             raise ValidationError(f"cannot write {path}: permission denied")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ValidationError(f"cannot write {path}: same file as {taken[real]}")
+        taken[real] = path
 
 
 def _run_config_command(args, runner):
@@ -87,7 +101,7 @@ def _run_config_command(args, runner):
     json_path = args.out_json or cfg.out_json
     if not csv_path:
         raise ValidationError("no output path: pass --out or set output.csv in the config")
-    _check_writable(csv_path, json_path)
+    _check_writable(csv_path, json_path, config=args.config)
     table = runner(cfg)
     if args.seed is not None:
         table = dataclasses.replace(table, overrides=f"seed:{args.seed}")

@@ -20,6 +20,8 @@ from .oracles import exact_cov, exact_mean, kalman_bucy_run, luenberger_run
 from .propagation import StepConfig, propagate
 from .simulate import coarsen, simulate
 
+MAX_DIM = 16  # lemma-checks draws dense n x n matrices: desk scale only
+
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -142,8 +144,6 @@ def converge_filter(cfg: ExperimentConfig) -> ResultTable:
     fine = StepConfig(h=h_min, steps=cfg.steps_for(h_min))
     master = simulate(cfg.system, cfg.measurement, cfg.initial, fine, cfg.seeds)
     reference = reference_run(cfg.system, cfg.measurement, cfg.initial, master.increments, h_min)
-    ref_cov = reference[-1].cov.mat
-    ref_means = np.stack([g.mean for g in reference], axis=-2)
     rows = []
     cov_errors = {}
     for h in sorted(cfg.h_values, reverse=True):
@@ -158,8 +158,8 @@ def converge_filter(cfg: ExperimentConfig) -> ResultTable:
             update=cfg.update_kind,
             predict=cfg.predict_kind,
         )
-        cov_errors[h] = max_abs(run.terminal.cov.mat - ref_cov)
-        mean_rmse = error_metrics(run, ref_means[:, ::factor]).path_rmse
+        cov_errors[h] = max_abs(run.terminal.cov.mat - reference.terminal.cov.mat)
+        mean_rmse = error_metrics(run, reference.means()[:, ::factor]).path_rmse
         for seed, value in zip(cfg.seeds, mean_rmse.tolist()):
             rows.append(ResultRow(h, seed, "terminal_cov_error", cov_errors[h]))
             rows.append(ResultRow(h, seed, "mean_path_rmse_vs_reference", value))
@@ -205,6 +205,8 @@ def lemma_checks(trials: int, dims, seed: int) -> ResultTable:
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ConfigError(f"dims: every entry must be a positive integer, got {dims}")
+    if max(dims) > MAX_DIM:
+        raise ConfigError(f"dims: every entry must be at most {MAX_DIM}, got {max(dims)}")
     descriptor = json.dumps({"trials": trials, "dims": list(dims), "seed": seed}, sort_keys=True)
     config_hash = hashlib.sha256(descriptor.encode("utf-8")).hexdigest()
     rows = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .gaussians import Gaussian, as_vectors, batch_prior
+from .gaussians import FilterRun, Gaussian, as_vectors, batch_prior
 from .matrices import SpdMatrix, as_matrix, inv_spd, matvec, require_positive, require_same_dim
 from .oracles import exact_cov, exact_mean
 from .propagation import LinearSystem, StepConfig, general_step
@@ -31,7 +31,10 @@ class MeasurementModel:
         self.c = cm
         self.r = r
         self.rinv = inv_spd(r).mat
-        self._info = cm.T @ self.rinv @ cm
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected just below
+            self._info = cm.T @ self.rinv @ cm
+        if not np.all(np.isfinite(self._info)):
+            raise ValidationError("C is too large: C^T R^-1 C overflows")
         self._info.flags.writeable = False
 
     @property
@@ -99,25 +102,6 @@ UPDATE_KINDS = tuple(_UPDATES)
 PREDICT_KINDS = ("jko", "exact")
 
 
-@dataclass(frozen=True, eq=False)
-class FilterRun:
-    """Posterior path of one filter run, g0 first.
-
-    For a batch of S measurement paths each posterior holds S means, shape
-    (S, n).
-    """
-
-    posteriors: tuple
-
-    @property
-    def terminal(self) -> Gaussian:
-        return self.posteriors[-1]
-
-    def means(self) -> np.ndarray:
-        """Posterior means, shape (steps + 1, n), or (S, steps + 1, n) for a batch."""
-        return np.stack([g.mean for g in self.posteriors], axis=-2)
-
-
 def run_filter(
     sys: LinearSystem,
     meas: MeasurementModel,
@@ -140,8 +124,7 @@ def run_filter(
         raise ValidationError(f"unknown update kind {update!r}")
     if predict not in PREDICT_KINDS:
         raise ValidationError(f"unknown predict kind {predict!r}")
-    require_same_dim("system, measurement model and prior", sys.dim, meas.state_dim, g0.dim)
-    g0, dz = batch_prior(g0, dz, meas.obs_dim, cfg.steps)
+    g0, dz = batch_prior(sys, meas, g0, dz, cfg.steps)
     update_fn = _UPDATES[update]
     h = cfg.h
     if predict == "jko":
@@ -172,8 +155,6 @@ def error_metrics(run: FilterRun, truth_states) -> ErrorSummary:
     """Terminal squared error and path RMSE of the posterior means vs truth,
     per seed for a batched run (truth then has shape (S, steps + 1, n))."""
     truth = np.asarray(truth_states, dtype=float)
-    if truth.ndim == 1:
-        truth = truth.reshape(-1, 1)
     means = run.means()
     if truth.shape != means.shape:
         raise DimensionError(

@@ -80,23 +80,42 @@ def require_single(*gs: Gaussian) -> None:
             )
 
 
-def batch_prior(g0: Gaussian, dz, obs_dim: int, steps: int | None = None):
-    """Check measurement increments dz, shape ([S,] steps, m), against one
-    prior g0; return (g0, dz), with g0's mean broadcast to (S, n) for a batch."""
+def batch_prior(sys, meas, g0: Gaussian, dz, steps: int | None = None):
+    """Check the inputs of a run: system, measurement model and prior g0 agree
+    in dimension, and the measurement increments dz have shape ([S,] steps, m).
+    Returns (g0, dz), with g0's mean broadcast to (S, n) for a batch."""
+    require_same_dim("system, measurement model and prior", sys.dim, meas.state_dim, g0.dim)
     require_single(g0)
     dz = np.asarray(dz, dtype=float)
-    if dz.ndim == 1:
-        dz = dz.reshape(-1, 1)
-    if dz.ndim not in (2, 3) or dz.shape[-1] != obs_dim or steps not in (None, dz.shape[-2]):
+    if dz.ndim not in (2, 3) or dz.shape[-1] != meas.obs_dim or steps not in (None, dz.shape[-2]):
         expected = "steps" if steps is None else steps
         raise DimensionError(
-            f"increments have shape {dz.shape}, expected ([S,] {expected}, {obs_dim})"
+            f"increments have shape {dz.shape}, expected ([S,] {expected}, {meas.obs_dim})"
         )
     if not np.all(np.isfinite(dz)):
         raise ValidationError("increments have non-finite entries")
     if dz.ndim == 3:
         g0 = Gaussian(np.broadcast_to(g0.mean, (dz.shape[0], g0.dim)), g0.cov)
     return g0, dz
+
+
+@dataclass(frozen=True, eq=False)
+class FilterRun:
+    """Posterior path of a filter or reference run, g0 first.
+
+    For a batch of S measurement paths each posterior holds S means, shape
+    (S, n).
+    """
+
+    posteriors: tuple
+
+    @property
+    def terminal(self) -> Gaussian:
+        return self.posteriors[-1]
+
+    def means(self) -> np.ndarray:
+        """Posterior means, shape (steps + 1, n), or (S, steps + 1, n) for a batch."""
+        return np.stack([g.mean for g in self.posteriors], axis=-2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import OracleFailure, ValidationError
 from .gaussians import (
+    FilterRun,
     Gaussian,
     as_vector,
     as_vectors,
@@ -120,7 +121,7 @@ def _rk4_cov(sys: LinearSystem, p0: SpdMatrix, t: float, substep: float) -> SpdM
     return SpdMatrix(0.5 * (final + final.T))
 
 
-def _observer_run(sys, meas, g0, dz, h, gain_of, rate) -> list[Gaussian]:
+def _observer_run(sys, meas, g0, dz, h, gain_of, rate) -> FilterRun:
     """Shared input checks and substep loop of the two reference runs. Per
     substep: an Euler mean step with the gain from the pre-step covariance,
     gain_of(P), against the piecewise-constant data rate dz_k / h; an RK4
@@ -128,10 +129,9 @@ def _observer_run(sys, meas, g0, dz, h, gain_of, rate) -> list[Gaussian]:
     (S, steps, m) for S paths that share the covariance path. The means are
     held as columns, (n, 1) or (S, n, 1), so a batch does each seed's
     arithmetic as its one-path run does. Returns the filter state at the
-    interval boundaries (length steps + 1), with means (n,) or (S, n)."""
-    require_same_dim("system, measurement model and prior", sys.dim, meas.state_dim, g0.dim)
+    interval boundaries (steps + 1 posteriors), with means (n,) or (S, n)."""
+    g0, dz = batch_prior(sys, meas, g0, dz)
     require_positive(h, "step size")
-    g0, dz = batch_prior(g0, dz, meas.obs_dim)
     dt = h / REFERENCE_SUBSTEPS
     c = meas.c
     mu = g0.mean[..., None]
@@ -145,15 +145,15 @@ def _observer_run(sys, meas, g0, dz, h, gain_of, rate) -> list[Gaussian]:
             p = rk4_step(rate, p, dt)
             p = 0.5 * (p + p.T)
         out.append(Gaussian(mu[..., 0], SpdMatrix(p)))
-    return out
+    return FilterRun(tuple(out))
 
 
-def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> list[Gaussian]:
+def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> FilterRun:
     """Integrate the optimal continuous-time filter across the data intervals.
 
     Covariance follows the Riccati ODE
     P' = A P + P A^T + 2 B B^T - P C^T R^-1 C P; the mean uses the gain
-    K = P C^T R^-1. Returns the states at the interval boundaries.
+    K = P C^T R^-1. Returns the run of states at the interval boundaries.
     """
     forcing = sys.diffusion()
     ct_rinv = meas.c.T @ meas.rinv
@@ -168,7 +168,7 @@ def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> list
     return _observer_run(sys, meas, g0, dz, h, gain_of, riccati)
 
 
-def luenberger_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> list[Gaussian]:
+def luenberger_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> FilterRun:
     """Integrate the static-gain observer with injection L = C^T R^-1.
 
     The covariance follows the Lyapunov ODE

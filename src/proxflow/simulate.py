@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericFailure, ValidationError
 from .filtering import MeasurementModel
 from .gaussians import Gaussian, as_vector, require_single
 from .matrices import matvec, require_same_dim, sqrt_spd
@@ -81,10 +81,13 @@ def simulate(
     sensor = np.sqrt(h) * matvec(r_half, noise[..., p:])
     states = np.empty((len(seeds), cfg.steps + 1, sys.dim))
     states[:, 0] = x
-    for k in range(cfg.steps):
-        x = x + h * matvec(sys.a, x) + process[:, k]
-        states[:, k + 1] = x
-    increments = h * matvec(meas.c, states[:, :-1]) + sensor
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        for k in range(cfg.steps):
+            x = x + h * matvec(sys.a, x) + process[:, k]
+            states[:, k + 1] = x
+        increments = h * matvec(meas.c, states[:, :-1]) + sensor
+    if not (np.all(np.isfinite(states)) and np.all(np.isfinite(increments))):
+        raise NumericFailure("simulation overflowed: non-finite states or increments")
     states.flags.writeable = False
     increments.flags.writeable = False
     if np.ndim(seed) == 0:

@@ -257,7 +257,7 @@ def test_c07_kalman_bucy_limit():
     cov_ok = all(1.6 < r < 2.4 for r in ratios)
 
     reference = kalman_bucy_run(sys1, meas, g0, master.increments, master.h)
-    ref_means = np.array([g.mean[0] for g in reference])
+    ref_means = reference.means()[:, 0]
     mean_errors = []
     for h in (0.02, 0.01, 0.005):
         factor = round(h / master.h)

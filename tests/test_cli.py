@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 import re
 
@@ -253,6 +254,18 @@ class TestCompareFilters:
                          capsys.readouterr().err, re.MULTILINE)
         assert not out.exists() and not mirror.exists()
 
+    def test_simulation_overflow_exits_2(self, tmp_path, capsys):
+        # every field is valid, but h C x overflows in the simulated increments
+        payload = json.loads((REPO / "scripts" / "configs" / "compare_scalar.json").read_text())
+        payload["measurement"]["C"] = [[1e150]]
+        payload["initial"]["mean"] = [1e200]
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "x.csv"
+        assert main(["compare-filters", "--config", cfg, "--out", str(out)]) == 2
+        assert re.search(r"^numeric failure: simulation overflowed", capsys.readouterr().err,
+                         re.MULTILINE)
+        assert not out.exists()
+
     def test_mismatched_measurement_dims_rejected(self, tmp_path):
         payload = json.loads(json.dumps(COMPARE_CONFIG))
         payload["measurement"]["C"] = [[1.0, 0.0]]
@@ -295,6 +308,10 @@ class TestLemmaChecks:
         captured = capsys.readouterr().out
         assert "h,seed,metric,value" in captured
 
+    def test_dims_past_desk_scale_rejected(self):
+        with pytest.raises(ConfigError, match=r"^dims: .* at most 16"):
+            lemma_checks(1, (2, 17), seed=0)
+
     def test_zero_trials_rejected(self):
         assert main(["lemma-checks", "--trials", "0", "--dims", "1", "--seed", "1"]) == 1
 
@@ -335,6 +352,45 @@ class TestExitCodes:
         assert main([command, *inputs, "--out", str(out), "--out-json", str(mirror)]) == 1
         assert f"cannot write {mirror}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        text = json.dumps({**PROPAGATION_CONFIG, "note": "caf\u00e9"}, ensure_ascii=False)
+        cfg.write_bytes(text.encode("latin-1"))  # "é" is the lone byte 0xE9
+        out = tmp_path / "x.csv"
+        assert main(["converge-propagation", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"error: cannot read config {cfg}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dims", ["17", "1-17", "10000000000", "1-100000000000"])
+    def test_dims_past_desk_scale_exit_1(self, tmp_path, capsys, dims):
+        # a range is refused from its bound, before any tuple of it is built
+        out = tmp_path / "l.csv"
+        assert main(["lemma-checks", "--trials", "1", "--dims", dims, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--dims" in err and "at most 16" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("clash", ["csv-json", "csv-config", "lemma-csv-json"])
+    def test_outputs_and_config_must_be_different_files(self, tmp_path, capsys, clash):
+        cfg = write_config(tmp_path, PROPAGATION_CONFIG)
+        before = pathlib.Path(cfg).read_bytes()
+        out = tmp_path / "x.csv"
+        same = os.path.join(str(tmp_path), ".", "x.csv")  # another spelling of out
+        if clash == "csv-json":
+            argv = ["converge-propagation", "--config", cfg, "--out", str(out), "--out-json", same]
+            named, first = same, out
+        elif clash == "csv-config":
+            argv = ["converge-propagation", "--config", cfg, "--out", cfg]
+            named, first = cfg, cfg
+        else:
+            argv = ["lemma-checks", "--trials", "1", "--dims", "1", "--out", str(out),
+                    "--out-json", same]
+            named, first = same, out
+        assert main(argv) == 1
+        assert f"error: cannot write {named}: same file as {first}" in capsys.readouterr().err
+        assert not out.exists()
+        assert pathlib.Path(cfg).read_bytes() == before
 
     def test_lemma_mirror_without_out(self, tmp_path, capsys):
         mirror = tmp_path / "x.json"
@@ -435,6 +491,7 @@ class TestConfigParsing:
             (("mode", "update"), "kalman", "mode.update"),
             (("mode", "predict"), "euler", "mode.predict"),
             (("seeds",), [5, 5], "seeds"),
+            (("measurement", "C"), [[1e200]], "measurement"),
         ],
         ids=[
             "mode-array", "output-null", "steps-number", "system-string",
@@ -442,7 +499,7 @@ class TestConfigParsing:
             "horizon-inf", "horizon-bool", "h-nan", "beta-string", "beta-nan", "beta-inf",
             "csv-bool", "csv-number", "B-no-columns", "horizon-1e300", "horizon-1e6",
             "h-1e-300", "B-overflow", "task-unknown", "propagation-unknown",
-            "update-unknown", "predict-unknown", "seeds-repeated",
+            "update-unknown", "predict-unknown", "seeds-repeated", "C-overflow",
         ],
     )
     def test_wrongly_typed_field_named(self, path, value, field):

@@ -304,6 +304,14 @@ class TestErrorMetrics:
         with pytest.raises(DimensionError):
             error_metrics(run, np.zeros((7, 1)))
 
+    def test_one_dimensional_truth_rejected(self):
+        # a truth path is (steps + 1, n) even for n = 1, like the run's means
+        run = run_filter(
+            SCALAR_SYS, SCALAR_MEAS, scalar_gaussian(0, 1), np.zeros((2, 1)), StepConfig(h=0.1, steps=2)
+        )
+        with pytest.raises(DimensionError, match="truth path has shape"):
+            error_metrics(run, np.zeros(3))
+
 
 class TestMonteCarloBenchmark:
     def test_lmmr_not_worse_than_observer_200_seeds(self):

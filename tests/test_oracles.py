@@ -102,7 +102,7 @@ class TestKalmanBucyRun:
         g0 = Gaussian([mu0], SpdMatrix(1.0))
         out = kalman_bucy_run(SCALAR_SYS, SCALAR_MEAS, g0, dz, h)
         want = mu0 * math.exp(-1.0)
-        assert out[-1].mean[0] == pytest.approx(want, abs=2e-3)
+        assert out.terminal.mean[0] == pytest.approx(want, abs=2e-3)
 
     def test_scalar_riccati_steady_state(self):
         h = 0.01
@@ -110,7 +110,7 @@ class TestKalmanBucyRun:
         dz = np.zeros((steps, 1))
         g0 = Gaussian([0.0], SpdMatrix(2.0))
         out = kalman_bucy_run(SCALAR_SYS, SCALAR_MEAS, g0, dz, h)
-        assert abs(out[-1].cov.mat[0, 0] - (-1.0 + math.sqrt(3.0))) < 1e-6
+        assert abs(out.terminal.cov.mat[0, 0] - (-1.0 + math.sqrt(3.0))) < 1e-6
 
     def test_no_information_reduces_to_propagation(self):
         meas = MeasurementModel([[0.0]], SpdMatrix(1.0))
@@ -119,7 +119,7 @@ class TestKalmanBucyRun:
         g0 = Gaussian([1.0], SpdMatrix(2.0))
         out = kalman_bucy_run(SCALAR_SYS, meas, g0, dz, h)
         want = exact_cov(SCALAR_SYS, g0.cov, h * steps).mat[0, 0]
-        assert abs(out[-1].cov.mat[0, 0] - want) < 1e-8
+        assert abs(out.terminal.cov.mat[0, 0] - want) < 1e-8
 
     def test_covariance_path_independent_of_data(self):
         rng = np.random.default_rng(32)
@@ -127,7 +127,7 @@ class TestKalmanBucyRun:
         g0 = Gaussian([0.0], SpdMatrix(1.0))
         a = kalman_bucy_run(SCALAR_SYS, SCALAR_MEAS, g0, rng.normal(size=(steps, 1)), h)
         b = kalman_bucy_run(SCALAR_SYS, SCALAR_MEAS, g0, rng.normal(size=(steps, 1)), h)
-        for ga, gb in zip(a, b):
+        for ga, gb in zip(a.posteriors, b.posteriors):
             assert max_abs(ga.cov.mat - gb.cov.mat) == 0.0
 
     def test_riccati_monotone_from_both_sides(self):
@@ -135,7 +135,7 @@ class TestKalmanBucyRun:
         dz = np.zeros((steps, 1))
         for p0, sign in ((2.0, -1.0), (0.1, 1.0)):
             out = kalman_bucy_run(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.0], SpdMatrix(p0)), dz, h)
-            path = np.array([g.cov.mat[0, 0] for g in out])
+            path = np.array([g.cov.mat[0, 0] for g in out.posteriors])
             assert np.all(sign * np.diff(path) > -1e-12)
 
 
@@ -145,7 +145,7 @@ class TestLuenbergerRun:
         dz = np.zeros((steps, 1))
         g0 = Gaussian([0.0], SpdMatrix(2.0))
         out = luenberger_run(SCALAR_SYS, SCALAR_MEAS, g0, dz, h)
-        assert abs(out[-1].cov.mat[0, 0] - 0.5) < 1e-6
+        assert abs(out.terminal.cov.mat[0, 0] - 0.5) < 1e-6
 
     def test_no_information_reduces_to_propagation(self):
         meas = MeasurementModel([[0.0]], SpdMatrix(1.0))
@@ -154,7 +154,7 @@ class TestLuenbergerRun:
         g0 = Gaussian([1.0], SpdMatrix(2.0))
         out = luenberger_run(SCALAR_SYS, meas, g0, dz, h)
         want = exact_cov(SCALAR_SYS, g0.cov, h * steps).mat[0, 0]
-        assert abs(out[-1].cov.mat[0, 0] - want) < 1e-8
+        assert abs(out.terminal.cov.mat[0, 0] - want) < 1e-8
 
     def test_self_assessed_covariance_below_optimal_filter(self):
         # The static-gain observer reports a smaller covariance (0.5) than
@@ -164,8 +164,8 @@ class TestLuenbergerRun:
         h, steps = 0.01, 2000
         dz = np.zeros((steps, 1))
         g0 = Gaussian([0.0], SpdMatrix(2.0))
-        lue = luenberger_run(SCALAR_SYS, SCALAR_MEAS, g0, dz, h)[-1].cov.mat[0, 0]
-        kb = kalman_bucy_run(SCALAR_SYS, SCALAR_MEAS, g0, dz, h)[-1].cov.mat[0, 0]
+        lue = luenberger_run(SCALAR_SYS, SCALAR_MEAS, g0, dz, h).terminal.cov.mat[0, 0]
+        kb = kalman_bucy_run(SCALAR_SYS, SCALAR_MEAS, g0, dz, h).terminal.cov.mat[0, 0]
         assert lue < kb
 
 
@@ -211,7 +211,7 @@ def test_reference_runs_match_substep_loop_bitwise(kind, n):
 
         def rate(p):
             return closed @ p + p @ closed.T + forcing
-    assert len(out) == steps + 1 and out[0] is g0
+    assert len(out.posteriors) == steps + 1 and out.posteriors[0] is g0
     dt = h / substeps
     mu, p = g0.mean.copy(), g0.cov.mat.copy()
     for k in range(steps):
@@ -220,8 +220,8 @@ def test_reference_runs_match_substep_loop_bitwise(kind, n):
             mu = mu + dt * (a @ mu + gain_of(p) @ (y - c @ mu))
             p = _rk4(rate, p, dt)
             p = 0.5 * (p + p.T)
-        assert np.array_equal(out[k + 1].mean, mu)
-        assert np.array_equal(out[k + 1].cov.mat, p)
+        assert np.array_equal(out.posteriors[k + 1].mean, mu)
+        assert np.array_equal(out.posteriors[k + 1].cov.mat, p)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
@@ -238,11 +238,11 @@ def test_reference_run_batch_equals_one_path_runs_bitwise(run, n):
     dz = 0.1 * rng.normal(size=(3, steps, m))
     batch = run(sys, meas, g0, dz, h)
     singles = [run(sys, meas, g0, path, h) for path in dz]
-    assert len(batch) == steps + 1
-    for k, g in enumerate(batch):
+    assert len(batch.posteriors) == steps + 1
+    for k, g in enumerate(batch.posteriors):
         assert g.mean.shape == (3, n)
-        assert np.array_equal(g.mean, np.stack([single[k].mean for single in singles]))
-        assert np.array_equal(g.cov.mat, singles[0][k].cov.mat)
+        assert np.array_equal(g.mean, np.stack([single.posteriors[k].mean for single in singles]))
+        assert np.array_equal(g.cov.mat, singles[0].posteriors[k].cov.mat)
     for shape in [(1, 3, steps, m), (3, steps, m + 1), (steps, m + 1)]:
         with pytest.raises(DimensionError):
             run(sys, meas, g0, np.zeros(shape), h)
@@ -376,4 +376,4 @@ def test_zero_innovation_mean_follows_flow():
     dz = (mu0 * (np.exp(-t[:-1]) - np.exp(-t[1:]))).reshape(-1, 1)
     g0 = Gaussian([mu0], SpdMatrix(1.0))
     out = luenberger_run(SCALAR_SYS, SCALAR_MEAS, g0, dz, h)
-    assert out[-1].mean[0] == pytest.approx(mu0 * math.exp(-1.0), abs=2e-3)
+    assert out.terminal.mean[0] == pytest.approx(mu0 * math.exp(-1.0), abs=2e-3)

@@ -1,6 +1,6 @@
 """Shared preconditions: every public entry point reports a dimension
-mismatch as DimensionError, and every run rejects non-finite measurement
-increments before its first step."""
+mismatch as DimensionError, matrices and increment paths must be 2-D, and
+every run rejects non-finite measurement increments before its first step."""
 
 import math
 
@@ -67,16 +67,25 @@ def test_dimension_mismatch_raises_dimension_error(call):
 
 
 ONE_DIMENSIONAL = {
-    "B": lambda: LinearSystem(-np.eye(2), np.ones(2)),
-    "C": lambda: MeasurementModel(np.ones(2), SpdMatrix(1.0)),
-    "square": lambda: expm(np.array([0.5])),
-    "spd": lambda: SpdMatrix(np.array([2.0])),
+    "B": (lambda: LinearSystem(-np.eye(2), np.ones(2)), "must be a matrix"),
+    "C": (lambda: MeasurementModel(np.ones(2), SpdMatrix(1.0)), "must be a matrix"),
+    "square": (lambda: expm(np.array([0.5])), "must be a matrix"),
+    "spd": (lambda: SpdMatrix(np.array([2.0])), "must be a matrix"),
+    "run_filter-increments": (
+        lambda: run_filter(SYS2, MEAS2, G2, np.zeros(2), CFG), "increments have shape"
+    ),
+    "kalman_bucy_run-increments": (
+        lambda: kalman_bucy_run(SYS2, MEAS2, G2, np.zeros(2), 0.1), "increments have shape"
+    ),
+    "luenberger_run-increments": (
+        lambda: luenberger_run(SYS2, MEAS2, G2, np.zeros(2), 0.1), "increments have shape"
+    ),
 }
 
 
-@pytest.mark.parametrize("call", ONE_DIMENSIONAL.values(), ids=ONE_DIMENSIONAL.keys())
-def test_one_dimensional_matrix_raises_dimension_error(call):
-    with pytest.raises(DimensionError, match="must be a matrix"):
+@pytest.mark.parametrize("call,match", ONE_DIMENSIONAL.values(), ids=ONE_DIMENSIONAL.keys())
+def test_one_dimensional_matrix_raises_dimension_error(call, match):
+    with pytest.raises(DimensionError, match=match):
         call()
 
 
