@@ -31,11 +31,14 @@ EXIT_NUMERIC = 2
 
 
 def _parse_dims(text: str):
-    """'lo-hi' or 'a,b,c'; a bound above MAX_DIM is refused before any range is built."""
+    """'lo-hi' or 'a,b,c'; a bound above MAX_DIM, or a range with lo > hi, is
+    refused before any range is built."""
     is_range = "-" in text
     values = [int(d) for d in (text.split("-", 1) if is_range else text.split(","))]
     if max(values) > MAX_DIM:
         raise argparse.ArgumentTypeError(f"each dimension must be at most {MAX_DIM}")
+    if is_range and values[0] > values[1]:
+        raise argparse.ArgumentTypeError(f"range {text} is empty: its start exceeds its end")
     return tuple(range(values[0], values[1] + 1)) if is_range else tuple(values)
 
 

@@ -29,6 +29,9 @@ SYMMETRY_RTOL = 1e-9
 # is treated as singular rather than silently regularized.
 POSITIVITY_RTOL = 1e-12
 
+# Below this magnitude M + M^T and M - M^T cannot overflow.
+_HALF_MAX = 0.5 * float(np.finfo(float).max)
+
 _EIGENVECTORS_1X1 = np.ones((1, 1))
 _EIGENVECTORS_1X1.setflags(write=False)
 
@@ -85,9 +88,18 @@ def matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (mat @ x[..., None])[..., 0]
 
 
+def _asymmetry(m: np.ndarray, scale: float) -> float:
+    """max|M - M^T| for a finite square M with max|M| = scale; inf, with no
+    floating-point warning, where the difference overflows."""
+    if scale < _HALF_MAX:
+        return max_abs(m - m.T)
+    return 2.0 * max_abs(0.5 * m - 0.5 * m.T)
+
+
 def is_symmetric(m: np.ndarray) -> bool:
     """max|M - M^T| <= SYMMETRY_RTOL (1 + max|M|), for a square array M."""
-    return max_abs(m - m.T) <= SYMMETRY_RTOL * (1.0 + max_abs(m))
+    scale = max_abs(m)
+    return _asymmetry(m, scale) <= SYMMETRY_RTOL * (1.0 + scale)
 
 
 def is_isotropic(m: np.ndarray, level: float) -> bool:
@@ -98,9 +110,14 @@ def is_isotropic(m: np.ndarray, level: float) -> bool:
 def symmetrize(a, name: str = "matrix") -> np.ndarray:
     """Return (A + A^T)/2, rejecting inputs beyond the asymmetry tolerance."""
     m = as_square(a, name)
-    if not is_symmetric(m):
-        raise ValidationError(f"{name} is not symmetric: asymmetry {max_abs(m - m.T):.3e}")
-    return 0.5 * (m + m.T)
+    scale = max_abs(m)
+    asymmetry = _asymmetry(m, scale)
+    if asymmetry > SYMMETRY_RTOL * (1.0 + scale):
+        raise ValidationError(f"{name} is not symmetric: asymmetry {asymmetry:.3e}")
+    if scale < _HALF_MAX:
+        return 0.5 * (m + m.T)
+    with np.errstate(over="ignore"):  # inf where M + M^T overflows, as the 1x1 path
+        return 0.5 * (m + m.T)
 
 
 class SpdMatrix:

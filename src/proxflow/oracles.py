@@ -111,11 +111,13 @@ def _closed_form_cov(sys: LinearSystem, p0: SpdMatrix, t: float, iso: float) -> 
 
 
 def _rk4_cov(sys: LinearSystem, p0: SpdMatrix, t: float, substep: float) -> SpdMatrix:
-    """RK4 integral of the covariance ODE P' = A P + P A^T + 2 B B^T."""
+    """RK4 integral of the covariance ODE P' = A P + P A^T + 2 B B^T, with
+    P A^T formed as (A P)^T since P stays symmetric."""
     forcing = sys.diffusion()
 
     def rate(p):
-        return sys.a @ p + p @ sys.a.T + forcing
+        ap = sys.a @ p
+        return ap + ap.T + forcing
 
     final = rk4_integrate(rate, p0.mat, t, substep)
     return SpdMatrix(0.5 * (final + final.T))
@@ -153,17 +155,21 @@ def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> Filt
 
     Covariance follows the Riccati ODE
     P' = A P + P A^T + 2 B B^T - P C^T R^-1 C P; the mean uses the gain
-    K = P C^T R^-1. Returns the run of states at the interval boundaries.
+    K = P C^T R^-1. Each rate forms A P once, as P A^T = (A P)^T for the
+    symmetric P. C^T R^-1 C is formed here once per run, not read from the
+    measurement model, so the check shares no cached matrix with the update
+    it checks. Returns the run of states at the interval boundaries.
     """
     forcing = sys.diffusion()
     ct_rinv = meas.c.T @ meas.rinv
+    info = ct_rinv @ meas.c
 
     def gain_of(p):
         return p @ ct_rinv
 
     def riccati(p):
-        gain = gain_of(p)
-        return sys.a @ p + p @ sys.a.T + forcing - gain @ meas.r.mat @ gain.T
+        ap = sys.a @ p
+        return ap + ap.T + forcing - p @ info @ p
 
     return _observer_run(sys, meas, g0, dz, h, gain_of, riccati)
 
@@ -179,7 +185,8 @@ def luenberger_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> Filte
     closed = sys.a - gain @ meas.c
 
     def lyapunov(p):
-        return closed @ p + p @ closed.T + forcing
+        cp = closed @ p
+        return cp + cp.T + forcing
 
     return _observer_run(sys, meas, g0, dz, h, lambda p: gain, lyapunov)
 

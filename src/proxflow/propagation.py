@@ -140,7 +140,10 @@ def make_equipartition(sys: LinearSystem) -> EquipartitionFrame:
     the rescaled pair satisfies A_ep (theta I) + (theta I) A_ep^T
     + 2 theta B_ep B_ep^T = 0.
     """
-    pinf = SpdMatrix(lyapunov_solve(sys.a, sys.diffusion()))
+    try:
+        pinf = SpdMatrix(lyapunov_solve(sys.a, sys.diffusion()))
+    except SingularityError as exc:
+        raise SingularityError(f"stationary covariance of (A, B): {exc}") from exc
     theta = pinf.trace() / sys.dim
     s = sqrt_spd(pinf).mat
     si = inv_sqrt_spd(pinf).mat

@@ -3,6 +3,7 @@ import math
 import os
 import pathlib
 import re
+import warnings
 
 import pytest
 
@@ -266,6 +267,31 @@ class TestCompareFilters:
                          re.MULTILINE)
         assert not out.exists()
 
+    def test_overflowing_initial_cov_exits_1_without_warning(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(COMPARE_CONFIG))
+        payload["system"] = {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}
+        payload["measurement"]["C"] = [[1.0, 0.0]]
+        payload["initial"] = {"mean": [0.0, 0.0], "cov": [[1e308, -1e308], [1e308, 1e308]]}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            assert main(["compare-filters", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "not symmetric" in err and "RuntimeWarning" not in err
+        assert [str(w.message) for w in leaked] == []
+        assert not out.exists()
+
+    def test_stationary_covariance_below_floor_named(self, tmp_path, capsys):
+        payload = json.loads((REPO / "scripts" / "configs" / "compare_scalar.json").read_text())
+        payload["system"]["B"] = [[1e-7]]  # Hurwitz and controllable, P_inf = 1e-14
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "x.csv"
+        assert main(["compare-filters", "--config", cfg, "--out", str(out)]) == 2
+        assert re.search(r"^numeric failure: stationary covariance of \(A, B\): ",
+                         capsys.readouterr().err, re.MULTILINE)
+        assert not out.exists()
+
     def test_mismatched_measurement_dims_rejected(self, tmp_path):
         payload = json.loads(json.dumps(COMPARE_CONFIG))
         payload["measurement"]["C"] = [[1.0, 0.0]]
@@ -369,6 +395,13 @@ class TestExitCodes:
         assert main(["lemma-checks", "--trials", "1", "--dims", dims, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "usage:" in err and "--dims" in err and "at most 16" in err
+        assert not out.exists()
+
+    def test_reversed_dims_range_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "l.csv"
+        assert main(["lemma-checks", "--trials", "1", "--dims", "5-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--dims" in err and "range 5-1 is empty" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("clash", ["csv-json", "csv-config", "lemma-csv-json"])

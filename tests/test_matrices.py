@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,24 @@ class TestSpdMatrix:
         p = SpdMatrix(np.eye(2))
         with pytest.raises(ValueError):
             p.mat[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "entries,error,message",
+        [
+            ([[1e308, -1e308], [1e308, 1e308]], ValidationError,
+             "SPD matrix is not symmetric: asymmetry inf"),
+            # (M + M^T)/2 overflows although M is finite, as for [[1e308]]
+            ([[1e308, 0.0], [0.0, 1e308]], NumericFailure,
+             "eigendecomposition produced non-finite eigenvalues"),
+        ],
+        ids=["asymmetric", "symmetric"],
+    )
+    def test_overflowing_symmetry_checks_raise_without_warning(self, entries, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as exc:
+                SpdMatrix(np.array(entries))
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 _FLOOR = "matrix is not positive definite within the floor: eigenvalues in "

@@ -200,8 +200,8 @@ def test_reference_runs_match_substep_loop_bitwise(kind, n):
             return p @ ct_rinv
 
         def rate(p):
-            gain = p @ ct_rinv
-            return a @ p + p @ a.T + forcing - gain @ meas.r.mat @ gain.T
+            ap = a @ p
+            return ap + ap.T + forcing - p @ (ct_rinv @ c) @ p
     else:
         out = luenberger_run(sys, meas, g0, dz, h)
         closed = a - ct_rinv @ c
@@ -246,6 +246,74 @@ def test_reference_run_batch_equals_one_path_runs_bitwise(run, n):
     for shape in [(1, 3, steps, m), (3, steps, m + 1), (steps, m + 1)]:
         with pytest.raises(DimensionError):
             run(sys, meas, g0, np.zeros(shape), h)
+
+
+def _kalman_bucy_gain_form(sys, meas, g0, dz, h):
+    """The Kalman-Bucy substep loop with the Riccati term written as K R K^T,
+    K = P C^T R^-1, and P A^T formed as its own product."""
+    a, c = sys.a, meas.c
+    forcing = 2.0 * sys.b @ sys.b.T
+    ct_rinv = c.T @ meas.rinv
+
+    def rate(p):
+        gain = p @ ct_rinv
+        return a @ p + p @ a.T + forcing - gain @ meas.r.mat @ gain.T
+
+    dt = h / 20
+    mu, p = g0.mean.copy(), g0.cov.mat.copy()
+    means, covs = [mu], [p]
+    for k in range(dz.shape[0]):
+        y = dz[k] / h
+        for _ in range(20):
+            mu = mu + dt * (a @ mu + (p @ ct_rinv) @ (y - c @ mu))
+            p = _rk4(rate, p, dt)
+            p = 0.5 * (p + p.T)
+        means.append(mu)
+        covs.append(p)
+    return np.array(means), np.array(covs)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 16])
+def test_kalman_bucy_information_form_matches_gain_form(n):
+    # The run's Riccati rate forms P (C^T R^-1 C) P; K R K^T is the same
+    # matrix, so 500 intervals agree to rounding, and exactly when C = R = 1.
+    rng = np.random.default_rng(60 + n)
+    m = max(1, n // 2)
+    sys = random_system(rng, n)
+    meas = MeasurementModel(rng.normal(size=(m, n)), random_spd(rng, m))
+    g0 = Gaussian(rng.normal(size=n), random_spd(rng, n))
+    h, steps = 0.02, 500
+    dz = 0.1 * rng.normal(size=(steps, m))
+    cases = [(sys, meas, g0, dz, 1e-13)]
+    if n == 1:
+        cases.append((SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(2.0)), dz[:, :1], 0.0))
+    for sys, meas, g0, dz, rtol in cases:
+        out = kalman_bucy_run(sys, meas, g0, dz, h)
+        got_means = np.array([g.mean for g in out.posteriors])
+        got_covs = np.array([g.cov.mat for g in out.posteriors])
+        want_means, want_covs = _kalman_bucy_gain_form(sys, meas, g0, dz, h)
+        assert max_abs(got_means - want_means) <= rtol * max_abs(want_means)
+        assert max_abs(got_covs - want_covs) <= rtol * max_abs(want_covs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_rk4_cov_matches_two_product_form_bitwise(n):
+    # _rk4_cov forms P A^T as (A P)^T; for the symmetric stages that is the
+    # same bits as the separate product.
+    rng = np.random.default_rng(70 + n)
+    sys = random_system(rng, n)
+    p0 = random_spd(rng, n)
+    t, substep = 0.5, 1e-3
+    forcing = 2.0 * sys.b @ sys.b.T
+
+    def rate(p):
+        return sys.a @ p + p @ sys.a.T + forcing
+
+    count = math.ceil(t / substep - 1e-12)
+    p = p0.mat
+    for _ in range(count):
+        p = _rk4(rate, p, t / count)
+    assert np.array_equal(_rk4_cov(sys, p0, t, substep).mat, 0.5 * (p + p.T))
 
 
 class TestProxObjective:

@@ -8,6 +8,7 @@ from proxflow import (
     Gaussian,
     LinearSystem,
     ModeMismatchError,
+    SingularityError,
     SpdMatrix,
     StabilityError,
     StepConfig,
@@ -73,6 +74,12 @@ class TestMakeEquipartition:
         assert frame.theta == pytest.approx(0.5)
         assert frame.a_ep[0, 0] == pytest.approx(-2.0)
         assert frame.b_ep[0, 0] == pytest.approx(math.sqrt(2.0))
+
+    def test_stationary_covariance_below_floor_is_named(self):
+        # Hurwitz and controllable, but P_inf = 1e-14 lies under the floor
+        with pytest.raises(SingularityError, match=r"^stationary covariance of \(A, B\): "
+                           r"matrix is not positive definite within the floor"):
+            make_equipartition(LinearSystem([[-1.0]], [[1e-7]]))
 
     def test_similarity_preserves_spectrum(self):
         rng = np.random.default_rng(14)
