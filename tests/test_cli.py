@@ -282,6 +282,34 @@ class TestCompareFilters:
         assert [str(w.message) for w in leaked] == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("a,cov,predict,failed", [
+        ([[-1.0, 0.3], [-0.2, -0.8]], 1e306, "jko", "lmmr update"),
+        ([[-3.0, 0.5], [-0.5, -3.0]], 8e307, "jko", "jko predict"),
+        ([[-3.0, 0.5], [-0.5, -3.0]], 8e307, "exact", "lmmr update"),
+    ], ids=["update", "jko-predict", "exact-predict"])
+    def test_overflowing_step_exits_2_without_warning(self, tmp_path, capsys, a, cov, predict,
+                                                      failed):
+        # every field is valid, but the filter's first step overflows
+        payload = {
+            "system": {"A": a, "B": [[1.0, 0.0], [0.0, 1.0]]},
+            "measurement": {"C": [[1.0, 0.5]], "R": [[1.0]]},
+            "initial": {"mean": [0.0, 0.0], "cov": [[cov, 0.0], [0.0, cov]]},
+            "steps": {"h": [0.02], "horizon": 0.2},
+            "seeds": [1, 2],
+            "mode": {"task": "compare", "predict": predict},
+        }
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            assert main(["compare-filters", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"^numeric failure: {failed} failed at step 1: overflow", err,
+                         re.MULTILINE)
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in leaked] == []
+        assert not out.exists()
+
     def test_stationary_covariance_below_floor_named(self, tmp_path, capsys):
         payload = json.loads((REPO / "scripts" / "configs" / "compare_scalar.json").read_text())
         payload["system"]["B"] = [[1e-7]]  # Hurwitz and controllable, P_inf = 1e-14

@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from proxflow import (
     DimensionError,
     Gaussian,
     LinearSystem,
     MeasurementModel,
+    NumericFailure,
     SpdMatrix,
     StepConfig,
     ValidationError,
     error_metrics,
+    exact_cov,
+    exact_mean,
     general_mean_map,
     jko_step_general_cov,
     jko_step_general_mean,
@@ -22,6 +26,7 @@ from proxflow import (
     simulate,
     wasserstein_update,
 )
+from proxflow import filtering
 from proxflow.matrices import max_abs
 from support import random_spd
 
@@ -197,6 +202,20 @@ class TestPredictUpdateComposition:
             assert 3.2 < residual(h) / residual(h / 2) < 4.8
 
 
+class TestUpdateSolveFailure:
+    # With P = 1e306 I and C = [1, 0.5], I + h P C^T R^-1 C is singular in
+    # floating point, and with C scaled by 1e150 so is I + h C^T R^-1 C.
+    @pytest.mark.parametrize("update,scale,prior", [
+        (lmmr_update, 1.0, 1e306), (lmmr_update, 1e150, 1.0), (wasserstein_update, 1e150, 1.0),
+    ])
+    def test_failed_solve_names_the_update(self, update, scale, prior):
+        meas = MeasurementModel([[scale, 0.5 * scale]], SpdMatrix(1.0))
+        g = Gaussian(np.zeros(2), SpdMatrix(prior * np.eye(2)))
+        kind = update.__name__.split("_")[0]
+        with pytest.raises(NumericFailure, match=rf"^{kind} update: .*solve failed"):
+            update(g, meas, [0.0], 0.02)
+
+
 class TestRunFilter:
     def test_zero_steps(self):
         g0 = scalar_gaussian(0.0, 1.0)
@@ -240,6 +259,68 @@ class TestRunFilter:
             )
         gap = max_abs(runs["jko"].means() - runs["exact"].means())
         assert gap < 1e-3
+
+    @pytest.mark.parametrize("noise", [1.0, 1e-4])
+    @pytest.mark.parametrize("update", ["lmmr", "wasserstein"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    def test_exact_predict_matches_the_oracle_at_every_step(self, n, update, noise):
+        # The run's exact predict is one affine map built once; the loop here
+        # calls the oracle at every step, as the exact predict once did. At
+        # small noise the map's offset Q_h is tiny against a unit-scale probe,
+        # so this case shows whether reading it off the oracle cancels.
+        sys, meas, g0, rng = _dense_problem(n, min(n, 3))
+        sys = LinearSystem(sys.a, noise * sys.b)
+        g0 = Gaussian(g0.mean, SpdMatrix(noise**2 * g0.cov.mat))
+        cfg = StepConfig(h=0.02, steps=300)
+        dz = math.sqrt(cfg.h) * rng.normal(size=(cfg.steps, meas.obs_dim))
+        update_fn = {"lmmr": lmmr_update, "wasserstein": wasserstein_update}[update]
+        want = [g0]
+        for k in range(cfg.steps):
+            g = want[-1]
+            prior = Gaussian(exact_mean(sys, g.mean, cfg.h), exact_cov(sys, g.cov, cfg.h))
+            want.append(update_fn(prior, meas, dz[k] / cfg.h, cfg.h))
+        run = run_filter(sys, meas, g0, dz, cfg, update=update, predict="exact")
+        means = np.stack([g.mean for g in want])
+        covs = np.stack([g.cov.mat for g in want])
+        got_covs = np.stack([g.cov.mat for g in run.posteriors])
+        assert max_abs(run.means() - means) <= 1e-11 * max_abs(means)
+        assert max_abs(got_covs - covs) <= 1e-11 * max_abs(covs)
+
+    def test_exact_predict_on_a_stiff_system_with_small_noise(self):
+        # e^(-150 h) shrinks the probe's fast direction by 2.5e-3: a probe at
+        # the noise scale alone would fall below the SPD floor. The reference
+        # is the Van Loan block exponential; the oracle's RK4 is 1e-10 off
+        # here, since 150 times its 1e-3 substep is not small.
+        sys = LinearSystem([[-1.0, 0.0], [0.5, -150.0]], 1e-6 * np.eye(2))
+        meas = MeasurementModel([[1.0, 0.5]], SpdMatrix(1.0))
+        g0 = Gaussian(np.array([1.0, -1.0]), SpdMatrix(np.eye(2)))
+        cfg = StepConfig(h=0.02, steps=4)
+        dz = np.full((cfg.steps, 1), 0.01)
+        block = np.block([[-sys.a, sys.diffusion()], [np.zeros((2, 2)), sys.a.T]])
+        van_loan = scipy.linalg.expm(cfg.h * block)
+        phi = van_loan[2:, 2:].T
+        q_h = phi @ van_loan[:2, 2:]
+        want = [g0]
+        for k in range(cfg.steps):
+            cov = phi @ want[-1].cov.mat @ phi.T + q_h
+            prior = Gaussian(phi @ want[-1].mean, SpdMatrix(0.5 * (cov + cov.T)))
+            want.append(lmmr_update(prior, meas, dz[k] / cfg.h, cfg.h))
+        run = run_filter(sys, meas, g0, dz, cfg, predict="exact")
+        assert max_abs(run.means() - np.stack([g.mean for g in want])) <= 1e-12
+        assert max_abs(run.terminal.cov.mat - want[-1].cov.mat) <= 1e-12
+
+    @pytest.mark.parametrize("steps", [10, 300])
+    def test_exact_predict_reads_the_oracle_once_per_run(self, steps, monkeypatch):
+        calls = {"exact_mean": 0, "exact_cov": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(filtering, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(filtering, name, counted)
+        sys, meas, g0, rng = _dense_problem(3, 2)
+        dz = rng.normal(size=(steps, 2))
+        run_filter(sys, meas, g0, dz, StepConfig(h=0.02, steps=steps), predict="exact")
+        assert calls == {"exact_mean": 1, "exact_cov": 1}
 
     @pytest.mark.parametrize("batch", [None, 3], ids=["one-path", "batch"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
