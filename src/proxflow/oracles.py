@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OracleFailure, ValidationError
+from .errors import NumericFailure, OracleFailure, ValidationError
 from .gaussians import (
     FilterRun,
     Gaussian,
@@ -49,18 +49,6 @@ def rk4_step(f, y, dt: float):
     k3 = f(y + 0.5 * dt * k2)
     k4 = f(y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_integrate(f, y0, horizon: float, substep: float):
-    """Integrate y' = f(y) over [0, horizon] with equal steps near substep."""
-    if horizon == 0.0:
-        return y0
-    n = max(1, int(math.ceil(horizon / substep - 1e-12)))
-    dt = horizon / n
-    y = y0
-    for _ in range(n):
-        y = rk4_step(f, y, dt)
-    return y
 
 
 def exact_mean(sys: LinearSystem, mu0, t: float) -> np.ndarray:
@@ -110,43 +98,66 @@ def _closed_form_cov(sys: LinearSystem, p0: SpdMatrix, t: float, iso: float) -> 
     return SpdMatrix(settled + decay @ p0.mat @ decay)
 
 
-def _rk4_cov(sys: LinearSystem, p0: SpdMatrix, t: float, substep: float) -> SpdMatrix:
-    """RK4 integral of the covariance ODE P' = A P + P A^T + 2 B B^T, with
-    P A^T formed as (A P)^T since P stays symmetric."""
-    forcing = sys.diffusion()
-
+def _riccati_rate(drift, forcing, info=None):
+    """The stage rate of P' = F P + P F^T + 2 B B^T - P J P for drift F,
+    forcing 2 B B^T and information J (None for none). F P is formed once,
+    as P F^T = (F P)^T for the symmetric P."""
     def rate(p):
-        ap = sys.a @ p
-        return ap + ap.T + forcing
+        fp = drift @ p
+        stage = fp + fp.T + forcing
+        return stage if info is None else stage - p @ info @ p
 
-    final = rk4_integrate(rate, p0.mat, t, substep)
-    return SpdMatrix(0.5 * (final + final.T))
+    return rate
 
 
-def _observer_run(sys, meas, g0, dz, h, gain_of, rate) -> FilterRun:
+def _rk4_cov(sys: LinearSystem, p0: SpdMatrix, t: float, substep: float) -> SpdMatrix:
+    """RK4 integral of the covariance ODE P' = A P + P A^T + 2 B B^T over
+    [0, t] in ceil(t / substep) equal steps, under one floating-point guard:
+    a step that overflows raises NumericFailure naming it."""
+    rate = _riccati_rate(sys.a, sys.diffusion())
+    count = max(1, math.ceil(t / substep - 1e-12))
+    p = p0.mat
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for i in range(count):
+                p = rk4_step(rate, p, t / count)
+    except FloatingPointError as exc:
+        raise NumericFailure(f"exact covariance: RK4 step {i + 1} of {count}: {exc}") from exc
+    return SpdMatrix(0.5 * (p + p.T))
+
+
+def _observer_run(sys, meas, g0, dz, h, drift, info) -> FilterRun:
     """Shared input checks and substep loop of the two reference runs. Per
-    substep: an Euler mean step with the gain from the pre-step covariance,
-    gain_of(P), against the piecewise-constant data rate dz_k / h; an RK4
-    covariance step of P' = rate(P); symmetrization. dz is (steps, m), or
-    (S, steps, m) for S paths that share the covariance path. The means are
-    held as columns, (n, 1) or (S, n, 1), so a batch does each seed's
-    arithmetic as its one-path run does. Returns the filter state at the
-    interval boundaries (steps + 1 posteriors), with means (n,) or (S, n)."""
+    substep: an Euler mean step against the piecewise-constant data rate
+    dz_k / h, with the gain P C^T R^-1 from the pre-step P if info is given,
+    else C^T R^-1; an RK4 step of P' = F P + P F^T + 2 B B^T - P J P with
+    F = drift, J = info; symmetrization. dz is (steps, m), or (S, steps, m)
+    for S paths sharing the covariance path; means are held as columns, so a
+    batch does each seed's arithmetic as its one-path run does. Returns the
+    steps + 1 states at the interval boundaries. An interval that overflows
+    raises NumericFailure naming the run and the interval."""
     g0, dz = batch_prior(sys, meas, g0, dz)
     require_positive(h, "step size")
+    rate = _riccati_rate(drift, sys.diffusion(), info)
     dt = h / REFERENCE_SUBSTEPS
     c = meas.c
+    ct_rinv = c.T @ meas.rinv
     mu = g0.mean[..., None]
     p = g0.cov.mat.copy()
     out = [g0]
-    for k in range(dz.shape[-2]):
-        y = dz[..., k, :, None] / h
-        for _ in range(REFERENCE_SUBSTEPS):
-            gain = gain_of(p)
-            mu = mu + dt * (sys.a @ mu + gain @ (y - c @ mu))
-            p = rk4_step(rate, p, dt)
-            p = 0.5 * (p + p.T)
-        out.append(Gaussian(mu[..., 0], SpdMatrix(p)))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for k in range(dz.shape[-2]):
+                y = dz[..., k, :, None] / h
+                for _ in range(REFERENCE_SUBSTEPS):
+                    gain = ct_rinv if info is None else p @ ct_rinv
+                    mu = mu + dt * (sys.a @ mu + gain @ (y - c @ mu))
+                    p = rk4_step(rate, p, dt)
+                    p = 0.5 * (p + p.T)
+                out.append(Gaussian(mu[..., 0], SpdMatrix(p)))
+    except FloatingPointError as exc:
+        run = "Luenberger" if info is None else "Kalman-Bucy"
+        raise NumericFailure(f"{run} reference run failed at interval {k + 1}: {exc}") from exc
     return FilterRun(tuple(out))
 
 
@@ -155,23 +166,11 @@ def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> Filt
 
     Covariance follows the Riccati ODE
     P' = A P + P A^T + 2 B B^T - P C^T R^-1 C P; the mean uses the gain
-    K = P C^T R^-1. Each rate forms A P once, as P A^T = (A P)^T for the
-    symmetric P. C^T R^-1 C is formed here once per run, not read from the
-    measurement model, so the check shares no cached matrix with the update
-    it checks. Returns the run of states at the interval boundaries.
+    K = P C^T R^-1. C^T R^-1 C is formed here once per run, not read from
+    the measurement model, so the check shares no cached matrix with the
+    update it checks. Returns the run of states at the interval boundaries.
     """
-    forcing = sys.diffusion()
-    ct_rinv = meas.c.T @ meas.rinv
-    info = ct_rinv @ meas.c
-
-    def gain_of(p):
-        return p @ ct_rinv
-
-    def riccati(p):
-        ap = sys.a @ p
-        return ap + ap.T + forcing - p @ info @ p
-
-    return _observer_run(sys, meas, g0, dz, h, gain_of, riccati)
+    return _observer_run(sys, meas, g0, dz, h, sys.a, meas.c.T @ meas.rinv @ meas.c)
 
 
 def luenberger_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> FilterRun:
@@ -180,15 +179,9 @@ def luenberger_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> Filte
     The covariance follows the Lyapunov ODE
     P' = (A - L C) P + P (A - L C)^T + 2 B B^T, decoupled from the gain.
     """
-    forcing = sys.diffusion()
-    gain = meas.c.T @ meas.rinv
-    closed = sys.a - gain @ meas.c
-
-    def lyapunov(p):
-        cp = closed @ p
-        return cp + cp.T + forcing
-
-    return _observer_run(sys, meas, g0, dz, h, lambda p: gain, lyapunov)
+    # checked before A - L C is formed, which a C of the wrong width breaks
+    require_same_dim("system and measurement model", sys.dim, meas.state_dim)
+    return _observer_run(sys, meas, g0, dz, h, sys.a - meas.c.T @ meas.rinv @ meas.c, None)
 
 
 KIND_JKO = "jko-free-energy"

@@ -22,6 +22,7 @@ from .errors import (
     ControllabilityError,
     DimensionError,
     ModeMismatchError,
+    NumericFailure,
     SingularityError,
     StepSizeError,
     ValidationError,
@@ -256,7 +257,8 @@ def propagate(
     Returns [(0, g0), (h, g1), ...]. Mode "symmetric-exact" requires a
     symmetric drift and B B^T = I/beta and applies the exact proximal step;
     "general-first-order" uses the equipartition-frame mean recursion and the
-    first-order covariance recursion.
+    first-order covariance recursion. A step that overflows raises
+    NumericFailure naming it.
     """
     require_same_dim("state and system", sys.dim, g0.dim)
     if mode == MODE_SYMMETRIC:
@@ -280,6 +282,10 @@ def propagate(
     else:
         raise ValidationError(f"unknown propagation mode {mode!r}")
     out = [(0.0, g0)]
-    for k in range(1, cfg.steps + 1):
-        out.append((k * cfg.h, step(out[-1][1])))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for k in range(1, cfg.steps + 1):
+                out.append((k * cfg.h, step(out[-1][1])))
+    except FloatingPointError as exc:
+        raise NumericFailure(f"{mode} propagation failed at step {k}: {exc}") from exc
     return out

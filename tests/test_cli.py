@@ -389,6 +389,43 @@ class TestExitCodes:
         assert main(argv) == 0
         assert capsys.readouterr().out
 
+    @pytest.mark.parametrize("command,update,failed", [
+        ("converge-filter", "lmmr", r"Kalman-Bucy reference run failed at interval \d+"),
+        ("converge-filter", "wasserstein", r"Luenberger reference run failed at interval \d+"),
+        ("converge-propagation", None, r"exact covariance: RK4 step 1 of 200"),
+    ], ids=["kalman-bucy", "luenberger", "exact-cov"])
+    def test_overflowing_oracle_exits_2_without_warning(self, tmp_path, capsys, command, update,
+                                                        failed):
+        # every field is valid, but the reference the run is measured against
+        # overflows: the filter configs put (h / 20) |2A| = 10 outside RK4's
+        # stability interval, the propagation config starts at 8e307 I
+        if update:
+            payload = {
+                "system": {"A": [[-10000.0]], "B": [[1.0]]},
+                "measurement": {"C": [[1.0]], "R": [[1.0]]},
+                "initial": {"mean": [0.0], "cov": [[1.0]]},
+                "steps": {"h": [0.02, 0.01], "horizon": 0.2},
+                "seeds": [1],
+                "mode": {"task": "filter", "update": update, "predict": "exact"},
+            }
+        else:
+            payload = {
+                "system": {"A": [[-3.0, 0.5], [-0.5, -3.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+                "initial": {"mean": [0.0, 0.0], "cov": [[8e307, 0.0], [0.0, 8e307]]},
+                "steps": {"h": [0.04, 0.02], "horizon": 0.2},
+                "mode": {"task": "propagation", "propagation": "general-first-order"},
+            }
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"^numeric failure: {failed}: overflow", err, re.MULTILINE)
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in leaked] == []
+        assert not out.exists()
+
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PROPAGATION_CONFIG)
         out = tmp_path / "missing" / "prop.csv"

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from proxflow import (
     Gaussian,
     LinearSystem,
     MeasurementModel,
+    NumericFailure,
     OracleFailure,
     ProxObjective,
     SpdMatrix,
@@ -314,6 +316,78 @@ def test_rk4_cov_matches_two_product_form_bitwise(n):
     for _ in range(count):
         p = _rk4(rate, p, t / count)
     assert np.array_equal(_rk4_cov(sys, p0, t, substep).mat, 0.5 * (p + p.T))
+
+
+@pytest.mark.parametrize(
+    "run,name", [(kalman_bucy_run, "Kalman-Bucy"), (luenberger_run, "Luenberger")],
+    ids=["kalman-bucy", "luenberger"],
+)
+def test_stiff_reference_run_raises_numeric_failure(run, name):
+    # dt |2A| = 10 with dt = h / 20 lies outside RK4's stability interval, so
+    # the covariance grows until it overflows; the run names itself and the
+    # interval instead of warning and handing on a non-finite matrix.
+    stiff = LinearSystem([[-10000.0]], [[1.0]])
+    g0 = Gaussian([0.0], SpdMatrix(1.0))
+    with pytest.raises(NumericFailure,
+                       match=rf"^{name} reference run failed at interval \d+: overflow"):
+        run(stiff, SCALAR_MEAS, g0, np.zeros((20, 1)), 0.01)
+
+
+def test_rk4_cov_overflow_raises_numeric_failure():
+    sys = LinearSystem([[-3.0, 0.5], [-0.5, -3.0]], np.eye(2))
+    with pytest.raises(NumericFailure, match=r"^exact covariance: RK4 step 1 of 200: overflow"):
+        exact_cov(sys, SpdMatrix(8e307 * np.eye(2)), 0.2, 1e-3)
+
+
+def _count_rk4_steps(monkeypatch):
+    calls = []
+    real = oracles.rk4_step
+
+    def counted(f, y, dt):
+        calls.append(dt)
+        return real(f, y, dt)
+
+    monkeypatch.setattr(oracles, "rk4_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("intervals", [1, 7])
+@pytest.mark.parametrize(
+    "run", [kalman_bucy_run, luenberger_run], ids=["kalman-bucy", "luenberger"]
+)
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["one-path", "batch"])
+def test_reference_runs_take_20_rk4_steps_per_interval(monkeypatch, run, intervals, shape):
+    # The benchmark's oracles.rk4_steps count stays comparable across
+    # changes only while these counts hold; a batch steps its shared
+    # covariance once.
+    calls = _count_rk4_steps(monkeypatch)
+    run(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(2.0)),
+        np.zeros(shape + (intervals, 1)), 0.02)
+    assert len(calls) == 20 * intervals
+    assert set(calls) == {0.02 / 20}
+
+
+def test_exact_cov_takes_20_rk4_steps_over_one_filter_step(monkeypatch):
+    calls = _count_rk4_steps(monkeypatch)
+    p0 = SpdMatrix(np.eye(2))
+    exact_cov(LinearSystem([[-1.0, 0.0], [0.0, -2.0]], np.eye(2)), p0, 0.02)
+    assert calls == []  # symmetric drift, isotropic noise: the closed form
+    exact_cov(LinearSystem([[-1.0, 0.5], [-0.5, -1.0]], np.eye(2)), p0, 0.02)
+    assert len(calls) == 20
+
+
+def test_oracles_stay_independent_of_the_code_they_check():
+    # A reference must not run through the recursion it checks: the oracle
+    # module takes the system type from propagation and nothing else from
+    # propagation or filtering.
+    def origin(value):
+        if isinstance(value, types.ModuleType):
+            return value.__name__
+        return getattr(value, "__module__", None)
+
+    borrowed = {name: value for name, value in vars(oracles).items()
+                if origin(value) in ("proxflow.filtering", "proxflow.propagation")}
+    assert borrowed == {"LinearSystem": LinearSystem}
 
 
 class TestProxObjective:

@@ -50,6 +50,9 @@ MISMATCHES = {
     "run_filter": lambda: run_filter(SYS2, MEAS1, G2, DZ, CFG),
     "kalman_bucy_run": lambda: kalman_bucy_run(SYS2, MEAS1, G2, DZ, 0.1),
     "luenberger_run": lambda: luenberger_run(SYS2, MEAS1, G2, DZ, 0.1),
+    "luenberger_run-wider-measurement": lambda: luenberger_run(
+        SYS2, MeasurementModel(np.ones((1, 3)), SpdMatrix(1.0)), G2, DZ, 0.1
+    ),
     "simulate-measurement": lambda: simulate(SYS2, MEAS1, np.zeros(2), CFG, 0),
     "simulate-x0": lambda: simulate(SYS2, MEAS2, G1, CFG, 0),
     "Gaussian": lambda: Gaussian(np.zeros(2), SpdMatrix(1.0)),

@@ -8,6 +8,7 @@ from proxflow import (
     Gaussian,
     LinearSystem,
     ModeMismatchError,
+    NumericFailure,
     SingularityError,
     SpdMatrix,
     StabilityError,
@@ -367,6 +368,14 @@ class TestPropagate:
         off = LinearSystem(-np.eye(2), scale * np.eye(2) + np.diag([1e-6, 0.0]))
         with pytest.raises(ModeMismatchError, match="deviation"):
             propagate(off, g0, cfg, "symmetric-exact")
+
+    def test_overflowing_step_raises_numeric_failure(self):
+        # every input is valid, but P + h (A P + P A^T + 2 B B^T) overflows
+        sys = LinearSystem([[-3.0, 0.5], [-0.5, -3.0]], np.eye(2))
+        g0 = Gaussian([0.0, 0.0], SpdMatrix(8e307 * np.eye(2)))
+        with pytest.raises(NumericFailure,
+                           match=r"^general-first-order propagation failed at step 1: overflow"):
+            propagate(sys, g0, StepConfig(h=0.02, steps=10), "general-first-order")
 
     def test_unknown_mode(self):
         sys = LinearSystem([[-1.0]], [[1.0]])
