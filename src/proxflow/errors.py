@@ -43,7 +43,7 @@ class NumericFailure(ProxflowError):
 
 
 class StepSizeError(ProxflowError):
-    """Discrete step destroyed positive-definiteness; use a smaller step."""
+    """Discrete step destroyed positive-definiteness or does not decay; use a smaller step."""
 
 
 class OracleFailure(ProxflowError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericFailure, ValidationError
+from .errors import DimensionError, NumericFailure, ProxflowError, ValidationError
 from .gaussians import FilterRun, Gaussian, as_vectors, batch_prior
 from .matrices import (
     POSITIVITY_RTOL,
@@ -125,12 +125,18 @@ def _exact_step(sys: LinearSystem, h: float):
     offset of the affine covariance map at the probe P = s I. The probe sits
     at the noise scale s ~ |Q_h|, so the subtraction loses digits only at
     Q_h's own scale however small the noise; s stays high enough that
-    s Phi Phi^T, and so the oracle's output, clears the SPD floor."""
+    s Phi Phi^T, and so the oracle's output, clears the SPD floor. A Q_h read
+    that fails raises NumericFailure naming the exact predict."""
     n = sys.dim
     phi = exact_mean(sys, np.eye(n), h).T
     shrink = np.linalg.svd(phi, compute_uv=False)[-1] ** 2
     s = max(h * max_abs(sys.diffusion()), _PROBE_FLOOR / shrink)
-    q_h = exact_cov(sys, SpdMatrix(s * np.eye(n)), h).mat - s * (phi @ phi.T)
+    try:
+        q_h = exact_cov(sys, SpdMatrix(s * np.eye(n)), h).mat - s * (phi @ phi.T)
+    except ProxflowError as exc:
+        raise NumericFailure(
+            f"exact predict: cannot read Q_h off the oracle at h={h}: {exc}"
+        ) from exc
 
     def step(g):
         cov = phi @ g.cov.mat @ phi.T + q_h

@@ -40,7 +40,9 @@ from .matrices import (
 from .propagation import LinearSystem
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
-REFERENCE_SUBSTEPS = 20  # per data interval of the reference runs
+REFERENCE_SUBSTEPS = 20  # the fewest substeps per data interval of a reference run
+# Radius of a left half-disc inside RK4's stability region: |R(z)| <= 0.873 on its arc.
+RK4_STABLE = 2.5
 
 
 def rk4_step(f, y, dt: float):
@@ -110,12 +112,21 @@ def _riccati_rate(drift, forcing, info=None):
     return rate
 
 
+def _rk4_count(drift, t: float, count: int) -> int:
+    """Steps over a span t: count, or more if a step dt would put
+    dt (lambda_i + lambda_j) of P' = F P + P F^T outside RK4's stable
+    half-disc, with F = drift."""
+    rho = float(np.max(np.abs(np.linalg.eigvals(drift))))
+    return max(count, math.ceil(2.0 * rho * t / RK4_STABLE))
+
+
 def _rk4_cov(sys: LinearSystem, p0: SpdMatrix, t: float, substep: float) -> SpdMatrix:
     """RK4 integral of the covariance ODE P' = A P + P A^T + 2 B B^T over
-    [0, t] in ceil(t / substep) equal steps, under one floating-point guard:
-    a step that overflows raises NumericFailure naming it."""
+    [0, t] in ceil(t / substep) equal steps, or more where A is stiff, under
+    one floating-point guard: a step that overflows raises NumericFailure
+    naming it."""
     rate = _riccati_rate(sys.a, sys.diffusion())
-    count = max(1, math.ceil(t / substep - 1e-12))
+    count = _rk4_count(sys.a, t, max(1, math.ceil(t / substep - 1e-12)))
     p = p0.mat
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -128,18 +139,20 @@ def _rk4_cov(sys: LinearSystem, p0: SpdMatrix, t: float, substep: float) -> SpdM
 
 def _observer_run(sys, meas, g0, dz, h, drift, info) -> FilterRun:
     """Shared input checks and substep loop of the two reference runs. Per
-    substep: an Euler mean step against the piecewise-constant data rate
-    dz_k / h, with the gain P C^T R^-1 from the pre-step P if info is given,
-    else C^T R^-1; an RK4 step of P' = F P + P F^T + 2 B B^T - P J P with
-    F = drift, J = info; symmetrization. dz is (steps, m), or (S, steps, m)
-    for S paths sharing the covariance path; means are held as columns, so a
-    batch does each seed's arithmetic as its one-path run does. Returns the
-    steps + 1 states at the interval boundaries. An interval that overflows
-    raises NumericFailure naming the run and the interval."""
+    substep (REFERENCE_SUBSTEPS per interval, more where F is stiff): an
+    Euler mean step against the piecewise-constant data rate dz_k / h, with
+    the gain P C^T R^-1 from the pre-step P if info is given, else C^T R^-1;
+    an RK4 step of P' = F P + P F^T + 2 B B^T - P J P with F = drift,
+    J = info; symmetrization. dz is (steps, m), or (S, steps, m) for S paths
+    sharing the covariance path; means are held as columns, so a batch does
+    each seed's arithmetic as its one-path run does. Returns the steps + 1
+    states at the interval boundaries. An interval that overflows raises
+    NumericFailure naming the run and the interval."""
     g0, dz = batch_prior(sys, meas, g0, dz)
     require_positive(h, "step size")
     rate = _riccati_rate(drift, sys.diffusion(), info)
-    dt = h / REFERENCE_SUBSTEPS
+    substeps = _rk4_count(drift, h, REFERENCE_SUBSTEPS)
+    dt = h / substeps
     c = meas.c
     ct_rinv = c.T @ meas.rinv
     mu = g0.mean[..., None]
@@ -149,7 +162,7 @@ def _observer_run(sys, meas, g0, dz, h, drift, info) -> FilterRun:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for k in range(dz.shape[-2]):
                 y = dz[..., k, :, None] / h
-                for _ in range(REFERENCE_SUBSTEPS):
+                for _ in range(substeps):
                     gain = ct_rinv if info is None else p @ ct_rinv
                     mu = mu + dt * (sys.a @ mu + gain @ (y - c @ mu))
                     p = rk4_step(rate, p, dt)
@@ -235,15 +248,13 @@ def prox_objective_value(obj: ProxObjective, g: Gaussian, h: float) -> float:
     return 0.5 * w2_gaussian(g, obj.anchor) ** 2 + h * misfit
 
 
-# Brute-force search settings: a refined grid for n = 1, descent for n = 2.
-GRID_POINTS = 200
-GRID_REFINEMENTS = 3
+# Brute-force search settings, read at call time.
 DESCENT_MAX_ITERATIONS = 5000
 DESCENT_GRADIENT_TOL = 1e-7
 
 
-def _scalar_objective_grid(obj: ProxObjective, h: float, mu, p):
-    """Vectorized scalar objective on broadcastable (mu, p) grids.
+def _scalar_objective(obj: ProxObjective, h: float, mu: float, p: float) -> float:
+    """The scalar objective at (mu, p).
 
     Written against the scalar closed forms directly so the search stays
     independent of the matrix-valued implementations it is used to check.
@@ -252,117 +263,68 @@ def _scalar_objective_grid(obj: ProxObjective, h: float, mu, p):
     p0 = float(obj.anchor.cov.mat[0, 0])
     if obj.kind == KIND_JKO:
         gam = float(obj.gamma.mat[0, 0])
-        w2sq = (mu - mu0) ** 2 + (np.sqrt(p) - np.sqrt(p0)) ** 2
+        w2sq = (mu - mu0) ** 2 + (math.sqrt(p) - math.sqrt(p0)) ** 2
         energy = 0.5 * (gam * mu ** 2 + gam * p)
-        entropy = -0.5 * (1.0 + LOG_TWO_PI + np.log(p))
+        entropy = -0.5 * (1.0 + LOG_TWO_PI + math.log(p))
         return 0.5 * w2sq + h * (energy + entropy / obj.beta)
     cc = float(obj.c[0, 0])
     rr = float(obj.r.mat[0, 0])
     yy = float(obj.y[0])
     misfit = 0.5 * ((yy - cc * mu) ** 2 / rr + cc * cc * p / rr)
     if obj.kind == KIND_LMMR:
-        kl = 0.5 * (p / p0 + (mu0 - mu) ** 2 / p0 - 1.0 - np.log(p / p0))
+        kl = 0.5 * (p / p0 + (mu0 - mu) ** 2 / p0 - 1.0 - math.log(p / p0))
         return kl + h * misfit
-    w2sq = (mu - mu0) ** 2 + (np.sqrt(p) - np.sqrt(p0)) ** 2
+    w2sq = (mu - mu0) ** 2 + (math.sqrt(p) - math.sqrt(p0)) ** 2
     return 0.5 * w2sq + h * misfit
 
 
-def _grid_search_scalar(obj: ProxObjective, h: float):
-    mu0 = float(obj.anchor.mean[0])
-    p0 = float(obj.anchor.cov.mat[0, 0])
-    span_mu = 3.0 + 2.0 * math.sqrt(p0)
-    mu_lo, mu_hi = mu0 - span_mu, mu0 + span_mu
-    p_lo, p_hi = max(1e-8, 0.05 * p0), 4.0 * p0 + 4.0 * h * (
-        1.0 / obj.beta if obj.kind == KIND_JKO else 1.0
+def _search(obj: ProxObjective, h: float) -> tuple[Gaussian, float]:
+    """BFGS from the anchor over unconstrained coordinates: (mu, log p) on
+    the scalar closed form for n = 1, (mu, log l11, l21, log l22) of the
+    Cholesky factor L on prox_objective_value for n = 2."""
+    import scipy.optimize  # about 0.75 s to import: a CLI start should not pay it
+
+    if obj.anchor.dim == 1:
+        def unpack(x):
+            return x[:1], np.array([[math.exp(x[1])]])
+
+        def value(x):
+            return _scalar_objective(obj, h, float(x[0]), math.exp(x[1]))
+
+        x0 = np.array([obj.anchor.mean[0], math.log(obj.anchor.cov.mat[0, 0])])
+    else:
+        def unpack(x):
+            ell = np.array([[math.exp(x[2]), 0.0], [x[3], math.exp(x[4])]])
+            return x[:2], ell @ ell.T
+
+        def value(x):
+            mean, cov = unpack(x)
+            return prox_objective_value(obj, Gaussian(mean, SpdMatrix(cov)), h)
+
+        ell = np.linalg.cholesky(obj.anchor.cov.mat)
+        x0 = np.array([*obj.anchor.mean, math.log(ell[0, 0]), ell[1, 0], math.log(ell[1, 1])])
+    res = scipy.optimize.minimize(
+        value, x0, method="BFGS", jac="3-point",
+        options={"gtol": DESCENT_GRADIENT_TOL, "maxiter": DESCENT_MAX_ITERATIONS},
     )
-    npts = GRID_POINTS
-    best_mu = best_p = best_val = None
-    for stage in range(GRID_REFINEMENTS + 1):
-        mu_axis = np.linspace(mu_lo, mu_hi, npts)
-        p_axis = np.linspace(p_lo, p_hi, npts)
-        vals = _scalar_objective_grid(obj, h, mu_axis[:, None], p_axis[None, :])
-        i, j = np.unravel_index(np.argmin(vals), vals.shape)
-        if stage == 0 and (i in (0, npts - 1) or j in (0, npts - 1)):
-            raise OracleFailure("grid minimizer landed on the search boundary")
-        best_mu, best_p, best_val = mu_axis[i], p_axis[j], float(vals[i, j])
-        d_mu = mu_axis[1] - mu_axis[0]
-        d_p = p_axis[1] - p_axis[0]
-        mu_lo, mu_hi = best_mu - 2.0 * d_mu, best_mu + 2.0 * d_mu
-        p_lo, p_hi = max(1e-10, best_p - 2.0 * d_p), best_p + 2.0 * d_p
-    g = Gaussian(np.array([best_mu]), SpdMatrix(np.array([[best_p]])))
-    return g, best_val
-
-
-def _pack_cholesky(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    ell = np.linalg.cholesky(cov)
-    return np.array([mean[0], mean[1], ell[0, 0], ell[1, 0], ell[1, 1]])
-
-
-def _unpack_cholesky(theta: np.ndarray):
-    mean = theta[:2]
-    ell = np.array([[theta[2], 0.0], [theta[3], theta[4]]])
-    return mean, ell @ ell.T
-
-
-def _descent_2d(obj: ProxObjective, h: float):
-    def value(theta):
-        if theta[2] <= 1e-8 or theta[4] <= 1e-8:
-            return np.inf
-        mean, cov = _unpack_cholesky(theta)
-        return prox_objective_value(obj, Gaussian(mean, SpdMatrix(cov)), h)
-
-    def gradient(theta):
-        grad = np.zeros_like(theta)
-        for i in range(theta.size):
-            delta = 1e-6 * max(1.0, abs(theta[i]))
-            up = theta.copy()
-            up[i] += delta
-            dn = theta.copy()
-            dn[i] -= delta
-            grad[i] = (value(up) - value(dn)) / (2.0 * delta)
-        return grad
-
-    theta = _pack_cholesky(obj.anchor.mean, obj.anchor.cov.mat)
-    f0 = value(theta)
-    for _ in range(DESCENT_MAX_ITERATIONS):
-        grad = gradient(theta)
-        gmax = float(np.max(np.abs(grad)))
-        if gmax < DESCENT_GRADIENT_TOL:
-            mean, cov = _unpack_cholesky(theta)
-            return Gaussian(mean, SpdMatrix(cov)), f0
-        step = 1.0
-        improved = False
-        for _ in range(60):
-            cand = theta - step * grad
-            fc = value(cand)
-            if fc <= f0 - 1e-4 * step * float(grad @ grad):
-                theta, f0 = cand, fc
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            # line search stalled at numeric noise: accept if gradient is small
-            if gmax < 1e2 * DESCENT_GRADIENT_TOL:
-                mean, cov = _unpack_cholesky(theta)
-                return Gaussian(mean, SpdMatrix(cov)), f0
-            raise OracleFailure(
-                f"descent stalled with gradient max-abs {gmax:.3e}"
-            )
-    raise OracleFailure("descent did not converge within the iteration budget")
+    # A precision-loss stop at numeric noise is accepted if the gradient is small.
+    stalled = res.status == 2 and np.max(np.abs(res.jac)) < 1e2 * DESCENT_GRADIENT_TOL
+    if not (res.success or stalled):
+        raise OracleFailure(f"brute-force search failed: {res.message}")
+    mean, cov = unpack(res.x)
+    return Gaussian(mean, SpdMatrix(cov)), float(res.fun)
 
 
 def brute_force_prox(obj: ProxObjective, h: float) -> tuple[Gaussian, float]:
     """Numerically minimize the proximal objective over (mu, P), for n <= 2.
 
-    n = 1 uses a two-stage refined grid; n = 2 uses gradient descent with
-    numeric gradients and backtracking. Raises OracleFailure rather than
+    One BFGS search with numeric gradients, from the anchor, stopping at
+    max-abs gradient DESCENT_GRADIENT_TOL. Raises OracleFailure rather than
     returning a dubious minimizer.
     """
     require_positive(h, "step size", zero_ok=True)
     if h == 0.0:
         return obj.anchor, 0.0
-    if obj.anchor.dim == 1:
-        return _grid_search_scalar(obj, h)
-    if obj.anchor.dim == 2:
-        return _descent_2d(obj, h)
-    raise ValidationError("brute-force search supports dimensions 1 and 2 only")
+    if obj.anchor.dim > 2:
+        raise ValidationError("brute-force search supports dimensions 1 and 2 only")
+    return _search(obj, h)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericFailure, ValidationError
+from .errors import NumericFailure, StepSizeError, ValidationError
 from .filtering import MeasurementModel
 from .gaussians import Gaussian, as_vector, require_single
 from .matrices import matvec, require_same_dim, sqrt_spd
@@ -50,6 +50,9 @@ def simulate(
     """Simulate x_{k+1} = x_k + h A x_k + sqrt(2h) B xi_k and
     dz_k = h C x_k + sqrt(h) R^(1/2) eta_k.
 
+    The step must decay: a spectral radius of I + h A at or above 1 raises
+    StepSizeError before anything is drawn.
+
     x0 is either an exact state vector or a Gaussian to draw the initial
     state from (one draw). A sequence of S seeds gives states (S, steps + 1, n)
     and increments (S, steps, m), each seed's path bit for bit its own run.
@@ -62,6 +65,13 @@ def simulate(
     seeds = [seed] if np.ndim(seed) == 0 else list(seed)
     if not seeds:
         raise ValidationError("seeds must not be empty")
+    h = cfg.h
+    factor = float(np.max(np.abs(np.linalg.eigvals(np.eye(sys.dim) + h * sys.a))))
+    if factor >= 1.0:
+        raise StepSizeError(
+            f"Euler-Maruyama step h={h} does not decay: the spectral radius of I + h A "
+            f"is {factor:.6g} >= 1; use a smaller step"
+        )
     p = sys.noise_dim
     m = meas.obs_dim
     lead = 0
@@ -75,7 +85,6 @@ def simulate(
     if lead:
         x = x0.mean + matvec(sqrt_spd(x0.cov).mat, draws[:, :lead])
     noise = draws[:, lead:].reshape(len(seeds), cfg.steps, p + m)
-    h = cfg.h
     r_half = sqrt_spd(meas.r).mat
     process = np.sqrt(2.0 * h) * matvec(sys.b, noise[..., :p])
     sensor = np.sqrt(h) * matvec(r_half, noise[..., p:])

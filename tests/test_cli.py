@@ -3,10 +3,13 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import proxflow
 from proxflow.cli import main
 from proxflow.config import parse_config
 from proxflow.errors import ConfigError
@@ -310,6 +313,25 @@ class TestCompareFilters:
         assert [str(w.message) for w in leaked] == []
         assert not out.exists()
 
+    def test_euler_maruyama_step_that_does_not_decay_exits_2(self, tmp_path, capsys):
+        # A = -150 is stable, but I + h A = -2 doubles the simulated truth at
+        # every step; the run stops before simulating instead of scoring it
+        payload = json.loads(json.dumps(COMPARE_CONFIG))
+        payload["system"]["A"] = [[-150.0]]
+        payload["steps"] = {"h": [0.02], "horizon": 2.0}
+        payload["seeds"] = [1, 2]
+        payload["mode"]["predict"] = "exact"
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            assert main(["compare-filters", "--config", cfg, "--out", str(out)]) == 2
+        assert re.search(r"^numeric failure: Euler-Maruyama step h=0\.02 does not decay: "
+                         r"the spectral radius of I \+ h A is 2 >= 1",
+                         capsys.readouterr().err, re.MULTILINE)
+        assert [str(w.message) for w in leaked] == []
+        assert not out.exists()
+
     def test_stationary_covariance_below_floor_named(self, tmp_path, capsys):
         payload = json.loads((REPO / "scripts" / "configs" / "compare_scalar.json").read_text())
         payload["system"]["B"] = [[1e-7]]  # Hurwitz and controllable, P_inf = 1e-14
@@ -397,13 +419,12 @@ class TestExitCodes:
     def test_overflowing_oracle_exits_2_without_warning(self, tmp_path, capsys, command, update,
                                                         failed):
         # every field is valid, but the reference the run is measured against
-        # overflows: the filter configs put (h / 20) |2A| = 10 outside RK4's
-        # stability interval, the propagation config starts at 8e307 I
+        # overflows: each config starts at a covariance of 8e307
         if update:
             payload = {
-                "system": {"A": [[-10000.0]], "B": [[1.0]]},
+                "system": {"A": [[-1.0]], "B": [[1.0]]},
                 "measurement": {"C": [[1.0]], "R": [[1.0]]},
-                "initial": {"mean": [0.0], "cov": [[1.0]]},
+                "initial": {"mean": [0.0], "cov": [[8e307]]},
                 "steps": {"h": [0.02, 0.01], "horizon": 0.2},
                 "seeds": [1],
                 "mode": {"task": "filter", "update": update, "predict": "exact"},
@@ -672,6 +693,18 @@ def test_bundled_propagation_tables_reproduce(tmp_path, command, config, name):
         assert got_values.keys() == want_values.keys()
         for key, value in want_values.items():
             assert got_values[key] == pytest.approx(value, rel=1e-9, abs=0.0)
+
+
+def test_cli_start_leaves_scipy_optimize_unloaded():
+    # scipy.optimize takes most of a second to import and only the
+    # brute-force oracle uses it, so it must not load with the package.
+    code = "import sys, proxflow, proxflow.cli; print('scipy.optimize' in sys.modules)"
+    src = pathlib.Path(proxflow.__file__).resolve().parent.parent  # the package under test
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "False\n"
 
 
 def _json_values(doc):

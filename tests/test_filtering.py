@@ -309,6 +309,17 @@ class TestRunFilter:
         assert max_abs(run.means() - np.stack([g.mean for g in want])) <= 1e-12
         assert max_abs(run.terminal.cov.mat - want[-1].cov.mat) <= 1e-12
 
+    def test_exact_predict_names_an_oracle_read_that_fails(self):
+        # e^(-1e4 h) puts the probe at 5e163, where exact_cov's output
+        # cancels to an indefinite matrix; the failure names the predict.
+        sys = LinearSystem([[-10000.0, 1.0], [0.0, -1.0]], np.eye(2))
+        meas = MeasurementModel([[1.0, 0.0]], SpdMatrix(1.0))
+        g0 = Gaussian(np.zeros(2), SpdMatrix(np.eye(2)))
+        with pytest.raises(NumericFailure, match=r"^exact predict: cannot read Q_h off the "
+                                                 r"oracle at h=0\.02: matrix is not positive"):
+            run_filter(sys, meas, g0, np.zeros((10, 1)), StepConfig(h=0.02, steps=10),
+                       predict="exact")
+
     @pytest.mark.parametrize("steps", [10, 300])
     def test_exact_predict_reads_the_oracle_once_per_run(self, steps, monkeypatch):
         calls = {"exact_mean": 0, "exact_cov": 0}

@@ -3,6 +3,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from proxflow import (
     DimensionError,
@@ -323,14 +324,51 @@ def test_rk4_cov_matches_two_product_form_bitwise(n):
     ids=["kalman-bucy", "luenberger"],
 )
 def test_stiff_reference_run_raises_numeric_failure(run, name):
-    # dt |2A| = 10 with dt = h / 20 lies outside RK4's stability interval, so
-    # the covariance grows until it overflows; the run names itself and the
-    # interval instead of warning and handing on a non-finite matrix.
+    # A prior of 8e307 overflows at the first RK4 stage; the run names itself
+    # and the interval instead of warning and handing on a non-finite matrix.
     stiff = LinearSystem([[-10000.0]], [[1.0]])
-    g0 = Gaussian([0.0], SpdMatrix(1.0))
+    g0 = Gaussian([0.0], SpdMatrix(8e307))
     with pytest.raises(NumericFailure,
                        match=rf"^{name} reference run failed at interval \d+: overflow"):
         run(stiff, SCALAR_MEAS, g0, np.zeros((20, 1)), 0.01)
+
+
+@pytest.mark.parametrize("run,steady,substeps", [
+    (luenberger_run, 1.0 / 10001.0, 81),
+    (kalman_bucy_run, 2.0 / (math.sqrt(1e8 + 2.0) + 1e4), 80),
+], ids=["luenberger", "kalman-bucy"])
+def test_stiff_reference_runs_reach_their_steady_state(monkeypatch, run, steady, substeps):
+    # (h / 20) |2F| = 10 lies outside RK4's stability region; the run takes
+    # ceil(2 rho(F) h / RK4_STABLE) substeps per interval instead, with
+    # F = A - C^T R^-1 C = -10001 for Luenberger and F = A for Kalman-Bucy.
+    calls = _count_rk4_steps(monkeypatch)
+    stiff = LinearSystem([[-10000.0]], [[1.0]])
+    out = run(stiff, SCALAR_MEAS, Gaussian([0.0], SpdMatrix(1.0)), np.zeros((20, 1)), 0.01)
+    assert out.terminal.cov.mat[0, 0] == pytest.approx(steady, rel=1e-12)
+    assert len(calls) == 20 * substeps
+
+
+def test_rk4_cov_on_a_stiff_drift_matches_van_loan():
+    # The default substep 1e-3 puts dt |2 lambda| = 20 outside RK4's region.
+    sys = LinearSystem([[-10000.0, 1.0], [0.0, -1.0]], np.eye(2))
+    block = np.block([[-sys.a, sys.diffusion()], [np.zeros((2, 2)), sys.a.T]])
+    van_loan = scipy.linalg.expm(0.02 * block)
+    phi = van_loan[2:, 2:].T
+    want = phi @ phi.T + phi @ van_loan[:2, 2:]
+    got = exact_cov(sys, SpdMatrix(np.eye(2)), 0.02).mat
+    assert max_abs(got - want) <= 1e-12 * max_abs(want)
+
+
+def test_rk4_stable_half_disc_lies_inside_the_stability_region():
+    # By the maximum modulus principle |R(z)| is largest on the boundary of
+    # the half-disc |z| <= RK4_STABLE, Re z <= 0. On its arc R is read off
+    # rk4_step itself, on y' = z y over a unit step; on the imaginary axis
+    # |R(iy)|^2 = 1 - y^6 / 72 + y^8 / 576 <= 1 exactly while y^2 <= 8.
+    radius = oracles.RK4_STABLE
+    z = radius * np.exp(1j * np.linspace(0.5 * np.pi, 1.5 * np.pi, 2001))
+    growth = np.abs(oracles.rk4_step(lambda y: z * y, np.ones_like(z), 1.0))
+    assert growth.max() == pytest.approx(0.873, abs=1e-3)
+    assert radius ** 2 <= 8.0
 
 
 def test_rk4_cov_overflow_raises_numeric_failure():

@@ -13,6 +13,7 @@ from proxflow import (
     SimPath,
     SpdMatrix,
     StepConfig,
+    StepSizeError,
     ValidationError,
     coarsen,
     lyapunov_solve,
@@ -110,6 +111,21 @@ class TestSimulate:
         )
         resid = path.increments[:, 0] - h * path.states[:-1, 0]
         assert abs(float(np.var(resid)) - h) < 3.0 * h * math.sqrt(2.0 / n_steps)
+
+    @pytest.mark.parametrize("a,factor", [
+        ([[-100.0]], "1"),
+        ([[-150.0]], "2"),
+        ([[-0.1, 10.0], [-10.0, -0.1]], r"1\.01784"),
+    ], ids=["boundary", "stiff", "oscillatory"])
+    def test_step_that_does_not_decay_is_refused(self, a, factor, monkeypatch):
+        # Euler-Maruyama multiplies the state by I + h A each step; at a
+        # spectral radius of 1 or more the simulated truth cannot decay.
+        monkeypatch.setattr(GaussianStream, "draw", None)  # nothing may be drawn
+        sys = LinearSystem(a, np.eye(len(a)))
+        meas = MeasurementModel(np.ones((1, len(a))), SpdMatrix(1.0))
+        with pytest.raises(StepSizeError, match=rf"^Euler-Maruyama step h=0\.02 does not "
+                                                rf"decay: .* I \+ h A is {factor} >= 1"):
+            simulate(sys, meas, np.zeros(len(a)), StepConfig(h=0.02, steps=5), 1)
 
     def test_noise_streams_uncorrelated(self):
         n_steps = 20_000
