@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericFailure, ProxflowError, ValidationError
+from .errors import DimensionError, NumericFailure, ProxflowError, SingularityError, ValidationError
 from .gaussians import FilterRun, Gaussian, as_vectors, batch_prior
 from .matrices import (
     POSITIVITY_RTOL,
@@ -109,7 +109,7 @@ def wasserstein_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -
         cov = np.linalg.solve(scaled, half.T).T
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"wasserstein update: a solve failed: {exc}") from exc
-    return Gaussian(mean, SpdMatrix(0.5 * (cov + cov.T)))
+    return Gaussian(mean, SpdMatrix(cov))
 
 
 _UPDATES = {"lmmr": lmmr_update, "wasserstein": wasserstein_update}
@@ -139,8 +139,7 @@ def _exact_step(sys: LinearSystem, h: float):
         ) from exc
 
     def step(g):
-        cov = phi @ g.cov.mat @ phi.T + q_h
-        return Gaussian(matvec(phi, g.mean), SpdMatrix(0.5 * (cov + cov.T)))
+        return Gaussian(matvec(phi, g.mean), SpdMatrix(phi @ g.cov.mat @ phi.T + q_h))
 
     return step
 
@@ -168,7 +167,8 @@ def run_filter(
     relative to the largest entry, of applying the oracle at every step
     (n up to 16, h = 0.02, B from unit scale down to 1e-5 of it).
     A step that overflows, or an update whose solve fails, raises
-    NumericFailure naming that step.
+    NumericFailure naming that step; a posterior below the SPD floor raises
+    SingularityError naming the update and the step.
     """
     if update not in UPDATE_KINDS:
         raise ValidationError(f"unknown update kind {update!r}")
@@ -186,12 +186,14 @@ def run_filter(
         for k in range(cfg.steps):
             try:
                 prior = predict_step(g)
-            except FloatingPointError as exc:
+            except (FloatingPointError, NumericFailure) as exc:
                 raise NumericFailure(f"{predict} predict failed at step {k + 1}: {exc}") from exc
             try:
                 g = update_fn(prior, meas, dz[..., k, :] / h, h)
             except FloatingPointError as exc:
                 raise NumericFailure(f"{update} update failed at step {k + 1}: {exc}") from exc
+            except SingularityError as exc:
+                raise SingularityError(f"{update} update failed at step {k + 1}: {exc}") from exc
             posteriors.append(g)
     return FilterRun(tuple(posteriors))
 

@@ -66,10 +66,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def as_square(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite square float array (a scalar becomes 1x1)."""
+    """Coerce to a finite, non-empty square float array (a scalar becomes 1x1)."""
     m = as_matrix(a, name)
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {m.shape}")
+    if m.size == 0:
+        raise DimensionError(f"{name} must be non-empty, got shape {m.shape}")
     return m
 
 
@@ -89,10 +91,10 @@ def matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _asymmetry(m: np.ndarray, scale: float) -> float:
-    """max|M - M^T| for a finite square M with max|M| = scale; inf, with no
+    """max|M - M^T| for a finite non-empty square M with max|M| = scale; inf, with no
     floating-point warning, where the difference overflows."""
     if scale < _HALF_MAX:
-        return max_abs(m - m.T)
+        return np.abs(m - m.T).max()
     return 2.0 * max_abs(0.5 * m - 0.5 * m.T)
 
 
@@ -109,8 +111,10 @@ def is_isotropic(m: np.ndarray, level: float) -> bool:
 
 def symmetrize(a, name: str = "matrix") -> np.ndarray:
     """Return (A + A^T)/2, rejecting inputs beyond the asymmetry tolerance."""
-    m = as_square(a, name)
-    scale = max_abs(m)
+    m = np.asarray(a, dtype=float)
+    scale = np.abs(m).max() if m.size else math.nan  # nan or inf if an entry is not finite
+    if not (scale < _HALF_MAX and m.ndim == 2 and m.shape[0] == m.shape[1]):
+        m = as_square(m, name)  # names the fault, or makes a scalar 1x1
     asymmetry = _asymmetry(m, scale)
     if asymmetry > SYMMETRY_RTOL * (1.0 + scale):
         raise ValidationError(f"{name} is not symmetric: asymmetry {asymmetry:.3e}")
@@ -123,9 +127,10 @@ def symmetrize(a, name: str = "matrix") -> np.ndarray:
 class SpdMatrix:
     """Symmetric positive-definite matrix with a cached eigendecomposition.
 
-    Construction validates symmetry (within tolerance) and positivity
-    (eigenvalues above the relative floor). Instances are immutable; the
-    cached factors back all matrix-function evaluations.
+    Construction accepts a matrix P within SYMMETRY_RTOL (1 + max|P|) of
+    symmetric and stores (P + P^T)/2, so callers pass raw products; it
+    rejects eigenvalues below the relative floor. Instances are immutable;
+    the cached factors back all matrix-function evaluations.
     """
 
     __slots__ = ("mat", "eigenvalues", "eigenvectors")

@@ -134,7 +134,7 @@ def _rk4_cov(sys: LinearSystem, p0: SpdMatrix, t: float, substep: float) -> SpdM
                 p = rk4_step(rate, p, t / count)
     except FloatingPointError as exc:
         raise NumericFailure(f"exact covariance: RK4 step {i + 1} of {count}: {exc}") from exc
-    return SpdMatrix(0.5 * (p + p.T))
+    return SpdMatrix(p)
 
 
 def _observer_run(sys, meas, g0, dz, h, drift, info) -> FilterRun:

@@ -227,9 +227,8 @@ def jko_step_general_cov(p_prev: SpdMatrix, sys: LinearSystem, h: float) -> SpdM
     require_same_dim("covariance and system", sys.dim, p_prev.dim)
     require_positive(h, "step size", zero_ok=True)
     p = p_prev.mat
-    nxt = p + h * (sys.a @ p + p @ sys.a.T + sys.diffusion())
     try:
-        return SpdMatrix(0.5 * (nxt + nxt.T))
+        return SpdMatrix(p + h * (sys.a @ p + p @ sys.a.T + sys.diffusion()))
     except SingularityError as exc:
         raise StepSizeError(
             f"covariance step with h={h} lost positive-definiteness; use a smaller step"
@@ -286,6 +285,6 @@ def propagate(
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for k in range(1, cfg.steps + 1):
                 out.append((k * cfg.h, step(out[-1][1])))
-    except FloatingPointError as exc:
+    except (FloatingPointError, NumericFailure) as exc:
         raise NumericFailure(f"{mode} propagation failed at step {k}: {exc}") from exc
     return out

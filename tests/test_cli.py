@@ -313,6 +313,26 @@ class TestCompareFilters:
         assert [str(w.message) for w in leaked] == []
         assert not out.exists()
 
+    def test_posterior_below_the_floor_exits_2_naming_the_update(self, tmp_path, capsys):
+        # R = 1e-9 squeezes the transport posterior's observed variance to
+        # 2.5e-15 at the first update, below the SPD floor
+        payload = {
+            "system": {"A": [[-1.0, 0.5], [0.0, -2.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+            "measurement": {"C": [[1.0, 0.0]], "R": [[1e-9]]},
+            "initial": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "steps": {"h": [0.02], "horizon": 1.0},
+            "seeds": [1, 2],
+            "mode": {"task": "compare"},
+        }
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "x.csv"
+        assert main(["compare-filters", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "numeric failure: wasserstein update failed at step 1: matrix is not positive "
+            "definite within the floor: eigenvalues in [2.500e-15, 9.600e-01]\n"
+        )
+        assert not out.exists()
+
     def test_euler_maruyama_step_that_does_not_decay_exits_2(self, tmp_path, capsys):
         # A = -150 is stable, but I + h A = -2 doubles the simulated truth at
         # every step; the run stops before simulating instead of scoring it

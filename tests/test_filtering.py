@@ -10,6 +10,7 @@ from proxflow import (
     LinearSystem,
     MeasurementModel,
     NumericFailure,
+    SingularityError,
     SpdMatrix,
     StepConfig,
     ValidationError,
@@ -319,6 +320,42 @@ class TestRunFilter:
                                                  r"oracle at h=0\.02: matrix is not positive"):
             run_filter(sys, meas, g0, np.zeros((10, 1)), StepConfig(h=0.02, steps=10),
                        predict="exact")
+
+    @pytest.mark.parametrize("predict", ["jko", "exact"])
+    def test_posterior_below_the_floor_names_the_update_and_step(self, predict):
+        # R = 1e-9 squeezes the transport posterior's observed variance to
+        # 2.5e-15 at the first update, below the SPD floor
+        sys = LinearSystem([[-1.0, 0.5], [0.0, -2.0]], np.eye(2))
+        meas = MeasurementModel([[1.0, 0.0]], SpdMatrix(1e-9))
+        g0 = Gaussian(np.zeros(2), SpdMatrix(np.eye(2)))
+        cfg = StepConfig(h=0.02, steps=50)
+        with pytest.raises(SingularityError, match=r"^wasserstein update failed at step 1: "
+                                                   r"matrix is not positive definite"):
+            run_filter(sys, meas, g0, np.zeros((2, cfg.steps, 1)), cfg, "wasserstein", predict)
+
+    def test_exact_predict_that_overflows_names_the_step(self):
+        # Phi P Phi^T is finite, but its entries pass _HALF_MAX, so
+        # symmetrizing it overflows to a non-finite eigendecomposition
+        sys = LinearSystem([[-1.0, 100.0], [0.0, -1.0]], np.eye(2))
+        meas = MeasurementModel([[1.0, 0.5]], SpdMatrix(1.0))
+        g0 = Gaussian(np.zeros(2), SpdMatrix(2e307 * np.eye(2)))
+        with pytest.raises(NumericFailure, match=r"^exact predict failed at step 1: "):
+            run_filter(sys, meas, g0, np.zeros((3, 1)), StepConfig(h=0.02, steps=3),
+                       predict="exact")
+
+    @pytest.mark.parametrize("update", ["lmmr", "wasserstein"])
+    @pytest.mark.parametrize("predict", ["jko", "exact"])
+    def test_stiff_run_passes_raw_products_inside_the_symmetry_tolerance(self, update,
+                                                                         predict):
+        # R = 1e-6 I drives the update's solves hard; every covariance the
+        # recursions form reaches SpdMatrix unsymmetrized and must pass its
+        # symmetry check
+        sys, meas, g0, rng = _dense_problem(8, 3)
+        meas = MeasurementModel(meas.c, SpdMatrix(1e-6 * np.eye(3)))
+        cfg = StepConfig(h=0.02, steps=100)
+        dz = math.sqrt(cfg.h) * rng.normal(size=(cfg.steps, 3))
+        run = run_filter(sys, meas, g0, dz, cfg, update=update, predict=predict)
+        assert len(run.posteriors) == cfg.steps + 1
 
     @pytest.mark.parametrize("steps", [10, 300])
     def test_exact_predict_reads_the_oracle_once_per_run(self, steps, monkeypatch):

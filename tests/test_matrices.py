@@ -21,7 +21,8 @@ from proxflow import (
     sqrt_spd,
     sym_skew_split,
 )
-from proxflow.matrices import is_isotropic, max_abs, symmetrize
+from proxflow import matrices
+from proxflow.matrices import _HALF_MAX, as_square, is_isotropic, max_abs, symmetrize
 from support import random_hurwitz, random_spd
 
 
@@ -335,6 +336,51 @@ def test_symmetrize_tolerance_boundary():
     assert max_abs(out - out.T) == 0.0
     with pytest.raises(ValidationError):
         symmetrize(base + np.array([[0.0, 1e-3], [0.0, 0.0]]))
+
+
+def _recursion_products(n):
+    """Near-symmetric covariances formed as the recursions form them: the
+    first-order step P + h (A P + P A^T + D), the transport update
+    S^-1 P S^-T from two solves, and the exact predict Phi P Phi^T + Q."""
+    rng = np.random.default_rng(60 + n)
+    a, p, d = random_hurwitz(rng, n), random_spd(rng, n).mat, random_spd(rng, n).mat
+    s = np.eye(n) + 0.02 * random_spd(rng, n, 1e2, 1e6).mat
+    phi = expm(a, 0.02)
+    return [
+        p + 0.02 * (a @ p + p @ a.T + d),
+        np.linalg.solve(s, np.linalg.solve(s, p).T).T,
+        phi @ p @ phi.T + d,
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+def test_spd_of_a_raw_product_equals_spd_of_its_symmetric_part(n):
+    # The recursions pass their raw products: construction stores (M + M^T)/2,
+    # and (S + S^T)/2 of a symmetric S is S bit for bit.
+    products = _recursion_products(n)
+    assert n == 1 or any(not np.array_equal(m, m.T) for m in products)
+    for m in products:
+        raw, sym = SpdMatrix(m), SpdMatrix(0.5 * (m + m.T))
+        for field in ("mat", "eigenvalues", "eigenvectors"):
+            assert np.array_equal(getattr(raw, field), getattr(sym, field))
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below-half-max", "above-half-max"])
+def test_symmetrize_checks_in_one_pass_below_half_max(above, monkeypatch):
+    # Largest entry one step either side of _HALF_MAX; M + M^T stays finite.
+    # Below it every check is one reduction over M; from it on, as_square
+    # and the overflow-safe asymmetry run.
+    x = np.nextafter(_HALF_MAX, math.inf if above else 0.0)
+    m = np.array([[1.0, x], [x * (1.0 - 1e-12), 1.0]])
+    names = []
+    monkeypatch.setattr(matrices, "as_square", lambda a, name: names.append(name) or
+                        as_square(a, name))
+    out = symmetrize(m)
+    assert names == (["matrix"] if above else [])
+    assert np.array_equal(out, 0.5 * (m + m.T))
+    assert np.array_equal(symmetrize(out), out)
+    with pytest.raises(ValidationError, match="^matrix is not symmetric: asymmetry "):
+        symmetrize(m * np.array([[1.0, 1.0], [1.0 - 1e-6, 1.0]]))
 
 
 def test_is_isotropic_tolerance_boundary():

@@ -1,6 +1,7 @@
 """Shared preconditions: every public entry point reports a dimension
-mismatch as DimensionError, matrices and increment paths must be 2-D, and
-every run rejects non-finite measurement increments before its first step."""
+mismatch as DimensionError, matrices and increment paths must be 2-D and
+square matrices non-empty, and every run rejects non-finite measurement
+increments before its first step."""
 
 import math
 
@@ -24,6 +25,7 @@ from proxflow import (
     kalman_bucy_run,
     lmmr_update,
     luenberger_run,
+    lyapunov_solve,
     propagate,
     run_filter,
     simulate,
@@ -90,6 +92,22 @@ ONE_DIMENSIONAL = {
 def test_one_dimensional_matrix_raises_dimension_error(call, match):
     with pytest.raises(DimensionError, match=match):
         call()
+
+
+EMPTY = {
+    "SpdMatrix": (lambda: SpdMatrix(np.zeros((0, 0))), "SPD matrix"),
+    "LinearSystem": (lambda: LinearSystem(np.zeros((0, 0)), np.zeros((0, 1))), "A"),
+    "lyapunov_solve": (lambda: lyapunov_solve(np.zeros((0, 0)), np.zeros((0, 0))), "A"),
+    "expm": (lambda: expm(np.zeros((0, 0))), "exponent matrix"),
+}
+
+
+@pytest.mark.parametrize("call,name", EMPTY.values(), ids=EMPTY.keys())
+def test_empty_matrix_raises_dimension_error(call, name):
+    with pytest.raises(DimensionError) as exc:
+        call()
+    assert type(exc.value) is DimensionError
+    assert str(exc.value) == f"{name} must be non-empty, got shape (0, 0)"
 
 
 def _stepping_forbidden(*args, **kwargs):

@@ -377,6 +377,19 @@ class TestPropagate:
                            match=r"^general-first-order propagation failed at step 1: overflow"):
             propagate(sys, g0, StepConfig(h=0.02, steps=10), "general-first-order")
 
+    def test_step_that_overflows_in_symmetrization_raises_numeric_failure(self):
+        # P + h (A P + P A^T + 2 B B^T) is finite, but its off-diagonal 1e308
+        # passes _HALF_MAX, so (P + P^T)/2 overflows: the step is named, and
+        # a direct call raises without a floating-point warning
+        sys = LinearSystem([[-1.0, 10.0], [0.0, -1.0]], np.eye(2))
+        p0 = SpdMatrix(1e307 * np.eye(2))
+        with pytest.raises(NumericFailure, match=r"^general-first-order propagation failed "
+                                                 r"at step 1: eigendecomposition"):
+            propagate(sys, Gaussian([0.0, 0.0], p0), StepConfig(h=1.0, steps=2),
+                      "general-first-order")
+        with pytest.raises(NumericFailure, match=r"^eigendecomposition produced non-finite"):
+            jko_step_general_cov(p0, sys, 1.0)
+
     def test_unknown_mode(self):
         sys = LinearSystem([[-1.0]], [[1.0]])
         g0 = Gaussian([0.0], SpdMatrix(1.0))
