@@ -4,14 +4,15 @@
     python3 scripts/bench.py --pr N
 
 For every workload in BENCHMARK.json, runs benchmarks/run.py RUNS times with
---trace 0 and once with --trace 1, each at seed SEED and for the run length
-BENCHMARK.json fixes, one process at a time. Writes BENCH_<pr>.json at the repo root: the
-git SHA and whether src/ differs from it, the hash of src/, the Python,
-numpy and scipy versions, nproc, and per workload the median and quartiles
-of each end-to-end metric (with every run's value), the per-layer calls and
-self times of the traced run, and the failed-operation counts. Exits 1 if a
-run fails or reports an incorrect output. Takes about (RUNS + 1) x 30 s per
-workload on a 2-vCPU host.
+--trace 0 and TRACED_RUNS times with --trace 1, each at seed SEED and for the
+run length BENCHMARK.json fixes, one process at a time. Writes BENCH_<pr>.json
+at the repo root: the git SHA and whether src/ differs from it, the hash of
+src/, the Python, numpy and scipy versions, nproc, and per workload the
+median and quartiles of each end-to-end metric over the untraced runs and of
+each per-layer metric over the traced runs (with every run's value), and the
+failed-operation counts. Exits 1 if a run fails or reports an incorrect
+output, or if a per-layer call count differs between the traced runs. Takes
+about (RUNS + TRACED_RUNS) x 30 s per workload on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "benchmarks" / "run.py"
 SEED = 2  # the workload seed every BENCH_<pr>.json is measured at
 RUNS = 5  # untraced runs per workload
+TRACED_RUNS = 3  # traced runs per workload: one run's self times cannot resolve a 10 % change
 
 
 def _run(workload: str, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -52,6 +54,18 @@ def _summary(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def _per_layer(workload: str, traced: list) -> dict:
+    """Each per-layer metric summarized over the traced runs' results; the
+    call counts of a deterministic workload must agree run for run."""
+    layers = {}
+    for name, metric in traced[0]["metrics"].items():
+        values = [result["metrics"][name]["value"] for result in traced]
+        if name.endswith(".calls") and len(set(values)) > 1:
+            raise SystemExit(f"{workload}: {name} differs between traced runs: {values}")
+        layers[name] = dict(unit=metric["unit"], **_summary(values))
+    return layers
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the file name")
@@ -63,16 +77,18 @@ def main() -> int:
     workloads = {}
     for workload in (w["name"] for w in spec["workloads"]):
         runs = [_run(workload, seconds, 0) for _ in range(RUNS)]
-        provenance, traced = _run(workload, seconds, 1)
+        provenance = runs[-1][0]
+        runs = [result for _, result in runs]
+        traced = [_run(workload, seconds, 1)[1] for _ in range(TRACED_RUNS)]
         workloads[workload] = {
             "end_to_end": {
                 metric["name"]: dict(unit=metric["unit"], **_summary(
-                    [result["metrics"][metric["name"]]["value"] for _, result in runs]))
+                    [result["metrics"][metric["name"]]["value"] for result in runs]))
                 for metric in spec["end_to_end"]
             },
-            "failed": [result["failed"] for _, result in runs] + [traced["failed"]],
-            "attempted": [result["attempted"] for _, result in runs] + [traced["attempted"]],
-            "per_layer": {name: metric["value"] for name, metric in traced["metrics"].items()},
+            "failed": [result["failed"] for result in runs + traced],
+            "attempted": [result["attempted"] for result in runs + traced],
+            "per_layer": _per_layer(workload, traced),
         }
         print(f"{workload}: " + ", ".join(
             f"{name} {entry['median']:.6g} {entry['unit']}"
@@ -90,6 +106,7 @@ def main() -> int:
         "workload_seed": SEED,
         "run_seconds": seconds,
         "untraced_runs": RUNS,
+        "traced_runs": TRACED_RUNS,
         "workloads": workloads,
     }
     path = ROOT / f"BENCH_{args.pr}.json"

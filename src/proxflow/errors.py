@@ -5,6 +5,10 @@ wrong (shapes, symmetry, stability, configuration); numeric-type errors mean
 a computation could not be completed at the required quality.
 """
 
+from contextlib import contextmanager
+
+import numpy as np
+
 
 class ProxflowError(Exception):
     """Base class for all package errors."""
@@ -48,3 +52,17 @@ class StepSizeError(ProxflowError):
 
 class OracleFailure(ProxflowError):
     """Brute-force reference minimizer failed to converge."""
+
+
+@contextmanager
+def named_failures(where):
+    """Run a block with floating-point faults raised. A FloatingPointError
+    leaves as NumericFailure, a ProxflowError as its own class, each as
+    f"{where()}: {exc}"; where is read on failure, so it can name a step."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericFailure(f"{where()}: {exc}") from exc
+    except ProxflowError as exc:
+        raise type(exc)(f"{where()}: {exc}") from exc

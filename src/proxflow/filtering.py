@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericFailure, ProxflowError, SingularityError, ValidationError
+from .errors import DimensionError, NumericFailure, ValidationError, named_failures
 from .gaussians import FilterRun, Gaussian, as_vectors, batch_prior
 from .matrices import (
     POSITIVITY_RTOL,
@@ -86,7 +86,7 @@ def lmmr_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -> Gauss
     try:
         mean = np.linalg.solve(lhs, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"lmmr update: the mean solve failed: {exc}") from exc
+        raise NumericFailure(f"the mean solve failed: {exc}") from exc
     post_info = inv_spd(g_prior.cov).mat + h * info
     cov = inv_spd(SpdMatrix(post_info))
     return Gaussian(mean, cov)
@@ -108,7 +108,7 @@ def wasserstein_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -
         half = np.linalg.solve(scaled, g_prior.cov.mat)
         cov = np.linalg.solve(scaled, half.T).T
     except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"wasserstein update: a solve failed: {exc}") from exc
+        raise NumericFailure(f"a solve failed: {exc}") from exc
     return Gaussian(mean, SpdMatrix(cov))
 
 
@@ -126,17 +126,13 @@ def _exact_step(sys: LinearSystem, h: float):
     at the noise scale s ~ |Q_h|, so the subtraction loses digits only at
     Q_h's own scale however small the noise; s stays high enough that
     s Phi Phi^T, and so the oracle's output, clears the SPD floor. A Q_h read
-    that fails raises NumericFailure naming the exact predict."""
+    that fails keeps its error class and names the exact predict."""
     n = sys.dim
     phi = exact_mean(sys, np.eye(n), h).T
     shrink = np.linalg.svd(phi, compute_uv=False)[-1] ** 2
     s = max(h * max_abs(sys.diffusion()), _PROBE_FLOOR / shrink)
-    try:
+    with named_failures(lambda: f"exact predict: cannot read Q_h off the oracle at h={h}"):
         q_h = exact_cov(sys, SpdMatrix(s * np.eye(n)), h).mat - s * (phi @ phi.T)
-    except ProxflowError as exc:
-        raise NumericFailure(
-            f"exact predict: cannot read Q_h off the oracle at h={h}: {exc}"
-        ) from exc
 
     def step(g):
         return Gaussian(matvec(phi, g.mean), SpdMatrix(phi @ g.cov.mat @ phi.T + q_h))
@@ -166,9 +162,9 @@ def run_filter(
     probe scaled to the noise. Over 300 steps it stays within 2e-12,
     relative to the largest entry, of applying the oracle at every step
     (n up to 16, h = 0.02, B from unit scale down to 1e-5 of it).
-    A step that overflows, or an update whose solve fails, raises
-    NumericFailure naming that step; a posterior below the SPD floor raises
-    SingularityError naming the update and the step.
+    A step that fails keeps its error class (NumericFailure for an overflow)
+    and reads "<stage> failed at step k: <cause>", where the stage is
+    "<predict> predict" or "<update> update".
     """
     if update not in UPDATE_KINDS:
         raise ValidationError(f"unknown update kind {update!r}")
@@ -179,22 +175,13 @@ def run_filter(
     h = cfg.h
     predict_step = general_step(sys, h) if predict == "jko" else _exact_step(sys, h)
     posteriors = [g0]
-    g = g0
-    # One guard per run: a step that overflows raises here, named below, and
-    # success pays nothing per step.
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
+    predicting, updating = f"{predict} predict", f"{update} update"
+    with named_failures(lambda: f"{stage} failed at step {len(posteriors)}"):
         for k in range(cfg.steps):
-            try:
-                prior = predict_step(g)
-            except (FloatingPointError, NumericFailure) as exc:
-                raise NumericFailure(f"{predict} predict failed at step {k + 1}: {exc}") from exc
-            try:
-                g = update_fn(prior, meas, dz[..., k, :] / h, h)
-            except FloatingPointError as exc:
-                raise NumericFailure(f"{update} update failed at step {k + 1}: {exc}") from exc
-            except SingularityError as exc:
-                raise SingularityError(f"{update} update failed at step {k + 1}: {exc}") from exc
-            posteriors.append(g)
+            stage = predicting
+            prior = predict_step(posteriors[-1])
+            stage = updating
+            posteriors.append(update_fn(prior, meas, dz[..., k, :] / h, h))
     return FilterRun(tuple(posteriors))
 
 

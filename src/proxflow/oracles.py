@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericFailure, OracleFailure, ValidationError
+from .errors import NumericFailure, OracleFailure, ValidationError, named_failures
 from .gaussians import (
     FilterRun,
     Gaussian,
@@ -43,6 +43,9 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 REFERENCE_SUBSTEPS = 20  # the fewest substeps per data interval of a reference run
 # Radius of a left half-disc inside RK4's stability region: |R(z)| <= 0.873 on its arc.
 RK4_STABLE = 2.5
+# The most RK4 steps one integral may take: REFERENCE_SUBSTEPS times the 10**6
+# steps a config may ask for, the largest non-stiff reference a run can need.
+RK4_MAX_STEPS = 20 * 10**6
 
 
 def rk4_step(f, y, dt: float):
@@ -112,12 +115,20 @@ def _riccati_rate(drift, forcing, info=None):
     return rate
 
 
-def _rk4_count(drift, t: float, count: int) -> int:
+def _rk4_count(drift, t: float, count: int, what: str, spans: int = 1) -> int:
     """Steps over a span t: count, or more if a step dt would put
     dt (lambda_i + lambda_j) of P' = F P + P F^T outside RK4's stable
-    half-disc, with F = drift."""
+    half-disc, with F = drift. An integral over that many spans whose
+    total exceeds RK4_MAX_STEPS raises NumericFailure naming what, before
+    its first step."""
     rho = float(np.max(np.abs(np.linalg.eigvals(drift))))
-    return max(count, math.ceil(2.0 * rho * t / RK4_STABLE))
+    count = max(count, math.ceil(2.0 * rho * t / RK4_STABLE))
+    if count * spans > RK4_MAX_STEPS:
+        raise NumericFailure(
+            f"{what} needs {count * spans} RK4 steps, more than {RK4_MAX_STEPS} "
+            f"(rho(F) = {rho:.3g})"
+        )
+    return count
 
 
 def _rk4_cov(sys: LinearSystem, p0: SpdMatrix, t: float, substep: float) -> SpdMatrix:
@@ -126,14 +137,11 @@ def _rk4_cov(sys: LinearSystem, p0: SpdMatrix, t: float, substep: float) -> SpdM
     one floating-point guard: a step that overflows raises NumericFailure
     naming it."""
     rate = _riccati_rate(sys.a, sys.diffusion())
-    count = _rk4_count(sys.a, t, max(1, math.ceil(t / substep - 1e-12)))
+    count = _rk4_count(sys.a, t, max(1, math.ceil(t / substep - 1e-12)), "exact covariance")
     p = p0.mat
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for i in range(count):
-                p = rk4_step(rate, p, t / count)
-    except FloatingPointError as exc:
-        raise NumericFailure(f"exact covariance: RK4 step {i + 1} of {count}: {exc}") from exc
+    with named_failures(lambda: f"exact covariance: RK4 step {i + 1} of {count}"):
+        for i in range(count):
+            p = rk4_step(rate, p, t / count)
     return SpdMatrix(p)
 
 
@@ -146,31 +154,28 @@ def _observer_run(sys, meas, g0, dz, h, drift, info) -> FilterRun:
     J = info; symmetrization. dz is (steps, m), or (S, steps, m) for S paths
     sharing the covariance path; means are held as columns, so a batch does
     each seed's arithmetic as its one-path run does. Returns the steps + 1
-    states at the interval boundaries. An interval that overflows raises
-    NumericFailure naming the run and the interval."""
+    states at the interval boundaries. A failing interval keeps its error
+    class, as "<run> reference run failed at interval k: <cause>"."""
     g0, dz = batch_prior(sys, meas, g0, dz)
     require_positive(h, "step size")
+    run = "Luenberger" if info is None else "Kalman-Bucy"
     rate = _riccati_rate(drift, sys.diffusion(), info)
-    substeps = _rk4_count(drift, h, REFERENCE_SUBSTEPS)
+    substeps = _rk4_count(drift, h, REFERENCE_SUBSTEPS, f"{run} reference run", dz.shape[-2])
     dt = h / substeps
     c = meas.c
     ct_rinv = c.T @ meas.rinv
     mu = g0.mean[..., None]
     p = g0.cov.mat.copy()
     out = [g0]
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for k in range(dz.shape[-2]):
-                y = dz[..., k, :, None] / h
-                for _ in range(substeps):
-                    gain = ct_rinv if info is None else p @ ct_rinv
-                    mu = mu + dt * (sys.a @ mu + gain @ (y - c @ mu))
-                    p = rk4_step(rate, p, dt)
-                    p = 0.5 * (p + p.T)
-                out.append(Gaussian(mu[..., 0], SpdMatrix(p)))
-    except FloatingPointError as exc:
-        run = "Luenberger" if info is None else "Kalman-Bucy"
-        raise NumericFailure(f"{run} reference run failed at interval {k + 1}: {exc}") from exc
+    with named_failures(lambda: f"{run} reference run failed at interval {len(out)}"):
+        for k in range(dz.shape[-2]):
+            y = dz[..., k, :, None] / h
+            for _ in range(substeps):
+                gain = ct_rinv if info is None else p @ ct_rinv
+                mu = mu + dt * (sys.a @ mu + gain @ (y - c @ mu))
+                p = rk4_step(rate, p, dt)
+                p = 0.5 * (p + p.T)
+            out.append(Gaussian(mu[..., 0], SpdMatrix(p)))
     return FilterRun(tuple(out))
 
 

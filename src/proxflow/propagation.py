@@ -22,10 +22,10 @@ from .errors import (
     ControllabilityError,
     DimensionError,
     ModeMismatchError,
-    NumericFailure,
     SingularityError,
     StepSizeError,
     ValidationError,
+    named_failures,
 )
 from .gaussians import Gaussian, as_vectors, require_single
 from .matrices import (
@@ -141,10 +141,8 @@ def make_equipartition(sys: LinearSystem) -> EquipartitionFrame:
     the rescaled pair satisfies A_ep (theta I) + (theta I) A_ep^T
     + 2 theta B_ep B_ep^T = 0.
     """
-    try:
+    with named_failures(lambda: "stationary covariance of (A, B)"):
         pinf = SpdMatrix(lyapunov_solve(sys.a, sys.diffusion()))
-    except SingularityError as exc:
-        raise SingularityError(f"stationary covariance of (A, B): {exc}") from exc
     theta = pinf.trace() / sys.dim
     s = sqrt_spd(pinf).mat
     si = inv_sqrt_spd(pinf).mat
@@ -256,8 +254,9 @@ def propagate(
     Returns [(0, g0), (h, g1), ...]. Mode "symmetric-exact" requires a
     symmetric drift and B B^T = I/beta and applies the exact proximal step;
     "general-first-order" uses the equipartition-frame mean recursion and the
-    first-order covariance recursion. A step that overflows raises
-    NumericFailure naming it.
+    first-order covariance recursion. A step that fails keeps its error
+    class (NumericFailure for an overflow) and reads
+    "<mode> propagation failed at step k: <cause>".
     """
     require_same_dim("state and system", sys.dim, g0.dim)
     if mode == MODE_SYMMETRIC:
@@ -281,10 +280,7 @@ def propagate(
     else:
         raise ValidationError(f"unknown propagation mode {mode!r}")
     out = [(0.0, g0)]
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for k in range(1, cfg.steps + 1):
-                out.append((k * cfg.h, step(out[-1][1])))
-    except (FloatingPointError, NumericFailure) as exc:
-        raise NumericFailure(f"{mode} propagation failed at step {k}: {exc}") from exc
+    with named_failures(lambda: f"{mode} propagation failed at step {len(out)}"):
+        for k in range(1, cfg.steps + 1):
+            out.append((k * cfg.h, step(out[-1][1])))
     return out

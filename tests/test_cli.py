@@ -333,6 +333,26 @@ class TestCompareFilters:
         )
         assert not out.exists()
 
+    def test_update_whose_solve_fails_exits_2_naming_the_step(self, tmp_path, capsys):
+        # with C scaled by 1e150, I + h P C^T R^-1 C is singular in floating
+        # point while the update's right-hand side stays finite
+        payload = {
+            "system": {"A": [[-1.0, 100.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+            "measurement": {"C": [[1e150, 5e149]], "R": [[1.0]]},
+            "initial": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "steps": {"h": [0.02], "horizon": 0.2},
+            "seeds": [1, 2],
+            "mode": {"task": "compare", "predict": "exact"},
+        }
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "x.csv"
+        assert main(["compare-filters", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "numeric failure: lmmr update failed at step 1: the mean solve failed: "
+            "Singular matrix\n"
+        )
+        assert not out.exists()
+
     def test_euler_maruyama_step_that_does_not_decay_exits_2(self, tmp_path, capsys):
         # A = -150 is stable, but I + h A = -2 doubles the simulated truth at
         # every step; the run stops before simulating instead of scoring it
@@ -465,6 +485,34 @@ class TestExitCodes:
         assert re.search(rf"^numeric failure: {failed}: overflow", err, re.MULTILINE)
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in leaked] == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,payload,message", [
+        # F = A - C^T R^-1 C has rho 1e9: 16000001 substeps in each of 10 intervals
+        ("converge-filter", {
+            "system": {"A": [[-1.0, 0.5], [0.0, -2.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+            "measurement": {"C": [[1.0, 0.0]], "R": [[1e-9]]},
+            "initial": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "steps": {"h": [0.02], "horizon": 0.2},
+            "seeds": [1],
+            "mode": {"task": "filter", "update": "wasserstein", "predict": "jko"},
+        }, "Luenberger reference run needs 160000010 RK4 steps"),
+        # rho(A) = 1e9 over the horizon 1: 8e8 steps of exact_cov
+        ("converge-propagation", {
+            "system": {"A": [[-1e9, 1000.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+            "initial": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "steps": {"h": [0.01], "horizon": 1.0},
+            "mode": {"task": "propagation", "propagation": "general-first-order"},
+        }, "exact covariance needs 800000000 RK4 steps"),
+    ], ids=["luenberger", "exact-cov"])
+    def test_stiff_reference_exits_2_before_its_first_step(self, tmp_path, capsys, command,
+                                                           payload, message):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"numeric failure: {message}, more than 20000000 (rho(F) = 1e+09)\n"
+        )
         assert not out.exists()
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ from proxflow import (
     SingularityError,
     SpdMatrix,
     StepConfig,
+    StepSizeError,
     ValidationError,
     error_metrics,
     exact_cov,
@@ -212,8 +213,9 @@ class TestUpdateSolveFailure:
     def test_failed_solve_names_the_update(self, update, scale, prior):
         meas = MeasurementModel([[scale, 0.5 * scale]], SpdMatrix(1.0))
         g = Gaussian(np.zeros(2), SpdMatrix(prior * np.eye(2)))
-        kind = update.__name__.split("_")[0]
-        with pytest.raises(NumericFailure, match=rf"^{kind} update: .*solve failed"):
+        # run_filter adds the update's name and step, so the update names neither
+        solve = {lmmr_update: "the mean solve", wasserstein_update: "a solve"}[update]
+        with pytest.raises(NumericFailure, match=rf"^{solve} failed: "):
             update(g, meas, [0.0], 0.02)
 
 
@@ -316,7 +318,7 @@ class TestRunFilter:
         sys = LinearSystem([[-10000.0, 1.0], [0.0, -1.0]], np.eye(2))
         meas = MeasurementModel([[1.0, 0.0]], SpdMatrix(1.0))
         g0 = Gaussian(np.zeros(2), SpdMatrix(np.eye(2)))
-        with pytest.raises(NumericFailure, match=r"^exact predict: cannot read Q_h off the "
+        with pytest.raises(SingularityError, match=r"^exact predict: cannot read Q_h off the "
                                                  r"oracle at h=0\.02: matrix is not positive"):
             run_filter(sys, meas, g0, np.zeros((10, 1)), StepConfig(h=0.02, steps=10),
                        predict="exact")
@@ -342,6 +344,23 @@ class TestRunFilter:
         with pytest.raises(NumericFailure, match=r"^exact predict failed at step 1: "):
             run_filter(sys, meas, g0, np.zeros((3, 1)), StepConfig(h=0.02, steps=3),
                        predict="exact")
+
+    @pytest.mark.parametrize("a,cov,h,predict,error,message", [
+        # 1 + 0.05 (-100 + 2) < 0: the first jko covariance step is indefinite
+        ([[-50.0, 0.0], [0.0, -1.0]], 1.0, 0.05, "jko", StepSizeError,
+         r"jko predict failed at step 1: covariance step with h=0\.05 lost"),
+        # I + h P C^T R^-1 C is singular in floating point at P = 1.5e307 I
+        ([[-1.0, 100.0], [0.0, -1.0]], 1.5e307, 0.02, "exact", NumericFailure,
+         r"lmmr update failed at step 1: the mean solve failed: Singular matrix"),
+    ], ids=["jko-predict", "update-solve"])
+    def test_failing_step_keeps_its_class_and_names_the_step(self, a, cov, h, predict, error,
+                                                             message):
+        sys = LinearSystem(a, np.eye(2))
+        meas = MeasurementModel([[1.0, 0.5]], SpdMatrix(1.0))
+        g0 = Gaussian(np.zeros(2), SpdMatrix(cov * np.eye(2)))
+        with pytest.raises(error, match=rf"^{message}"):
+            run_filter(sys, meas, g0, np.zeros((3, 1)), StepConfig(h=h, steps=3),
+                       predict=predict)
 
     @pytest.mark.parametrize("update", ["lmmr", "wasserstein"])
     @pytest.mark.parametrize("predict", ["jko", "exact"])

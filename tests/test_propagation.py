@@ -390,6 +390,14 @@ class TestPropagate:
         with pytest.raises(NumericFailure, match=r"^eigendecomposition produced non-finite"):
             jko_step_general_cov(p0, sys, 1.0)
 
+    def test_step_size_failure_keeps_its_class_and_names_the_step(self):
+        # 1 + 0.05 (-100 + 2) < 0: the first covariance step is indefinite
+        sys = LinearSystem(np.diag([-50.0, -1.0]), np.eye(2))
+        g0 = Gaussian([0.0, 0.0], SpdMatrix(np.eye(2)))
+        with pytest.raises(StepSizeError, match=r"^general-first-order propagation failed "
+                                                r"at step 1: covariance step with h=0\.05"):
+            propagate(sys, g0, StepConfig(h=0.05, steps=4), "general-first-order")
+
     def test_unknown_mode(self):
         sys = LinearSystem([[-1.0]], [[1.0]])
         g0 = Gaussian([0.0], SpdMatrix(1.0))
