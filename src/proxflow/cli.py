@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .config import SEED_LIMIT, load_config
+from .config import load_config
 from .errors import ProxflowError, ValidationError
 from .experiments import (
     MAX_DIM,
@@ -24,6 +24,7 @@ from .experiments import (
     converge_propagation,
     lemma_checks,
 )
+from .rng import SEED_LIMIT
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -75,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     lemma.add_argument("--seed", type=seed, default=0)
     lemma.add_argument("--out", default=None, help="CSV output path")
     lemma.add_argument("--out-json", default=None)
-    lemma.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     return parser
 
 

@@ -17,10 +17,11 @@ from .filtering import PREDICT_KINDS, UPDATE_KINDS, MeasurementModel
 from .gaussians import Gaussian
 from .matrices import SpdMatrix
 from .propagation import MODE_GENERAL, MODE_SYMMETRIC, LinearSystem
+from .rng import SEED_LIMIT
 
 TASKS = ("propagation", "filter", "compare")
 MAX_STEPS = 10**6
-SEED_LIMIT = 2**64  # the generator keeps a seed's low 64 bits only
+CONFIG_LIMIT = 2**20  # characters read at most; a longer file (e.g. /dev/zero) is refused
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,9 +228,11 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read(CONFIG_LIMIT + 1)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read config {path}: not UTF-8 text ({exc})") from exc
+    if len(text) > CONFIG_LIMIT:
+        raise ConfigError(f"cannot read config {path}: longer than {CONFIG_LIMIT} characters")
     return parse_config(text)

@@ -14,6 +14,9 @@ import math
 
 import numpy as np
 
+from .errors import ValidationError
+
+SEED_LIMIT = 2**64  # seeds are exactly the 64-bit SplitMix states
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -28,7 +31,10 @@ class GaussianStream:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = int(seed) & _MASK64
+        integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+        if not (integral and 0 <= seed < SEED_LIMIT):
+            raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        self._state = int(seed)
 
     def _uniforms(self, count: int) -> np.ndarray:
         """The next count 53-bit uniforms in [0, 1): output k is mix(state + k gamma)."""

@@ -16,6 +16,7 @@ from proxflow.errors import ConfigError
 from proxflow.experiments import lemma_checks
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+CONFIG_LIMIT = 2**20  # characters a config may hold
 
 PROPAGATION_CONFIG = {
     "system": {"A": [[-1.0]], "B": [[1.0]]},
@@ -540,6 +541,58 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         assert main(["converge-propagation", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"error: cannot read config {cfg}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_past_the_size_limit_exits_1(self, tmp_path, capsys):
+        # valid JSON, one character past the limit
+        text = json.dumps(PROPAGATION_CONFIG)
+        cfg = tmp_path / "padded.json"
+        cfg.write_text(text + " " * (CONFIG_LIMIT + 1 - len(text)))
+        out = tmp_path / "x.csv"
+        assert main(["converge-propagation", "--config", str(cfg), "--out", str(out)]) == 1
+        assert (f"error: cannot read config {cfg}: longer than 1048576 characters"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_config_at_the_size_limit_runs(self, tmp_path):
+        # the limit counts characters: two-byte ones fill 2 MB here and still pass
+        text = json.dumps({**PROPAGATION_CONFIG, "note": ""}, ensure_ascii=False)
+        cfg = tmp_path / "full.json"
+        cfg.write_text(text.replace('""', '"' + "\u00e9" * (CONFIG_LIMIT - len(text)) + '"'),
+                       encoding="utf-8")
+        assert len(cfg.read_text(encoding="utf-8")) == CONFIG_LIMIT
+        out = tmp_path / "x.csv"
+        assert main(["converge-propagation", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero device")
+    def test_endless_config_exits_1(self, tmp_path, capsys):
+        # NUL characters are valid UTF-8, so only the size limit ends the read
+        out = tmp_path / "x.csv"
+        assert main(["converge-propagation", "--config", "/dev/zero", "--out", str(out)]) == 1
+        assert ("error: cannot read config /dev/zero: longer than 1048576 characters"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,config,task,other", [
+        ("converge-propagation", "filter_scalar", "propagation", "filter"),
+        ("converge-filter", "compare_scalar", "filter", "compare"),
+        ("compare-filters", "propagation_scalar", "compare", "propagation"),
+    ], ids=["converge-propagation", "converge-filter", "compare-filters"])
+    def test_config_of_another_task_exits_1(self, tmp_path, capsys, command, config, task,
+                                            other):
+        out, mirror = tmp_path / "x.csv", tmp_path / "x.json"
+        cfg = str(REPO / "scripts" / "configs" / f"{config}.json")
+        assert main([command, "--config", cfg, "--out", str(out), "--out-json", str(mirror)]) == 1
+        assert (f"error: mode.task: expected '{task}', got '{other}'"
+                in capsys.readouterr().err)
+        assert not out.exists() and not mirror.exists()
+
+    def test_lemma_checks_takes_no_threads_flag(self, tmp_path, capsys):
+        out = tmp_path / "l.csv"
+        assert main(["lemma-checks", "--trials", "1", "--threads", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments: --threads 1" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("dims", ["17", "1-17", "10000000000", "1-100000000000"])

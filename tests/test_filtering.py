@@ -470,9 +470,9 @@ class TestMonteCarloBenchmark:
         h, horizon = 0.02, 6.0
         steps = round(horizon / h)
         cfg = StepConfig(h=h, steps=steps)
-        paths = [simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, seed) for seed in range(1000, 1200)]
-        dz = np.stack([path.increments for path in paths])
-        truth = np.stack([path.states for path in paths])
+        paths = [simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, [seed]) for seed in range(1000, 1200)]
+        dz = np.stack([path.increments[0] for path in paths])
+        truth = np.stack([path.states[0] for path in paths])
         terminal = {}
         for kind in ("lmmr", "wasserstein"):
             run = run_filter(SCALAR_SYS, SCALAR_MEAS, g0, dz, cfg, update=kind)

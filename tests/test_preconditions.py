@@ -55,8 +55,8 @@ MISMATCHES = {
     "luenberger_run-wider-measurement": lambda: luenberger_run(
         SYS2, MeasurementModel(np.ones((1, 3)), SpdMatrix(1.0)), G2, DZ, 0.1
     ),
-    "simulate-measurement": lambda: simulate(SYS2, MEAS1, np.zeros(2), CFG, 0),
-    "simulate-x0": lambda: simulate(SYS2, MEAS2, G1, CFG, 0),
+    "simulate-measurement": lambda: simulate(SYS2, MEAS1, G2, CFG, [0]),
+    "simulate-x0": lambda: simulate(SYS2, MEAS2, G1, CFG, [0]),
     "Gaussian": lambda: Gaussian(np.zeros(2), SpdMatrix(1.0)),
     "w2_gaussian": lambda: w2_gaussian(G1, G2),
     "energy_quadratic": lambda: energy_quadratic(G1, SpdMatrix(np.eye(2))),

@@ -1,4 +1,7 @@
 import math
+import pathlib
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from proxflow import (
     GaussianStream,
     LinearSystem,
     MeasurementModel,
+    NumericFailure,
     SimPath,
     SpdMatrix,
     StepConfig,
@@ -28,6 +32,10 @@ _normals = load_bench_module("reference")._normals
 
 SCALAR_SYS = LinearSystem([[-1.0]], [[1.0]])
 SCALAR_MEAS = MeasurementModel([[1.0]], SpdMatrix(1.0))
+SCALAR_PRIOR = Gaussian([0.0], SpdMatrix(1.0))
+SIMULATE_PY = pathlib.Path(__file__).resolve().parent.parent / "src" / "proxflow" / "simulate.py"
+# A seed is an integer in [0, 2**64); none of these may be cut down to one.
+BAD_SEEDS = [1.9, -1, 2**64, True, "3"]
 
 
 def _reference(seed, count):
@@ -61,6 +69,16 @@ class TestGaussianStream:
         assert stream.draw(5).tobytes() == want[0:5].tobytes()
         assert stream.draw(1).tobytes() == want[6:7].tobytes()
 
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_seed_outside_the_range_is_refused(self, seed):
+        with pytest.raises(ValidationError, match=rf"^seed must be an integer in \[0, 2\*\*64\), "
+                                                  rf"got {re.escape(repr(seed))}$"):
+            GaussianStream(seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2**64 - 1)], ids=repr)
+    def test_numpy_integer_seed_is_its_int(self, seed):
+        assert GaussianStream(seed).draw(9).tobytes() == GaussianStream(int(seed)).draw(9).tobytes()
+
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 9])
     def test_zero_uniform_rejection_matches_scalar_stream(self, k):
         # Uniform k is mix(seed + k gamma), and mix(0) = 0: seed -k gamma makes
@@ -76,9 +94,9 @@ class TestGaussianStream:
 class TestSimulate:
     def test_seed_reproducibility(self):
         cfg = StepConfig(h=0.01, steps=200)
-        a = simulate(SCALAR_SYS, SCALAR_MEAS, [0.0], cfg, seed=7)
-        b = simulate(SCALAR_SYS, SCALAR_MEAS, [0.0], cfg, seed=7)
-        c = simulate(SCALAR_SYS, SCALAR_MEAS, [0.0], cfg, seed=8)
+        a = simulate(SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, cfg, [7])
+        b = simulate(SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, cfg, [7])
+        c = simulate(SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, cfg, [8])
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.increments, b.increments)
         assert not np.array_equal(a.states, c.states)
@@ -86,18 +104,18 @@ class TestSimulate:
     def test_gaussian_initial_draw_fixed_by_seed(self):
         g0 = Gaussian([1.0], SpdMatrix(4.0))
         cfg = StepConfig(h=0.01, steps=1)
-        a = simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, seed=3)
-        b = simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, seed=3)
-        assert a.states[0, 0] == b.states[0, 0]
-        assert a.states[0, 0] != 1.0  # actually drawn, not the mean
+        a = simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, [3])
+        b = simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, [3])
+        assert a.states[0][0, 0] == b.states[0][0, 0]
+        assert a.states[0][0, 0] != 1.0  # actually drawn, not the mean
 
     def test_stationary_variance(self):
         n_steps = 20_000
         h = 0.01
         g0 = Gaussian([0.0], SpdMatrix(1.0))
-        path = simulate(SCALAR_SYS, SCALAR_MEAS, g0, StepConfig(h=h, steps=n_steps), seed=2024)
+        path = simulate(SCALAR_SYS, SCALAR_MEAS, g0, StepConfig(h=h, steps=n_steps), [2024])
         pinf = lyapunov_solve(SCALAR_SYS.a, SCALAR_SYS.diffusion())[0, 0]
-        sample_var = float(np.var(path.states[:, 0]))
+        sample_var = float(np.var(path.states[0][:, 0]))
         # integrated autocorrelation time ~ (1+rho)/(1-rho) steps
         rho = math.exp(-h)
         n_eff = n_steps / ((1 + rho) / (1 - rho))
@@ -107,9 +125,9 @@ class TestSimulate:
         n_steps = 20_000
         h = 0.01
         path = simulate(
-            SCALAR_SYS, SCALAR_MEAS, [0.0], StepConfig(h=h, steps=n_steps), seed=77
+            SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, StepConfig(h=h, steps=n_steps), [77]
         )
-        resid = path.increments[:, 0] - h * path.states[:-1, 0]
+        resid = path.increments[0][:, 0] - h * path.states[0][:-1, 0]
         assert abs(float(np.var(resid)) - h) < 3.0 * h * math.sqrt(2.0 / n_steps)
 
     @pytest.mark.parametrize("a,factor", [
@@ -123,33 +141,70 @@ class TestSimulate:
         monkeypatch.setattr(GaussianStream, "draw", None)  # nothing may be drawn
         sys = LinearSystem(a, np.eye(len(a)))
         meas = MeasurementModel(np.ones((1, len(a))), SpdMatrix(1.0))
+        g0 = Gaussian(np.zeros(len(a)), SpdMatrix(np.eye(len(a))))
         with pytest.raises(StepSizeError, match=rf"^Euler-Maruyama step h=0\.02 does not "
                                                 rf"decay: .* I \+ h A is {factor} >= 1"):
-            simulate(sys, meas, np.zeros(len(a)), StepConfig(h=0.02, steps=5), 1)
+            simulate(sys, meas, g0, StepConfig(h=0.02, steps=5), [1])
 
     def test_noise_streams_uncorrelated(self):
         n_steps = 20_000
         h = 0.01
         path = simulate(
-            SCALAR_SYS, SCALAR_MEAS, [0.0], StepConfig(h=h, steps=n_steps), seed=78
+            SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, StepConfig(h=h, steps=n_steps), [78]
         )
-        xi = (path.states[1:, 0] - (1.0 - h) * path.states[:-1, 0]) / math.sqrt(2 * h)
-        eta = (path.increments[:, 0] - h * path.states[:-1, 0]) / math.sqrt(h)
+        states, increments = path.states[0], path.increments[0]
+        xi = (states[1:, 0] - (1.0 - h) * states[:-1, 0]) / math.sqrt(2 * h)
+        eta = (increments[:, 0] - h * states[:-1, 0]) / math.sqrt(h)
         corr = float(np.corrcoef(xi, eta)[0, 1])
         assert abs(corr) < 3.0 / math.sqrt(n_steps)
 
 
-def _stepwise_simulate(sys, meas, x0, cfg, seed, process_scale, measurement_scale):
+class TestInputForm:
+    """One input form: a Gaussian prior and a 1-D sequence of seeds; always a batch out."""
+
+    CFG = StepConfig(h=0.01, steps=4)
+
+    def test_one_seed_is_a_batch_of_one(self):
+        path = simulate(SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, self.CFG, [7])
+        assert path.states.shape == (1, 5, 1) and path.increments.shape == (1, 4, 1)
+        assert path.seed == (7,)
+
+    @pytest.mark.parametrize("seeds", [7, np.int64(7), "7", [[1, 2]], np.zeros((2, 2), int)],
+                             ids=["int", "numpy-int", "str", "nested", "2-D"])
+    def test_scalar_or_nested_seeds_are_refused(self, seeds):
+        with pytest.raises(ValidationError, match=r"^seeds must be a 1-D sequence of seeds"):
+            simulate(SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, self.CFG, seeds)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_seed_outside_the_range_is_refused(self, seed):
+        with pytest.raises(ValidationError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+            simulate(SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, self.CFG, [3, seed])
+
+    @pytest.mark.parametrize("g0", [[0.0], np.zeros(1)], ids=["list", "array"])
+    def test_state_vector_start_is_refused(self, g0):
+        with pytest.raises(ValidationError, match=r"^g0 must be a Gaussian prior, got "):
+            simulate(SCALAR_SYS, SCALAR_MEAS, g0, self.CFG, [7])
+
+    def test_overflow_is_trapped_by_the_shared_guard(self):
+        # h C x overflows in the increments; nothing may warn on the way
+        meas = MeasurementModel([[1e150]], SpdMatrix(1.0))
+        g0 = Gaussian([1e200], SpdMatrix(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure, match=r"^simulation overflowed: overflow"):
+                simulate(SCALAR_SYS, meas, g0, self.CFG, [7])
+        text = SIMULATE_PY.read_text()
+        assert "np.errstate" not in text and "np.isfinite" not in text
+
+
+def _stepwise_simulate(sys, meas, g0, cfg, seed, process_scale, measurement_scale):
     """The recursion one step at a time, drawing per step from the reference stream."""
     normals = _normals(seed)
 
     def draw(count):
         return np.fromiter(normals, float, count)
 
-    if isinstance(x0, Gaussian):
-        x = x0.mean + sqrt_spd(x0.cov).mat @ draw(sys.dim)
-    else:
-        x = np.array(x0, dtype=float)
+    x = g0.mean + sqrt_spd(g0.cov).mat @ draw(sys.dim)
     h = cfg.h
     r_half = sqrt_spd(meas.r).mat
     states, increments = [x], []
@@ -163,72 +218,68 @@ def _stepwise_simulate(sys, meas, x0, cfg, seed, process_scale, measurement_scal
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (8, 3)])
-@pytest.mark.parametrize("initial", ["gaussian", "vector"])
 @pytest.mark.parametrize("scales", [(1.0, 1.0)])  # simulate's noise scales are fixed at one
-def test_simulate_matches_stepwise_recursion_bitwise(n, m, initial, scales):
+def test_simulate_matches_stepwise_recursion_bitwise(n, m, scales):
     rng = np.random.default_rng(90 + n)
     sys = random_system(rng, n)
     meas = MeasurementModel(rng.normal(size=(m, n)), random_spd(rng, m))
     g0 = Gaussian(rng.normal(size=n), random_spd(rng, n))
-    x0 = g0 if initial == "gaussian" else g0.mean
     cfg = StepConfig(h=0.02, steps=40)
-    path = simulate(sys, meas, x0, cfg, 17)
-    states, increments = _stepwise_simulate(sys, meas, x0, cfg, 17, *scales)
-    assert np.array_equal(path.states, states)
-    assert np.array_equal(path.increments, increments)
+    path = simulate(sys, meas, g0, cfg, [17])
+    states, increments = _stepwise_simulate(sys, meas, g0, cfg, 17, *scales)
+    assert np.array_equal(path.states[0], states)
+    assert np.array_equal(path.increments[0], increments)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8, 16])
-@pytest.mark.parametrize("initial", ["gaussian", "vector"])
-def test_seed_batch_matches_one_seed_runs_bitwise(n, initial):
+def test_seed_batch_matches_one_seed_runs_bitwise(n):
     rng = np.random.default_rng(70 + n)
     sys = random_system(rng, n)
     meas = MeasurementModel(rng.normal(size=(2, n)), random_spd(rng, 2))
     g0 = Gaussian(rng.normal(size=n), random_spd(rng, n))
-    x0 = g0 if initial == "gaussian" else g0.mean
     cfg = StepConfig(h=0.02, steps=48)
     seeds = [4, 0, 2**64 - 1, 4]
-    batch = simulate(sys, meas, x0, cfg, seeds)
+    batch = simulate(sys, meas, g0, cfg, seeds)
     assert batch.states.shape == (4, 49, n) and batch.increments.shape == (4, 48, 2)
     assert batch.seed == tuple(seeds) and batch.steps == 48
     for i, seed in enumerate(seeds):
-        one = simulate(sys, meas, x0, cfg, seed)
-        assert np.array_equal(batch.states[i], one.states)
-        assert np.array_equal(batch.increments[i], one.increments)
+        one = simulate(sys, meas, g0, cfg, [seed])
+        assert np.array_equal(batch.states[i], one.states[0])
+        assert np.array_equal(batch.increments[i], one.increments[0])
     for factor in (2, 3, 8, 16):
         coarse = coarsen(batch, factor)
         assert coarse.steps == 48 // factor and coarse.h == batch.h * factor
         for i, seed in enumerate(seeds):
-            one = coarsen(simulate(sys, meas, x0, cfg, seed), factor)
-            assert np.array_equal(coarse.states[i], one.states)
-            assert np.array_equal(coarse.increments[i], one.increments)
+            one = coarsen(simulate(sys, meas, g0, cfg, [seed]), factor)
+            assert np.array_equal(coarse.states[i], one.states[0])
+            assert np.array_equal(coarse.increments[i], one.increments[0])
     with pytest.raises(ValidationError, match="seeds must not be empty"):
-        simulate(sys, meas, x0, cfg, [])
+        simulate(sys, meas, g0, cfg, [])
 
 
 class TestCoarsen:
     def test_groups_sum_exactly(self):
         cfg = StepConfig(h=0.01, steps=12)
-        path = simulate(SCALAR_SYS, SCALAR_MEAS, [0.5], cfg, seed=5)
+        path = simulate(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(1.0)), cfg, [5])
         coarse = coarsen(path, 4)
         assert coarse.h == pytest.approx(0.04)
         assert coarse.steps == 3
         assert np.allclose(
-            coarse.increments[:, 0],
-            path.increments[:, 0].reshape(3, 4).sum(axis=1),
+            coarse.increments[0][:, 0],
+            path.increments[0][:, 0].reshape(3, 4).sum(axis=1),
             atol=0,
         )
-        assert np.array_equal(coarse.states, path.states[::4])
+        assert np.array_equal(coarse.states[0], path.states[0][::4])
 
     def test_identity_factor(self):
         cfg = StepConfig(h=0.01, steps=4)
-        path = simulate(SCALAR_SYS, SCALAR_MEAS, [0.5], cfg, seed=6)
+        path = simulate(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(1.0)), cfg, [6])
         coarse = coarsen(path, 1)
         assert np.array_equal(coarse.increments, path.increments)
 
     def test_rejects_non_divisible(self):
         cfg = StepConfig(h=0.01, steps=10)
-        path = simulate(SCALAR_SYS, SCALAR_MEAS, [0.5], cfg, seed=7)
+        path = simulate(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(1.0)), cfg, [7])
         with pytest.raises(ValidationError):
             coarsen(path, 3)
 
