@@ -21,6 +21,7 @@ from .propagation import StepConfig, propagate
 from .simulate import coarsen, simulate
 
 MAX_DIM = 16  # lemma-checks draws dense n x n matrices: desk scale only
+MAX_TRIALS = 10_000  # lemma-checks trials per suite: --dims 1-16 takes ~2 min on 2 vCPUs
 
 
 @dataclass(frozen=True)
@@ -202,6 +203,8 @@ def lemma_checks(trials: int, dims, seed: int) -> ResultTable:
     failure count, and worst slack/residual."""
     if trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ConfigError(f"trials: must be at most {MAX_TRIALS}, got {trials}")
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ConfigError(f"dims: every entry must be a positive integer, got {dims}")

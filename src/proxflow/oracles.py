@@ -151,7 +151,11 @@ def _observer_run(sys, meas, g0, dz, h, drift, info) -> FilterRun:
     Euler mean step against the piecewise-constant data rate dz_k / h, with
     the gain P C^T R^-1 from the pre-step P if info is given, else C^T R^-1;
     an RK4 step of P' = F P + P F^T + 2 B B^T - P J P with F = drift,
-    J = info; symmetrization. dz is (steps, m), or (S, steps, m) for S paths
+    J = info; symmetrization. Once a step and its symmetrization return P bit
+    for bit, P and the gain are reused and only the mean is stepped: the step
+    uses only +, * and matrix products, so it would return P at every later
+    substep. The full substep count is still checked against RK4_MAX_STEPS
+    before the first step. dz is (steps, m), or (S, steps, m) for S paths
     sharing the covariance path; means are held as columns, so a batch does
     each seed's arithmetic as its one-path run does. Returns the steps + 1
     states at the interval boundaries. A failing interval keeps its error
@@ -166,15 +170,21 @@ def _observer_run(sys, meas, g0, dz, h, drift, info) -> FilterRun:
     ct_rinv = c.T @ meas.rinv
     mu = g0.mean[..., None]
     p = g0.cov.mat.copy()
+    gain = ct_rinv
+    settled = False
     out = [g0]
     with named_failures(lambda: f"{run} reference run failed at interval {len(out)}"):
         for k in range(dz.shape[-2]):
             y = dz[..., k, :, None] / h
             for _ in range(substeps):
-                gain = ct_rinv if info is None else p @ ct_rinv
+                if not settled and info is not None:
+                    gain = p @ ct_rinv
                 mu = mu + dt * (sys.a @ mu + gain @ (y - c @ mu))
-                p = rk4_step(rate, p, dt)
-                p = 0.5 * (p + p.T)
+                if not settled:
+                    q = rk4_step(rate, p, dt)
+                    q = 0.5 * (q + q.T)
+                    settled = q.tobytes() == p.tobytes()
+                    p = q
             out.append(Gaussian(mu[..., 0], SpdMatrix(p)))
     return FilterRun(tuple(out))
 
@@ -184,9 +194,11 @@ def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> Filt
 
     Covariance follows the Riccati ODE
     P' = A P + P A^T + 2 B B^T - P C^T R^-1 C P; the mean uses the gain
-    K = P C^T R^-1. C^T R^-1 C is formed here once per run, not read from
-    the measurement model, so the check shares no cached matrix with the
-    update it checks. Returns the run of states at the interval boundaries.
+    K = P C^T R^-1, formed once per distinct P: once an RK4 substep returns
+    P bit for bit, P and K are reused for the rest of the run. C^T R^-1 C is
+    formed here once per run, not read from the measurement model, so the
+    check shares no cached matrix with the update it checks. Returns the run
+    of states at the interval boundaries.
     """
     return _observer_run(sys, meas, g0, dz, h, sys.a, meas.c.T @ meas.rinv @ meas.c)
 

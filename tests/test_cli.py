@@ -604,6 +604,13 @@ class TestExitCodes:
         assert "usage:" in err and "--dims" in err and "at most 16" in err
         assert not out.exists()
 
+    def test_trials_past_desk_scale_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "l.csv"
+        argv = ["lemma-checks", "--trials", "1000000", "--dims", "1-16", "--out", str(out)]
+        assert main(argv) == 1
+        assert "error: trials: must be at most 10000, got 1000000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reversed_dims_range_exit_1(self, tmp_path, capsys):
         out = tmp_path / "l.csv"
         assert main(["lemma-checks", "--trials", "1", "--dims", "5-1", "--out", str(out)]) == 1

@@ -180,19 +180,39 @@ def _rk4(f, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-@pytest.mark.parametrize("n", [1, 3, 8])
+# (n, intervals, drift shift) of a random system, or the scalar benchmark
+# system for n = None. The last two run past the substep at which the RK4
+# step first returns P bit for bit; the first three end before it.
+LOOP_CASES = {
+    "1": (1, 12, 0.0),
+    "3": (3, 12, 0.0),
+    "8": (8, 12, 0.0),
+    "scalar-500": (None, 500, 0.0),
+    "3-400": (3, 400, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", list(LOOP_CASES))
 @pytest.mark.parametrize("kind", ["kalman-bucy", "luenberger"])
-def test_reference_runs_match_substep_loop_bitwise(kind, n):
+def test_reference_runs_match_substep_loop_bitwise(monkeypatch, kind, case):
     # Both reference runs against their substep recursions written out here:
     # per substep an Euler mean step with the gain from the pre-step P, an
     # RK4 covariance step, then symmetrization; 20 substeps per data step.
-    rng = np.random.default_rng(40 + n)
-    m = max(1, n // 2)
-    sys = random_system(rng, n)
-    meas = MeasurementModel(rng.normal(size=(m, n)), random_spd(rng, m))
-    g0 = Gaussian(rng.normal(size=n), random_spd(rng, n))
-    h, steps, substeps = 0.02, 12, 20
+    # The loop here steps P every substep; the run stops stepping it once a
+    # step returns it bit for bit, after settle + 1 RK4 steps.
+    n, steps, shift = LOOP_CASES[case]
+    rng = np.random.default_rng(40 + (n or 1))
+    m = max(1, (n or 1) // 2)
+    if n is None:
+        sys, meas, g0 = SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(2.0))
+    else:
+        sys = random_system(rng, n)
+        sys = LinearSystem(sys.a - shift * np.eye(n), sys.b)
+        meas = MeasurementModel(rng.normal(size=(m, n)), random_spd(rng, m))
+        g0 = Gaussian(rng.normal(size=n), random_spd(rng, n))
+    h, substeps = 0.02, 20
     dz = 0.1 * rng.normal(size=(steps, m))
+    calls = _count_rk4_steps(monkeypatch)
     a, c = sys.a, meas.c
     forcing = 2.0 * sys.b @ sys.b.T
     ct_rinv = c.T @ meas.rinv
@@ -217,14 +237,20 @@ def test_reference_runs_match_substep_loop_bitwise(kind, n):
     assert len(out.posteriors) == steps + 1 and out.posteriors[0] is g0
     dt = h / substeps
     mu, p = g0.mean.copy(), g0.cov.mat.copy()
+    settle = None
     for k in range(steps):
         y = dz[k] / h
-        for _ in range(substeps):
+        for i in range(substeps):
             mu = mu + dt * (a @ mu + gain_of(p) @ (y - c @ mu))
-            p = _rk4(rate, p, dt)
-            p = 0.5 * (p + p.T)
+            q = _rk4(rate, p, dt)
+            q = 0.5 * (q + q.T)
+            if settle is None and q.tobytes() == p.tobytes():
+                settle = k * substeps + i
+            p = q
         assert np.array_equal(out.posteriors[k + 1].mean, mu)
         assert np.array_equal(out.posteriors[k + 1].cov.mat, p)
+    assert (settle is None) == (steps == 12)  # the short cases end before P settles
+    assert len(calls) == (steps * substeps if settle is None else settle + 1)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
@@ -333,19 +359,34 @@ def test_stiff_reference_run_raises_numeric_failure(run, name):
         run(stiff, SCALAR_MEAS, g0, np.zeros((20, 1)), 0.01)
 
 
-@pytest.mark.parametrize("run,steady,substeps", [
-    (luenberger_run, 1.0 / 10001.0, 81),
-    (kalman_bucy_run, 2.0 / (math.sqrt(1e8 + 2.0) + 1e4), 80),
+@pytest.mark.parametrize("run,steady,substeps,drift,info", [
+    (luenberger_run, 1.0 / 10001.0, 81, -10001.0, 0.0),
+    (kalman_bucy_run, 2.0 / (math.sqrt(1e8 + 2.0) + 1e4), 80, -10000.0, 1.0),
 ], ids=["luenberger", "kalman-bucy"])
-def test_stiff_reference_runs_reach_their_steady_state(monkeypatch, run, steady, substeps):
+def test_stiff_reference_runs_reach_their_steady_state(
+    monkeypatch, run, steady, substeps, drift, info
+):
     # (h / 20) |2F| = 10 lies outside RK4's stability region; the run takes
     # ceil(2 rho(F) h / RK4_STABLE) substeps per interval instead, with
     # F = A - C^T R^-1 C = -10001 for Luenberger and F = A for Kalman-Bucy.
+    # It stops stepping P once a step returns it bit for bit, which the
+    # scalar loop here finds at substep settle.
     calls = _count_rk4_steps(monkeypatch)
     stiff = LinearSystem([[-10000.0]], [[1.0]])
     out = run(stiff, SCALAR_MEAS, Gaussian([0.0], SpdMatrix(1.0)), np.zeros((20, 1)), 0.01)
     assert out.terminal.cov.mat[0, 0] == pytest.approx(steady, rel=1e-12)
-    assert len(calls) == 20 * substeps
+    assert set(calls) == {0.01 / substeps}
+
+    def rate(p):
+        return 2.0 * drift * p + 2.0 - info * p * p
+
+    p = 1.0
+    for settle in range(20 * substeps):
+        q = _rk4(rate, p, 0.01 / substeps)
+        if q == p:
+            break
+        p = q
+    assert q == p and len(calls) == settle + 1
 
 
 def test_rk4_cov_on_a_stiff_drift_matches_van_loan():
