@@ -25,17 +25,18 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN = ROOT / "benchmarks" / "run.py"
 SEED = 2  # the workload seed every BENCH_<pr>.json is measured at
 RUNS = 5  # untraced runs per workload
 TRACED_RUNS = 3  # traced runs per workload: one run's self times cannot resolve a 10 % change
 
 
-def _run(workload: str, seconds: float, trace: int) -> tuple[dict, dict]:
-    """One benchmarks/run.py invocation: its provenance and its result line."""
-    argv = [sys.executable, str(RUN), "--workload", workload, "--seed", str(SEED),
-            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+def _run(workload: str, seconds: float, trace: int, seed: int = SEED,
+         checkout: Path = ROOT) -> tuple[dict, dict]:
+    """One benchmarks/run.py invocation in checkout: its provenance and its
+    result line."""
+    argv = [sys.executable, str(checkout / "benchmarks" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stdout + proc.stderr)

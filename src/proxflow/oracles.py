@@ -156,15 +156,28 @@ def _observer_run(sys, meas, g0, dz, h, drift, info) -> FilterRun:
     uses only +, * and matrix products, so it would return P at every later
     substep. The full substep count is still checked against RK4_MAX_STEPS
     before the first step. dz is (steps, m), or (S, steps, m) for S paths
-    sharing the covariance path; means are held as columns, so a batch does
-    each seed's arithmetic as its one-path run does. Returns the steps + 1
-    states at the interval boundaries. A failing interval keeps its error
-    class, as "<run> reference run failed at interval k: <cause>"."""
+    sharing the covariance path. One state and one sensor take
+    _scalar_substeps, which gives _matrix_substeps' bits in Python floats.
+    Returns the steps + 1 states at the interval boundaries. A failing
+    interval keeps its error class, as
+    "<run> reference run failed at interval k: <cause>"."""
     g0, dz = batch_prior(sys, meas, g0, dz)
     require_positive(h, "step size")
     run = "Luenberger" if info is None else "Kalman-Bucy"
-    rate = _riccati_rate(drift, sys.diffusion(), info)
     substeps = _rk4_count(drift, h, REFERENCE_SUBSTEPS, f"{run} reference run", dz.shape[-2])
+    loop = _scalar_substeps if meas.c.shape == (1, 1) else _matrix_substeps
+    out = [g0]
+    with named_failures(lambda: f"{run} reference run failed at interval {len(out)}"):
+        for mu, p in loop(sys, meas, g0, dz, h, substeps, drift, info):
+            out.append(Gaussian(mu, SpdMatrix(p)))
+    return FilterRun(tuple(out))
+
+
+def _matrix_substeps(sys, meas, g0, dz, h, substeps, drift, info):
+    """_observer_run's loop, yielding (mean, P) per interval. Means are held
+    as columns, so a batch does each seed's arithmetic as its one-path run
+    does."""
+    rate = _riccati_rate(drift, sys.diffusion(), info)
     dt = h / substeps
     c = meas.c
     ct_rinv = c.T @ meas.rinv
@@ -172,21 +185,66 @@ def _observer_run(sys, meas, g0, dz, h, drift, info) -> FilterRun:
     p = g0.cov.mat.copy()
     gain = ct_rinv
     settled = False
-    out = [g0]
-    with named_failures(lambda: f"{run} reference run failed at interval {len(out)}"):
-        for k in range(dz.shape[-2]):
-            y = dz[..., k, :, None] / h
-            for _ in range(substeps):
-                if not settled and info is not None:
-                    gain = p @ ct_rinv
-                mu = mu + dt * (sys.a @ mu + gain @ (y - c @ mu))
-                if not settled:
-                    q = rk4_step(rate, p, dt)
-                    q = 0.5 * (q + q.T)
-                    settled = q.tobytes() == p.tobytes()
-                    p = q
-            out.append(Gaussian(mu[..., 0], SpdMatrix(p)))
-    return FilterRun(tuple(out))
+    for k in range(dz.shape[-2]):
+        y = dz[..., k, :, None] / h
+        for _ in range(substeps):
+            if not settled and info is not None:
+                gain = p @ ct_rinv
+            mu = mu + dt * (sys.a @ mu + gain @ (y - c @ mu))
+            if not settled:
+                q = rk4_step(rate, p, dt)
+                q = 0.5 * (q + q.T)
+                settled = q.tobytes() == p.tobytes()
+                p = q
+        yield mu[..., 0], p
+
+
+def _finite(x: float) -> float:
+    """x, or FloatingPointError: float + and * overflow to inf silently, and
+    no + or * takes an inf or nan back to a finite value."""
+    if not math.isfinite(x):
+        raise FloatingPointError("overflow encountered in scalar arithmetic")
+    return x
+
+
+def _scalar_substeps(sys, meas, g0, dz, h, substeps, drift, info):
+    """_matrix_substeps for one state and one sensor, with every 1 x 1
+    matrix a Python float (P > 0, so settling is q == p). A 1 x 1 product
+    is one rounded multiply, so each float op gives its matrix counterpart's
+    value; numpy adds the product to +0.0, so only a zero's sign can differ.
+    That sign never reaches a result: 2 B B^T and J come from matrix
+    products, so the rate's sums give a -0.0 nowhere; a mean's step sums to
+    -0.0 where the matrix loop has +0.0 only if a * mu is -0.0, which a
+    Hurwitz A (a < 0) allows only for a +0.0 mean, and adding either zero
+    leaves that +0.0. The means of the S seeds stay one numpy array,
+    under the run's floating-point guard."""
+    f, w = drift.item(), sys.diffusion().item()
+    j = None if info is None else info.item()
+    a, c = sys.a.item(), meas.c.item()
+    ct_rinv = (meas.c.T @ meas.rinv).item()
+
+    def rate(p):
+        fp = f * p
+        stage = fp + fp + w
+        return stage if j is None else stage - p * j * p
+
+    dt = h / substeps
+    mu = g0.mean
+    p = g0.cov.mat.item()
+    gain = ct_rinv
+    settled = False
+    for k in range(dz.shape[-2]):
+        y = dz[..., k, :] / h
+        for _ in range(substeps):
+            if not settled and j is not None:
+                gain = _finite(p * ct_rinv)
+            mu = mu + dt * (a * mu + gain * (y - c * mu))
+            if not settled:
+                q = rk4_step(rate, p, dt)
+                q = _finite(0.5 * (q + q))
+                settled = q == p
+                p = q
+        yield mu, p
 
 
 def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> FilterRun:
@@ -197,8 +255,10 @@ def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> Filt
     K = P C^T R^-1, formed once per distinct P: once an RK4 substep returns
     P bit for bit, P and K are reused for the rest of the run. C^T R^-1 C is
     formed here once per run, not read from the measurement model, so the
-    check shares no cached matrix with the update it checks. Returns the run
-    of states at the interval boundaries.
+    check shares no cached matrix with the update it checks. With one state
+    and one sensor, P and K are Python floats, bit for bit the 1 x 1 matrix
+    arithmetic, and an overflow ends "overflow encountered in scalar
+    arithmetic". Returns the run of states at the interval boundaries.
     """
     return _observer_run(sys, meas, g0, dz, h, sys.a, meas.c.T @ meas.rinv @ meas.c)
 

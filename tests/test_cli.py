@@ -488,6 +488,22 @@ class TestExitCodes:
         assert [str(w.message) for w in leaked] == []
         assert not out.exists()
 
+    def test_information_term_divergence_exits_2_without_warning(self, tmp_path, capsys):
+        # R = 1e-6 makes the Riccati term -P C^T R^-1 C P stiff, which the
+        # step-count rule does not see in rho(A): the reference run overflows.
+        payload = dict(FILTER_CONFIG, measurement={"C": [[1.0]], "R": [[1e-6]]},
+                       steps={"h": [0.01], "horizon": 0.1})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            assert main(["converge-filter", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "numeric failure: Kalman-Bucy reference run failed at interval 1: overflow")
+        assert [str(w.message) for w in leaked] == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,payload,message", [
         # F = A - C^T R^-1 C has rho 1e9: 16000001 substeps in each of 10 intervals
         ("converge-filter", {

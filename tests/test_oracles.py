@@ -1,5 +1,6 @@
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from proxflow import (
     OracleFailure,
     ProxObjective,
     SpdMatrix,
+    StabilityError,
     ValidationError,
     brute_force_prox,
     exact_cov,
@@ -182,14 +184,19 @@ def _rk4(f, y, dt):
 
 # (n, intervals, drift shift) of a random system, or the scalar benchmark
 # system for n = None. The last two run past the substep at which the RK4
-# step first returns P bit for bit; the first three end before it.
+# step first returns P bit for bit; the others end before it.
 LOOP_CASES = {
     "1": (1, 12, 0.0),
     "3": (3, 12, 0.0),
     "8": (8, 12, 0.0),
+    "1x2": (1, 12, 0.0),
     "scalar-500": (None, 500, 0.0),
     "3-400": (3, 400, 2.0),
 }
+# Sensor counts other than max(1, n // 2). "1" and the scalar cases step P
+# in Python floats; "1x2", one state seen by two sensors, keeps the matrix
+# loop.
+LOOP_SENSORS = {"1x2": 2}
 
 
 @pytest.mark.parametrize("case", list(LOOP_CASES))
@@ -202,7 +209,7 @@ def test_reference_runs_match_substep_loop_bitwise(monkeypatch, kind, case):
     # step returns it bit for bit, after settle + 1 RK4 steps.
     n, steps, shift = LOOP_CASES[case]
     rng = np.random.default_rng(40 + (n or 1))
-    m = max(1, (n or 1) // 2)
+    m = LOOP_SENSORS.get(case, max(1, (n or 1) // 2))
     if n is None:
         sys, meas, g0 = SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(2.0))
     else:
@@ -251,6 +258,59 @@ def test_reference_runs_match_substep_loop_bitwise(monkeypatch, kind, case):
         assert np.array_equal(out.posteriors[k + 1].cov.mat, p)
     assert (settle is None) == (steps == 12)  # the short cases end before P settles
     assert len(calls) == (steps * substeps if settle is None else settle + 1)
+
+
+@pytest.mark.parametrize("m,stepped", [(1, float), (2, np.ndarray)], ids=["1x1", "1x2"])
+@pytest.mark.parametrize(
+    "run", [kalman_bucy_run, luenberger_run], ids=["kalman-bucy", "luenberger"]
+)
+def test_only_one_state_and_one_sensor_step_p_as_a_float(monkeypatch, run, m, stepped):
+    # A 1 x 1 product is one rounded multiply, so a one-state, one-sensor run
+    # steps P in Python floats. With two sensors C^T R^-1 C sums two products,
+    # which a float would not reproduce bitwise: the matrix loop runs.
+    seen = []
+    real = oracles.rk4_step
+
+    def spied(f, y, dt):
+        seen.append(type(y))
+        return real(f, y, dt)
+
+    monkeypatch.setattr(oracles, "rk4_step", spied)
+    meas = MeasurementModel(np.ones((m, 1)), SpdMatrix(np.eye(m)))
+    out = run(SCALAR_SYS, meas, Gaussian([0.5], SpdMatrix(2.0)), np.zeros((3, 2, m)), 0.02)
+    assert set(seen) == {stepped} and len(seen) == 40
+    assert out.terminal.mean.shape == (3, 1) and out.terminal.cov.mat.shape == (1, 1)
+
+
+@pytest.mark.parametrize("a,c,mean,sign", [
+    (-1.0, 0.0, -0.0, -1.0),
+    (-1e-300, 0.0, -0.0, -1.0),
+    (-0.5, 0.0, -0.0, -0.0),
+    (-2.0, -3.0, -0.0, -0.0),
+    (-1.0, 1.0, 1e-320, 1.0),
+], ids=["c0", "c0-tiny-a", "c0-negzero-data", "negzero-data", "subnormal-mean"])
+@pytest.mark.parametrize(
+    "run", [kalman_bucy_run, luenberger_run], ids=["kalman-bucy", "luenberger"]
+)
+def test_scalar_loop_keeps_the_matrix_loops_signed_zeros(monkeypatch, run, a, c, mean, sign):
+    # numpy adds a 1 x 1 product to +0.0, a float product keeps a -0.0: the
+    # -0.0 prior means, zero C and zero or negative data make such zeros, and
+    # the float loop still gives the matrix loop's bits. (A >= 0, where a
+    # -0.0 mean would keep its sign, is not Hurwitz.)
+    sys = LinearSystem([[a]], [[1.0]])
+    meas = MeasurementModel([[c]], SpdMatrix(1.0))
+    g0 = Gaussian([mean], SpdMatrix(1.0))
+    dz = sign * np.abs(0.1 * np.random.default_rng(5).normal(size=(2, 30, 1)))
+    runs = [run(sys, meas, g0, dz, 0.02)]
+    monkeypatch.setattr(oracles, "_scalar_substeps", oracles._matrix_substeps)
+    runs.append(run(sys, meas, g0, dz, 0.02))
+    for out in runs:
+        assert len(out.posteriors) == 31
+    for fast, matrix in zip(*(r.posteriors for r in runs)):
+        assert fast.mean.tobytes() == matrix.mean.tobytes()
+        assert fast.cov.mat.tobytes() == matrix.cov.mat.tobytes()
+    with pytest.raises(StabilityError):
+        LinearSystem([[0.0]], [[1.0]])
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
@@ -357,6 +417,21 @@ def test_stiff_reference_run_raises_numeric_failure(run, name):
     with pytest.raises(NumericFailure,
                        match=rf"^{name} reference run failed at interval \d+: overflow"):
         run(stiff, SCALAR_MEAS, g0, np.zeros((20, 1)), 0.01)
+
+
+@pytest.mark.parametrize("p0,r", [(1.0, 1e-6), (1e300, 1e-10)], ids=["riccati", "gain"])
+def test_information_term_divergence_raises_numeric_failure(p0, r):
+    # The step-count rule reads rho(A) only: a large C^T R^-1 C makes -P J P
+    # stiff, and the Kalman-Bucy run overflows in its first interval, naming
+    # it, with no RuntimeWarning. With P0 = 1e300 the first gain
+    # P C^T R^-1 overflows already, before the zero innovation it multiplies.
+    meas = MeasurementModel([[1.0]], SpdMatrix(r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericFailure,
+                           match=r"^Kalman-Bucy reference run failed at interval 1: overflow"):
+            kalman_bucy_run(SCALAR_SYS, meas, Gaussian([0.0], SpdMatrix(p0)),
+                            np.zeros((10, 1)), 0.01)
 
 
 @pytest.mark.parametrize("run,steady,substeps,drift,info", [
