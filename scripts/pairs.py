@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare one benchmark workload between a parent checkout and this tree.
 
-    python3 scripts/pairs.py --parent DIR --workload NAME [--pairs 10] [--seed 1]
+    python3 scripts/pairs.py --parent DIR --workload NAME [--pairs 10] [--seed 1] [--trace]
 
 Runs benchmarks/run.py (untraced, for the run length BENCHMARK.json fixes)
 once in DIR and once in this tree per pair, one process at a time; the side
@@ -9,9 +9,11 @@ that runs first alternates, the parent first on odd pairs. Prints every
 pair's end-to-end metrics, then per metric the median and quartiles of each
 side, the pairs the change wins, and the verdict: a gain holds when the
 change is better in at least 9 of 10 pairs and its median is better than
-the parent's by more than the parent's interquartile range. Exits 1 if a
-run fails or reports an incorrect output. Each run takes about 30 s on a
-2-vCPU host.
+the parent's by more than the parent's interquartile range. With --trace
+the runs are traced (--trace 1) and the verdicts are given per layer metric
+of BENCHMARK.json instead. Exits 1 if a run fails or reports an incorrect
+output, or, with --trace, if a .calls count differs between the runs of one
+side. Each run takes about 30 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -47,36 +49,54 @@ def verdict(parent: list, change: list, better: str) -> dict:
     }
 
 
+def _value(result: dict, name: str) -> float:
+    return result["metrics"][name]["value"]
+
+
+def verdicts(workload: str, parent: list, change: list, metrics: list) -> dict:
+    """verdict per metric row of BENCHMARK.json over paired result lines
+    (parent[i] and change[i] are pair i's). Each side's .calls counts, which
+    traced runs report, must agree run for run, as in scripts/bench.py, since
+    the workloads are deterministic: a count that differs exits 1."""
+    for side, results in (("parent", parent), ("change", change)):
+        bench._per_layer(f"{workload} ({side})", results)
+    return {m["name"]: verdict([_value(r, m["name"]) for r in parent],
+                               [_value(r, m["name"]) for r in change], m["better"])
+            for m in metrics}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
+    parser.add_argument("--trace", action="store_true", help="compare per-layer metrics")
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     spec = json.loads((bench.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = [metric["name"] for metric in spec["end_to_end"]]
+    metrics = spec["per_layer" if args.trace else "end_to_end"]
+    shown = [] if args.trace else [metric["name"] for metric in metrics]
     sides = {"parent": args.parent.resolve(), "change": bench.ROOT}
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            _, result = bench._run(args.workload, spec["run_seconds"], 0, args.seed, sides[side])
-            runs[side].append({name: result["metrics"][name]["value"] for name in names})
-        print(f"pair {i + 1} ({order[0]} first): " + "; ".join(
-            f"{name} {runs['parent'][-1][name]:.6g} -> {runs['change'][-1][name]:.6g}"
-            for name in names), flush=True)
-    for metric in spec["end_to_end"]:
-        name = metric["name"]
-        v = verdict([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                    metric["better"])
+            runs[side].append(bench._run(args.workload, spec["run_seconds"], int(args.trace),
+                                         args.seed, sides[side])[1])
+        print(f"pair {i + 1} ({order[0]} first):" + ";".join(
+            f" {name} {_value(runs['parent'][-1], name):.6g} -> "
+            f"{_value(runs['change'][-1], name):.6g}" for name in shown), flush=True)
+    found = verdicts(args.workload, runs["parent"], runs["change"], metrics)
+    for metric in metrics:
+        v = found[metric["name"]]
         p, c = v["parent"], v["change"]
-        print(f"{args.workload} {name} ({metric['unit']}, {metric['better']} is better): "
-              f"parent {p['median']:.6g} ({p['q1']:.6g}-{p['q3']:.6g}, "
+        ratio = f"x{c['median'] / p['median']:.3f}" if p["median"] else "x-"
+        print(f"{args.workload} {metric['name']} ({metric['unit']}, {metric['better']} is "
+              f"better): parent {p['median']:.6g} ({p['q1']:.6g}-{p['q3']:.6g}, "
               f"IQR {p['q3'] - p['q1']:.3g}), change {c['median']:.6g} "
-              f"({c['q1']:.6g}-{c['q3']:.6g}), x{c['median'] / p['median']:.3f}, "
+              f"({c['q1']:.6g}-{c['q3']:.6g}), {ratio}, "
               f"change better in {v['wins']}/{args.pairs} pairs, "
               f"gain {'holds' if v['gain_holds'] else 'does not hold'}")
     return 0

@@ -70,49 +70,61 @@ def _check_update_inputs(g_prior: Gaussian, meas: MeasurementModel, y, h: float)
     return y
 
 
-def lmmr_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -> Gaussian:
+def _lmmr_gain(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
+    """The lmmr mean solve's covariance-dependent parts (lhs, gain)."""
+    p = p_prior.mat
+    return np.eye(p_prior.dim) + h * p @ meas.information_matrix(), h * p @ meas.c.T @ meas.rinv
+
+
+def lmmr_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float, half=None) -> Gaussian:
     """KL-proximal measurement update.
 
     Mean solves (I + h P- C' R^-1 C) mu+ = mu- + h P- C' R^-1 y exactly;
     covariance updates in information form (P+)^-1 = (P-)^-1 + h C' R^-1 C,
     so P+ <= P- always. The prior mean and y may be batches (S, n), (S, m)
-    sharing the covariance.
+    sharing the covariance. half, if given, is (lhs, gain, P+) as an update
+    of the same prior covariance formed them; only the mean is then solved.
     """
     y = _check_update_inputs(g_prior, meas, y, h)
-    p_prior = g_prior.cov.mat
-    info = meas.information_matrix()
-    lhs = np.eye(g_prior.dim) + h * p_prior @ info
-    rhs = g_prior.mean + matvec(h * p_prior @ meas.c.T @ meas.rinv, y)
+    lhs, gain, cov = half or _lmmr_gain(g_prior.cov, meas, h) + (None,)
+    rhs = g_prior.mean + matvec(gain, y)
     try:
         mean = np.linalg.solve(lhs, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"the mean solve failed: {exc}") from exc
-    post_info = inv_spd(g_prior.cov).mat + h * info
-    cov = inv_spd(SpdMatrix(post_info))
+    if cov is None:
+        cov = inv_spd(SpdMatrix(inv_spd(g_prior.cov).mat + h * meas.information_matrix()))
     return Gaussian(mean, cov)
 
 
-def wasserstein_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -> Gaussian:
+def _wasserstein_gain(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
+    """The transport mean solve's parts (I + h C' R^-1 C, gain), both free of P-."""
+    return np.eye(meas.state_dim) + h * meas.information_matrix(), h * meas.c.T @ meas.rinv
+
+
+def wasserstein_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float,
+                       half=None) -> Gaussian:
     """Transport-proximal measurement update.
 
     Mean solves (I + h C' R^-1 C) mu+ = mu- + h C' R^-1 y; covariance obeys
     (P+)^-1 = (I + h C' R^-1 C) (P-)^-1 (I + h C' R^-1 C). The prior mean
-    and y may be batches (S, n), (S, m) sharing the covariance.
+    and y may be batches (S, n), (S, m) sharing the covariance. half is as
+    in lmmr_update, with I + h C' R^-1 C as its lhs.
     """
     y = _check_update_inputs(g_prior, meas, y, h)
-    info = meas.information_matrix()
-    scaled = np.eye(g_prior.dim) + h * info
-    rhs = g_prior.mean + matvec(h * meas.c.T @ meas.rinv, y)
+    scaled, gain, cov = half or _wasserstein_gain(g_prior.cov, meas, h) + (None,)
+    rhs = g_prior.mean + matvec(gain, y)
     try:
         mean = np.linalg.solve(scaled, rhs[..., None])[..., 0]
-        half = np.linalg.solve(scaled, g_prior.cov.mat)
-        cov = np.linalg.solve(scaled, half.T).T
+        if cov is None:
+            cov = np.linalg.solve(scaled, np.linalg.solve(scaled, g_prior.cov.mat).T).T
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"a solve failed: {exc}") from exc
-    return Gaussian(mean, SpdMatrix(cov))
+    return Gaussian(mean, cov if half else SpdMatrix(cov))
 
 
 _UPDATES = {"lmmr": lmmr_update, "wasserstein": wasserstein_update}
+_GAINS = {"lmmr": _lmmr_gain, "wasserstein": _wasserstein_gain}
 UPDATE_KINDS = tuple(_UPDATES)
 PREDICT_KINDS = ("jko", "exact")
 _PROBE_FLOOR = 100 * POSITIVITY_RTOL
@@ -134,8 +146,8 @@ def _exact_step(sys: LinearSystem, h: float):
     with named_failures(lambda: f"exact predict: cannot read Q_h off the oracle at h={h}"):
         q_h = exact_cov(sys, SpdMatrix(s * np.eye(n)), h).mat - s * (phi @ phi.T)
 
-    def step(g):
-        return Gaussian(matvec(phi, g.mean), SpdMatrix(phi @ g.cov.mat @ phi.T + q_h))
+    def step(g, cov=None):
+        return Gaussian(matvec(phi, g.mean), cov or SpdMatrix(phi @ g.cov.mat @ phi.T + q_h))
 
     return step
 
@@ -155,7 +167,10 @@ def run_filter(
     path per seed, shape (S, steps, m); the per-step measurement is
     y_k = dz_k / h, computed internally. The covariances do not depend on the
     data, so a batch computes them once and advances S means from g0's mean,
-    each bit for bit as its one-path run. predict "jko" is propagate's
+    each bit for bit as its one-path run. Each covariance map is a function
+    of P's bits, so once a posterior covariance repeats the one before it bit
+    for bit, later steps reuse that step's predicted P and update half (see
+    lmmr_update) and step only the means. predict "jko" is propagate's
     general-first-order step. predict "exact" is the exact transition, the
     same affine map P -> Phi P Phi^T + Q_h at every step, with Phi = e^(A h):
     Phi and Q_h are read off exact_mean and exact_cov once per run, Q_h at a
@@ -176,12 +191,18 @@ def run_filter(
     predict_step = general_step(sys, h) if predict == "jko" else _exact_step(sys, h)
     posteriors = [g0]
     predicting, updating = f"{predict} predict", f"{update} update"
+    cov = half = last = None
     with named_failures(lambda: f"{stage} failed at step {len(posteriors)}"):
         for k in range(cfg.steps):
             stage = predicting
-            prior = predict_step(posteriors[-1])
+            prior = predict_step(posteriors[-1], cov)
             stage = updating
-            posteriors.append(update_fn(prior, meas, dz[..., k, :] / h, h))
+            posteriors.append(update_fn(prior, meas, dz[..., k, :] / h, h, half))
+            if half is None:
+                key, last = last, posteriors[-1].cov.mat.tobytes()
+                if key == last:  # P+ repeats, so the next predicted P and update half do
+                    cov = prior.cov
+                    half = _GAINS[update](cov, meas, h) + (posteriors[-1].cov,)
     return FilterRun(tuple(posteriors))
 
 

@@ -216,7 +216,8 @@ def _scalar_substeps(sys, meas, g0, dz, h, substeps, drift, info):
     products, so the rate's sums give a -0.0 nowhere; a mean's step sums to
     -0.0 where the matrix loop has +0.0 only if a * mu is -0.0, which a
     Hurwitz A (a < 0) allows only for a +0.0 mean, and adding either zero
-    leaves that +0.0. The means of the S seeds stay one numpy array,
+    leaves that +0.0. One seed's mean is a float too, checked with _finite
+    at each interval's end; the means of S > 1 seeds stay one numpy array,
     under the run's floating-point guard."""
     f, w = drift.item(), sys.diffusion().item()
     j = None if info is None else info.item()
@@ -229,12 +230,13 @@ def _scalar_substeps(sys, meas, g0, dz, h, substeps, drift, info):
         return stage if j is None else stage - p * j * p
 
     dt = h / substeps
-    mu = g0.mean
+    one = g0.mean.size == 1
+    mu = g0.mean.item() if one else g0.mean
     p = g0.cov.mat.item()
     gain = ct_rinv
     settled = False
     for k in range(dz.shape[-2]):
-        y = dz[..., k, :] / h
+        y = dz[..., k, :].item() / h if one else dz[..., k, :] / h
         for _ in range(substeps):
             if not settled and j is not None:
                 gain = _finite(p * ct_rinv)
@@ -244,7 +246,7 @@ def _scalar_substeps(sys, meas, g0, dz, h, substeps, drift, info):
                 q = _finite(0.5 * (q + q))
                 settled = q == p
                 p = q
-        yield mu, p
+        yield (np.full(g0.mean.shape, _finite(mu)) if one else mu), p
 
 
 def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> FilterRun:
@@ -257,8 +259,9 @@ def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> Filt
     formed here once per run, not read from the measurement model, so the
     check shares no cached matrix with the update it checks. With one state
     and one sensor, P and K are Python floats, bit for bit the 1 x 1 matrix
-    arithmetic, and an overflow ends "overflow encountered in scalar
-    arithmetic". Returns the run of states at the interval boundaries.
+    arithmetic, as is the mean of a one-seed run; an overflow there ends
+    "overflow encountered in scalar arithmetic". Returns the run of states
+    at the interval boundaries.
     """
     return _observer_run(sys, meas, g0, dz, h, sys.a, meas.c.T @ meas.rinv @ meas.c)
 

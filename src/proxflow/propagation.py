@@ -235,10 +235,11 @@ def jko_step_general_cov(p_prev: SpdMatrix, sys: LinearSystem, h: float) -> SpdM
 
 def general_step(sys: LinearSystem, h: float):
     """The general-first-order step g -> (M_h mu, P + h (A P + P A^T + 2 B B^T)),
-    with M_h built once. propagate and the filter's "jko" predict both take it."""
+    with M_h built once. propagate and the filter's "jko" predict both take it;
+    the filter passes a settled P's step as cov, to be reused."""
     mean_map = general_mean_map(make_equipartition(sys), h)
-    return lambda g: Gaussian(
-        jko_step_general_mean(g.mean, mean_map), jko_step_general_cov(g.cov, sys, h)
+    return lambda g, cov=None: Gaussian(
+        jko_step_general_mean(g.mean, mean_map), cov or jko_step_general_cov(g.cov, sys, h)
     )
 
 

@@ -28,7 +28,7 @@ from proxflow import (
     simulate,
     wasserstein_update,
 )
-from proxflow import filtering
+from proxflow import filtering, propagation
 from proxflow.matrices import max_abs
 from support import random_spd
 
@@ -541,3 +541,81 @@ class TestBatchedRunFilter:
             update(batch, SCALAR_MEAS, np.zeros(1), 0.1)
         with pytest.raises(DimensionError):
             update(scalar_gaussian(0, 1), SCALAR_MEAS, np.zeros((3, 1)), 0.1)
+
+
+def _stepwise_run(sys, meas, g0, dz, cfg, update, predict):
+    """run_filter written out: every step predicts and updates the
+    covariance, with no reuse."""
+    h = cfg.h
+    step = (propagation.general_step if predict == "jko" else filtering._exact_step)(sys, h)
+    update_fn = {"lmmr": lmmr_update, "wasserstein": wasserstein_update}[update]
+    out = [Gaussian(np.broadcast_to(g0.mean, dz.shape[:-2] + (g0.dim,)), g0.cov)]
+    for k in range(cfg.steps):
+        out.append(update_fn(step(out[-1]), meas, dz[..., k, :] / h, h))
+    return out
+
+
+class TestSettledCovariance:
+    @staticmethod
+    def _count_cov_steps(monkeypatch):
+        calls = []
+        real = propagation.jko_step_general_cov
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(propagation, "jko_step_general_cov", counted)
+        return calls
+
+    @staticmethod
+    def _assert_bitwise(run, want):
+        assert len(run.posteriors) == len(want)
+        for g, w in zip(run.posteriors, want):
+            assert g.mean.shape == w.mean.shape
+            assert g.mean.tobytes() == w.mean.tobytes()
+            assert g.cov.mat.tobytes() == w.cov.mat.tobytes()
+
+    @pytest.mark.parametrize("seeds", [None, 3], ids=["one-path", "batch"])
+    @pytest.mark.parametrize("update", ["lmmr", "wasserstein"])
+    @pytest.mark.parametrize("predict", ["jko", "exact"])
+    def test_a_settled_covariance_is_reused_bit_for_bit(self, monkeypatch, predict, update,
+                                                        seeds):
+        # The scalar system's posterior covariance repeats bit for bit well
+        # within 1000 steps of h = 0.02; from the step after, run_filter
+        # reuses the predicted P and the update half and steps the means only.
+        cfg = StepConfig(h=0.02, steps=1000)
+        g0 = scalar_gaussian(0.5, 2.0)
+        rng = np.random.default_rng(90)
+        dz = 0.1 * rng.normal(size=(cfg.steps, 1) if seeds is None else (seeds, cfg.steps, 1))
+        calls, halves = self._count_cov_steps(monkeypatch), []
+        real = filtering._UPDATES[update]
+
+        def spied(prior, meas, y, h, half):
+            halves.append(half is not None)
+            return real(prior, meas, y, h, half)
+
+        monkeypatch.setitem(filtering._UPDATES, update, spied)
+        run = run_filter(SCALAR_SYS, SCALAR_MEAS, g0, dz, cfg, update=update, predict=predict)
+        stepped = len(calls)
+        want = _stepwise_run(SCALAR_SYS, SCALAR_MEAS, g0, dz, cfg, update, predict)
+        self._assert_bitwise(run, want)
+        # step k's posterior is want[k + 1]; the first repeat is at step settle
+        covs = [g.cov.mat.tobytes() for g in want[1:]]
+        settle = next(k for k in range(1, cfg.steps) if covs[k] == covs[k - 1])
+        assert settle < cfg.steps // 2
+        # steps 0..settle predict P and update it in full, the later ones reuse both
+        assert stepped == (settle + 1 if predict == "jko" else 0)
+        assert halves == [False] * (settle + 1) + [True] * (cfg.steps - settle - 1)
+
+    @pytest.mark.parametrize("update", ["lmmr", "wasserstein"])
+    def test_a_covariance_that_never_settles_is_stepped_every_time(self, monkeypatch, update):
+        sys, meas, g0, rng = _dense_problem(3, 2)
+        cfg = StepConfig(h=0.02, steps=300)
+        dz = 0.1 * rng.normal(size=(3, cfg.steps, 2))
+        calls = self._count_cov_steps(monkeypatch)
+        run = run_filter(sys, meas, g0, dz, cfg, update=update, predict="jko")
+        assert len(calls) == cfg.steps
+        self._assert_bitwise(run, _stepwise_run(sys, meas, g0, dz, cfg, update, "jko"))
+        covs = {g.cov.mat.tobytes() for g in run.posteriors}
+        assert len(covs) == cfg.steps + 1

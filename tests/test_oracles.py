@@ -295,22 +295,67 @@ def test_only_one_state_and_one_sensor_step_p_as_a_float(monkeypatch, run, m, st
 def test_scalar_loop_keeps_the_matrix_loops_signed_zeros(monkeypatch, run, a, c, mean, sign):
     # numpy adds a 1 x 1 product to +0.0, a float product keeps a -0.0: the
     # -0.0 prior means, zero C and zero or negative data make such zeros, and
-    # the float loop still gives the matrix loop's bits. (A >= 0, where a
-    # -0.0 mean would keep its sign, is not Hurwitz.)
+    # the float loop still gives the matrix loop's bits, for two seeds' numpy
+    # means and for one seed's float mean. (A >= 0, where a -0.0 mean would
+    # keep its sign, is not Hurwitz.)
     sys = LinearSystem([[a]], [[1.0]])
     meas = MeasurementModel([[c]], SpdMatrix(1.0))
     g0 = Gaussian([mean], SpdMatrix(1.0))
     dz = sign * np.abs(0.1 * np.random.default_rng(5).normal(size=(2, 30, 1)))
-    runs = [run(sys, meas, g0, dz, 0.02)]
-    monkeypatch.setattr(oracles, "_scalar_substeps", oracles._matrix_substeps)
-    runs.append(run(sys, meas, g0, dz, 0.02))
-    for out in runs:
-        assert len(out.posteriors) == 31
-    for fast, matrix in zip(*(r.posteriors for r in runs)):
-        assert fast.mean.tobytes() == matrix.mean.tobytes()
-        assert fast.cov.mat.tobytes() == matrix.cov.mat.tobytes()
+    for paths in (dz, dz[0]):
+        runs = [run(sys, meas, g0, paths, 0.02)]
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles, "_scalar_substeps", oracles._matrix_substeps)
+            runs.append(run(sys, meas, g0, paths, 0.02))
+        for out in runs:
+            assert len(out.posteriors) == 31
+        for fast, matrix in zip(*(r.posteriors for r in runs)):
+            assert fast.mean.tobytes() == matrix.mean.tobytes()
+            assert fast.cov.mat.tobytes() == matrix.cov.mat.tobytes()
     with pytest.raises(StabilityError):
         LinearSystem([[0.0]], [[1.0]])
+
+
+@pytest.mark.parametrize("mean", [0.5, -0.0], ids=["mean", "negzero-mean"])
+@pytest.mark.parametrize(
+    "run", [kalman_bucy_run, luenberger_run], ids=["kalman-bucy", "luenberger"]
+)
+def test_one_seed_float_mean_is_the_first_seed_of_a_batch_bitwise(run, mean):
+    # One seed's mean steps in Python floats, a batch's means as one numpy
+    # array: elementwise, the same IEEE operations in the same order. The
+    # 500 intervals run past the substep at which P settles; the first seed's
+    # data start with -0.0.
+    g0 = Gaussian([mean], SpdMatrix(2.0))
+    dz = 0.1 * np.random.default_rng(8).normal(size=(3, 500, 1))
+    dz[0, :5] = -0.0
+    batch = run(SCALAR_SYS, SCALAR_MEAS, g0, dz, 0.02)
+    for paths in (dz[0], dz[:1]):
+        one = run(SCALAR_SYS, SCALAR_MEAS, g0, paths, 0.02)
+        assert len(one.posteriors) == len(batch.posteriors) == 501
+        for g, gb in zip(one.posteriors, batch.posteriors):
+            assert g.mean.shape == paths.shape[:-2] + (1,)
+            assert g.mean.tobytes() == gb.mean[0].tobytes()
+            assert g.cov.mat.tobytes() == gb.cov.mat.tobytes()
+
+
+@pytest.mark.parametrize(
+    "run,name", [(kalman_bucy_run, "Kalman-Bucy"), (luenberger_run, "Luenberger")],
+    ids=["kalman-bucy", "luenberger"],
+)
+def test_one_seed_mean_overflow_names_the_interval(run, name):
+    # dz / h overflows to inf with P = 1: a float mean does not raise, so the
+    # inf (then nan) runs to the interval's end, where the run checks the
+    # mean. A batch's numpy mean raises at the division instead.
+    g0 = Gaussian([0.0], SpdMatrix(1.0))
+    dz = np.full((3, 1), 1e307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericFailure, match=rf"^{name} reference run failed at interval 1: "
+                           r"overflow encountered in scalar arithmetic$"):
+            run(SCALAR_SYS, SCALAR_MEAS, g0, dz, 0.01)
+        with pytest.raises(NumericFailure, match=rf"^{name} reference run failed at interval 1: "
+                           r"overflow encountered in divide$"):
+            run(SCALAR_SYS, SCALAR_MEAS, g0, np.stack([dz, dz]), 0.01)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])

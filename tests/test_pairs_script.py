@@ -59,3 +59,40 @@ def test_ties_are_not_wins():
 def test_needs_two_or_more_matched_pairs(parent, change):
     with pytest.raises(ValueError, match="two or more pairs"):
         _pairs().verdict(parent, change, "higher")
+
+
+def _results(**per_run):
+    """Result lines, one per run: per_run maps a metric name to its values."""
+    count = len(next(iter(per_run.values())))
+    return [{"metrics": {name: {"value": values[i], "unit": "s"}
+                         for name, values in per_run.items()}}
+            for i in range(count)]
+
+
+LAYERS = [{"name": "oracles.reference_run.calls", "better": "lower"},
+          {"name": "oracles.reference_run.self_s", "better": "lower"}]
+
+
+def test_per_layer_verdicts_summarize_each_side():
+    parent = _results(**{"oracles.reference_run.calls": [1] * 10,
+                         "oracles.reference_run.self_s": [0.01 * p for p in PARENT]})
+    change = _results(**{"oracles.reference_run.calls": [1] * 10,
+                         "oracles.reference_run.self_s": [0.002 * p for p in PARENT]})
+    found = _pairs().verdicts("converge_scalar", parent, change, LAYERS)
+    calls, self_s = (found[layer["name"]] for layer in LAYERS)
+    assert calls["parent"]["median"] == calls["change"]["median"] == 1
+    assert calls["wins"] == 0 and not calls["gain_holds"]
+    assert self_s["parent"]["median"] == pytest.approx(1.0)
+    assert self_s["change"]["median"] == pytest.approx(0.2)
+    assert self_s["wins"] == 10 and self_s["gain_holds"]
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_a_call_count_that_differs_within_one_side_exits_1(side):
+    runs = {s: _results(**{"oracles.reference_run.calls": [1, 1, 1],
+                           "oracles.reference_run.self_s": [1.0, 1.1, 0.9]})
+            for s in ("parent", "change")}
+    runs[side][1]["metrics"]["oracles.reference_run.calls"]["value"] = 2
+    with pytest.raises(SystemExit, match=rf"^converge_scalar \({side}\): "
+                       r"oracles.reference_run.calls differs between traced runs: \[1, 2, 1\]"):
+        _pairs().verdicts("converge_scalar", runs["parent"], runs["change"], LAYERS)
