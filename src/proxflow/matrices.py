@@ -3,7 +3,8 @@
 Symmetric matrix functions go through eigendecompositions, the Lyapunov
 solver through Kronecker vectorization, and the SPD quadratic matrix
 equation through its closed form. Everything targets small dense matrices
-(n up to ~16); nothing here is tuned for scale.
+(n up to ~16); nothing here is tuned for scale. `expm` of a zero exponent is
+I without SciPy; `scipy.linalg` loads on the first non-zero exponent.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -216,11 +216,16 @@ def inv_sqrt_spd(p: SpdMatrix) -> SpdMatrix:
 
 
 def expm(a, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential of A*t."""
+    """Matrix exponential of A*t: a fresh I, without SciPy, when A*t is all
+    zero (e^0 = I exactly); scipy.linalg loads on the first non-zero A*t."""
     m = as_square(a, "exponent matrix")
     if not np.isfinite(t):
         raise ValidationError("time must be finite")
-    out = scipy.linalg.expm(m * t)
+    mt = m * t
+    if not mt.any():
+        return np.eye(m.shape[0])
+    import scipy.linalg  # about 0.25 s and 28 MiB to load: a scalar run never needs it
+    out = scipy.linalg.expm(mt)
     if not np.all(np.isfinite(out)):
         raise NumericFailure("matrix exponential overflowed")
     return out

@@ -839,16 +839,36 @@ def test_bundled_propagation_tables_reproduce(tmp_path, command, config, name):
             assert got_values[key] == pytest.approx(value, rel=1e-9, abs=0.0)
 
 
-def test_cli_start_leaves_scipy_optimize_unloaded():
-    # scipy.optimize takes most of a second to import and only the
-    # brute-force oracle uses it, so it must not load with the package.
-    code = "import sys, proxflow, proxflow.cli; print('scipy.optimize' in sys.modules)"
-    src = pathlib.Path(proxflow.__file__).resolve().parent.parent  # the package under test
+def _scipy_loaded_by(code, cwd=None):
+    """The scipy modules a fresh interpreter holds after running code
+    against the package under test (printed on the last line of output)."""
+    probe = code + "\nimport sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = pathlib.Path(proxflow.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout == "False\n"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, cwd=cwd, check=True)
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_cli_start_leaves_scipy_unloaded():
+    # scipy.linalg costs about 0.25 s and scipy.optimize most of a second to
+    # import; only a non-zero expm exponent and the brute-force oracle use
+    # them, so neither loads with the package.
+    assert _scipy_loaded_by("import proxflow, proxflow.cli") == []
+
+
+@pytest.mark.parametrize("command,config,loads", [
+    ("compare-filters", "compare_scalar", False),
+    ("converge-filter", "filter_scalar", False),
+    ("converge-propagation", "propagation_general_2d", True),  # a skewed drift: e^(S h) != I
+])
+def test_bundled_run_loads_scipy_linalg_only_for_a_non_zero_exponent(
+        tmp_path, command, config, loads):
+    argv = [command, "--config", str(REPO / "scripts" / "configs" / f"{config}.json"),
+            "--out", str(tmp_path / "out.csv"), "--out-json", str(tmp_path / "out.json")]
+    code = f"from proxflow.cli import main; assert main({argv!r}) == 0"
+    assert ("scipy.linalg" in _scipy_loaded_by(code, cwd=tmp_path)) is loads
 
 
 def _json_values(doc):

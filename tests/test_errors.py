@@ -1,6 +1,7 @@
 """The one failure guard: errors.named_failures traps floating-point faults
 and names what failed, and no other module writes its own trap."""
 
+import ast
 import pathlib
 
 import numpy as np
@@ -49,3 +50,30 @@ def test_only_errors_py_traps_floating_point_faults():
     sites = [path.name for path in sorted(SRC.glob("*.py"))
              if path.name != "errors.py" and 'over="raise"' in path.read_text()]
     assert sites == []
+
+
+def _scipy_imports(node, function=None):
+    """(enclosing function or None, module) for each import of scipy under
+    node; an import outside every function runs when the module loads."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scipy_imports(child, child.name)
+            continue
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            modules = [child.module]
+        else:
+            modules = []
+        yield from ((function, m) for m in modules if m.split(".")[0] == "scipy")
+        yield from _scipy_imports(child, function)
+
+
+def test_no_module_imports_scipy_when_it_loads():
+    # scipy.linalg costs a scalar run's start about 0.25 s and 28 MiB, and
+    # scipy.optimize most of a second, so each loads on first use only
+    found = {(path.name, function, module) for path in sorted(SRC.glob("*.py"))
+             for function, module in _scipy_imports(ast.parse(path.read_text()))}
+    assert {site for site in found if site[1] is None} == set()
+    assert found == {("matrices.py", "expm", "scipy.linalg"),
+                     ("oracles.py", "_search", "scipy.optimize")}

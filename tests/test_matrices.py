@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from proxflow import (
     sym_skew_split,
 )
 from proxflow import matrices
+from proxflow.errors import named_failures
 from proxflow.matrices import _HALF_MAX, as_square, is_isotropic, max_abs, symmetrize
 from support import random_hurwitz, random_spd
 
@@ -179,7 +181,48 @@ class TestExpm:
 
     def test_zero_matrix(self):
         for t in (0.0, 1.0, 7.5):
-            assert np.allclose(expm(np.zeros((3, 3)), t), np.eye(3), atol=0)
+            assert expm(np.zeros((3, 3)), t).tobytes() == np.eye(3).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_zero_exponent_is_scipys_identity_byte_for_byte(self, n):
+        # a zero exponent never reaches scipy.linalg.expm; the identity
+        # returned instead must be the very bytes scipy would have given
+        signs = np.where(np.add.outer(range(n), range(n)) % 2 == 0, 1.0, -1.0)
+        nonzero = np.random.default_rng(n).normal(size=(n, n))
+        cases = [(np.zeros((n, n)), t) for t in (1.0, -2.5, 0.0, -0.0)]
+        cases += [(np.full((n, n), -0.0), 1.0), (signs * 0.0, 1.0), (signs * 0.0, -1.0)]
+        cases += [(nonzero, 0.0), (nonzero, -0.0), (np.full((n, n), 1e-200), 1e-200)]
+        for a, t in cases:
+            want = scipy.linalg.expm(a * t)
+            got = expm(a, t)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    def test_zero_exponent_gives_a_fresh_writeable_array(self):
+        first = expm(np.zeros((2, 2)), 1.0)
+        assert first.dtype == np.float64 and first.flags.writeable and first.flags.owndata
+        first[0, 1] = 5.0
+        second = expm(np.zeros((2, 2)), 1.0)
+        assert second is not first and second.tobytes() == np.eye(2).tobytes()
+
+    @pytest.mark.parametrize("a,t,message", [
+        ([[math.nan]], 1.0, "exponent matrix has non-finite entries"),
+        ([[0.0, math.inf], [0.0, 0.0]], 0.0, "exponent matrix has non-finite entries"),
+        ([[0.0]], math.nan, "time must be finite"),
+        ([[1.0]], -math.inf, "time must be finite"),
+    ])
+    def test_non_finite_input_still_rejected(self, a, t, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            expm(a, t)
+
+    @pytest.mark.parametrize("a", [[[1e300]], [[1e300, 0.0], [0.0, 0.0]]])
+    def test_overflowing_exponent_still_fails(self, a):
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericFailure, match="^matrix exponential overflowed$"):
+            expm(a, 1e300)
+        with pytest.raises(NumericFailure, match="^step 4: overflow encountered in multiply$"):
+            with named_failures(lambda: "step 4"):
+                expm(a, 1e300)
 
     def test_rotation_orthogonal(self):
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
