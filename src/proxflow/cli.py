@@ -24,11 +24,17 @@ from .experiments import (
     converge_propagation,
     lemma_checks,
 )
-from .rng import SEED_LIMIT
+from .rng import check_seed
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERIC = 2
+
+CONFIG_COMMANDS = {
+    "converge-propagation": ("propagation order study", converge_propagation),
+    "converge-filter": ("filter order study vs reference run", converge_filter),
+    "compare-filters": ("Monte Carlo filter comparison", compare_filters),
+}
 
 
 def _parse_dims(text: str):
@@ -44,10 +50,15 @@ def _parse_dims(text: str):
 
 
 def seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < SEED_LIMIT:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
-    return value
+    """A --seed value: its decimal integer, or the text, under rng.check_seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    try:
+        return check_seed(value)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,9 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=seed, default=None, help="override the seed list")
         p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
 
-    add_common(sub.add_parser("converge-propagation", help="propagation order study"))
-    add_common(sub.add_parser("converge-filter", help="filter order study vs reference run"))
-    add_common(sub.add_parser("compare-filters", help="Monte Carlo filter comparison"))
+    for command, (summary, _) in CONFIG_COMMANDS.items():
+        add_common(sub.add_parser(command, help=summary))
 
     lemma = sub.add_parser("lemma-checks", help="randomized geometry identity report")
     lemma.add_argument("--trials", type=int, default=1000)
@@ -118,13 +128,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: 0 after --help/--version, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
-        if args.command == "converge-propagation":
-            _run_config_command(args, converge_propagation)
-        elif args.command == "converge-filter":
-            _run_config_command(args, converge_filter)
-        elif args.command == "compare-filters":
-            _run_config_command(args, compare_filters)
-        elif args.command == "lemma-checks":
+        if args.command in CONFIG_COMMANDS:
+            _run_config_command(args, CONFIG_COMMANDS[args.command][1])
+        else:  # lemma-checks, the one command without a config
             _check_writable(args.out, args.out_json)
             table = lemma_checks(args.trials, args.dims, args.seed)
             table.write(args.out, args.out_json)

@@ -16,11 +16,10 @@ from .errors import ConfigError, ProxflowError
 from .filtering import PREDICT_KINDS, UPDATE_KINDS, MeasurementModel
 from .gaussians import Gaussian
 from .matrices import SpdMatrix
-from .propagation import MODE_GENERAL, MODE_SYMMETRIC, LinearSystem
-from .rng import SEED_LIMIT
+from .propagation import MAX_STEPS, MODE_GENERAL, MODE_SYMMETRIC, LinearSystem
+from .rng import check_seed
 
 TASKS = ("propagation", "filter", "compare")
-MAX_STEPS = 10**6
 CONFIG_LIMIT = 2**20  # characters read at most; a longer file (e.g. /dev/zero) is refused
 
 
@@ -97,13 +96,10 @@ def _positive(value, path: str) -> float:
 
 
 def _seed(value, path: str) -> int:
-    """An integer seed in [0, 2**64); integral floats pass, bools do not."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{path}: must be an integer, got {value!r}")
-    if not 0 <= value < SEED_LIMIT:
-        raise ConfigError(f"{path}: must lie in [0, 2**64), got {value!r}")
-    return int(value)
+    """A seed under rng.check_seed; an integral float is its int first."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _build(path, lambda: check_seed(value))
 
 
 def _choice(mode: dict, key: str, choices: tuple, default: str) -> str:

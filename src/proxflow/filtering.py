@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericFailure, ValidationError, named_failures
+from .errors import DimensionError, ValidationError, named_failures
 from .gaussians import FilterRun, Gaussian, as_vectors, batch_prior
 from .matrices import (
     POSITIVITY_RTOL,
@@ -23,6 +23,7 @@ from .matrices import (
     max_abs,
     require_positive,
     require_same_dim,
+    solve,
 )
 from .oracles import exact_cov, exact_mean
 from .propagation import LinearSystem, StepConfig, general_step
@@ -88,10 +89,7 @@ def lmmr_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float, half=Non
     y = _check_update_inputs(g_prior, meas, y, h)
     lhs, gain, cov = half or _lmmr_gain(g_prior.cov, meas, h) + (None,)
     rhs = g_prior.mean + matvec(gain, y)
-    try:
-        mean = np.linalg.solve(lhs, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"the mean solve failed: {exc}") from exc
+    mean = solve(lhs, rhs[..., None], "the mean solve failed")[..., 0]
     if cov is None:
         cov = inv_spd(SpdMatrix(inv_spd(g_prior.cov).mat + h * meas.information_matrix()))
     return Gaussian(mean, cov)
@@ -114,12 +112,10 @@ def wasserstein_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float,
     y = _check_update_inputs(g_prior, meas, y, h)
     scaled, gain, cov = half or _wasserstein_gain(g_prior.cov, meas, h) + (None,)
     rhs = g_prior.mean + matvec(gain, y)
-    try:
-        mean = np.linalg.solve(scaled, rhs[..., None])[..., 0]
-        if cov is None:
-            cov = np.linalg.solve(scaled, np.linalg.solve(scaled, g_prior.cov.mat).T).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"a solve failed: {exc}") from exc
+    failure = "a solve failed"
+    mean = solve(scaled, rhs[..., None], failure)[..., 0]
+    if cov is None:
+        cov = solve(scaled, solve(scaled, g_prior.cov.mat, failure).T, failure).T
     return Gaussian(mean, cov if half else SpdMatrix(cov))
 
 

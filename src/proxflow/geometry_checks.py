@@ -7,8 +7,8 @@ backs both the test suite and the CLI report.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .gaussians import (
     w2_gaussian,
 )
 from .matrices import SpdMatrix, max_abs, sqrt_spd
-from .sampling import random_spd
 
 TRACE_SLACK_TOL = -1e-12
 TRANSPORT_RESIDUAL_TOL = 1e-10
@@ -29,7 +28,20 @@ PROJECTION_RESIDUAL_TOL = 1e-10
 FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
+def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def random_spd(
+    rng: np.random.Generator, n: int, eig_low: float = 0.3, eig_high: float = 3.0
+) -> SpdMatrix:
+    q = random_orthogonal(rng, n)
+    eigs = rng.uniform(eig_low, eig_high, size=n)
+    return SpdMatrix((q * eigs) @ q.T)
+
+
+@dataclasses.dataclass(frozen=True)
 class CheckResult:
     """Outcome of one randomized identity suite."""
 
@@ -39,10 +51,18 @@ class CheckResult:
     worst: float
 
 
-def _dims_cycle(dims, trials):
+def _residual_suite(name: str, trials: int, dims, rng, residual, tol: float) -> CheckResult:
+    """Run residual(rng, n) once per trial, n cycling through dims; a trial fails
+    when its residual exceeds tol, and worst is the largest (-inf for none)."""
     dims = list(dims)
+    worst = -math.inf
+    failures = 0
     for i in range(trials):
-        yield dims[i % len(dims)]
+        resid = residual(rng, dims[i % len(dims)])
+        worst = max(worst, resid)
+        if resid > tol:
+            failures += 1
+    return CheckResult(name, trials, failures, worst)
 
 
 def check_trace_inequality(trials: int, dims, rng: np.random.Generator) -> CheckResult:
@@ -51,31 +71,15 @@ def check_trace_inequality(trials: int, dims, rng: np.random.Generator) -> Check
     Reports the worst (most negative) slack; a trial fails when the slack
     drops below -1e-12.
     """
-    worst = math.inf
-    failures = 0
-    for n in _dims_cycle(dims, trials):
+    def residual(rng: np.random.Generator, n: int) -> float:
         x = random_spd(rng, n)
         y = random_spd(rng, n)
         sx = sqrt_spd(x).mat
         inner = sqrt_spd(SpdMatrix(sx @ y.mat @ sx)).trace()
-        slack = math.sqrt(x.trace() * y.trace()) - inner
-        worst = min(worst, slack)
-        if slack < TRACE_SLACK_TOL:
-            failures += 1
-    return CheckResult("trace_inequality", trials, failures, worst)
-
-
-def _residual_suite(name: str, trials: int, dims, rng, residual, tol: float) -> CheckResult:
-    """Run residual(rng, n) once per trial; a trial fails when its residual
-    exceeds tol, and worst is the largest residual (0.0 for zero trials)."""
-    worst = 0.0
-    failures = 0
-    for n in _dims_cycle(dims, trials):
-        resid = residual(rng, n)
-        worst = max(worst, resid)
-        if resid > tol:
-            failures += 1
-    return CheckResult(name, trials, failures, worst)
+        # minus the slack, not inner - bound: a slack of exactly +0.0 must stay +0.0
+        return -(math.sqrt(x.trace() * y.trace()) - inner)
+    result = _residual_suite("trace_inequality", trials, dims, rng, residual, -TRACE_SLACK_TOL)
+    return dataclasses.replace(result, worst=-result.worst)
 
 
 def check_transport_identities(trials: int, dims, rng: np.random.Generator) -> CheckResult:

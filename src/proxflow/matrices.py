@@ -231,6 +231,14 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     return out
 
 
+def solve(a, b, failure: str) -> np.ndarray:
+    """np.linalg.solve(a, b); a singular a raises NumericFailure(f"{failure}: {exc}")."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"{failure}: {exc}") from exc
+
+
 def spectral_abscissa(a) -> float:
     """Largest real part over the eigenvalues of A."""
     m = as_square(a)
@@ -261,11 +269,7 @@ def lyapunov_solve(a, qrhs) -> np.ndarray:
     n = m.shape[0]
     eye = np.eye(n)
     op = np.kron(eye, m) + np.kron(m, eye)
-    try:
-        x = np.linalg.solve(op, -q.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"Kronecker system is singular: {exc}") from exc
-    sol = x.reshape(n, n)
+    sol = solve(op, -q.reshape(-1), "Kronecker system is singular").reshape(n, n)
     return 0.5 * (sol + sol.T)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import NumericFailure, OracleFailure, ValidationError, named_failures
 from .gaussians import (
+    LOG_TWO_PI,
     FilterRun,
     Gaussian,
     as_vector,
@@ -37,15 +38,13 @@ from .matrices import (
     require_positive,
     require_same_dim,
 )
-from .propagation import LinearSystem
+from .propagation import MAX_STEPS, LinearSystem
 
-LOG_TWO_PI = math.log(2.0 * math.pi)
 REFERENCE_SUBSTEPS = 20  # the fewest substeps per data interval of a reference run
 # Radius of a left half-disc inside RK4's stability region: |R(z)| <= 0.873 on its arc.
 RK4_STABLE = 2.5
-# The most RK4 steps one integral may take: REFERENCE_SUBSTEPS times the 10**6
-# steps a config may ask for, the largest non-stiff reference a run can need.
-RK4_MAX_STEPS = 20 * 10**6
+# The most RK4 steps one integral may take: the largest non-stiff reference a config can ask for.
+RK4_MAX_STEPS = REFERENCE_SUBSTEPS * MAX_STEPS
 
 
 def rk4_step(f, y, dt: float):
@@ -145,13 +144,15 @@ def _rk4_cov(sys: LinearSystem, p0: SpdMatrix, t: float, substep: float) -> SpdM
     return SpdMatrix(p)
 
 
-def _observer_run(sys, meas, g0, dz, h, drift, info) -> FilterRun:
-    """Shared input checks and substep loop of the two reference runs. Per
-    substep (REFERENCE_SUBSTEPS per interval, more where F is stiff): an
-    Euler mean step against the piecewise-constant data rate dz_k / h, with
-    the gain P C^T R^-1 from the pre-step P if info is given, else C^T R^-1;
-    an RK4 step of P' = F P + P F^T + 2 B B^T - P J P with F = drift,
-    J = info; symmetrization. Once a step and its symmetrization return P bit
+def _observer_run(sys, meas, g0, dz, h, optimal: bool) -> FilterRun:
+    """Shared input checks and substep loop of the two reference runs: the
+    optimal filter (F = A, J = C^T R^-1 C) if optimal, else the static-gain
+    observer (F = A - C^T R^-1 C, no J). Per substep (REFERENCE_SUBSTEPS per
+    interval, more where F is stiff): an Euler mean step against the
+    piecewise-constant data rate dz_k / h, with the gain P C^T R^-1 from the
+    pre-step P if optimal, else C^T R^-1; an RK4 step of
+    P' = F P + P F^T + 2 B B^T - P J P; symmetrization. Once a step and its
+    symmetrization return P bit
     for bit, P and the gain are reused and only the mean is stepped: the step
     uses only +, * and matrix products, so it would return P at every later
     substep. The full substep count is still checked against RK4_MAX_STEPS
@@ -163,24 +164,25 @@ def _observer_run(sys, meas, g0, dz, h, drift, info) -> FilterRun:
     "<run> reference run failed at interval k: <cause>"."""
     g0, dz = batch_prior(sys, meas, g0, dz)
     require_positive(h, "step size")
-    run = "Luenberger" if info is None else "Kalman-Bucy"
+    ct_rinv = meas.c.T @ meas.rinv
+    info = ct_rinv @ meas.c
+    drift, info = (sys.a, info) if optimal else (sys.a - info, None)
+    run = "Kalman-Bucy" if optimal else "Luenberger"
     substeps = _rk4_count(drift, h, REFERENCE_SUBSTEPS, f"{run} reference run", dz.shape[-2])
     loop = _scalar_substeps if meas.c.shape == (1, 1) else _matrix_substeps
     out = [g0]
     with named_failures(lambda: f"{run} reference run failed at interval {len(out)}"):
-        for mu, p in loop(sys, meas, g0, dz, h, substeps, drift, info):
+        for mu, p in loop(sys, meas.c, ct_rinv, g0, dz, h, substeps, drift, info):
             out.append(Gaussian(mu, SpdMatrix(p)))
     return FilterRun(tuple(out))
 
 
-def _matrix_substeps(sys, meas, g0, dz, h, substeps, drift, info):
+def _matrix_substeps(sys, c, ct_rinv, g0, dz, h, substeps, drift, info):
     """_observer_run's loop, yielding (mean, P) per interval. Means are held
     as columns, so a batch does each seed's arithmetic as its one-path run
     does."""
     rate = _riccati_rate(drift, sys.diffusion(), info)
     dt = h / substeps
-    c = meas.c
-    ct_rinv = c.T @ meas.rinv
     mu = g0.mean[..., None]
     p = g0.cov.mat.copy()
     gain = ct_rinv
@@ -207,7 +209,7 @@ def _finite(x: float) -> float:
     return x
 
 
-def _scalar_substeps(sys, meas, g0, dz, h, substeps, drift, info):
+def _scalar_substeps(sys, c, ct_rinv, g0, dz, h, substeps, drift, info):
     """_matrix_substeps for one state and one sensor, with every 1 x 1
     matrix a Python float (P > 0, so settling is q == p). A 1 x 1 product
     is one rounded multiply, so each float op gives its matrix counterpart's
@@ -221,8 +223,7 @@ def _scalar_substeps(sys, meas, g0, dz, h, substeps, drift, info):
     under the run's floating-point guard."""
     f, w = drift.item(), sys.diffusion().item()
     j = None if info is None else info.item()
-    a, c = sys.a.item(), meas.c.item()
-    ct_rinv = (meas.c.T @ meas.rinv).item()
+    a, c, ct_rinv = sys.a.item(), c.item(), ct_rinv.item()
 
     def rate(p):
         fp = f * p
@@ -256,14 +257,14 @@ def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> Filt
     P' = A P + P A^T + 2 B B^T - P C^T R^-1 C P; the mean uses the gain
     K = P C^T R^-1, formed once per distinct P: once an RK4 substep returns
     P bit for bit, P and K are reused for the rest of the run. C^T R^-1 C is
-    formed here once per run, not read from the measurement model, so the
+    formed once per run, not read from the measurement model, so the
     check shares no cached matrix with the update it checks. With one state
     and one sensor, P and K are Python floats, bit for bit the 1 x 1 matrix
     arithmetic, as is the mean of a one-seed run; an overflow there ends
     "overflow encountered in scalar arithmetic". Returns the run of states
     at the interval boundaries.
     """
-    return _observer_run(sys, meas, g0, dz, h, sys.a, meas.c.T @ meas.rinv @ meas.c)
+    return _observer_run(sys, meas, g0, dz, h, optimal=True)
 
 
 def luenberger_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> FilterRun:
@@ -272,9 +273,7 @@ def luenberger_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> Filte
     The covariance follows the Lyapunov ODE
     P' = (A - L C) P + P (A - L C)^T + 2 B B^T, decoupled from the gain.
     """
-    # checked before A - L C is formed, which a C of the wrong width breaks
-    require_same_dim("system and measurement model", sys.dim, meas.state_dim)
-    return _observer_run(sys, meas, g0, dz, h, sys.a - meas.c.T @ meas.rinv @ meas.c, None)
+    return _observer_run(sys, meas, g0, dz, h, optimal=False)
 
 
 KIND_JKO = "jko-free-energy"

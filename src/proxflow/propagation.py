@@ -48,6 +48,7 @@ from .matrices import (
 )
 
 CONTROLLABILITY_RTOL = 1e-9
+MAX_STEPS = 10**6  # the most steps a config may ask for at one step size
 
 
 def controllability_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -25,16 +25,21 @@ _INV53 = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
 
 
+def check_seed(seed) -> int:
+    """seed as an int: the one seed rule, an integer in [0, 2**64) (a bool is not)."""
+    integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (integral and 0 <= seed < SEED_LIMIT):
+        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
 class GaussianStream:
     """Standard normal draws over a seeded SplitMix stream."""
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-        if not (integral and 0 <= seed < SEED_LIMIT):
-            raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-        self._state = int(seed)
+        self._state = check_seed(seed)
 
     def _uniforms(self, count: int) -> np.ndarray:
         """The next count 53-bit uniforms in [0, 1): output k is mix(state + k gamma)."""

@@ -7,13 +7,18 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import proxflow
-from proxflow.cli import main
+from proxflow.cli import build_parser, main
 from proxflow.config import parse_config
-from proxflow.errors import ConfigError
+from proxflow.errors import ConfigError, ValidationError
 from proxflow.experiments import lemma_checks
+from proxflow.geometry_checks import check_trace_inequality
+from proxflow.matrices import SpdMatrix, sqrt_spd
+from proxflow.rng import GaussianStream
+from support import random_spd
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_LIMIT = 2**20  # characters a config may hold
@@ -420,6 +425,28 @@ class TestLemmaChecks:
         worst = {r.metric: r.value for r in table.rows if r.metric.endswith("_worst")}
         assert worst["trace_inequality_worst"] >= -1e-12
 
+    @pytest.mark.parametrize("trials,dims", [(1, (1,)), (3, (1,)), (60, (1, 2, 3))])
+    def test_trace_inequality_reports_the_least_slack_bit_for_bit(self, trials, dims):
+        # a slack of n = 1 is often exactly +0.0; reporting it as -0.0 would
+        # change the lemma-checks CSV bytes
+        zeros = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            worst, failures = math.inf, 0
+            for i in range(trials):
+                n = dims[i % len(dims)]
+                x, y = random_spd(rng, n), random_spd(rng, n)
+                sx = sqrt_spd(x).mat
+                inner = sqrt_spd(SpdMatrix(sx @ y.mat @ sx)).trace()
+                slack = math.sqrt(x.trace() * y.trace()) - inner
+                worst = min(worst, slack)
+                failures += slack < -1e-12
+            got = check_trace_inequality(trials, dims, np.random.default_rng(seed))
+            assert (got.name, got.trials, got.failures) == ("trace_inequality", trials, failures)
+            assert repr(got.worst) == repr(worst)
+            zeros += repr(worst) == "0.0"
+        assert zeros or trials > 3  # the +0.0 case is exercised
+
     def test_stdout_when_no_out_path(self, capsys):
         assert main(["lemma-checks", "--trials", "2", "--dims", "1", "--seed", "1"]) == 0
         captured = capsys.readouterr().out
@@ -798,6 +825,42 @@ class TestConfigParsing:
         edited["steps"]["horizon"] = 2.0
         b = parse_config(json.dumps(edited))
         assert a.config_hash != b.config_hash
+
+
+SEED_RULE = "seed must be an integer in [0, 2**64), got "
+
+
+def _seed_site(site, seed):
+    """Hand seed to one of the three places a seed enters: the stream, the
+    config's seed list, or --seed (as its Python literal)."""
+    if site == "stream":
+        return GaussianStream(seed)._state
+    if site == "config":
+        payload = json.loads(json.dumps(FILTER_CONFIG))
+        payload["seeds"] = [seed]
+        return parse_config(json.dumps(payload)).seeds[0]
+    return build_parser().parse_args(["lemma-checks", "--seed", repr(seed)]).seed
+
+
+@pytest.mark.parametrize("site", ["stream", "config", "flag"])
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5, "3"], ids=repr)
+def test_every_seed_site_refuses_with_the_one_rule(site, seed, capsys):
+    if site == "flag":  # the text is its value if a decimal integer, else the text itself
+        with pytest.raises(SystemExit):
+            _seed_site(site, seed)
+        shown = seed if type(seed) is int else repr(seed)
+        assert capsys.readouterr().err.endswith(f"error: argument --seed: {SEED_RULE}{shown!r}\n")
+        return
+    with pytest.raises(ValidationError) as info:
+        _seed_site(site, seed)
+    prefix = "seeds[0]: " if site == "config" else ""
+    assert str(info.value) == f"{prefix}{SEED_RULE}{seed!r}"
+
+
+@pytest.mark.parametrize("site", ["stream", "config", "flag"])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_every_seed_site_accepts_the_range_ends(site, seed):
+    assert _seed_site(site, seed) == seed
 
 
 @pytest.mark.parametrize(

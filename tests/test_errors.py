@@ -77,3 +77,42 @@ def test_no_module_imports_scipy_when_it_loads():
     assert {site for site in found if site[1] is None} == set()
     assert found == {("matrices.py", "expm", "scipy.linalg"),
                      ("oracles.py", "_search", "scipy.optimize")}
+
+
+def _sites(match):
+    """(module, enclosing def) for each node in src/proxflow that match
+    accepts; the def is dotted as Class.method, and None at module level."""
+    found = []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.append((path.name, where))
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where is None else f"{where}.{child.name}"
+            walk(child, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_only_matrices_turns_a_linalg_error_into_numeric_failure():
+    # every failed solve goes through matrices.solve, which names it
+    found = _sites(lambda node: isinstance(node, ast.ExceptHandler) and node.type is not None
+                   and "LinAlgError" in ast.unparse(node.type))
+    assert sorted(found) == [("matrices.py", "SpdMatrix.__init__"), ("matrices.py", "solve")]
+
+
+def test_only_rng_compares_a_seed_with_its_limit():
+    # config and the --seed flag call rng.check_seed rather than restate the range
+    found = _sites(lambda node: isinstance(node, ast.Compare)
+                   and "SEED_LIMIT" in ast.unparse(node))
+    assert found == [("rng.py", "check_seed")]
+
+
+def test_log_two_pi_is_assigned_once():
+    found = _sites(lambda node: isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "LOG_TWO_PI" for target in node.targets))
+    assert found == [("gaussians.py", None)]

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import types
 import warnings
 
@@ -28,7 +30,10 @@ from proxflow import (
     wasserstein_update,
 )
 from proxflow import oracles
+from proxflow.config import parse_config
+from proxflow.experiments import converge_propagation
 from proxflow.matrices import max_abs
+from proxflow.propagation import MAX_STEPS
 from proxflow.oracles import _closed_form_cov, _rk4_cov
 from support import random_spd, random_system
 
@@ -536,6 +541,35 @@ def test_rk4_cov_overflow_raises_numeric_failure():
     sys = LinearSystem([[-3.0, 0.5], [-0.5, -3.0]], np.eye(2))
     with pytest.raises(NumericFailure, match=r"^exact covariance: RK4 step 1 of 200: overflow"):
         exact_cov(sys, SpdMatrix(8e307 * np.eye(2)), 0.2, 1e-3)
+
+
+class _Integrating(Exception):
+    """Raised by a stub rk4_step: the integral passed its step budget check."""
+
+
+def test_rk4_budget_covers_a_config_at_max_steps(monkeypatch):
+    assert oracles.RK4_MAX_STEPS == oracles.REFERENCE_SUBSTEPS * MAX_STEPS == 20_000_000
+    # converge-propagation integrates its reference at a substep of h / 20;
+    # at MAX_STEPS steps of h that integral is the budget, and is accepted
+    config = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "configs"
+    payload = json.loads((config / "propagation_general_2d.json").read_text())
+    payload["steps"]["h"] = [payload["steps"]["horizon"] / MAX_STEPS]
+    cfg = parse_config(json.dumps(payload))
+    assert cfg.steps_for(cfg.h_values[0]) == MAX_STEPS
+    counts, count = [], oracles._rk4_count
+
+    def counted(*args):
+        counts.append(count(*args))
+        return counts[-1]
+
+    def integrate(f, y, dt):
+        raise _Integrating
+
+    monkeypatch.setattr(oracles, "_rk4_count", counted)
+    monkeypatch.setattr(oracles, "rk4_step", integrate)
+    with pytest.raises(_Integrating):
+        converge_propagation(cfg)
+    assert counts == [oracles.RK4_MAX_STEPS]
 
 
 def _count_rk4_steps(monkeypatch):

@@ -71,6 +71,19 @@ def test_dimension_mismatch_raises_dimension_error(call):
         call()
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_reference_runs_refuse_a_c_of_the_wrong_width_alike(width):
+    # both runs check their inputs in _observer_run, before A - C^T R^-1 C
+    meas = MeasurementModel(np.ones((1, width)), SpdMatrix(1.0))
+    messages = set()
+    for run in (kalman_bucy_run, luenberger_run):
+        with pytest.raises(DimensionError) as info:
+            run(SYS2, meas, G2, DZ, 0.1)
+        messages.add(str(info.value))
+    want = f"system, measurement model and prior dimensions disagree: 2 vs {width} vs 2"
+    assert messages == {want}
+
+
 ONE_DIMENSIONAL = {
     "B": (lambda: LinearSystem(-np.eye(2), np.ones(2)), "must be a matrix"),
     "C": (lambda: MeasurementModel(np.ones(2), SpdMatrix(1.0)), "must be a matrix"),
