@@ -38,10 +38,13 @@ CONFIG_COMMANDS = {
 
 
 def _parse_dims(text: str):
-    """'lo-hi' or 'a,b,c'; a bound above MAX_DIM, or a range with lo > hi, is
-    refused before any range is built."""
+    """'lo-hi' or 'a,b,c'; other text, a bound above MAX_DIM, or a range with
+    lo > hi is refused before any range is built."""
     is_range = "-" in text
-    values = [int(d) for d in (text.split("-", 1) if is_range else text.split(","))]
+    try:
+        values = [int(d) for d in (text.split("-", 1) if is_range else text.split(","))]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'lo-hi' or 'a,b,c', got {text!r}") from None
     if max(values) > MAX_DIM:
         raise argparse.ArgumentTypeError(f"each dimension must be at most {MAX_DIM}")
     if is_range and values[0] > values[1]:

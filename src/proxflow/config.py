@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProxflowError
+from .errors import ConfigError, ProxflowError, ValidationError
 from .filtering import PREDICT_KINDS, UPDATE_KINDS, MeasurementModel
 from .gaussians import Gaussian
 from .matrices import SpdMatrix
@@ -96,10 +96,11 @@ def _positive(value, path: str) -> float:
 
 
 def _seed(value, path: str) -> int:
-    """A seed under rng.check_seed; an integral float is its int first."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    return _build(path, lambda: check_seed(value))
+    """A seed under rng.check_seed; an integral float is its int, or refused as written."""
+    try:
+        return check_seed(int(value) if isinstance(value, float) and value.is_integer() else value)
+    except ValidationError:
+        return _build(path, lambda: check_seed(value))
 
 
 def _choice(mode: dict, key: str, choices: tuple, default: str) -> str:

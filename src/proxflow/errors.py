@@ -56,13 +56,14 @@ class OracleFailure(ProxflowError):
 
 @contextmanager
 def named_failures(where):
-    """Run a block with floating-point faults raised. A FloatingPointError
-    leaves as NumericFailure, a ProxflowError as its own class, each as
-    f"{where()}: {exc}"; where is read on failure, so it can name a step."""
+    """Run a block with floating-point faults raised. A FloatingPointError or
+    a ValidationError (a run checks its inputs first, so what is refused in
+    here was computed) leaves as NumericFailure, any other ProxflowError as
+    its own class, each as f"{where()}: {exc}"; where is read on failure."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
-    except FloatingPointError as exc:
+    except (FloatingPointError, ValidationError) as exc:
         raise NumericFailure(f"{where()}: {exc}") from exc
     except ProxflowError as exc:
         raise type(exc)(f"{where()}: {exc}") from exc

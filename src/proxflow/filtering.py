@@ -18,6 +18,7 @@ from .matrices import (
     POSITIVITY_RTOL,
     SpdMatrix,
     as_matrix,
+    frozen,
     inv_spd,
     matvec,
     max_abs,
@@ -35,17 +36,15 @@ class MeasurementModel:
     __slots__ = ("c", "r", "rinv", "_info")
 
     def __init__(self, c, r: SpdMatrix):
-        cm = np.array(as_matrix(c, "C"))  # own copy before freezing
+        cm = frozen(as_matrix(c, "C"))
         require_same_dim("C rows and R", cm.shape[0], r.dim)
-        cm.flags.writeable = False
         self.c = cm
         self.r = r
         self.rinv = inv_spd(r).mat
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected just below
-            self._info = cm.T @ self.rinv @ cm
+            self._info = frozen(cm.T @ self.rinv @ cm)
         if not np.all(np.isfinite(self._info)):
             raise ValidationError("C is too large: C^T R^-1 C overflows")
-        self._info.flags.writeable = False
 
     @property
     def obs_dim(self) -> int:

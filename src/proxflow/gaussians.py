@@ -17,6 +17,7 @@ from .errors import DimensionError, ValidationError
 from .matrices import (
     SpdMatrix,
     as_matrix,
+    frozen,
     inv_spd,
     inv_sqrt_spd,
     require_positive,
@@ -61,10 +62,8 @@ class Gaussian:
     cov: SpdMatrix
 
     def __post_init__(self):
-        mean = np.array(as_vectors(self.mean, name="mean"))  # own copy before freezing
-        require_same_dim("mean and covariance", self.cov.dim, mean.shape[-1])
-        mean.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "mean", frozen(as_vectors(self.mean, name="mean")))
+        require_same_dim("mean and covariance", self.cov.dim, self.mean.shape[-1])
 
     @property
     def dim(self) -> int:
@@ -126,13 +125,9 @@ class AffineMap:
     offset: np.ndarray
 
     def __post_init__(self):
-        lin = np.array(as_matrix(self.linear, "linear part"))  # own copy before freezing
-        off = np.array(as_vector(self.offset, name="offset"))
-        require_same_dim("linear part and offset", off.shape[0], *lin.shape)
-        lin.flags.writeable = False
-        off.flags.writeable = False
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "offset", off)
+        object.__setattr__(self, "linear", frozen(as_matrix(self.linear, "linear part")))
+        object.__setattr__(self, "offset", frozen(as_vector(self.offset, name="offset")))
+        require_same_dim("linear part and offset", self.offset.shape[0], *self.linear.shape)
 
     def __call__(self, x) -> np.ndarray:
         return self.linear @ np.asarray(x, dtype=float) + self.offset

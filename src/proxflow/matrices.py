@@ -53,6 +53,13 @@ def require_same_dim(what: str, dim: int, *others: int) -> int:
     return dim
 
 
+def frozen(a) -> np.ndarray:
+    """A read-only copy of a, so no write through the caller's array reaches it."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float array (a scalar becomes 1x1)."""
     m = np.asarray(a, dtype=float)

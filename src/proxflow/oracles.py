@@ -89,7 +89,8 @@ def exact_cov(
         return p0
     iso = _isotropic_level(sys)
     if is_symmetric(sys.a) and iso is not None:
-        return _closed_form_cov(sys, p0, t, iso)
+        with named_failures(lambda: "exact covariance"):
+            return _closed_form_cov(sys, p0, t, iso)
     return _rk4_cov(sys, p0, t, substep or min(1e-3, t / 10.0))
 
 
@@ -119,13 +120,13 @@ def _rk4_count(drift, t: float, count: int, what: str, spans: int = 1) -> int:
     dt (lambda_i + lambda_j) of P' = F P + P F^T outside RK4's stable
     half-disc, with F = drift. An integral over that many spans whose
     total exceeds RK4_MAX_STEPS raises NumericFailure naming what, before
-    its first step."""
+    its first step; a total past 10**15 is shown to 3 digits."""
     rho = float(np.max(np.abs(np.linalg.eigvals(drift))))
     count = max(count, math.ceil(2.0 * rho * t / RK4_STABLE))
     if count * spans > RK4_MAX_STEPS:
+        total = count * spans if count * spans <= 10**15 else f"{float(count) * spans:.3g}"
         raise NumericFailure(
-            f"{what} needs {count * spans} RK4 steps, more than {RK4_MAX_STEPS} "
-            f"(rho(F) = {rho:.3g})"
+            f"{what} needs {total} RK4 steps, more than {RK4_MAX_STEPS} (rho(F) = {rho:.3g})"
         )
     return count
 
@@ -201,14 +202,6 @@ def _matrix_substeps(sys, c, ct_rinv, g0, dz, h, substeps, drift, info):
         yield mu[..., 0], p
 
 
-def _finite(x: float) -> float:
-    """x, or FloatingPointError: float + and * overflow to inf silently, and
-    no + or * takes an inf or nan back to a finite value."""
-    if not math.isfinite(x):
-        raise FloatingPointError("overflow encountered in scalar arithmetic")
-    return x
-
-
 def _scalar_substeps(sys, c, ct_rinv, g0, dz, h, substeps, drift, info):
     """_matrix_substeps for one state and one sensor, with every 1 x 1
     matrix a Python float (P > 0, so settling is q == p). A 1 x 1 product
@@ -218,9 +211,10 @@ def _scalar_substeps(sys, c, ct_rinv, g0, dz, h, substeps, drift, info):
     products, so the rate's sums give a -0.0 nowhere; a mean's step sums to
     -0.0 where the matrix loop has +0.0 only if a * mu is -0.0, which a
     Hurwitz A (a < 0) allows only for a +0.0 mean, and adding either zero
-    leaves that +0.0. One seed's mean is a float too, checked with _finite
-    at each interval's end; the means of S > 1 seeds stay one numpy array,
-    under the run's floating-point guard."""
+    leaves that +0.0. Symmetrizing, 0.5 (q + q), returns q below half the
+    largest float, so it is left out. One seed's mean is a float too; S > 1
+    means stay one numpy array. A float that overflows runs to inf or nan
+    (no + or * brings it back) and is refused at its interval's end."""
     f, w = drift.item(), sys.diffusion().item()
     j = None if info is None else info.item()
     a, c, ct_rinv = sys.a.item(), c.item(), ct_rinv.item()
@@ -240,14 +234,13 @@ def _scalar_substeps(sys, c, ct_rinv, g0, dz, h, substeps, drift, info):
         y = dz[..., k, :].item() / h if one else dz[..., k, :] / h
         for _ in range(substeps):
             if not settled and j is not None:
-                gain = _finite(p * ct_rinv)
+                gain = p * ct_rinv
             mu = mu + dt * (a * mu + gain * (y - c * mu))
             if not settled:
                 q = rk4_step(rate, p, dt)
-                q = _finite(0.5 * (q + q))
                 settled = q == p
                 p = q
-        yield (np.full(g0.mean.shape, _finite(mu)) if one else mu), p
+        yield (np.full(g0.mean.shape, mu) if one else mu), p
 
 
 def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> FilterRun:
@@ -260,8 +253,7 @@ def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> Filt
     formed once per run, not read from the measurement model, so the
     check shares no cached matrix with the update it checks. With one state
     and one sensor, P and K are Python floats, bit for bit the 1 x 1 matrix
-    arithmetic, as is the mean of a one-seed run; an overflow there ends
-    "overflow encountered in scalar arithmetic". Returns the run of states
+    arithmetic, as is the mean of a one-seed run. Returns the run of states
     at the interval boundaries.
     """
     return _observer_run(sys, meas, g0, dz, h, optimal=True)

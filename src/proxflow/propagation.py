@@ -33,6 +33,7 @@ from .matrices import (
     as_matrix,
     as_square,
     expm,
+    frozen,
     inv_sqrt_spd,
     is_isotropic,
     is_symmetric,
@@ -69,14 +70,14 @@ class LinearSystem:
     __slots__ = ("a", "b", "_diffusion")
 
     def __init__(self, a, b):
-        a = np.array(require_hurwitz(as_square(a, "A")))  # own copy before freezing
-        bm = np.array(as_matrix(b, "B"))
+        a = frozen(require_hurwitz(as_square(a, "A")))
+        bm = frozen(as_matrix(b, "B"))
         if bm.shape[0] != a.shape[0] or bm.shape[1] == 0:
             raise DimensionError(
                 f"B must have {a.shape[0]} rows and a column, got shape {bm.shape}"
             )
         with np.errstate(over="ignore"):  # an overflow is rejected just below
-            diffusion = 2.0 * bm @ bm.T
+            diffusion = frozen(2.0 * bm @ bm.T)
         if not np.all(np.isfinite(diffusion)):
             raise ValidationError("B is too large: the diffusion 2 B B^T overflows")
         sv = np.linalg.svd(controllability_matrix(a, bm), compute_uv=False)
@@ -85,8 +86,6 @@ class LinearSystem:
             raise ControllabilityError(
                 f"(A, B) is not controllable: rank {rank} < {a.shape[0]}"
             )
-        for arr in (a, bm, diffusion):
-            arr.flags.writeable = False
         self.a = a
         self.b = bm
         self._diffusion = diffusion
@@ -144,9 +143,9 @@ def make_equipartition(sys: LinearSystem) -> EquipartitionFrame:
     """
     with named_failures(lambda: "stationary covariance of (A, B)"):
         pinf = SpdMatrix(lyapunov_solve(sys.a, sys.diffusion()))
+        s = sqrt_spd(pinf).mat
+        si = inv_sqrt_spd(pinf).mat
     theta = pinf.trace() / sys.dim
-    s = sqrt_spd(pinf).mat
-    si = inv_sqrt_spd(pinf).mat
     a_ep = si @ sys.a @ s
     b_ep = si @ sys.b
     a_sym, a_skew = sym_skew_split(a_ep)
@@ -262,6 +261,7 @@ def propagate(
     """
     require_same_dim("state and system", sys.dim, g0.dim)
     if mode == MODE_SYMMETRIC:
+        require_single(g0)  # before the guard, which reads a refusal as numeric
         if not is_symmetric(sys.a):
             raise ModeMismatchError(
                 "symmetric-exact mode requires a symmetric drift; "

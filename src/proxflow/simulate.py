@@ -14,7 +14,7 @@ import numpy as np
 from .errors import StepSizeError, ValidationError, named_failures
 from .filtering import MeasurementModel
 from .gaussians import Gaussian, require_single
-from .matrices import matvec, require_same_dim, sqrt_spd
+from .matrices import frozen, matvec, require_same_dim, sqrt_spd
 from .propagation import LinearSystem, StepConfig
 from .rng import GaussianStream
 
@@ -34,6 +34,8 @@ class SimPath:
                 f"{self.states.shape[-2]} states require "
                 f"{self.states.shape[-2] - 1} increments, got {self.increments.shape[-2]}"
             )
+        object.__setattr__(self, "states", frozen(self.states))
+        object.__setattr__(self, "increments", frozen(self.increments))
 
     @property
     def steps(self) -> int:
@@ -90,8 +92,6 @@ def simulate(
             x = x + h * matvec(sys.a, x) + process[:, k]
             states[:, k + 1] = x
         increments = h * matvec(meas.c, states[:, :-1]) + sensor
-    states.flags.writeable = False
-    increments.flags.writeable = False
     return SimPath(states=states, increments=increments, h=h, seed=tuple(seeds))
 
 

@@ -480,9 +480,11 @@ class TestExitCodes:
         assert capsys.readouterr().out
 
     @pytest.mark.parametrize("command,update,failed", [
-        ("converge-filter", "lmmr", r"Kalman-Bucy reference run failed at interval \d+"),
-        ("converge-filter", "wasserstein", r"Luenberger reference run failed at interval \d+"),
-        ("converge-propagation", None, r"exact covariance: RK4 step 1 of 200"),
+        ("converge-filter", "lmmr",
+         r"Kalman-Bucy reference run failed at interval \d+: SPD matrix has non-finite entries"),
+        ("converge-filter", "wasserstein",
+         r"Luenberger reference run failed at interval \d+: SPD matrix has non-finite entries"),
+        ("converge-propagation", None, r"exact covariance: RK4 step 1 of 200: overflow"),
     ], ids=["kalman-bucy", "luenberger", "exact-cov"])
     def test_overflowing_oracle_exits_2_without_warning(self, tmp_path, capsys, command, update,
                                                         failed):
@@ -510,7 +512,7 @@ class TestExitCodes:
             warnings.simplefilter("always")
             assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert re.search(rf"^numeric failure: {failed}: overflow", err, re.MULTILINE)
+        assert re.search(rf"^numeric failure: {failed}", err, re.MULTILINE)
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in leaked] == []
         assert not out.exists()
@@ -526,8 +528,8 @@ class TestExitCodes:
             warnings.simplefilter("always")
             assert main(["converge-filter", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(
-            "numeric failure: Kalman-Bucy reference run failed at interval 1: overflow")
+        assert err.startswith("numeric failure: Kalman-Bucy reference run failed at interval 1: "
+                              "SPD matrix has non-finite entries")
         assert [str(w.message) for w in leaked] == []
         assert not out.exists()
 
@@ -660,6 +662,64 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage:" in err and "--dims" in err and "range 5-1 is empty" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dims", ["1-", ",", "-3", "a"])
+    def test_malformed_dims_exit_1_naming_the_two_forms(self, tmp_path, capsys, dims):
+        out = tmp_path / "l.csv"
+        assert main(["lemma-checks", "--trials", "1", "--dims", dims, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"proxflow lemma-checks: error: argument --dims: expected 'lo-hi' or 'a,b,c', "
+            f"got {dims!r}")
+        assert not out.exists()
+
+    def test_zero_dimension_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "l.csv"
+        assert main(["lemma-checks", "--trials", "1", "--dims", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: dims: every entry must be a positive integer, got (0,)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,payload,message", [
+        # Hurwitz and controllable, but the Lyapunov solve returns NaN with no
+        # floating-point trap: SpdMatrix refuses what the run computed
+        ("converge-propagation", {
+            "system": {"A": [[-1e-200, 1.0], [0.0, -1e-200]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+            "initial": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "steps": {"h": [0.1], "horizon": 1.0},
+            "mode": {"task": "propagation", "propagation": "general-first-order"},
+        }, "stationary covariance of (A, B): SPD matrix has non-finite entries"),
+        # P_inf = 1e300, so its inverse square root falls below the SPD floor
+        ("compare-filters", dict(COMPARE_CONFIG, system={"A": [[-1.0]], "B": [[1e150]]}),
+         "stationary covariance of (A, B): matrix is not positive definite within the floor: "),
+        # the closed form's Gamma = 1e308 overflows when symmetrized
+        ("converge-propagation", {
+            "system": {"A": [[-1e308]], "B": [[1.0]]},
+            "initial": {"mean": [0.0], "cov": [[1.0]]},
+            "steps": {"h": [0.1], "horizon": 1.0},
+            "mode": {"task": "propagation", "propagation": "general-first-order"},
+        }, "exact covariance: "),
+    ], ids=["lyapunov-nan", "equipartition-roots", "closed-form-cov"])
+    def test_one_time_read_that_fails_exits_2_naming_itself(self, tmp_path, capsys, command,
+                                                             payload, message):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"numeric failure: {message}")
+        assert [str(w.message) for w in leaked] == []
+        assert not out.exists()
+
+    def test_astronomical_step_count_is_shown_to_three_digits(self, tmp_path, capsys):
+        # F = A - C^T R^-1 C = -1e302: 1.6e300 substeps in each of 10 intervals
+        payload = dict(FILTER_CONFIG, measurement={"C": [[1e150]], "R": [[0.01]]},
+                       steps={"h": [0.02], "horizon": 0.2},
+                       mode={"task": "filter", "update": "wasserstein", "predict": "jko"})
+        cfg = write_config(tmp_path, payload)
+        assert main(["converge-filter", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "numeric failure: Luenberger reference run needs 1.6e+301 RK4 steps, "
+            "more than 20000000 (rho(F) = 1e+302)\n")
 
     @pytest.mark.parametrize("clash", ["csv-json", "csv-config", "lemma-csv-json"])
     def test_outputs_and_config_must_be_different_files(self, tmp_path, capsys, clash):
@@ -810,6 +870,33 @@ class TestConfigParsing:
         payload["steps"]["h"] = [0.02, 0.01]
         with pytest.raises(ConfigError, match=r"^steps\.h: a compare task takes one step size"):
             parse_config(json.dumps(payload))
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"steps": {"h": [], "horizon": 2.0}}, "steps.h: need at least one positive step size"),
+        ({"steps": {"h": [0.1, 0.1], "horizon": 2.0}}, "steps.h: step sizes must be distinct"),
+        ({"steps": {"h": [0.1, 0.04], "horizon": 2.0}},
+         "steps.h: 0.1 is not an integer multiple of the finest step 0.04"),
+        ({"initial": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}},
+         "initial.mean: dim 2 does not match system 1"),
+        ({"seeds": [1e300]}, "seeds[0]: seed must be an integer in [0, 2**64), got 1e+300"),
+    ], ids=["h-empty", "h-repeated", "h-not-a-multiple", "mean-width", "seed-1e300"])
+    def test_refusal_names_its_field(self, edit, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(dict(FILTER_CONFIG, **edit)))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text,message", [
+        ("[1]", "config root must be an object"),
+        # 10**400 overflows float(): the OverflowError branch of a number field
+        (json.dumps(FILTER_CONFIG).replace('"horizon": 2.0', '"horizon": 1' + "0" * 400),
+         "steps.horizon: must be a finite positive number, got inf"),
+        ('{"system": ' + "[" * 100_000 + "]" * 100_000 + "}",
+         "config is not valid JSON: maximum recursion depth exceeded"),
+    ], ids=["root-array", "horizon-400-digits", "nesting-too-deep"])
+    def test_refusal_of_the_document_names_it(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value).startswith(message)
 
     def test_step_cap_is_inclusive(self):
         payload = json.loads(json.dumps(FILTER_CONFIG))

@@ -7,7 +7,15 @@ import pathlib
 import numpy as np
 import pytest
 
-from proxflow.errors import NumericFailure, SingularityError, StepSizeError, named_failures
+from proxflow.errors import (
+    ConfigError,
+    DimensionError,
+    NumericFailure,
+    SingularityError,
+    StepSizeError,
+    ValidationError,
+    named_failures,
+)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "proxflow"
 
@@ -25,6 +33,17 @@ def test_package_error_keeps_its_class(error):
         with named_failures(lambda: "stage failed at step 2"):
             raise error("cause")
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize("error", [ValidationError, DimensionError, ConfigError])
+def test_validation_error_under_the_guard_leaves_as_numeric_failure(error):
+    # a run checks its inputs before its guard, so what a record refuses
+    # inside it was computed: the failure is numeric, with the same text
+    with pytest.raises(NumericFailure, match=r"^stage failed at step 2: cause$") as info:
+        with named_failures(lambda: "stage failed at step 2"):
+            raise error("cause")
+    assert type(info.value) is NumericFailure
+    assert type(info.value.__cause__) is error
 
 
 def test_where_is_read_at_failure_time():

@@ -349,14 +349,14 @@ def test_one_seed_float_mean_is_the_first_seed_of_a_batch_bitwise(run, mean):
 )
 def test_one_seed_mean_overflow_names_the_interval(run, name):
     # dz / h overflows to inf with P = 1: a float mean does not raise, so the
-    # inf (then nan) runs to the interval's end, where the run checks the
+    # inf (then nan) runs to the interval's end, where Gaussian refuses the
     # mean. A batch's numpy mean raises at the division instead.
     g0 = Gaussian([0.0], SpdMatrix(1.0))
     dz = np.full((3, 1), 1e307)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericFailure, match=rf"^{name} reference run failed at interval 1: "
-                           r"overflow encountered in scalar arithmetic$"):
+                           r"mean has non-finite entries$"):
             run(SCALAR_SYS, SCALAR_MEAS, g0, dz, 0.01)
         with pytest.raises(NumericFailure, match=rf"^{name} reference run failed at interval 1: "
                            r"overflow encountered in divide$"):
@@ -464,8 +464,8 @@ def test_stiff_reference_run_raises_numeric_failure(run, name):
     # and the interval instead of warning and handing on a non-finite matrix.
     stiff = LinearSystem([[-10000.0]], [[1.0]])
     g0 = Gaussian([0.0], SpdMatrix(8e307))
-    with pytest.raises(NumericFailure,
-                       match=rf"^{name} reference run failed at interval \d+: overflow"):
+    with pytest.raises(NumericFailure, match=rf"^{name} reference run failed at interval \d+: "
+                       r"SPD matrix has non-finite entries$"):
         run(stiff, SCALAR_MEAS, g0, np.zeros((20, 1)), 0.01)
 
 
@@ -475,11 +475,13 @@ def test_information_term_divergence_raises_numeric_failure(p0, r):
     # stiff, and the Kalman-Bucy run overflows in its first interval, naming
     # it, with no RuntimeWarning. With P0 = 1e300 the first gain
     # P C^T R^-1 overflows already, before the zero innovation it multiplies.
+    # Either overflow runs on in floats to the interval's end, where
+    # SpdMatrix refuses the covariance.
     meas = MeasurementModel([[1.0]], SpdMatrix(r))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericFailure,
-                           match=r"^Kalman-Bucy reference run failed at interval 1: overflow"):
+        with pytest.raises(NumericFailure, match=r"^Kalman-Bucy reference run failed at "
+                           r"interval 1: SPD matrix has non-finite entries$"):
             kalman_bucy_run(SCALAR_SYS, meas, Gaussian([0.0], SpdMatrix(p0)),
                             np.zeros((10, 1)), 0.01)
 

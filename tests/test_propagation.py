@@ -5,6 +5,7 @@ import pytest
 
 from proxflow import (
     ControllabilityError,
+    DimensionError,
     Gaussian,
     LinearSystem,
     ModeMismatchError,
@@ -41,6 +42,11 @@ class TestLinearSystem:
         # B excites only the first coordinate of a decoupled system
         with pytest.raises(ControllabilityError):
             LinearSystem(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
+
+    def test_scalar_counts_as_a_one_by_one_matrix(self):
+        sys = LinearSystem(-1.0, 1.0)
+        assert sys.a.tolist() == [[-1.0]] and sys.b.tolist() == [[1.0]]
+        assert sys.diffusion().tolist() == [[2.0]]
 
     def test_diffusion_convention(self):
         sys = LinearSystem([[-1.0]], [[2.0]])
@@ -310,6 +316,14 @@ class TestPropagate:
         g0 = Gaussian([1.0], SpdMatrix(1.0))
         path = propagate(sys, g0, StepConfig(h=0.1, steps=0, beta=1.0), "symmetric-exact")
         assert path == [(0.0, g0)]
+
+    def test_symmetric_mode_refuses_a_batch_before_its_first_step(self):
+        # an input fault, so it stays a validation error: inside the run
+        # guard a refusal would read as numeric
+        sys = LinearSystem([[-1.0]], [[1.0]])
+        g0 = Gaussian(np.zeros((2, 1)), SpdMatrix(1.0))
+        with pytest.raises(DimensionError, match=r"^expected a single density, got a batch of 2"):
+            propagate(sys, g0, StepConfig(h=0.1, steps=2, beta=1.0), "symmetric-exact")
 
     def test_symmetric_terminal_near_exact(self):
         sys = LinearSystem([[-1.0]], [[1.0]])

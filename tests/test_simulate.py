@@ -284,6 +284,34 @@ class TestCoarsen:
             coarsen(path, 3)
 
 
+    @pytest.mark.parametrize("factor", [0, 1.5])
+    def test_rejects_a_factor_that_is_not_a_positive_integer(self, factor):
+        cfg = StepConfig(h=0.01, steps=6)
+        path = simulate(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(1.0)), cfg, [7])
+        with pytest.raises(ValidationError,
+                           match=rf"^factor must be a positive integer, got {factor}$"):
+            coarsen(path, factor)
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_coarsened_arrays_are_read_only(self, factor):
+        # as simulate's own: a write to a path would change every step size that shares it
+        cfg = StepConfig(h=0.01, steps=6)
+        path = simulate(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(1.0)), cfg, [8, 9])
+        coarse = coarsen(path, factor)
+        for arr in (path.states, path.increments, coarse.states, coarse.increments):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0] = 1.0
+
+
+def test_simpath_keeps_read_only_copies():
+    states, increments = np.zeros((1, 3, 1)), np.ones((1, 2, 1))
+    path = SimPath(states=states, increments=increments, h=0.1, seed=(0,))
+    states[0, 0, 0] = increments[0, 0, 0] = 5.0  # the caller's arrays stay its own
+    assert path.states[0, 0, 0] == 0.0 and path.increments[0, 0, 0] == 1.0
+    assert not path.states.flags.writeable and not path.increments.flags.writeable
+
+
 def test_simpath_length_invariant():
     with pytest.raises(ValidationError):
         SimPath(states=np.zeros((3, 1)), increments=np.zeros((3, 1)), h=0.1, seed=0)
