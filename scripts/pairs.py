@@ -9,11 +9,13 @@ that runs first alternates, the parent first on odd pairs. Prints every
 pair's end-to-end metrics, then per metric the median and quartiles of each
 side, the pairs the change wins, and the verdict: a gain holds when the
 change is better in at least 9 of 10 pairs and its median is better than
-the parent's by more than the parent's interquartile range. With --trace
-the runs are traced (--trace 1) and the verdicts are given per layer metric
-of BENCHMARK.json instead. Exits 1 if a run fails or reports an incorrect
-output, or, with --trace, if a .calls count differs between the runs of one
-side. Each run takes about 30 s on a 2-vCPU host.
+the parent's by more than the parent's interquartile range. Each metric
+also gets the no-regression verdict against its BENCHMARK.json bound (see
+regression). With --trace the runs are traced (--trace 1) and the gain
+verdicts are given per layer metric of BENCHMARK.json instead. Exits 1 if a
+run fails or reports an incorrect output, or, with --trace, if a .calls
+count differs between the runs of one side. Each run takes about 30 s on a
+2-vCPU host.
 """
 
 from __future__ import annotations
@@ -49,20 +51,42 @@ def verdict(parent: list, change: list, better: str) -> dict:
     }
 
 
+def regression(parent: list, change: list, better: str, bound: float) -> str:
+    """The no-regression rule for one end-to-end metric over paired runs:
+    "worse beyond bound" when the change's median is worse than the
+    parent's by more than bound, a fraction of the parent's median; else
+    "unresolved" when the parent's IQR is wider than that bound and not
+    every change run beats every parent run; else "within bound"."""
+    sign = {"higher": 1.0, "lower": -1.0}[better]
+    p, c = bench._summary(parent), bench._summary(change)
+    allowed = bound * abs(p["median"])
+    if sign * (c["median"] - p["median"]) < -allowed:
+        return "worse beyond bound"
+    beats_every_run = min(sign * y for y in change) > max(sign * x for x in parent)
+    if p["q3"] - p["q1"] > allowed and not beats_every_run:
+        return "unresolved"
+    return "within bound"
+
+
 def _value(result: dict, name: str) -> float:
     return result["metrics"][name]["value"]
 
 
 def verdicts(workload: str, parent: list, change: list, metrics: list) -> dict:
     """verdict per metric row of BENCHMARK.json over paired result lines
-    (parent[i] and change[i] are pair i's). Each side's .calls counts, which
-    traced runs report, must agree run for run, as in scripts/bench.py, since
-    the workloads are deterministic: a count that differs exits 1."""
+    (parent[i] and change[i] are pair i's), plus the regression verdict
+    under "regression" for a row with a bound. Each side's .calls counts,
+    which traced runs report, must agree run for run, as in scripts/bench.py,
+    since the workloads are deterministic: a count that differs exits 1."""
     for side, results in (("parent", parent), ("change", change)):
         bench._per_layer(f"{workload} ({side})", results)
-    return {m["name"]: verdict([_value(r, m["name"]) for r in parent],
-                               [_value(r, m["name"]) for r in change], m["better"])
-            for m in metrics}
+    found = {}
+    for m in metrics:
+        sides = [_value(r, m["name"]) for r in parent], [_value(r, m["name"]) for r in change]
+        found[m["name"]] = verdict(*sides, m["better"])
+        if "bound" in m:  # an end-to-end metric
+            found[m["name"]]["regression"] = regression(*sides, m["better"], m["bound"])
+    return found
 
 
 def main() -> int:
@@ -98,7 +122,8 @@ def main() -> int:
               f"IQR {p['q3'] - p['q1']:.3g}), change {c['median']:.6g} "
               f"({c['q1']:.6g}-{c['q3']:.6g}), {ratio}, "
               f"change better in {v['wins']}/{args.pairs} pairs, "
-              f"gain {'holds' if v['gain_holds'] else 'does not hold'}")
+              f"gain {'holds' if v['gain_holds'] else 'does not hold'}"
+              + (f", {v['regression']} (bound {metric['bound']:g})" if "regression" in v else ""))
     return 0
 
 

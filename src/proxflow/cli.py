@@ -17,13 +17,8 @@ import sys
 from . import __version__
 from .config import load_config
 from .errors import ProxflowError, ValidationError
-from .experiments import (
-    MAX_DIM,
-    compare_filters,
-    converge_filter,
-    converge_propagation,
-    lemma_checks,
-)
+from .experiments import compare_filters, converge_filter, converge_propagation, lemma_checks
+from .propagation import MAX_DIM
 from .rng import check_seed
 
 EXIT_OK = 0

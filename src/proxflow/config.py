@@ -16,7 +16,7 @@ from .errors import ConfigError, ProxflowError, ValidationError
 from .filtering import PREDICT_KINDS, UPDATE_KINDS, MeasurementModel
 from .gaussians import Gaussian
 from .matrices import SpdMatrix
-from .propagation import MAX_STEPS, MODE_GENERAL, MODE_SYMMETRIC, LinearSystem
+from .propagation import MAX_DIM, MAX_STEPS, MODE_GENERAL, MODE_SYMMETRIC, LinearSystem
 from .rng import check_seed
 
 TASKS = ("propagation", "filter", "compare")
@@ -141,6 +141,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     sys_raw = _object(_require(raw, "system", ""), "system")
     a = _array(_require(sys_raw, "A", "system."), "system.A", 2)
+    if max(a.shape) > MAX_DIM:
+        raise ConfigError(f"system.A: at most {MAX_DIM} states, got shape {a.shape}")
     b = _array(_require(sys_raw, "B", "system."), "system.B", 2)
     system = _build("system", lambda: LinearSystem(a, b))
 

@@ -16,11 +16,10 @@ from .errors import ConfigError, NumericFailure, ValidationError
 from .filtering import UPDATE_KINDS, error_metrics, run_filter
 from .geometry_checks import run_all_checks
 from .matrices import max_abs
-from .oracles import exact_cov, exact_mean, kalman_bucy_run, luenberger_run
-from .propagation import StepConfig, propagate
+from .oracles import REFERENCE_SUBSTEPS, exact_cov, exact_mean, kalman_bucy_run, luenberger_run
+from .propagation import MAX_DIM, StepConfig, propagate
 from .simulate import coarsen, simulate
 
-MAX_DIM = 16  # lemma-checks draws dense n x n matrices: desk scale only
 MAX_TRIALS = 10_000  # lemma-checks trials per suite: --dims 1-16 takes ~2 min on 2 vCPUs
 
 
@@ -117,7 +116,8 @@ def converge_propagation(cfg: ExperimentConfig) -> ResultTable:
     if cfg.task != "propagation":
         raise ConfigError(f"mode.task: expected 'propagation', got {cfg.task!r}")
     ref_mean = exact_mean(cfg.system, cfg.initial.mean, cfg.horizon)
-    ref_cov = exact_cov(cfg.system, cfg.initial.cov, cfg.horizon, min(cfg.h_values) / 20.0)
+    ref_cov = exact_cov(cfg.system, cfg.initial.cov, cfg.horizon,
+                        min(cfg.h_values) / REFERENCE_SUBSTEPS)
     rows = []
     mean_errors = {}
     cov_errors = {}

@@ -70,56 +70,53 @@ def _check_update_inputs(g_prior: Gaussian, meas: MeasurementModel, y, h: float)
     return y
 
 
-def _lmmr_gain(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
-    """The lmmr mean solve's covariance-dependent parts (lhs, gain)."""
-    p = p_prior.mat
-    return np.eye(p_prior.dim) + h * p @ meas.information_matrix(), h * p @ meas.c.T @ meas.rinv
+def _innovate(prior: Gaussian, meas: MeasurementModel, y, gain, cov: SpdMatrix) -> Gaussian:
+    """N(mu- + gain (y - C mu-), cov): both updates step the mean this way."""
+    return Gaussian(prior.mean + matvec(gain, y - matvec(meas.c, prior.mean)), cov)
+
+
+def _lmmr_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
+    """The KL update's (gain, P+): P+ from the information form, gain h P+ C' R^-1."""
+    cov = inv_spd(SpdMatrix(inv_spd(p_prior).mat + h * meas.information_matrix()))
+    return h * cov.mat @ meas.c.T @ meas.rinv, cov
 
 
 def lmmr_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float, half=None) -> Gaussian:
     """KL-proximal measurement update.
 
-    Mean solves (I + h P- C' R^-1 C) mu+ = mu- + h P- C' R^-1 y exactly;
-    covariance updates in information form (P+)^-1 = (P-)^-1 + h C' R^-1 C,
-    so P+ <= P- always. The prior mean and y may be batches (S, n), (S, m)
-    sharing the covariance. half, if given, is (lhs, gain, P+) as an update
-    of the same prior covariance formed them; only the mean is then solved.
+    Covariance in information form (P+)^-1 = (P-)^-1 + h C' R^-1 C, so
+    P+ <= P- always; mean mu+ = mu- + h P+ C' R^-1 (y - C mu-), the solution
+    of (I + h P- C' R^-1 C) mu+ = mu- + h P- C' R^-1 y. The prior mean and y
+    may be batches (S, n), (S, m) sharing the covariance. half, if given, is
+    (gain, P+) as formed from the same prior covariance; only the mean steps.
     """
     y = _check_update_inputs(g_prior, meas, y, h)
-    lhs, gain, cov = half or _lmmr_gain(g_prior.cov, meas, h) + (None,)
-    rhs = g_prior.mean + matvec(gain, y)
-    mean = solve(lhs, rhs[..., None], "the mean solve failed")[..., 0]
-    if cov is None:
-        cov = inv_spd(SpdMatrix(inv_spd(g_prior.cov).mat + h * meas.information_matrix()))
-    return Gaussian(mean, cov)
+    return _innovate(g_prior, meas, y, *(half or _lmmr_half(g_prior.cov, meas, h)))
 
 
-def _wasserstein_gain(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
-    """The transport mean solve's parts (I + h C' R^-1 C, gain), both free of P-."""
-    return np.eye(meas.state_dim) + h * meas.information_matrix(), h * meas.c.T @ meas.rinv
+def _wasserstein_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
+    """The transport update's (gain, P+): h S^-1 C' R^-1 and S^-1 P- S^-T."""
+    scaled = np.eye(meas.state_dim) + h * meas.information_matrix()
+    failure = "a solve failed"
+    cov = solve(scaled, solve(scaled, p_prior.mat, failure).T, failure).T
+    return solve(scaled, h * meas.c.T @ meas.rinv, failure), SpdMatrix(cov)
 
 
 def wasserstein_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float,
                        half=None) -> Gaussian:
     """Transport-proximal measurement update.
 
-    Mean solves (I + h C' R^-1 C) mu+ = mu- + h C' R^-1 y; covariance obeys
-    (P+)^-1 = (I + h C' R^-1 C) (P-)^-1 (I + h C' R^-1 C). The prior mean
-    and y may be batches (S, n), (S, m) sharing the covariance. half is as
-    in lmmr_update, with I + h C' R^-1 C as its lhs.
+    Covariance (P+)^-1 = S (P-)^-1 S with S = I + h C' R^-1 C; mean
+    mu+ = mu- + h S^-1 C' R^-1 (y - C mu-), the solution of
+    S mu+ = mu- + h C' R^-1 y: a static gain, free of P-. Batches and half
+    are as in lmmr_update.
     """
     y = _check_update_inputs(g_prior, meas, y, h)
-    scaled, gain, cov = half or _wasserstein_gain(g_prior.cov, meas, h) + (None,)
-    rhs = g_prior.mean + matvec(gain, y)
-    failure = "a solve failed"
-    mean = solve(scaled, rhs[..., None], failure)[..., 0]
-    if cov is None:
-        cov = solve(scaled, solve(scaled, g_prior.cov.mat, failure).T, failure).T
-    return Gaussian(mean, cov if half else SpdMatrix(cov))
+    return _innovate(g_prior, meas, y, *(half or _wasserstein_half(g_prior.cov, meas, h)))
 
 
 _UPDATES = {"lmmr": lmmr_update, "wasserstein": wasserstein_update}
-_GAINS = {"lmmr": _lmmr_gain, "wasserstein": _wasserstein_gain}
+_HALVES = {"lmmr": _lmmr_half, "wasserstein": _wasserstein_half}
 UPDATE_KINDS = tuple(_UPDATES)
 PREDICT_KINDS = ("jko", "exact")
 _PROBE_FLOOR = 100 * POSITIVITY_RTOL
@@ -197,7 +194,7 @@ def run_filter(
                 key, last = last, posteriors[-1].cov.mat.tobytes()
                 if key == last:  # P+ repeats, so the next predicted P and update half do
                     cov = prior.cov
-                    half = _GAINS[update](cov, meas, h) + (posteriors[-1].cov,)
+                    half = _HALVES[update](cov, meas, h)
     return FilterRun(tuple(posteriors))
 
 

@@ -62,7 +62,9 @@ def exact_mean(sys: LinearSystem, mu0, t: float) -> np.ndarray:
     require_positive(t, "time", zero_ok=True)
     if t == 0.0:
         return mu.copy()
-    return matvec(expm(sys.a, t), mu)
+    with named_failures(lambda: f"exact mean at t={t}"):
+        phi = expm(sys.a, t)
+    return matvec(phi, mu)
 
 
 def _isotropic_level(sys: LinearSystem) -> float | None:
@@ -122,9 +124,11 @@ def _rk4_count(drift, t: float, count: int, what: str, spans: int = 1) -> int:
     total exceeds RK4_MAX_STEPS raises NumericFailure naming what, before
     its first step; a total past 10**15 is shown to 3 digits."""
     rho = float(np.max(np.abs(np.linalg.eigvals(drift))))
-    count = max(count, math.ceil(2.0 * rho * t / RK4_STABLE))
+    count = max(count, 2.0 * rho * t / RK4_STABLE)  # a float: inf past the float range
+    if count * spans <= RK4_MAX_STEPS:  # math.ceil refuses inf
+        count = math.ceil(count)
     if count * spans > RK4_MAX_STEPS:
-        total = count * spans if count * spans <= 10**15 else f"{float(count) * spans:.3g}"
+        total = math.ceil(count) * spans if count * spans <= 10**15 else f"{count * spans:.3g}"
         raise NumericFailure(
             f"{what} needs {total} RK4 steps, more than {RK4_MAX_STEPS} (rho(F) = {rho:.3g})"
         )

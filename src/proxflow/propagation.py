@@ -50,6 +50,7 @@ from .matrices import (
 
 CONTROLLABILITY_RTOL = 1e-9
 MAX_STEPS = 10**6  # the most steps a config may ask for at one step size
+MAX_DIM = 16  # the largest state dimension: dense n x n matrices, desk scale only
 
 
 def controllability_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,7 +123,7 @@ class StepConfig:
 
 @dataclass(frozen=True, eq=False)
 class EquipartitionFrame:
-    """System rewritten so the stationary covariance is theta * I."""
+    """System rewritten so its stationary covariance is I; theta = tr(Pinf)/n is recorded."""
 
     pinf: SpdMatrix
     theta: float
@@ -137,9 +138,9 @@ class EquipartitionFrame:
 def make_equipartition(sys: LinearSystem) -> EquipartitionFrame:
     """Rescale by the stationary covariance so energy is equipartitioned.
 
-    A_ep = Pinf^(-1/2) A Pinf^(1/2), B_ep = Pinf^(-1/2) B, theta = tr(Pinf)/n;
-    the rescaled pair satisfies A_ep (theta I) + (theta I) A_ep^T
-    + 2 theta B_ep B_ep^T = 0.
+    A_ep = Pinf^(-1/2) A Pinf^(1/2) and B_ep = Pinf^(-1/2) B satisfy
+    A_ep + A_ep^T + 2 B_ep B_ep^T = 0: the rescaled pair's stationary
+    covariance is I. theta = tr(Pinf)/n is recorded.
     """
     with named_failures(lambda: "stationary covariance of (A, B)"):
         pinf = SpdMatrix(lyapunov_solve(sys.a, sys.diffusion()))
@@ -166,7 +167,7 @@ def symmetrized_pair(frame: EquipartitionFrame, t: float) -> tuple[np.ndarray, n
 
     F(t) = e^(-skew t) A_ep_sym e^(skew t) and G(t) = e^(-skew t) B_ep; F stays
     symmetric negative semidefinite with G G^T = -F, so the stationary
-    covariance theta I is preserved at every t.
+    covariance I is preserved at every t.
     """
     rot = expm(frame.a_ep_skew, -t)
     f = rot @ frame.a_ep_sym @ rot.T

@@ -76,3 +76,13 @@ def test_every_workload_records_its_required_spans(tmp_path):
     metrics = t.metrics()
     for workload in tracing.REQUIRED:
         tracing.check_required(workload, metrics)
+
+
+def test_the_dense_workload_configs_sit_at_the_state_dimension_limit(tmp_path):
+    # the config parser refuses a state dimension past MAX_DIM; the
+    # benchmark's largest systems are exactly at it and must still parse
+    manifest = load_bench_module("workloads").generate("general_dense", 1, tmp_path)
+    dims = {name: proxflow.config.load_config(path).system.dim
+            for name, path in manifest["configs"].items()}
+    assert dims == {"n8": 8, "n16": 16, "sym16": 16}
+    assert proxflow.propagation.MAX_DIM == 16

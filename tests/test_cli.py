@@ -291,18 +291,26 @@ class TestCompareFilters:
         assert [str(w.message) for w in leaked] == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("a,cov,predict,failed", [
-        ([[-1.0, 0.3], [-0.2, -0.8]], 1e306, "jko", "lmmr update"),
-        ([[-3.0, 0.5], [-0.5, -3.0]], 8e307, "jko", "jko predict"),
-        ([[-3.0, 0.5], [-0.5, -3.0]], 8e307, "exact", "lmmr update"),
-    ], ids=["update", "jko-predict", "exact-predict"])
-    def test_overflowing_step_exits_2_without_warning(self, tmp_path, capsys, a, cov, predict,
-                                                      failed):
-        # every field is valid, but the filter's first step overflows
+    @pytest.mark.parametrize("a,c,mean,cov,predict,failure", [
+        # (P-)^-1 ~ 1e-306 I sits below the floor of the KL update's information form
+        ([[-1.0, 0.3], [-0.2, -0.8]], [[1.0, 0.5]], 0.0, 1e306, "jko",
+         "lmmr update failed at step 1: matrix is not positive definite within the floor"),
+        ([[-3.0, 0.5], [-0.5, -3.0]], [[1.0, 0.5]], 0.0, 8e307, "jko",
+         "jko predict failed at step 1: overflow"),
+        ([[-3.0, 0.5], [-0.5, -3.0]], [[1.0, 0.5]], 0.0, 8e307, "exact",
+         "lmmr update failed at step 1: matrix is not positive definite within the floor"),
+        # the simulated truth flips sign each step (I + h A = -0.98) while the
+        # exact predict keeps it (e^(A h) = 0.14), so y - C mu- overflows
+        ([[-99.0, 0.0], [0.0, -1.0]], [[100.0, 0.0]], 1.78e306, 1.0, "exact",
+         "lmmr update failed at step 2: overflow"),
+    ], ids=["update", "jko-predict", "exact-predict", "innovation"])
+    def test_overflowing_step_exits_2_without_warning(self, tmp_path, capsys, a, c, mean, cov,
+                                                      predict, failure):
+        # every field is valid, but the filter overflows or leaves the SPD floor
         payload = {
             "system": {"A": a, "B": [[1.0, 0.0], [0.0, 1.0]]},
-            "measurement": {"C": [[1.0, 0.5]], "R": [[1.0]]},
-            "initial": {"mean": [0.0, 0.0], "cov": [[cov, 0.0], [0.0, cov]]},
+            "measurement": {"C": c, "R": [[1.0]]},
+            "initial": {"mean": [mean, 0.0], "cov": [[cov, 0.0], [0.0, cov]]},
             "steps": {"h": [0.02], "horizon": 0.2},
             "seeds": [1, 2],
             "mode": {"task": "compare", "predict": predict},
@@ -313,8 +321,7 @@ class TestCompareFilters:
             warnings.simplefilter("always")
             assert main(["compare-filters", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert re.search(rf"^numeric failure: {failed} failed at step 1: overflow", err,
-                         re.MULTILINE)
+        assert re.search(rf"^numeric failure: {failure}", err, re.MULTILINE)
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in leaked] == []
         assert not out.exists()
@@ -340,8 +347,8 @@ class TestCompareFilters:
         assert not out.exists()
 
     def test_update_whose_solve_fails_exits_2_naming_the_step(self, tmp_path, capsys):
-        # with C scaled by 1e150, I + h P C^T R^-1 C is singular in floating
-        # point while the update's right-hand side stays finite
+        # with C scaled by 1e150, (P-)^-1 + h C^T R^-1 C is singular in
+        # floating point: its unobserved direction falls below the SPD floor
         payload = {
             "system": {"A": [[-1.0, 100.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
             "measurement": {"C": [[1e150, 5e149]], "R": [[1.0]]},
@@ -354,8 +361,8 @@ class TestCompareFilters:
         out = tmp_path / "x.csv"
         assert main(["compare-filters", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "numeric failure: lmmr update failed at step 1: the mean solve failed: "
-            "Singular matrix\n"
+            "numeric failure: lmmr update failed at step 1: matrix is not positive definite "
+            "within the floor: eigenvalues in [0.000e+00, 2.500e+298]\n"
         )
         assert not out.exists()
 
@@ -698,7 +705,14 @@ class TestExitCodes:
             "steps": {"h": [0.1], "horizon": 1.0},
             "mode": {"task": "propagation", "propagation": "general-first-order"},
         }, "exact covariance: "),
-    ], ids=["lyapunov-nan", "equipartition-roots", "closed-form-cov"])
+        # e^(A t) of a non-normal drift with entries of 1e308 overflows
+        ("converge-propagation", {
+            "system": {"A": [[-1e308, 1.0], [0.0, -1e308]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+            "initial": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "steps": {"h": [0.1], "horizon": 1.0},
+            "mode": {"task": "propagation", "propagation": "general-first-order"},
+        }, "exact mean at t=1.0: "),
+    ], ids=["lyapunov-nan", "equipartition-roots", "closed-form-cov", "exact-mean"])
     def test_one_time_read_that_fails_exits_2_naming_itself(self, tmp_path, capsys, command,
                                                              payload, message):
         cfg = write_config(tmp_path, payload)
@@ -774,6 +788,21 @@ class TestConfigParsing:
         payload["initial"]["cov"] = [1.0]
         with pytest.raises(ConfigError, match="initial.cov"):
             parse_config(json.dumps(payload))
+
+    @pytest.mark.parametrize("shape", [(17, 17), (2, 17)], ids=["17x17", "2x17"])
+    def test_state_dimension_past_max_dim_exits_1_before_a_system_is_built(
+            self, tmp_path, capsys, monkeypatch, shape):
+        # an n x n drift reaches lyapunov_solve's n^2 x n^2 Kronecker operator
+        built = []
+        monkeypatch.setattr(proxflow.config, "LinearSystem", lambda a, b: built.append(a))
+        payload = dict(PROPAGATION_CONFIG, system={"A": (-np.eye(*shape)).tolist(),
+                                                   "B": np.eye(shape[0]).tolist()})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "x.csv"
+        assert main(["converge-propagation", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: system.A: at most 16 states, got shape {shape}\n")
+        assert built == [] and not out.exists()
 
     def test_horizon_must_divide(self):
         payload = json.loads(json.dumps(PROPAGATION_CONFIG))

@@ -205,8 +205,10 @@ class TestPredictUpdateComposition:
 
 
 class TestUpdateSolveFailure:
-    # With P = 1e306 I and C = [1, 0.5], I + h P C^T R^-1 C is singular in
-    # floating point, and with C scaled by 1e150 so is I + h C^T R^-1 C.
+    # The KL update's information matrix (P-)^-1 + h C^T R^-1 C falls below
+    # the SPD floor at P = 1e306 I and C = [1, 0.5], and with C scaled by
+    # 1e150; there I + h C^T R^-1 C is singular in floating point too, so the
+    # transport update's solves fail.
     @pytest.mark.parametrize("update,scale,prior", [
         (lmmr_update, 1.0, 1e306), (lmmr_update, 1e150, 1.0), (wasserstein_update, 1e150, 1.0),
     ])
@@ -214,9 +216,38 @@ class TestUpdateSolveFailure:
         meas = MeasurementModel([[scale, 0.5 * scale]], SpdMatrix(1.0))
         g = Gaussian(np.zeros(2), SpdMatrix(prior * np.eye(2)))
         # run_filter adds the update's name and step, so the update names neither
-        solve = {lmmr_update: "the mean solve", wasserstein_update: "a solve"}[update]
-        with pytest.raises(NumericFailure, match=rf"^{solve} failed: "):
+        error, cause = {
+            lmmr_update: (SingularityError, "matrix is not positive definite within the floor"),
+            wasserstein_update: (NumericFailure, "a solve failed"),
+        }[update]
+        with pytest.raises(error, match=rf"^{cause}: "):
             update(g, meas, [0.0], 0.02)
+
+
+class TestInnovationForm:
+    # Both updates step the mean as mu- + gain (y - C mu-). The proximal
+    # minimizers are the solutions of linear systems, solved here directly:
+    # the KL one (I + h P- C' R^-1 C) mu+ = mu- + h P- C' R^-1 y, the
+    # transport one (I + h C' R^-1 C) mu+ = mu- + h C' R^-1 y.
+    @pytest.mark.parametrize("batch", [None, 3], ids=["one-mean", "batch"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("update", [lmmr_update, wasserstein_update])
+    def test_mean_matches_the_proximal_solve(self, update, n, m, batch):
+        rng = np.random.default_rng(60 + 10 * n + m)
+        shape = () if batch is None else (batch,)
+        prior = Gaussian(rng.normal(size=shape + (n,)), random_spd(rng, n))
+        c = rng.normal(size=(m, n))
+        meas = MeasurementModel(c, random_spd(rng, m))
+        y = rng.normal(size=shape + (m,))
+        h = 0.05
+        p = prior.cov.mat if update is lmmr_update else np.eye(n)
+        lhs = np.eye(n) + h * p @ c.T @ meas.rinv @ c
+        rhs = prior.mean + y @ (h * p @ c.T @ meas.rinv).T
+        want = np.linalg.solve(lhs, rhs.T).T  # one column per mean
+        got = update(prior, meas, y, h).mean
+        assert got.shape == want.shape
+        assert max_abs(got - want) <= 1e-13 * max_abs(want)
 
 
 class TestRunFilter:
@@ -349,9 +380,9 @@ class TestRunFilter:
         # 1 + 0.05 (-100 + 2) < 0: the first jko covariance step is indefinite
         ([[-50.0, 0.0], [0.0, -1.0]], 1.0, 0.05, "jko", StepSizeError,
          r"jko predict failed at step 1: covariance step with h=0\.05 lost"),
-        # I + h P C^T R^-1 C is singular in floating point at P = 1.5e307 I
-        ([[-1.0, 100.0], [0.0, -1.0]], 1.5e307, 0.02, "exact", NumericFailure,
-         r"lmmr update failed at step 1: the mean solve failed: Singular matrix"),
+        # (P-)^-1 + h C^T R^-1 C falls below the SPD floor at P = 1.5e307 I
+        ([[-1.0, 100.0], [0.0, -1.0]], 1.5e307, 0.02, "exact", SingularityError,
+         r"lmmr update failed at step 1: matrix is not positive definite within the floor"),
     ], ids=["jko-predict", "update-solve"])
     def test_failing_step_keeps_its_class_and_names_the_step(self, a, cov, h, predict, error,
                                                              message):

@@ -469,6 +469,19 @@ def test_stiff_reference_run_raises_numeric_failure(run, name):
         run(stiff, SCALAR_MEAS, g0, np.zeros((20, 1)), 0.01)
 
 
+@pytest.mark.parametrize(
+    "run,name", [(kalman_bucy_run, "Kalman-Bucy"), (luenberger_run, "Luenberger")],
+    ids=["kalman-bucy", "luenberger"],
+)
+def test_step_count_past_the_float_range_is_refused_naming_the_run(run, name):
+    # 2 rho(F) h / RK4_STABLE overflows to inf, which has no integer ceiling
+    sys = LinearSystem([[-1e308]], [[1.0]])
+    g0 = Gaussian([0.0], SpdMatrix(1.0))
+    with pytest.raises(NumericFailure, match=rf"^{name} reference run needs inf RK4 steps, "
+                       r"more than 20000000 \(rho\(F\) = 1e\+308\)$"):
+        run(sys, SCALAR_MEAS, g0, np.zeros((2, 1)), 1.0)
+
+
 @pytest.mark.parametrize("p0,r", [(1.0, 1e-6), (1e300, 1e-10)], ids=["riccati", "gain"])
 def test_information_term_divergence_raises_numeric_failure(p0, r):
     # The step-count rule reads rho(A) only: a large C^T R^-1 C makes -P J P

@@ -1,5 +1,6 @@
 """scripts/pairs.py's gain rule: the change wins at least 9 of 10 pairs and
-its median beats the parent's by more than the parent's IQR."""
+its median beats the parent's by more than the parent's IQR; and its
+no-regression rule against an end-to-end metric's bound."""
 
 import importlib.util
 import pathlib
@@ -96,3 +97,29 @@ def test_a_call_count_that_differs_within_one_side_exits_1(side):
     with pytest.raises(SystemExit, match=rf"^converge_scalar \({side}\): "
                        r"oracles.reference_run.calls differs between traced runs: \[1, 2, 1\]"):
         _pairs().verdicts("converge_scalar", runs["parent"], runs["change"], LAYERS)
+
+
+# PARENT's median is 100 and its IQR 2.5: a bound of 0.05 allows a median 5 worse
+@pytest.mark.parametrize("better,change,bound,found", [
+    ("higher", [p - 6.0 for p in PARENT], 0.05, "worse beyond bound"),
+    ("lower", [p + 6.0 for p in PARENT], 0.05, "worse beyond bound"),
+    ("higher", [p - 4.0 for p in PARENT], 0.05, "within bound"),
+    ("lower", [p + 4.0 for p in PARENT], 0.05, "within bound"),
+    ("higher", [p - 1.0 for p in PARENT], 0.02, "unresolved"),  # IQR 2.5 > 2
+    ("higher", [p + 1.0 for p in PARENT], 0.02, "unresolved"),  # 98 is not above 103
+    ("higher", [104.0] * 10, 0.02, "within bound"),  # every change run beats every parent run
+    ("lower", [96.0] * 10, 0.02, "within bound"),
+])
+def test_regression_verdict_against_the_bound(better, change, bound, found):
+    assert _pairs().regression(PARENT, change, better, bound) == found
+
+
+def test_end_to_end_rows_carry_the_regression_verdict():
+    rows = [{"name": "steps_per_s", "better": "higher", "bound": 0.2},
+            {"name": "oracles.reference_run.self_s", "better": "lower"}]
+    parent = _results(steps_per_s=PARENT, **{"oracles.reference_run.self_s": PARENT})
+    change = _results(steps_per_s=[0.7 * p for p in PARENT],
+                      **{"oracles.reference_run.self_s": PARENT})
+    found = _pairs().verdicts("mc_scalar", parent, change, rows)
+    assert found["steps_per_s"]["regression"] == "worse beyond bound"
+    assert "regression" not in found["oracles.reference_run.self_s"]

@@ -29,7 +29,7 @@ from proxflow import (
     propagate,
     symmetrized_pair,
 )
-from proxflow.matrices import max_abs
+from proxflow.matrices import lyapunov_solve, max_abs
 from support import random_spd, random_system
 
 
@@ -114,6 +114,16 @@ class TestMakeEquipartition:
             assert max_abs(res_ep) < 1e-9
             assert max_abs(frame.a_ep_sym + frame.a_ep_skew - frame.a_ep) < 1e-14
             assert max_abs(frame.pinf_sqrt @ frame.pinf_sqrt - frame.pinf.mat) < 1e-10
+
+    def test_frame_and_symmetrized_pair_are_stationary_at_the_identity(self):
+        # theta = tr(Pinf)/n is 2.17 here; the stationary covariance is I all
+        # the same (the theta-scaled residual above vanishes for any theta)
+        frame = make_equipartition(LinearSystem([[-1.0, 2.0], [0.0, -3.0]],
+                                                [[1.0, 0.0], [0.5, 2.0]]))
+        assert frame.theta == pytest.approx(2.17, abs=5e-3)
+        pairs = [(frame.a_ep, frame.b_ep)] + [symmetrized_pair(frame, t) for t in (0.0, 0.4, 2.5)]
+        for f, g in pairs:
+            assert max_abs(lyapunov_solve(f, 2.0 * g @ g.T) - np.eye(2)) < 1e-12
 
 
 class TestSymmetrizedPair:
