@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError, named_failures
+from .errors import DimensionError, SingularityError, ValidationError, named_failures
 from .gaussians import FilterRun, Gaussian, as_vectors, batch_prior
 from .matrices import (
     POSITIVITY_RTOL,
@@ -33,7 +33,7 @@ from .propagation import LinearSystem, StepConfig, general_step
 class MeasurementModel:
     """Linear observation dz = C x dt + dv with noise intensity R."""
 
-    __slots__ = ("c", "r", "rinv", "_info")
+    __slots__ = ("c", "r", "rinv", "_info", "_transport")
 
     def __init__(self, c, r: SpdMatrix):
         cm = frozen(as_matrix(c, "C"))
@@ -45,6 +45,7 @@ class MeasurementModel:
             self._info = frozen(cm.T @ self.rinv @ cm)
         if not np.all(np.isfinite(self._info)):
             raise ValidationError("C is too large: C^T R^-1 C overflows")
+        self._transport = None
 
     @property
     def obs_dim(self) -> int:
@@ -58,6 +59,18 @@ class MeasurementModel:
         """C^T R^-1 C (read-only, formed once)."""
         return self._info
 
+    def transport_terms(self, h: float):
+        """(S, gain) = (I + h C^T R^-1 C, h S^-1 C^T R^-1), the P-free part of
+        the transport update at step size h. Kept for the last h whose terms
+        are finite, so a run at one h forms them once."""
+        if self._transport is None or self._transport[0] != h:
+            scaled = np.eye(self.state_dim) + h * self._info
+            terms = scaled, solve(scaled, h * self.c.T @ self.rinv, "a solve failed")
+            if not all(np.isfinite(t).all() for t in terms):
+                return terms
+            self._transport = (h, *terms)
+        return self._transport[1:]
+
 
 def _check_update_inputs(g_prior: Gaussian, meas: MeasurementModel, y, h: float):
     require_same_dim("prior and measurement model", g_prior.dim, meas.state_dim)
@@ -70,49 +83,55 @@ def _check_update_inputs(g_prior: Gaussian, meas: MeasurementModel, y, h: float)
     return y
 
 
-def _innovate(prior: Gaussian, meas: MeasurementModel, y, gain, cov: SpdMatrix) -> Gaussian:
-    """N(mu- + gain (y - C mu-), cov): both updates step the mean this way."""
-    return Gaussian(prior.mean + matvec(gain, y - matvec(meas.c, prior.mean)), cov)
+def _innovate(mean, c, gain, y):
+    """mu- + gain (y - C mu-): both updates and run_filter's settled steps
+    move the means this way."""
+    return mean + matvec(gain, y - matvec(c, mean))
 
 
 def _lmmr_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
     """The KL update's (gain, P+): P+ from the information form, gain h P+ C' R^-1."""
-    cov = inv_spd(SpdMatrix(inv_spd(p_prior).mat + h * meas.information_matrix()))
+    try:
+        info = SpdMatrix(inv_spd(p_prior).mat + h * meas.information_matrix())
+    except SingularityError as exc:
+        raise SingularityError(f"information matrix (P-)^-1 + h C^T R^-1 C: {exc}") from exc
+    cov = inv_spd(info)
     return h * cov.mat @ meas.c.T @ meas.rinv, cov
 
 
-def lmmr_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float, half=None) -> Gaussian:
+def lmmr_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -> Gaussian:
     """KL-proximal measurement update.
 
     Covariance in information form (P+)^-1 = (P-)^-1 + h C' R^-1 C, so
     P+ <= P- always; mean mu+ = mu- + h P+ C' R^-1 (y - C mu-), the solution
     of (I + h P- C' R^-1 C) mu+ = mu- + h P- C' R^-1 y. The prior mean and y
-    may be batches (S, n), (S, m) sharing the covariance. half, if given, is
-    (gain, P+) as formed from the same prior covariance; only the mean steps.
+    may be batches (S, n), (S, m) sharing the covariance.
     """
     y = _check_update_inputs(g_prior, meas, y, h)
-    return _innovate(g_prior, meas, y, *(half or _lmmr_half(g_prior.cov, meas, h)))
+    gain, cov = _lmmr_half(g_prior.cov, meas, h)
+    return Gaussian(_innovate(g_prior.mean, meas.c, gain, y), cov)
 
 
 def _wasserstein_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
-    """The transport update's (gain, P+): h S^-1 C' R^-1 and S^-1 P- S^-T."""
-    scaled = np.eye(meas.state_dim) + h * meas.information_matrix()
+    """The transport update's (gain, P+): h S^-1 C' R^-1 and S^-1 P- S^-T,
+    with S and the gain from meas.transport_terms."""
+    scaled, gain = meas.transport_terms(h)
     failure = "a solve failed"
     cov = solve(scaled, solve(scaled, p_prior.mat, failure).T, failure).T
-    return solve(scaled, h * meas.c.T @ meas.rinv, failure), SpdMatrix(cov)
+    return gain, SpdMatrix(cov)
 
 
-def wasserstein_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float,
-                       half=None) -> Gaussian:
+def wasserstein_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -> Gaussian:
     """Transport-proximal measurement update.
 
     Covariance (P+)^-1 = S (P-)^-1 S with S = I + h C' R^-1 C; mean
     mu+ = mu- + h S^-1 C' R^-1 (y - C mu-), the solution of
-    S mu+ = mu- + h C' R^-1 y: a static gain, free of P-. Batches and half
-    are as in lmmr_update.
+    S mu+ = mu- + h C' R^-1 y: a static gain, free of P-. Batches are as in
+    lmmr_update.
     """
     y = _check_update_inputs(g_prior, meas, y, h)
-    return _innovate(g_prior, meas, y, *(half or _wasserstein_half(g_prior.cov, meas, h)))
+    gain, cov = _wasserstein_half(g_prior.cov, meas, h)
+    return Gaussian(_innovate(g_prior.mean, meas.c, gain, y), cov)
 
 
 _UPDATES = {"lmmr": lmmr_update, "wasserstein": wasserstein_update}
@@ -123,25 +142,22 @@ _PROBE_FLOOR = 100 * POSITIVITY_RTOL
 
 
 def _exact_step(sys: LinearSystem, h: float):
-    """The exact predict g -> (Phi mu, Phi P Phi^T + Q_h), with Phi = e^(A h)
-    and Q_h the covariance the noise adds over one step, both read off the
-    oracle once: Phi from exact_mean on the basis vectors, and Q_h as the
-    offset of the affine covariance map at the probe P = s I. The probe sits
-    at the noise scale s ~ |Q_h|, so the subtraction loses digits only at
-    Q_h's own scale however small the noise; s stays high enough that
-    s Phi Phi^T, and so the oracle's output, clears the SPD floor. A Q_h read
-    that fails keeps its error class and names the exact predict."""
+    """The exact predict g -> (Phi mu, Phi P Phi^T + Q_h), returned as
+    (Phi, step), with Phi = e^(A h) and Q_h the covariance the noise adds
+    over one step, both read off the oracle once: Phi from exact_mean on the
+    basis vectors, and Q_h as the offset of the affine covariance map at the
+    probe P = s I. The probe sits at the noise scale s ~ |Q_h|, so the
+    subtraction loses digits only at Q_h's own scale however small the
+    noise; s stays high enough that s Phi Phi^T, and so the oracle's output,
+    clears the SPD floor. A Q_h read that fails keeps its error class and
+    names the exact predict."""
     n = sys.dim
     phi = exact_mean(sys, np.eye(n), h).T
     shrink = np.linalg.svd(phi, compute_uv=False)[-1] ** 2
     s = max(h * max_abs(sys.diffusion()), _PROBE_FLOOR / shrink)
     with named_failures(lambda: f"exact predict: cannot read Q_h off the oracle at h={h}"):
         q_h = exact_cov(sys, SpdMatrix(s * np.eye(n)), h).mat - s * (phi @ phi.T)
-
-    def step(g, cov=None):
-        return Gaussian(matvec(phi, g.mean), cov or SpdMatrix(phi @ g.cov.mat @ phi.T + q_h))
-
-    return step
+    return phi, lambda g: Gaussian(matvec(phi, g.mean), SpdMatrix(phi @ g.cov.mat @ phi.T + q_h))
 
 
 def run_filter(
@@ -159,19 +175,24 @@ def run_filter(
     path per seed, shape (S, steps, m); the per-step measurement is
     y_k = dz_k / h, computed internally. The covariances do not depend on the
     data, so a batch computes them once and advances S means from g0's mean,
-    each bit for bit as its one-path run. Each covariance map is a function
-    of P's bits, so once a posterior covariance repeats the one before it bit
-    for bit, later steps reuse that step's predicted P and update half (see
-    lmmr_update) and step only the means. predict "jko" is propagate's
-    general-first-order step. predict "exact" is the exact transition, the
-    same affine map P -> Phi P Phi^T + Q_h at every step, with Phi = e^(A h):
-    Phi and Q_h are read off exact_mean and exact_cov once per run, Q_h at a
-    probe scaled to the noise. Over 300 steps it stays within 2e-12,
-    relative to the largest entry, of applying the oracle at every step
-    (n up to 16, h = 0.02, B from unit scale down to 1e-5 of it).
-    A step that fails keeps its error class (NumericFailure for an overflow)
-    and reads "<stage> failed at step k: <cause>", where the stage is
-    "<predict> predict" or "<update> update".
+    each bit for bit as its one-path run. predict "jko" is propagate's
+    general-first-order step, mu -> M_h mu. predict "exact" is the exact
+    transition, the same affine map P -> Phi P Phi^T + Q_h at every step,
+    with mu -> Phi mu and Phi = e^(A h): Phi and Q_h are read off exact_mean
+    and exact_cov once per run, Q_h at a probe scaled to the noise. Over 300
+    steps it stays within 2e-12, relative to the largest entry, of applying
+    the oracle at every step (n up to 16, h = 0.02, B from unit scale down
+    to 1e-5 of it).
+
+    The run walks the predict and the update step by step until a posterior
+    covariance repeats the one before it bit for bit. Each covariance map is
+    a function of P's bits, so from then on every prior P, gain K and P+
+    repeat too (the steady-state gain of the Riccati recursion), and the
+    settled tail steps only the means, mu <- M mu, mu <- mu + K (y - C mu),
+    with M = M_h or Phi: the arithmetic the walk's steps do, bit for bit.
+    A step that fails, in the walk or the tail, keeps its error class
+    (NumericFailure for an overflow) and reads "<stage> failed at step k:
+    <cause>", where the stage is "<predict> predict" or "<update> update".
     """
     if update not in UPDATE_KINDS:
         raise ValidationError(f"unknown update kind {update!r}")
@@ -179,23 +200,33 @@ def run_filter(
         raise ValidationError(f"unknown predict kind {predict!r}")
     g0, dz = batch_prior(sys, meas, g0, dz, cfg.steps)
     update_fn = _UPDATES[update]
-    h = cfg.h
-    predict_step = general_step(sys, h) if predict == "jko" else _exact_step(sys, h)
-    posteriors = [g0]
+    h, steps = cfg.h, cfg.steps
+    mean_map, predict_step = (general_step if predict == "jko" else _exact_step)(sys, h)
+    means = np.empty(dz.shape[:-2] + (steps + 1, g0.dim))
+    means[..., 0, :] = g0.mean
+    covs = [g0.cov]
     predicting, updating = f"{predict} predict", f"{update} update"
-    cov = half = last = None
-    with named_failures(lambda: f"{stage} failed at step {len(posteriors)}"):
-        for k in range(cfg.steps):
+    g, last, settled = g0, None, steps
+    with named_failures(lambda: f"{stage} failed at step {k + 1}"):
+        for k in range(steps):
             stage = predicting
-            prior = predict_step(posteriors[-1], cov)
+            prior = predict_step(g)
             stage = updating
-            posteriors.append(update_fn(prior, meas, dz[..., k, :] / h, h, half))
-            if half is None:
-                key, last = last, posteriors[-1].cov.mat.tobytes()
-                if key == last:  # P+ repeats, so the next predicted P and update half do
-                    cov = prior.cov
-                    half = _HALVES[update](cov, meas, h)
-    return FilterRun(tuple(posteriors))
+            g = update_fn(prior, meas, dz[..., k, :] / h, h)
+            means[..., k + 1, :] = g.mean
+            covs.append(g.cov)
+            key, last = last, g.cov.mat.tobytes()
+            if key == last:  # P+ repeats, so every later prior P, gain and P+ do
+                settled, gain = k + 1, _HALVES[update](prior.cov, meas, h)[0]
+                break
+        mu = g.mean
+        for k in range(settled, steps):
+            stage = predicting
+            mu = matvec(mean_map, mu)
+            stage = updating
+            mu = _innovate(mu, meas.c, gain, dz[..., k, :] / h)
+            means[..., k + 1, :] = mu
+    return FilterRun(means, tuple(covs + covs[-1:] * (steps + 1 - len(covs))))
 
 
 @dataclass(frozen=True, eq=False)

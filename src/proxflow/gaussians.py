@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def as_vectors(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
         v = v.reshape(1)
     if v.ndim > 2:
         raise DimensionError(f"{name} must have shape (n,) or (S, n), got {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValidationError(f"{name} has non-finite entries")
     if dim is not None and v.shape[-1] != dim:
         raise DimensionError(f"{name} has length {v.shape[-1]}, expected {dim}")
@@ -91,7 +92,7 @@ def batch_prior(sys, meas, g0: Gaussian, dz, steps: int | None = None):
         raise DimensionError(
             f"increments have shape {dz.shape}, expected ([S,] {expected}, {meas.obs_dim})"
         )
-    if not np.all(np.isfinite(dz)):
+    if not np.isfinite(dz).all():
         raise ValidationError("increments have non-finite entries")
     if dz.ndim == 3:
         g0 = Gaussian(np.broadcast_to(g0.mean, (dz.shape[0], g0.dim)), g0.cov)
@@ -100,21 +101,28 @@ def batch_prior(sys, meas, g0: Gaussian, dz, steps: int | None = None):
 
 @dataclass(frozen=True, eq=False)
 class FilterRun:
-    """Posterior path of a filter or reference run, g0 first.
+    """Path of a filter or reference run, g0 first: the posterior means,
+    shape (steps + 1, n), or (S, steps + 1, n) for a batch of S measurement
+    paths, and the steps + 1 covariances the batch shares."""
 
-    For a batch of S measurement paths each posterior holds S means, shape
-    (S, n).
-    """
+    mean_path: np.ndarray
+    covs: tuple
 
-    posteriors: tuple
+    def __post_init__(self):
+        object.__setattr__(self, "mean_path", frozen(self.mean_path))
 
     @property
     def terminal(self) -> Gaussian:
-        return self.posteriors[-1]
+        return Gaussian(self.mean_path[..., -1, :], self.covs[-1])
 
     def means(self) -> np.ndarray:
         """Posterior means, shape (steps + 1, n), or (S, steps + 1, n) for a batch."""
-        return np.stack([g.mean for g in self.posteriors], axis=-2)
+        return self.mean_path
+
+    @cached_property
+    def posteriors(self) -> tuple:
+        """The path as Gaussians, built on first read."""
+        return tuple(Gaussian(self.mean_path[..., k, :], cov) for k, cov in enumerate(self.covs))
 
 
 @dataclass(frozen=True, eq=False)

@@ -139,14 +139,15 @@ def _rk4_cov(sys: LinearSystem, p0: SpdMatrix, t: float, substep: float) -> SpdM
     """RK4 integral of the covariance ODE P' = A P + P A^T + 2 B B^T over
     [0, t] in ceil(t / substep) equal steps, or more where A is stiff, under
     one floating-point guard: a step that overflows raises NumericFailure
-    naming it."""
+    naming it, and a result SpdMatrix refuses is named the exact covariance."""
     rate = _riccati_rate(sys.a, sys.diffusion())
     count = _rk4_count(sys.a, t, max(1, math.ceil(t / substep - 1e-12)), "exact covariance")
     p = p0.mat
-    with named_failures(lambda: f"exact covariance: RK4 step {i + 1} of {count}"):
-        for i in range(count):
-            p = rk4_step(rate, p, t / count)
-    return SpdMatrix(p)
+    with named_failures(lambda: "exact covariance"):
+        with named_failures(lambda: f"RK4 step {i + 1} of {count}"):
+            for i in range(count):
+                p = rk4_step(rate, p, t / count)
+        return SpdMatrix(p)
 
 
 def _observer_run(sys, meas, g0, dz, h, optimal: bool) -> FilterRun:
@@ -175,11 +176,12 @@ def _observer_run(sys, meas, g0, dz, h, optimal: bool) -> FilterRun:
     run = "Kalman-Bucy" if optimal else "Luenberger"
     substeps = _rk4_count(drift, h, REFERENCE_SUBSTEPS, f"{run} reference run", dz.shape[-2])
     loop = _scalar_substeps if meas.c.shape == (1, 1) else _matrix_substeps
-    out = [g0]
-    with named_failures(lambda: f"{run} reference run failed at interval {len(out)}"):
+    means, covs = [g0.mean], [g0.cov]
+    with named_failures(lambda: f"{run} reference run failed at interval {len(means)}"):
         for mu, p in loop(sys, meas.c, ct_rinv, g0, dz, h, substeps, drift, info):
-            out.append(Gaussian(mu, SpdMatrix(p)))
-    return FilterRun(tuple(out))
+            covs.append(SpdMatrix(p))
+            means.append(as_vectors(mu, name="mean"))
+    return FilterRun(np.stack(means, axis=-2), tuple(covs))
 
 
 def _matrix_substeps(sys, c, ct_rinv, g0, dz, h, substeps, drift, info):

@@ -77,7 +77,7 @@ class LinearSystem:
             raise DimensionError(
                 f"B must have {a.shape[0]} rows and a column, got shape {bm.shape}"
             )
-        with np.errstate(over="ignore"):  # an overflow is rejected just below
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or inf * 0 is rejected below
             diffusion = frozen(2.0 * bm @ bm.T)
         if not np.all(np.isfinite(diffusion)):
             raise ValidationError("B is too large: the diffusion 2 B B^T overflows")
@@ -236,11 +236,11 @@ def jko_step_general_cov(p_prev: SpdMatrix, sys: LinearSystem, h: float) -> SpdM
 
 def general_step(sys: LinearSystem, h: float):
     """The general-first-order step g -> (M_h mu, P + h (A P + P A^T + 2 B B^T)),
-    with M_h built once. propagate and the filter's "jko" predict both take it;
-    the filter passes a settled P's step as cov, to be reused."""
+    returned as (M_h, step) with M_h built once. propagate and the filter's
+    "jko" predict both take it; the filter steps a settled run's means by M_h."""
     mean_map = general_mean_map(make_equipartition(sys), h)
-    return lambda g, cov=None: Gaussian(
-        jko_step_general_mean(g.mean, mean_map), cov or jko_step_general_cov(g.cov, sys, h)
+    return mean_map, lambda g: Gaussian(
+        jko_step_general_mean(g.mean, mean_map), jko_step_general_cov(g.cov, sys, h)
     )
 
 
@@ -279,7 +279,7 @@ def propagate(
         gamma = SpdMatrix(-sys.a)
         step = lambda g: jko_step_symmetric(g, gamma, cfg.beta, cfg.h)
     elif mode == MODE_GENERAL:
-        step = general_step(sys, cfg.h)
+        _, step = general_step(sys, cfg.h)
     else:
         raise ValidationError(f"unknown propagation mode {mode!r}")
     out = [(0.0, g0)]

@@ -294,11 +294,13 @@ class TestCompareFilters:
     @pytest.mark.parametrize("a,c,mean,cov,predict,failure", [
         # (P-)^-1 ~ 1e-306 I sits below the floor of the KL update's information form
         ([[-1.0, 0.3], [-0.2, -0.8]], [[1.0, 0.5]], 0.0, 1e306, "jko",
-         "lmmr update failed at step 1: matrix is not positive definite within the floor"),
+         "lmmr update failed at step 1: information matrix (P-)^-1 + h C^T R^-1 C: "
+         "matrix is not positive definite within the floor"),
         ([[-3.0, 0.5], [-0.5, -3.0]], [[1.0, 0.5]], 0.0, 8e307, "jko",
          "jko predict failed at step 1: overflow"),
         ([[-3.0, 0.5], [-0.5, -3.0]], [[1.0, 0.5]], 0.0, 8e307, "exact",
-         "lmmr update failed at step 1: matrix is not positive definite within the floor"),
+         "lmmr update failed at step 1: information matrix (P-)^-1 + h C^T R^-1 C: "
+         "matrix is not positive definite within the floor"),
         # the simulated truth flips sign each step (I + h A = -0.98) while the
         # exact predict keeps it (e^(A h) = 0.14), so y - C mu- overflows
         ([[-99.0, 0.0], [0.0, -1.0]], [[100.0, 0.0]], 1.78e306, 1.0, "exact",
@@ -321,7 +323,7 @@ class TestCompareFilters:
             warnings.simplefilter("always")
             assert main(["compare-filters", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert re.search(rf"^numeric failure: {failure}", err, re.MULTILINE)
+        assert re.search(rf"^numeric failure: {re.escape(failure)}", err, re.MULTILINE)
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in leaked] == []
         assert not out.exists()
@@ -361,7 +363,8 @@ class TestCompareFilters:
         out = tmp_path / "x.csv"
         assert main(["compare-filters", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "numeric failure: lmmr update failed at step 1: matrix is not positive definite "
+            "numeric failure: lmmr update failed at step 1: information matrix "
+            "(P-)^-1 + h C^T R^-1 C: matrix is not positive definite "
             "within the floor: eigenvalues in [0.000e+00, 2.500e+298]\n"
         )
         assert not out.exists()
@@ -712,7 +715,14 @@ class TestExitCodes:
             "steps": {"h": [0.1], "horizon": 1.0},
             "mode": {"task": "propagation", "propagation": "general-first-order"},
         }, "exact mean at t=1.0: "),
-    ], ids=["lyapunov-nan", "equipartition-roots", "closed-form-cov", "exact-mean"])
+        # B = diag(1e9, 1): the RK4 covariance's eigenvalues span 2.6e17, below the SPD floor
+        ("converge-propagation", {
+            "system": {"A": [[-1.0, 2.0], [0.0, -3.0]], "B": [[1e9, 0.0], [0.0, 1.0]]},
+            "initial": {"mean": [2.0, 1.0], "cov": [[2.0, 0.5], [0.5, 1.5]]},
+            "steps": {"h": [0.04, 0.02, 0.01, 0.005], "horizon": 1.0},
+            "mode": {"task": "propagation", "propagation": "general-first-order"},
+        }, "exact covariance: matrix is not positive definite within the floor: "),
+    ], ids=["lyapunov-nan", "equipartition-roots", "closed-form-cov", "exact-mean", "rk4-cov"])
     def test_one_time_read_that_fails_exits_2_naming_itself(self, tmp_path, capsys, command,
                                                              payload, message):
         cfg = write_config(tmp_path, payload)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ class TestMeasurementModel:
         assert max_abs(info - want) < 1e-14
         assert not info.flags.writeable
         assert m.information_matrix() is info  # formed once, not per update
+
+    def test_transport_terms_are_kept_for_the_last_finite_h(self):
+        m = MeasurementModel([[1.0, 0.5]], SpdMatrix(2.0))
+        scaled, gain = m.transport_terms(0.02)
+        assert np.array_equal(scaled, np.eye(2) + 0.02 * m.information_matrix())
+        assert np.array_equal(gain, np.linalg.solve(scaled, 0.02 * m.c.T @ m.rinv))
+        assert all(a is b for a, b in zip(m.transport_terms(0.02), (scaled, gain)))
+        other = m.transport_terms(0.01)
+        assert other[0] is not scaled and m.transport_terms(0.01)[0] is other[0]
+        huge = MeasurementModel([[1e150]], SpdMatrix(1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(huge.transport_terms(1e10)[0]).all()
+        with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+            huge.transport_terms(1e10)  # not kept, so a run guard sees the overflow
 
 
 class TestLmmrUpdate:
@@ -217,10 +232,11 @@ class TestUpdateSolveFailure:
         g = Gaussian(np.zeros(2), SpdMatrix(prior * np.eye(2)))
         # run_filter adds the update's name and step, so the update names neither
         error, cause = {
-            lmmr_update: (SingularityError, "matrix is not positive definite within the floor"),
+            lmmr_update: (SingularityError, "information matrix (P-)^-1 + h C^T R^-1 C: "
+                                            "matrix is not positive definite within the floor"),
             wasserstein_update: (NumericFailure, "a solve failed"),
         }[update]
-        with pytest.raises(error, match=rf"^{cause}: "):
+        with pytest.raises(error, match=rf"^{re.escape(cause)}: "):
             update(g, meas, [0.0], 0.02)
 
 
@@ -256,7 +272,9 @@ class TestRunFilter:
         run = run_filter(
             SCALAR_SYS, SCALAR_MEAS, g0, np.zeros((0, 1)), StepConfig(h=0.1, steps=0)
         )
-        assert run.posteriors == (g0,)
+        assert run.covs == (g0.cov,)
+        assert run.means().shape == (1, 1) and run.means().tobytes() == g0.mean.tobytes()
+        assert run.terminal.mean.tobytes() == g0.mean.tobytes() and run.terminal.cov is g0.cov
 
     def test_lmmr_covariance_near_optimal_steady_state(self):
         h = 0.01
@@ -350,7 +368,8 @@ class TestRunFilter:
         meas = MeasurementModel([[1.0, 0.0]], SpdMatrix(1.0))
         g0 = Gaussian(np.zeros(2), SpdMatrix(np.eye(2)))
         with pytest.raises(SingularityError, match=r"^exact predict: cannot read Q_h off the "
-                                                 r"oracle at h=0\.02: matrix is not positive"):
+                                                 r"oracle at h=0\.02: exact covariance: "
+                                                 r"matrix is not positive"):
             run_filter(sys, meas, g0, np.zeros((10, 1)), StepConfig(h=0.02, steps=10),
                        predict="exact")
 
@@ -382,7 +401,8 @@ class TestRunFilter:
          r"jko predict failed at step 1: covariance step with h=0\.05 lost"),
         # (P-)^-1 + h C^T R^-1 C falls below the SPD floor at P = 1.5e307 I
         ([[-1.0, 100.0], [0.0, -1.0]], 1.5e307, 0.02, "exact", SingularityError,
-         r"lmmr update failed at step 1: matrix is not positive definite within the floor"),
+         r"lmmr update failed at step 1: information matrix \(P-\)\^-1 \+ h C\^T R\^-1 C: "
+         r"matrix is not positive definite within the floor"),
     ], ids=["jko-predict", "update-solve"])
     def test_failing_step_keeps_its_class_and_names_the_step(self, a, cov, h, predict, error,
                                                              message):
@@ -578,7 +598,7 @@ def _stepwise_run(sys, meas, g0, dz, cfg, update, predict):
     """run_filter written out: every step predicts and updates the
     covariance, with no reuse."""
     h = cfg.h
-    step = (propagation.general_step if predict == "jko" else filtering._exact_step)(sys, h)
+    _, step = (propagation.general_step if predict == "jko" else filtering._exact_step)(sys, h)
     update_fn = {"lmmr": lmmr_update, "wasserstein": wasserstein_update}[update]
     out = [Gaussian(np.broadcast_to(g0.mean, dz.shape[:-2] + (g0.dim,)), g0.cov)]
     for k in range(cfg.steps):
@@ -588,16 +608,21 @@ def _stepwise_run(sys, meas, g0, dz, cfg, update, predict):
 
 class TestSettledCovariance:
     @staticmethod
-    def _count_cov_steps(monkeypatch):
+    def _count_calls(monkeypatch, space: dict, name):
+        """Count the calls made through space[name], a module's or a table's binding."""
         calls = []
-        real = propagation.jko_step_general_cov
+        real = space[name]
 
         def counted(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(propagation, "jko_step_general_cov", counted)
+        monkeypatch.setitem(space, name, counted)
         return calls
+
+    @classmethod
+    def _count_cov_steps(cls, monkeypatch):
+        return cls._count_calls(monkeypatch, vars(propagation), "jko_step_general_cov")
 
     @staticmethod
     def _assert_bitwise(run, want):
@@ -613,31 +638,45 @@ class TestSettledCovariance:
     def test_a_settled_covariance_is_reused_bit_for_bit(self, monkeypatch, predict, update,
                                                         seeds):
         # The scalar system's posterior covariance repeats bit for bit well
-        # within 1000 steps of h = 0.02; from the step after, run_filter
-        # reuses the predicted P and the update half and steps the means only.
+        # within 1000 steps of h = 0.02; run_filter walks the public predict
+        # and update up to that step, and the settled tail after it steps
+        # only the means, with the repeated covariance and gain.
         cfg = StepConfig(h=0.02, steps=1000)
         g0 = scalar_gaussian(0.5, 2.0)
         rng = np.random.default_rng(90)
         dz = 0.1 * rng.normal(size=(cfg.steps, 1) if seeds is None else (seeds, cfg.steps, 1))
-        calls, halves = self._count_cov_steps(monkeypatch), []
-        real = filtering._UPDATES[update]
-
-        def spied(prior, meas, y, h, half):
-            halves.append(half is not None)
-            return real(prior, meas, y, h, half)
-
-        monkeypatch.setitem(filtering._UPDATES, update, spied)
+        cov_steps = self._count_cov_steps(monkeypatch)
+        mean_steps = self._count_calls(monkeypatch, vars(propagation), "jko_step_general_mean")
+        updates = self._count_calls(monkeypatch, filtering._UPDATES, update)
         run = run_filter(SCALAR_SYS, SCALAR_MEAS, g0, dz, cfg, update=update, predict=predict)
-        stepped = len(calls)
+        counts = len(cov_steps), len(mean_steps), len(updates)
         want = _stepwise_run(SCALAR_SYS, SCALAR_MEAS, g0, dz, cfg, update, predict)
         self._assert_bitwise(run, want)
         # step k's posterior is want[k + 1]; the first repeat is at step settle
         covs = [g.cov.mat.tobytes() for g in want[1:]]
         settle = next(k for k in range(1, cfg.steps) if covs[k] == covs[k - 1])
         assert settle < cfg.steps // 2
-        # steps 0..settle predict P and update it in full, the later ones reuse both
-        assert stepped == (settle + 1 if predict == "jko" else 0)
-        assert halves == [False] * (settle + 1) + [True] * (cfg.steps - settle - 1)
+        # steps 0..settle go through the public steps, the later ones do not
+        walked = settle + 1 if predict == "jko" else 0
+        assert counts == (walked, walked, settle + 1)
+        assert all(cov is run.covs[settle + 1] for cov in run.covs[settle + 1:])
+
+    @pytest.mark.parametrize("seeds", [None, 2], ids=["one-path", "batch"])
+    @pytest.mark.parametrize("update", ["lmmr", "wasserstein"])
+    @pytest.mark.parametrize("predict", ["jko", "exact"])
+    def test_a_failure_in_the_settled_tail_names_its_stage_and_step(self, monkeypatch,
+                                                                    predict, update, seeds):
+        # The covariance settles before step 500, so step 801 is a tail step;
+        # its y = dz / h overflows there, as in a run that walks every step.
+        cfg = StepConfig(h=0.02, steps=1000)
+        dz = np.zeros((cfg.steps, 1) if seeds is None else (seeds, cfg.steps, 1))
+        dz[..., 800, :] = 1e307
+        updates = self._count_calls(monkeypatch, filtering._UPDATES, update)
+        with pytest.raises(NumericFailure,
+                           match=rf"^{update} update failed at step 801: overflow encountered in divide$"):
+            run_filter(SCALAR_SYS, SCALAR_MEAS, scalar_gaussian(0.5, 2.0), dz, cfg,
+                       update=update, predict=predict)
+        assert len(updates) < 500
 
     @pytest.mark.parametrize("update", ["lmmr", "wasserstein"])
     def test_a_covariance_that_never_settles_is_stepped_every_time(self, monkeypatch, update):

@@ -246,7 +246,8 @@ def test_reference_runs_match_substep_loop_bitwise(monkeypatch, kind, case):
 
         def rate(p):
             return closed @ p + p @ closed.T + forcing
-    assert len(out.posteriors) == steps + 1 and out.posteriors[0] is g0
+    assert len(out.posteriors) == steps + 1 and out.covs[0] is g0.cov
+    assert out.means()[0].tobytes() == g0.mean.tobytes()
     dt = h / substeps
     mu, p = g0.mean.copy(), g0.cov.mat.copy()
     settle = None

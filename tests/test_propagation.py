@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,13 @@ class TestLinearSystem:
         sys = LinearSystem(-1.0, 1.0)
         assert sys.a.tolist() == [[-1.0]] and sys.b.tolist() == [[1.0]]
         assert sys.diffusion().tolist() == [[2.0]]
+
+    def test_overflowing_diffusion_is_refused_without_warning(self):
+        # 2 B B^T's first entry overflows to inf, and inf * 0 makes a NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^B is too large: the diffusion"):
+                LinearSystem(np.diag([-1.0, -2.0]), [[1e308, 0.0], [0.0, 1.0]])
 
     def test_diffusion_convention(self):
         sys = LinearSystem([[-1.0]], [[2.0]])
