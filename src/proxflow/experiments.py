@@ -12,7 +12,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .errors import ConfigError, NumericFailure, ValidationError
+from .errors import ConfigError, ModeMismatchError, NumericFailure, ValidationError
 from .filtering import UPDATE_KINDS, error_metrics, run_filter
 from .geometry_checks import run_all_checks
 from .matrices import max_abs
@@ -123,7 +123,10 @@ def converge_propagation(cfg: ExperimentConfig) -> ResultTable:
     cov_errors = {}
     for h in sorted(cfg.h_values, reverse=True):
         step_cfg = StepConfig(h=h, steps=cfg.steps_for(h), beta=cfg.beta)
-        terminal = propagate(cfg.system, cfg.initial, step_cfg, cfg.propagation_mode)[-1][1]
+        try:
+            terminal = propagate(cfg.system, cfg.initial, step_cfg, cfg.propagation_mode)[-1][1]
+        except ModeMismatchError as exc:  # the mode does not fit the system or steps.beta
+            raise ConfigError(f"mode.propagation: {exc}") from exc
         mean_errors[h] = max_abs(terminal.mean - ref_mean)
         cov_errors[h] = max_abs(terminal.cov.mat - ref_cov.mat)
         rows.append(ResultRow(h, None, "terminal_mean_error", mean_errors[h]))

@@ -148,11 +148,7 @@ class SpdMatrix:
             x = m.item()
             if not math.isfinite(x):
                 raise ValidationError("SPD matrix has non-finite entries")
-            x = 0.5 * (x + x)  # as symmetrize: inf where x + x overflows
-            _check_eigenvalues(math.isfinite(x), x, x)
-            m = np.array([[x]])
-            m.setflags(write=False)  # and so its view m[0]
-            self.mat, self.eigenvalues, self.eigenvectors = m, m[0], _EIGENVECTORS_1X1
+            self._freeze_scalar(x)
             return
         m = symmetrize(m, "SPD matrix")
         try:
@@ -160,6 +156,15 @@ class SpdMatrix:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on finite input
             raise NumericFailure(f"eigendecomposition failed: {exc}") from exc
         self._freeze(m, w, v)
+
+    def _freeze_scalar(self, x: float) -> None:
+        """Hold [[x]], symmetrized as symmetrize does (inf where x + x overflows) and
+        checked as _freeze checks; its eigenpair is (x, 1), read-only."""
+        x = 0.5 * (x + x)
+        _check_eigenvalues(math.isfinite(x), x, x)
+        m = np.array([[x]])
+        m.setflags(write=False)  # and so its view m[0]
+        self.mat, self.eigenvalues, self.eigenvectors = m, m[0], _EIGENVECTORS_1X1
 
     def _freeze(self, m: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
         _check_eigenvalues(np.isfinite(w).all(), w[0], w[-1])
@@ -176,9 +181,14 @@ class SpdMatrix:
         return _compose(fn(self.eigenvalues), self.eigenvectors)
 
     def _map(self, fn) -> SpdMatrix:
-        """fn(P) with the eigenpairs (fn(w), V) for a monotone fn: checks fn(w), runs no eigh."""
+        """fn(P) with the eigenpairs (fn(w), V) for a monotone fn: checks fn(w), runs no eigh.
+        At 1 x 1, _compose is (1 w) 1 and its symmetrization, so fn(P) is the float fn(w)."""
         w, v = fn(self.eigenvalues), self.eigenvectors
-        out, mat = SpdMatrix.__new__(SpdMatrix), _compose(w, v)
+        out = SpdMatrix.__new__(SpdMatrix)
+        if w.size == 1:
+            out._freeze_scalar(w.item())
+            return out
+        mat = _compose(w, v)
         if w[0] > w[-1]:  # decreasing fn: keep the eigenvalues ascending
             w, v = w[::-1], v[:, ::-1]
         out._freeze(mat, w, v)

@@ -165,8 +165,11 @@ def _observer_run(sys, meas, g0, dz, h, optimal: bool) -> FilterRun:
     before the first step. dz is (steps, m), or (S, steps, m) for S paths
     sharing the covariance path. One state and one sensor take
     _scalar_substeps, which gives _matrix_substeps' bits in Python floats.
-    Returns the steps + 1 states at the interval boundaries. A failing
-    interval keeps its error class, as
+    Each interval's mean goes into one ([S,] steps + 1, n) array, where a
+    non-finite row is refused; one SpdMatrix is built per distinct P the
+    loop yields, so a settled P is built once and shared by the later
+    intervals. Returns the steps + 1 states at the interval boundaries. A
+    failing interval keeps its error class, as
     "<run> reference run failed at interval k: <cause>"."""
     g0, dz = batch_prior(sys, meas, g0, dz)
     require_positive(h, "step size")
@@ -176,12 +179,19 @@ def _observer_run(sys, meas, g0, dz, h, optimal: bool) -> FilterRun:
     run = "Kalman-Bucy" if optimal else "Luenberger"
     substeps = _rk4_count(drift, h, REFERENCE_SUBSTEPS, f"{run} reference run", dz.shape[-2])
     loop = _scalar_substeps if meas.c.shape == (1, 1) else _matrix_substeps
-    means, covs = [g0.mean], [g0.cov]
-    with named_failures(lambda: f"{run} reference run failed at interval {len(means)}"):
+    means = np.empty((*dz.shape[:-2], dz.shape[-2] + 1, sys.dim))
+    means[..., 0, :] = g0.mean
+    covs, last = [g0.cov], None
+    with named_failures(lambda: f"{run} reference run failed at interval {len(covs)}"):
         for mu, p in loop(sys, meas.c, ct_rinv, g0, dz, h, substeps, drift, info):
-            covs.append(SpdMatrix(p))
-            means.append(as_vectors(mu, name="mean"))
-    return FilterRun(np.stack(means, axis=-2), tuple(covs))
+            if p is not last:
+                cov, last = SpdMatrix(p), p
+            row = means[..., len(covs), :]
+            row[...] = mu
+            if not np.isfinite(row).all():
+                raise ValidationError("mean has non-finite entries")
+            covs.append(cov)
+    return FilterRun(means, tuple(covs))
 
 
 def _matrix_substeps(sys, c, ct_rinv, g0, dz, h, substeps, drift, info):
@@ -218,9 +228,10 @@ def _scalar_substeps(sys, c, ct_rinv, g0, dz, h, substeps, drift, info):
     -0.0 where the matrix loop has +0.0 only if a * mu is -0.0, which a
     Hurwitz A (a < 0) allows only for a +0.0 mean, and adding either zero
     leaves that +0.0. Symmetrizing, 0.5 (q + q), returns q below half the
-    largest float, so it is left out. One seed's mean is a float too; S > 1
-    means stay one numpy array. A float that overflows runs to inf or nan
-    (no + or * brings it back) and is refused at its interval's end."""
+    largest float, so it is left out. One seed's mean is a float too, and
+    is yielded as one; S > 1 means stay one numpy array. A float that
+    overflows runs to inf or nan (no + or * brings it back) and is refused
+    at its interval's end, where _observer_run writes it into its row."""
     f, w = drift.item(), sys.diffusion().item()
     j = None if info is None else info.item()
     a, c, ct_rinv = sys.a.item(), c.item(), ct_rinv.item()
@@ -246,7 +257,7 @@ def _scalar_substeps(sys, c, ct_rinv, g0, dz, h, substeps, drift, info):
                 q = rk4_step(rate, p, dt)
                 settled = q == p
                 p = q
-        yield (np.full(g0.mean.shape, mu) if one else mu), p
+        yield mu, p
 
 
 def kalman_bucy_run(sys: LinearSystem, meas, g0: Gaussian, dz, h: float) -> FilterRun:

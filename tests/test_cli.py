@@ -1118,3 +1118,106 @@ def test_mutated_bundled_configs_exit_cleanly(tmp_path):
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
                 "--out-json", str(tmp_path / "out.json")]
         assert main(argv) in (0, 1, 2), (command, path, value)
+
+
+def _bundled(name, steps, **changes):
+    doc = json.loads((REPO / "scripts" / "configs" / f"{name}.json").read_text())
+    output = {"csv": None, "json": None}  # the bundled tables stay as they are
+    return dict(doc, steps=dict(doc["steps"], **steps), output=output, **changes)
+
+
+def _swept_configs():
+    """(command, config) pairs of the magnitude sweep: the bundled configs with
+    horizons cut to 0.08-0.2, the filters under both updates and both
+    predicts, and a two-state filter."""
+    yield "converge-propagation", _bundled("propagation_scalar", {"h": [0.04, 0.02], "horizon": 0.2})
+    yield "converge-propagation", _bundled("propagation_general_2d",
+                                           {"h": [0.04, 0.02], "horizon": 0.08})
+    for predict in ("jko", "exact"):
+        yield "compare-filters", _bundled("compare_scalar", {"h": [0.02], "horizon": 0.1},
+                                          seeds=[1000, 1001],
+                                          mode={"task": "compare", "predict": predict})
+        for update in ("lmmr", "wasserstein"):
+            yield "converge-filter", _bundled(
+                "filter_scalar", {"h": [0.02, 0.01], "horizon": 0.1},
+                mode={"task": "filter", "update": update, "predict": predict})
+    yield "converge-filter", _bundled(
+        "propagation_general_2d", {"h": [0.04, 0.02], "horizon": 0.08}, seeds=[5],
+        measurement={"C": [[1.0, 0.5]], "R": [[0.5]]},
+        mode={"task": "filter", "update": "lmmr", "predict": "jko"})
+
+
+# 22 exponents k: a field or entry is multiplied by 10**k.
+_EXPONENTS = (-308, -300, -200, -100, -50, -20, -10, -5, -3, -2, -1,
+              1, 2, 3, 5, 10, 20, 50, 100, 200, 300, 308)
+_MATRIX_FIELDS = (("system", "A"), ("system", "B"), ("measurement", "C"),
+                  ("measurement", "R"), ("initial", "mean"), ("initial", "cov"))
+
+
+def _scaled_cases():
+    """Every (command, config, field, entry, exponent) case of the sweep, in a
+    fixed order: each matrix field of each config scaled as a whole (entry
+    None), then entry by entry where it has more than one, by each exponent."""
+    for command, doc in _swept_configs():
+        for field in _MATRIX_FIELDS:
+            if field[0] not in doc:
+                continue
+            value = np.array(doc[field[0]][field[1]], dtype=float)
+            entries = [None] + (list(np.ndindex(value.shape)) if value.size > 1 else [])
+            for entry in entries:
+                for k in _EXPONENTS:
+                    yield command, doc, field, entry, k
+
+
+# What an exit-2 message names: a step or an interval of a run, a one-time
+# read, the simulation, an RK4 budget, or a result metric.
+_NUMERIC_STAGE = re.compile(
+    r"numeric failure: (?:.* failed at (?:step|interval) \d+: "
+    r"|exact mean at t=\S+: |exact covariance: |exact predict: "
+    r"|stationary covariance of \(A, B\): |simulation overflowed: |Euler-Maruyama step h="
+    r"|.* needs \S+ RK4 steps, more than |\w+ is \S+ at h=)"
+)
+_CONFIG_FIELD = re.compile(r"error: (?:system|measurement|initial|steps|mode)(?:\.\w+)?: ")
+
+
+def test_magnitude_sweep_exits_cleanly_naming_its_field_or_stage(tmp_path, capsys):
+    # One matrix field or entry of a shortened bundled config multiplied by
+    # 10**k, from 1e-308 to 1e308: the CLI returns 0, 1 or 2 with no warning;
+    # an exit 1 names the config field, an exit 2 the stage that failed.
+    # Every 3rd case runs; 3 is coprime to the 22 exponents, so each
+    # exponent is hit, and each tree runs the same cases.
+    table = list(_scaled_cases())
+    assert len(table) == 1760
+    cfg, out = tmp_path / "scaled.json", tmp_path / "out.csv"
+    for command, doc, (section, key), entry, k in table[::3]:
+        value = np.array(doc[section][key], dtype=float)
+        with np.errstate(over="ignore"):  # an overflowed entry is written as Infinity
+            if entry is None:
+                value = value * 10.0**k
+            else:
+                value[entry] *= 10.0**k
+        cfg.write_text(json.dumps(dict(doc, **{section: dict(doc[section], **{key: value.tolist()})})))
+        case = (command, doc["mode"], section, key, entry, k)
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in leaked] == [], case
+        assert code in (0, 1, 2), case
+        if code == 1:
+            assert _CONFIG_FIELD.match(err), (case, err)
+        elif code == 2:
+            assert _NUMERIC_STAGE.match(err), (case, err)
+
+
+@pytest.mark.parametrize("steps,system,cause", [
+    ({"h": [0.1], "horizon": 1.0, "beta": 1.0}, {"A": [[-1.0]], "B": [[10.0]]},
+     "requires isotropic noise B B^T = I/beta; deviation 9.900e+01"),
+    ({"h": [0.1], "horizon": 1.0}, {"A": [[-1.0]], "B": [[1.0]]}, "requires beta"),
+], ids=["anisotropic-noise", "no-beta"])
+def test_symmetric_exact_mode_that_does_not_fit_exits_1_naming_the_mode(tmp_path, capsys, steps,
+                                                                        system, cause):
+    cfg = write_config(tmp_path, dict(PROPAGATION_CONFIG, steps=steps, system=system))
+    assert main(["converge-propagation", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: mode.propagation: symmetric-exact mode {cause}")

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -130,6 +131,31 @@ def test_derived_factors_reuse_eigenpairs(factor, fn):
         assert max_abs(rebuilt - got.mat) < 1e-12 * max_abs(got.mat)
         if n == 1:
             assert np.array_equal(w, fn(p.eigenvalues))
+
+
+# 1x1 inputs from just above the positivity floor to 1e300, two per decade.
+_SCALARS = [m * 10.0**k for k in range(-11, 300) for m in (1.0, 3.7)] + [1e300]
+
+
+@pytest.mark.parametrize("factor,fn", _FACTORS, ids=["sqrt", "inv", "inv_sqrt", "quadratic"])
+def test_derived_1x1_factors_match_a_fresh_spd_matrix_across_magnitudes(factor, fn):
+    """At 1x1 a factor is one float fn(w): the matrix a fresh SpdMatrix of
+    map_eigenvalues gives, bit for bit, or the same refusal where fn(w) is
+    below the floor, with read-only arrays and the shared eigenvector."""
+    for x in _SCALARS:
+        p = SpdMatrix(x)
+        try:
+            want = SpdMatrix(p.map_eigenvalues(fn))
+        except SingularityError as exc:
+            with pytest.raises(SingularityError, match=f"^{re.escape(str(exc))}$"):
+                factor(p)
+            continue
+        got = factor(p)
+        assert got.mat.tobytes() == want.mat.tobytes(), x
+        assert got.eigenvalues.tobytes() == fn(p.eigenvalues).tobytes(), x
+        for arr in (got.mat, got.eigenvalues, got.eigenvectors):
+            assert not arr.flags.writeable
+        assert got.eigenvectors is matrices._EIGENVECTORS_1X1
 
 
 class TestSqrtSpd:

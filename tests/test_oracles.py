@@ -364,6 +364,40 @@ def test_one_seed_mean_overflow_names_the_interval(run, name):
             run(SCALAR_SYS, SCALAR_MEAS, g0, np.stack([dz, dz]), 0.01)
 
 
+@pytest.mark.parametrize("case", ["scalar", "scalar-batch", "2"])
+@pytest.mark.parametrize(
+    "run", [kalman_bucy_run, luenberger_run], ids=["kalman-bucy", "luenberger"]
+)
+def test_reference_run_builds_one_spd_matrix_per_distinct_covariance(monkeypatch, run, case):
+    # Once P settles the loop yields the same P, and the run shares the one
+    # SpdMatrix built for it with every later interval. The 500 intervals run
+    # past the interval at which P first repeats.
+    rng = np.random.default_rng(60)
+    if case == "2":
+        sys = random_system(rng, 2)
+        sys = LinearSystem(sys.a - 2.0 * np.eye(2), sys.b)
+        meas = MeasurementModel(rng.normal(size=(1, 2)), random_spd(rng, 1))
+        g0 = Gaussian(rng.normal(size=2), random_spd(rng, 2))
+    else:
+        sys, meas, g0 = SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(2.0))
+    paths = (3,) if case == "scalar-batch" else ()
+    dz = 0.1 * rng.normal(size=(*paths, 500, 1))
+    builds = []
+    real = SpdMatrix.__init__
+
+    def counted(self, mat):
+        builds.append(mat)
+        real(self, mat)
+
+    monkeypatch.setattr(SpdMatrix, "__init__", counted)
+    covs = run(sys, meas, g0, dz, 0.02).covs
+    mats = [cov.mat.tobytes() for cov in covs]
+    repeat = next(k for k in range(1, len(mats)) if mats[k] == mats[k - 1])
+    assert len(builds) <= repeat + 1
+    assert len(builds) == len({id(cov) for cov in covs[1:]})
+    assert all(cov is covs[repeat] for cov in covs[repeat:])
+
+
 @pytest.mark.parametrize("n", [1, 3, 8])
 @pytest.mark.parametrize(
     "run", [kalman_bucy_run, luenberger_run], ids=["kalman-bucy", "luenberger"]
