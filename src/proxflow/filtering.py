@@ -90,9 +90,11 @@ def _innovate(mean, c, gain, y):
 
 
 def _lmmr_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
-    """The KL update's (gain, P+): P+ from the information form, gain h P+ C' R^-1."""
+    """The KL update's (gain, P+): P+ from the information form, gain h P+ C' R^-1;
+    at 1 x 1 the information sum is float arithmetic with the matrix sum's bits."""
     try:
-        info = SpdMatrix(inv_spd(p_prior).mat + h * meas.information_matrix())
+        p_inv, j = inv_spd(p_prior).mat, meas.information_matrix()
+        info = SpdMatrix(p_inv.item() + h * j.item() if p_prior.dim == 1 else p_inv + h * j)
     except SingularityError as exc:
         raise SingularityError(f"information matrix (P-)^-1 + h C^T R^-1 C: {exc}") from exc
     cov = inv_spd(info)
@@ -114,8 +116,12 @@ def lmmr_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -> Gauss
 
 def _wasserstein_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
     """The transport update's (gain, P+): h S^-1 C' R^-1 and S^-1 P- S^-T,
-    with S and the gain from meas.transport_terms."""
+    with S and the gain from meas.transport_terms; at 1 x 1 P+ is the float
+    (p / s) / s, the two solves' bits."""
     scaled, gain = meas.transport_terms(h)
+    if p_prior.dim == 1:
+        s = scaled.item()
+        return gain, SpdMatrix(p_prior.mat.item() / s / s)
     failure = "a solve failed"
     cov = solve(scaled, solve(scaled, p_prior.mat, failure).T, failure).T
     return gain, SpdMatrix(cov)

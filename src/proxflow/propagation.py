@@ -222,11 +222,15 @@ def jko_step_general_mean(mu_prev, mean_map: np.ndarray) -> np.ndarray:
 
 
 def jko_step_general_cov(p_prev: SpdMatrix, sys: LinearSystem, h: float) -> SpdMatrix:
-    """First-order covariance recursion P + h (A P + P A^T + 2 B B^T)."""
+    """First-order covariance recursion P + h (A P + P A^T + 2 B B^T); at
+    1 x 1 it is float arithmetic with the matrix expression's bits."""
     require_same_dim("covariance and system", sys.dim, p_prev.dim)
     require_positive(h, "step size", zero_ok=True)
     p = p_prev.mat
     try:
+        if p_prev.dim == 1:
+            x, a, d = p.item(), sys.a.item(), sys.diffusion().item()
+            return SpdMatrix(x + h * (a * x + x * a + d))
         return SpdMatrix(p + h * (sys.a @ p + p @ sys.a.T + sys.diffusion()))
     except SingularityError as exc:
         raise StepSizeError(

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from proxflow import (
     LinearSystem,
     MeasurementModel,
     NumericFailure,
+    ProxflowError,
     SingularityError,
     SpdMatrix,
     StepConfig,
@@ -30,7 +32,8 @@ from proxflow import (
     wasserstein_update,
 )
 from proxflow import filtering, propagation
-from proxflow.matrices import max_abs
+from proxflow.errors import named_failures
+from proxflow.matrices import inv_spd, max_abs, solve
 from support import random_spd
 
 SCALAR_SYS = LinearSystem([[-1.0]], [[1.0]])
@@ -689,3 +692,141 @@ class TestSettledCovariance:
         self._assert_bitwise(run, _stepwise_run(sys, meas, g0, dz, cfg, update, "jko"))
         covs = {g.cov.mat.tobytes() for g in run.posteriors}
         assert len(covs) == cfg.steps + 1
+
+
+# 1x1 covariance-step inputs from 1e-300 to 1e300. _A_UNDERFLOW * the prior
+# next to the floor underflows to -0.0; h = 1e300 with C^T R^-1 C = 1e300
+# overflows S = I + h C^T R^-1 C.
+_NEAR_FLOOR = 1.0000001e-12
+_A_UNDERFLOW = -1e-315
+_PRIORS = [_NEAR_FLOOR, 1e-6, 1.0, 3.7e8, 1e150, 1e300]
+_DRIFTS = [_A_UNDERFLOW, -1e-300, -1.0, -1e150, -1e300]
+_NOISES = [1e-300, 1.0, 1e150]
+_OBSERVATIONS = [(c, r) for c in (1e-300, 1.0, 1e150) for r in (1e-11, 1.0, 1e11)]
+_UPDATE_STEPS = [1e-300, 1e-3, 0.02, 1.0, 1e300]
+_PREDICT_STEPS = [0.0] + _UPDATE_STEPS
+
+
+def _matrix_jko_cov(p, sys, h):
+    """jko_step_general_cov written as matrix arithmetic."""
+    m = p.mat
+    try:
+        return SpdMatrix(m + h * (sys.a @ m + m @ sys.a.T + 2.0 * sys.b @ sys.b.T))
+    except SingularityError as exc:
+        raise StepSizeError(
+            f"covariance step with h={h} lost positive-definiteness; use a smaller step"
+        ) from exc
+
+
+def _matrix_lmmr_half(p, meas, h):
+    """filtering._lmmr_half written as matrix arithmetic."""
+    try:
+        info = SpdMatrix(inv_spd(p).mat + h * meas.information_matrix())
+    except SingularityError as exc:
+        raise SingularityError(f"information matrix (P-)^-1 + h C^T R^-1 C: {exc}") from exc
+    cov = inv_spd(info)
+    return h * cov.mat @ meas.c.T @ meas.rinv, cov
+
+
+def _matrix_wasserstein_half(p, meas, h):
+    """filtering._wasserstein_half written as two matrix solves."""
+    scaled, gain = meas.transport_terms(h)
+    return gain, SpdMatrix(solve(scaled, solve(scaled, p.mat, "a solve failed").T,
+                                 "a solve failed").T)
+
+
+def _scalar_cases(kind):
+    """(prior, model, h) over the grid: a LinearSystem for the predict, a
+    MeasurementModel for the updates (models whose C^T R^-1 C overflows are
+    refused at construction and left out)."""
+    if kind == "jko-predict":
+        models = [LinearSystem([[a]], [[b]]) for a in _DRIFTS for b in _NOISES]
+        steps = _PREDICT_STEPS
+    else:
+        models = []
+        for c, r in _OBSERVATIONS:
+            try:
+                models.append(MeasurementModel([[c]], SpdMatrix(r)))
+            except ValidationError:
+                continue
+        steps = _UPDATE_STEPS
+    return [(SpdMatrix(p), m, h) for p in _PRIORS for m in models for h in steps]
+
+
+def _outcome(fn, *args):
+    """The bytes of what fn(*args) returns (an SpdMatrix or a (gain, SpdMatrix)
+    half), or its refusal's class and text."""
+    try:
+        out = fn(*args)
+    except ProxflowError as exc:
+        return type(exc), str(exc)
+    gain, cov = out if isinstance(out, tuple) else (np.empty(0), out)
+    return gain.tobytes(), cov.mat.tobytes(), cov.eigenvalues.tobytes()
+
+
+def _guarded(fn, *args):
+    """fn(*args) inside a run's guard, whose stage reads "step"."""
+    with named_failures(lambda: "step"):
+        return fn(*args)
+
+
+class TestScalarCovarianceSteps:
+    _STEPS = {
+        "jko-predict": (jko_step_general_cov, _matrix_jko_cov),
+        "lmmr": (filtering._lmmr_half, _matrix_lmmr_half),
+        "wasserstein": (filtering._wasserstein_half, _matrix_wasserstein_half),
+    }
+
+    def test_the_grid_reaches_the_edges(self):
+        assert _A_UNDERFLOW * _NEAR_FLOOR == 0.0
+        assert math.copysign(1.0, _A_UNDERFLOW * _NEAR_FLOOR) == -1.0
+        huge = MeasurementModel([[1e150]], SpdMatrix(1.0))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(huge.transport_terms(1e300)[0]).all()
+
+    @pytest.mark.parametrize("kind", list(_STEPS))
+    def test_scalar_steps_keep_the_matrix_bits_across_magnitudes(self, kind):
+        """At 1x1 each covariance step is float arithmetic: the bytes of its
+        matrix expression or the same refusal, outside a run's guard and
+        inside it. Inside it the one difference is where the matrix
+        arithmetic overflows: numpy's floating-point message there becomes
+        the SpdMatrix refusal of the non-finite float, still a
+        NumericFailure, and no RuntimeWarning is raised."""
+        step, matrix_step = self._STEPS[kind]
+        faults = 0
+        for case in _scalar_cases(kind):
+            with np.errstate(all="ignore"):
+                assert _outcome(step, *case) == _outcome(matrix_step, *case), case
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, want = (_outcome(_guarded, f, *case) for f in (step, matrix_step))
+            if got != want and re.fullmatch(r"step: .* encountered in \w+", want[1]):
+                assert want[0] is NumericFailure, case
+                assert got == (NumericFailure, "step: SPD matrix has non-finite entries"), case
+                faults += 1
+            else:
+                assert got == want, case
+        # the transport update's overflow is in transport_terms, which both share
+        assert (faults > 0) == (kind != "wasserstein")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_scalar_transport_update_makes_no_solve(self, monkeypatch, n):
+        # S and the gain are solved once per h by transport_terms; at 1x1 the
+        # covariance is (p / s) / s, with no solve, and at n = 2 each update
+        # solves twice for S^-1 P- S^-T.
+        if n == 1:  # a fresh model: SCALAR_MEAS may hold its terms for h already
+            sys, meas = SCALAR_SYS, MeasurementModel([[1.0]], SpdMatrix(1.0))
+            g0 = scalar_gaussian(0.5, 2.0)
+        else:
+            sys, meas, g0, _ = _dense_problem(2, 1)
+        cfg = StepConfig(h=0.02, steps=300)
+        dz = 0.1 * np.random.default_rng(5).normal(size=(cfg.steps, 1))
+        count = TestSettledCovariance._count_calls
+        solves = count(monkeypatch, vars(filtering), "solve")
+        halves = count(monkeypatch, vars(filtering), "_wasserstein_half")
+        settled_halves = count(monkeypatch, filtering._HALVES, "wasserstein")
+        run_filter(sys, meas, g0, dz, cfg, update="wasserstein")
+        walked = len(halves) + len(settled_halves)
+        assert walked > 0
+        assert len(solves) == 1 + (2 * walked if n == 2 else 0)
+

@@ -350,8 +350,8 @@ def test_one_seed_float_mean_is_the_first_seed_of_a_batch_bitwise(run, mean):
 )
 def test_one_seed_mean_overflow_names_the_interval(run, name):
     # dz / h overflows to inf with P = 1: a float mean does not raise, so the
-    # inf (then nan) runs to the interval's end, where Gaussian refuses the
-    # mean. A batch's numpy mean raises at the division instead.
+    # inf (then nan) runs to the interval's end, where _observer_run refuses
+    # the non-finite row. A batch's numpy mean raises at the division instead.
     g0 = Gaussian([0.0], SpdMatrix(1.0))
     dz = np.full((3, 1), 1e307)
     with warnings.catch_warnings():
