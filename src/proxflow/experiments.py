@@ -162,7 +162,7 @@ def converge_filter(cfg: ExperimentConfig) -> ResultTable:
             update=cfg.update_kind,
             predict=cfg.predict_kind,
         )
-        cov_errors[h] = max_abs(run.terminal.cov.mat - reference.terminal.cov.mat)
+        cov_errors[h] = max_abs(run.covs[-1].mat - reference.covs[-1].mat)
         mean_rmse = error_metrics(run, reference.means()[:, ::factor]).path_rmse
         for seed, value in zip(cfg.seeds, mean_rmse.tolist()):
             rows.append(ResultRow(h, seed, "terminal_cov_error", cov_errors[h]))
@@ -197,7 +197,7 @@ def compare_filters(cfg: ExperimentConfig) -> ResultTable:
         for seed, value in zip(cfg.seeds, terminal_sq.tolist()):
             rows.append(ResultRow(h, seed, f"terminal_sq_error_{kind}", value))
         rows.append(ResultRow(h, None, f"rmse_{kind}", float(np.sqrt(np.mean(terminal_sq)))))
-        rows.append(ResultRow(h, None, f"terminal_cov_trace_{kind}", run.terminal.cov.trace()))
+        rows.append(ResultRow(h, None, f"terminal_cov_trace_{kind}", run.covs[-1].trace()))
     return ResultTable(tuple(rows), cfg.config_hash)
 
 

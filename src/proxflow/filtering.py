@@ -204,15 +204,15 @@ def run_filter(
         raise ValidationError(f"unknown update kind {update!r}")
     if predict not in PREDICT_KINDS:
         raise ValidationError(f"unknown predict kind {predict!r}")
-    g0, dz = batch_prior(sys, meas, g0, dz, cfg.steps)
+    mean0, dz = batch_prior(sys, meas, g0, dz, cfg.steps)
     update_fn = _UPDATES[update]
     h, steps = cfg.h, cfg.steps
     mean_map, predict_step = (general_step if predict == "jko" else _exact_step)(sys, h)
     means = np.empty(dz.shape[:-2] + (steps + 1, g0.dim))
-    means[..., 0, :] = g0.mean
+    means[..., 0, :] = mean0
     covs = [g0.cov]
     predicting, updating = f"{predict} predict", f"{update} update"
-    g, last, settled = g0, None, steps
+    g, last, settled = Gaussian(mean0, g0.cov), None, steps
     with named_failures(lambda: f"{stage} failed at step {k + 1}"):
         for k in range(steps):
             stage = predicting

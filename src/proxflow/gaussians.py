@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -54,9 +53,9 @@ def as_vectors(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
 class Gaussian:
     """Mean vector plus SPD covariance.
 
-    A mean of shape (S, n) stands for S densities sharing the one covariance,
-    as in a filter run over S measurement paths. The single-density
-    functionals below reject such a batch.
+    A mean of shape (S, n) stands for S densities sharing the one covariance:
+    run_filter's walk steps such a batch over S measurement paths. The
+    single-density functionals below reject it.
     """
 
     mean: np.ndarray
@@ -83,7 +82,7 @@ def require_single(*gs: Gaussian) -> None:
 def batch_prior(sys, meas, g0: Gaussian, dz, steps: int | None = None):
     """Check the inputs of a run: system, measurement model and prior g0 agree
     in dimension, and the measurement increments dz have shape ([S,] steps, m).
-    Returns (g0, dz), with g0's mean broadcast to (S, n) for a batch."""
+    Returns (mean0, dz), with mean0 g0's mean broadcast to shape ([S,] n)."""
     require_same_dim("system, measurement model and prior", sys.dim, meas.state_dim, g0.dim)
     require_single(g0)
     dz = np.asarray(dz, dtype=float)
@@ -94,16 +93,14 @@ def batch_prior(sys, meas, g0: Gaussian, dz, steps: int | None = None):
         )
     if not np.isfinite(dz).all():
         raise ValidationError("increments have non-finite entries")
-    if dz.ndim == 3:
-        g0 = Gaussian(np.broadcast_to(g0.mean, (dz.shape[0], g0.dim)), g0.cov)
-    return g0, dz
+    return np.broadcast_to(g0.mean, dz.shape[:-2] + (g0.dim,)), dz
 
 
 @dataclass(frozen=True, eq=False)
 class FilterRun:
     """Path of a filter or reference run, g0 first: the posterior means,
-    shape (steps + 1, n), or (S, steps + 1, n) for a batch of S measurement
-    paths, and the steps + 1 covariances the batch shares."""
+    shape ([S,] steps + 1, n) for S measurement paths, the steps + 1
+    covariances they share, and terminal, the last posterior, built on read."""
 
     mean_path: np.ndarray
     covs: tuple
@@ -118,11 +115,6 @@ class FilterRun:
     def means(self) -> np.ndarray:
         """Posterior means, shape (steps + 1, n), or (S, steps + 1, n) for a batch."""
         return self.mean_path
-
-    @cached_property
-    def posteriors(self) -> tuple:
-        """The path as Gaussians, built on first read."""
-        return tuple(Gaussian(self.mean_path[..., k, :], cov) for k, cov in enumerate(self.covs))
 
 
 @dataclass(frozen=True, eq=False)

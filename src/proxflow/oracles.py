@@ -158,20 +158,20 @@ def _observer_run(sys, meas, g0, dz, h, optimal: bool) -> FilterRun:
     piecewise-constant data rate dz_k / h, with the gain P C^T R^-1 from the
     pre-step P if optimal, else C^T R^-1; an RK4 step of
     P' = F P + P F^T + 2 B B^T - P J P; symmetrization. Once a step and its
-    symmetrization return P bit
-    for bit, P and the gain are reused and only the mean is stepped: the step
-    uses only +, * and matrix products, so it would return P at every later
-    substep. The full substep count is still checked against RK4_MAX_STEPS
-    before the first step. dz is (steps, m), or (S, steps, m) for S paths
-    sharing the covariance path. One state and one sensor take
-    _scalar_substeps, which gives _matrix_substeps' bits in Python floats.
-    Each interval's mean goes into one ([S,] steps + 1, n) array, where a
-    non-finite row is refused; one SpdMatrix is built per distinct P the
-    loop yields, so a settled P is built once and shared by the later
-    intervals. Returns the steps + 1 states at the interval boundaries. A
-    failing interval keeps its error class, as
-    "<run> reference run failed at interval k: <cause>"."""
-    g0, dz = batch_prior(sys, meas, g0, dz)
+    symmetrization return P bit for bit, P and the gain are reused and only
+    the mean is stepped: the step uses only +, * and matrix products, so it
+    would return P at every later substep. The full substep count is still
+    checked against RK4_MAX_STEPS before the first step. dz is (steps, m), or
+    (S, steps, m) for S paths sharing the covariance path. The loops start
+    from arrays, the ([S,] n) means batch_prior returns and P0's matrix, and
+    build no Gaussian; one state and one sensor take _scalar_substeps, which
+    gives _matrix_substeps' bits in Python floats. Each interval's mean goes
+    into one ([S,] steps + 1, n) array, where a non-finite row is refused;
+    one SpdMatrix is built per distinct P the loop yields, so a settled P is
+    built once and shared by the later intervals. Returns the steps + 1
+    states at the interval boundaries. A failing interval keeps its error
+    class, as "<run> reference run failed at interval k: <cause>"."""
+    mean0, dz = batch_prior(sys, meas, g0, dz)
     require_positive(h, "step size")
     ct_rinv = meas.c.T @ meas.rinv
     info = ct_rinv @ meas.c
@@ -180,10 +180,10 @@ def _observer_run(sys, meas, g0, dz, h, optimal: bool) -> FilterRun:
     substeps = _rk4_count(drift, h, REFERENCE_SUBSTEPS, f"{run} reference run", dz.shape[-2])
     loop = _scalar_substeps if meas.c.shape == (1, 1) else _matrix_substeps
     means = np.empty((*dz.shape[:-2], dz.shape[-2] + 1, sys.dim))
-    means[..., 0, :] = g0.mean
+    means[..., 0, :] = mean0
     covs, last = [g0.cov], None
     with named_failures(lambda: f"{run} reference run failed at interval {len(covs)}"):
-        for mu, p in loop(sys, meas.c, ct_rinv, g0, dz, h, substeps, drift, info):
+        for mu, p in loop(sys, meas.c, ct_rinv, mean0, g0.cov.mat, dz, h, substeps, drift, info):
             if p is not last:
                 cov, last = SpdMatrix(p), p
             row = means[..., len(covs), :]
@@ -194,14 +194,14 @@ def _observer_run(sys, meas, g0, dz, h, optimal: bool) -> FilterRun:
     return FilterRun(means, tuple(covs))
 
 
-def _matrix_substeps(sys, c, ct_rinv, g0, dz, h, substeps, drift, info):
-    """_observer_run's loop, yielding (mean, P) per interval. Means are held
-    as columns, so a batch does each seed's arithmetic as its one-path run
-    does."""
+def _matrix_substeps(sys, c, ct_rinv, mean0, p0, dz, h, substeps, drift, info):
+    """_observer_run's loop from the ([S,] n) means mean0 and the n x n
+    array p0, yielding (mean, P) per interval. Means are held as columns, so
+    a batch does each seed's arithmetic as its one-path run does."""
     rate = _riccati_rate(drift, sys.diffusion(), info)
     dt = h / substeps
-    mu = g0.mean[..., None]
-    p = g0.cov.mat.copy()
+    mu = mean0[..., None]
+    p = p0.copy()
     gain = ct_rinv
     settled = False
     for k in range(dz.shape[-2]):
@@ -218,7 +218,7 @@ def _matrix_substeps(sys, c, ct_rinv, g0, dz, h, substeps, drift, info):
         yield mu[..., 0], p
 
 
-def _scalar_substeps(sys, c, ct_rinv, g0, dz, h, substeps, drift, info):
+def _scalar_substeps(sys, c, ct_rinv, mean0, p0, dz, h, substeps, drift, info):
     """_matrix_substeps for one state and one sensor, with every 1 x 1
     matrix a Python float (P > 0, so settling is q == p). A 1 x 1 product
     is one rounded multiply, so each float op gives its matrix counterpart's
@@ -242,9 +242,9 @@ def _scalar_substeps(sys, c, ct_rinv, g0, dz, h, substeps, drift, info):
         return stage if j is None else stage - p * j * p
 
     dt = h / substeps
-    one = g0.mean.size == 1
-    mu = g0.mean.item() if one else g0.mean
-    p = g0.cov.mat.item()
+    one = mean0.size == 1
+    mu = mean0.item() if one else mean0
+    p = p0.item()
     gain = ct_rinv
     settled = False
     for k in range(dz.shape[-2]):

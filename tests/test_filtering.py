@@ -337,7 +337,7 @@ class TestRunFilter:
         run = run_filter(sys, meas, g0, dz, cfg, update=update, predict="exact")
         means = np.stack([g.mean for g in want])
         covs = np.stack([g.cov.mat for g in want])
-        got_covs = np.stack([g.cov.mat for g in run.posteriors])
+        got_covs = np.stack([cov.mat for cov in run.covs])
         assert max_abs(run.means() - means) <= 1e-11 * max_abs(means)
         assert max_abs(got_covs - covs) <= 1e-11 * max_abs(covs)
 
@@ -428,7 +428,7 @@ class TestRunFilter:
         cfg = StepConfig(h=0.02, steps=100)
         dz = math.sqrt(cfg.h) * rng.normal(size=(cfg.steps, 3))
         run = run_filter(sys, meas, g0, dz, cfg, update=update, predict=predict)
-        assert len(run.posteriors) == cfg.steps + 1
+        assert len(run.covs) == cfg.steps + 1 and run.means().shape == (cfg.steps + 1, 8)
 
     @pytest.mark.parametrize("steps", [10, 300])
     def test_exact_predict_reads_the_oracle_once_per_run(self, steps, monkeypatch):
@@ -446,9 +446,9 @@ class TestRunFilter:
     @pytest.mark.parametrize("batch", [None, 3], ids=["one-path", "batch"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_jko_predict_is_the_general_propagation_step(self, n, batch):
-        # With C = 0 the transport update is the identity, so the posteriors
-        # are the predicts alone. The KL update cannot show this: it returns
-        # inv(inv(P)), not P.
+        # With C = 0 the transport update is the identity, so the run's means
+        # and covariances are the predicts alone. The KL update cannot show
+        # this: it returns inv(inv(P)), not P.
         sys, _, g0, rng = _dense_problem(n, 1)
         meas = MeasurementModel(np.zeros((1, n)), random_spd(rng, 1))
         cfg = StepConfig(h=0.02, steps=50)
@@ -456,10 +456,12 @@ class TestRunFilter:
         run = run_filter(sys, meas, g0, rng.normal(size=shape), cfg,
                          update="wasserstein", predict="jko")
         path = propagate(sys, g0, cfg, "general-first-order")
-        assert len(run.posteriors) == len(path) == cfg.steps + 1
-        for g, (_, want) in zip(run.posteriors, path):
-            assert np.array_equal(g.mean, np.broadcast_to(want.mean, g.mean.shape))
-            assert np.array_equal(g.cov.mat, want.cov.mat)
+        assert len(run.covs) == len(path) == cfg.steps + 1
+        assert run.means().shape == shape[:-2] + (cfg.steps + 1, n)
+        for k, (_, want) in enumerate(path):
+            mean = run.means()[..., k, :]
+            assert np.array_equal(mean, np.broadcast_to(want.mean, mean.shape))
+            assert np.array_equal(run.covs[k].mat, want.cov.mat)
 
     def test_increment_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -537,6 +539,41 @@ class TestMonteCarloBenchmark:
         stderr = float(diffs.std(ddof=1) / math.sqrt(len(diffs)))
         assert mean_diff <= 2.0 * stderr
 
+    def test_only_the_kl_filter_reports_its_realized_error_covariance(self):
+        # compare_scalar.json's system. The normalised estimation error
+        # squared, NEES_k = (mu_k - x_k)^2 / P_k, averages 1 over the settled
+        # steps (t >= 2) when P_k is the covariance the error really has. The
+        # KL filter's is: it settles at the Kalman-Bucy sqrt(3) - 1. The
+        # transport filter's estimate has the static gain L = C^T R^-1, whose
+        # error covariance SIGMA solves (A - LC) SIGMA + SIGMA (A - LC)^T
+        # + 2BB^T + LRL^T = 0, here -4 SIGMA + 3 = 0; it reports P_T (about
+        # 1/2), so its NEES averages SIGMA / P_T, and its path MSE exceeds the
+        # KL filter's by SIGMA - (sqrt(3) - 1). Each mean over the 200 seeds
+        # must lie within 3 standard errors of its prediction.
+        sigma = 0.75
+        g0 = scalar_gaussian(0.0, 1.0)
+        cfg = StepConfig(h=0.02, steps=300)
+        paths = simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, range(5000, 5200))
+        nees, mse, p_final = {}, {}, {}
+        for kind in ("lmmr", "wasserstein"):
+            run = run_filter(SCALAR_SYS, SCALAR_MEAS, g0, paths.increments, cfg,
+                             update=kind, predict="jko")
+            sq = (run.means() - paths.states)[:, 100:, 0] ** 2
+            p = np.array([cov.mat.item() for cov in run.covs[100:]])
+            nees[kind], mse[kind] = (sq / p).mean(axis=1), sq.mean(axis=1)
+            p_final[kind] = run.covs[-1].mat.item()
+        ratio = sigma / p_final["wasserstein"]
+        checks = [
+            (nees["lmmr"], 1.0),
+            (nees["wasserstein"], ratio),
+            (nees["wasserstein"] - nees["lmmr"], ratio - 1.0),
+            (mse["lmmr"] - mse["wasserstein"], (math.sqrt(3.0) - 1.0) - sigma),
+        ]
+        for per_seed, want in checks:
+            assert per_seed.shape == (200,)
+            stderr = per_seed.std(ddof=1) / math.sqrt(per_seed.size)
+            assert abs(per_seed.mean() - want) <= 3.0 * stderr
+
 
 def _dense_problem(n, m):
     rng = np.random.default_rng(48 + n)
@@ -561,8 +598,9 @@ class TestBatchedRunFilter:
                    for path in dz]
         assert batch.means().shape == (6, cfg.steps + 1, n)
         assert np.array_equal(batch.means(), np.stack([r.means() for r in singles]))
-        for g, g_single in zip(batch.posteriors, singles[0].posteriors):
-            assert np.array_equal(g.cov.mat, g_single.cov.mat)
+        assert len(batch.covs) == len(singles[0].covs) == cfg.steps + 1
+        for cov, cov_single in zip(batch.covs, singles[0].covs):
+            assert np.array_equal(cov.mat, cov_single.mat)
 
     def test_error_metrics_per_seed(self):
         cfg = StepConfig(h=0.05, steps=10)
@@ -629,11 +667,12 @@ class TestSettledCovariance:
 
     @staticmethod
     def _assert_bitwise(run, want):
-        assert len(run.posteriors) == len(want)
-        for g, w in zip(run.posteriors, want):
-            assert g.mean.shape == w.mean.shape
-            assert g.mean.tobytes() == w.mean.tobytes()
-            assert g.cov.mat.tobytes() == w.cov.mat.tobytes()
+        assert len(run.covs) == run.means().shape[-2] == len(want)
+        for k, w in enumerate(want):
+            mean = run.means()[..., k, :]
+            assert mean.shape == w.mean.shape
+            assert mean.tobytes() == w.mean.tobytes()
+            assert run.covs[k].mat.tobytes() == w.cov.mat.tobytes()
 
     @pytest.mark.parametrize("seeds", [None, 3], ids=["one-path", "batch"])
     @pytest.mark.parametrize("update", ["lmmr", "wasserstein"])
@@ -690,7 +729,7 @@ class TestSettledCovariance:
         run = run_filter(sys, meas, g0, dz, cfg, update=update, predict="jko")
         assert len(calls) == cfg.steps
         self._assert_bitwise(run, _stepwise_run(sys, meas, g0, dz, cfg, update, "jko"))
-        covs = {g.cov.mat.tobytes() for g in run.posteriors}
+        covs = {cov.mat.tobytes() for cov in run.covs}
         assert len(covs) == cfg.steps + 1
 
 

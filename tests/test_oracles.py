@@ -137,15 +137,16 @@ class TestKalmanBucyRun:
         g0 = Gaussian([0.0], SpdMatrix(1.0))
         a = kalman_bucy_run(SCALAR_SYS, SCALAR_MEAS, g0, rng.normal(size=(steps, 1)), h)
         b = kalman_bucy_run(SCALAR_SYS, SCALAR_MEAS, g0, rng.normal(size=(steps, 1)), h)
-        for ga, gb in zip(a.posteriors, b.posteriors):
-            assert max_abs(ga.cov.mat - gb.cov.mat) == 0.0
+        assert len(a.covs) == len(b.covs) == steps + 1
+        for pa, pb in zip(a.covs, b.covs):
+            assert max_abs(pa.mat - pb.mat) == 0.0
 
     def test_riccati_monotone_from_both_sides(self):
         h, steps = 0.01, 1000
         dz = np.zeros((steps, 1))
         for p0, sign in ((2.0, -1.0), (0.1, 1.0)):
             out = kalman_bucy_run(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.0], SpdMatrix(p0)), dz, h)
-            path = np.array([g.cov.mat[0, 0] for g in out.posteriors])
+            path = np.array([cov.mat[0, 0] for cov in out.covs])
             assert np.all(sign * np.diff(path) > -1e-12)
 
 
@@ -246,7 +247,8 @@ def test_reference_runs_match_substep_loop_bitwise(monkeypatch, kind, case):
 
         def rate(p):
             return closed @ p + p @ closed.T + forcing
-    assert len(out.posteriors) == steps + 1 and out.covs[0] is g0.cov
+    assert len(out.covs) == steps + 1 and out.covs[0] is g0.cov
+    assert out.means().shape == (steps + 1, g0.dim)
     assert out.means()[0].tobytes() == g0.mean.tobytes()
     dt = h / substeps
     mu, p = g0.mean.copy(), g0.cov.mat.copy()
@@ -260,8 +262,8 @@ def test_reference_runs_match_substep_loop_bitwise(monkeypatch, kind, case):
             if settle is None and q.tobytes() == p.tobytes():
                 settle = k * substeps + i
             p = q
-        assert np.array_equal(out.posteriors[k + 1].mean, mu)
-        assert np.array_equal(out.posteriors[k + 1].cov.mat, p)
+        assert np.array_equal(out.means()[k + 1], mu)
+        assert np.array_equal(out.covs[k + 1].mat, p)
     assert (settle is None) == (steps == 12)  # the short cases end before P settles
     assert len(calls) == (steps * substeps if settle is None else settle + 1)
 
@@ -314,10 +316,11 @@ def test_scalar_loop_keeps_the_matrix_loops_signed_zeros(monkeypatch, run, a, c,
             patch.setattr(oracles, "_scalar_substeps", oracles._matrix_substeps)
             runs.append(run(sys, meas, g0, paths, 0.02))
         for out in runs:
-            assert len(out.posteriors) == 31
-        for fast, matrix in zip(*(r.posteriors for r in runs)):
-            assert fast.mean.tobytes() == matrix.mean.tobytes()
-            assert fast.cov.mat.tobytes() == matrix.cov.mat.tobytes()
+            assert len(out.covs) == 31 and out.means().shape == paths.shape[:-2] + (31, 1)
+        fast, matrix = runs
+        assert fast.means().tobytes() == matrix.means().tobytes()
+        for p_fast, p_matrix in zip(fast.covs, matrix.covs):
+            assert p_fast.mat.tobytes() == p_matrix.mat.tobytes()
     with pytest.raises(StabilityError):
         LinearSystem([[0.0]], [[1.0]])
 
@@ -337,11 +340,11 @@ def test_one_seed_float_mean_is_the_first_seed_of_a_batch_bitwise(run, mean):
     batch = run(SCALAR_SYS, SCALAR_MEAS, g0, dz, 0.02)
     for paths in (dz[0], dz[:1]):
         one = run(SCALAR_SYS, SCALAR_MEAS, g0, paths, 0.02)
-        assert len(one.posteriors) == len(batch.posteriors) == 501
-        for g, gb in zip(one.posteriors, batch.posteriors):
-            assert g.mean.shape == paths.shape[:-2] + (1,)
-            assert g.mean.tobytes() == gb.mean[0].tobytes()
-            assert g.cov.mat.tobytes() == gb.cov.mat.tobytes()
+        assert len(one.covs) == len(batch.covs) == 501
+        assert one.means().shape == paths.shape[:-2] + (501, 1)
+        assert one.means().tobytes() == batch.means()[0].tobytes()
+        for p, pb in zip(one.covs, batch.covs):
+            assert p.mat.tobytes() == pb.mat.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -412,14 +415,40 @@ def test_reference_run_batch_equals_one_path_runs_bitwise(run, n):
     dz = 0.1 * rng.normal(size=(3, steps, m))
     batch = run(sys, meas, g0, dz, h)
     singles = [run(sys, meas, g0, path, h) for path in dz]
-    assert len(batch.posteriors) == steps + 1
-    for k, g in enumerate(batch.posteriors):
-        assert g.mean.shape == (3, n)
-        assert np.array_equal(g.mean, np.stack([single.posteriors[k].mean for single in singles]))
-        assert np.array_equal(g.cov.mat, singles[0].posteriors[k].cov.mat)
+    assert len(batch.covs) == steps + 1 and batch.means().shape == (3, steps + 1, n)
+    assert np.array_equal(batch.means(), np.stack([single.means() for single in singles]))
+    for k, cov in enumerate(batch.covs):
+        assert np.array_equal(cov.mat, singles[0].covs[k].mat)
     for shape in [(1, 3, steps, m), (3, steps, m + 1), (steps, m + 1)]:
         with pytest.raises(DimensionError):
             run(sys, meas, g0, np.zeros(shape), h)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "run", [kalman_bucy_run, luenberger_run], ids=["kalman-bucy", "luenberger"]
+)
+def test_reference_runs_build_no_gaussian(monkeypatch, run, n):
+    # The oracles step plain arrays from g0's mean and covariance, so they
+    # do not lean on the batched Gaussian of the filters they check.
+    rng = np.random.default_rng(70 + n)
+    sys = random_system(rng, n)
+    meas = MeasurementModel(rng.normal(size=(1, n)), SpdMatrix(1.0))
+    g0 = Gaussian(rng.normal(size=n), random_spd(rng, n))
+    dz = 0.1 * rng.normal(size=(3, 20, 1))
+    built = []
+    post_init = Gaussian.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Gaussian, "__post_init__", counted)
+    out = run(sys, meas, g0, dz, 0.02)
+    assert built == []
+    assert out.means().shape == (3, 21, n) and len(out.covs) == 21
+    assert {name for name in dir(out) if not name.startswith("_")} == {
+        "mean_path", "covs", "means", "terminal"}
 
 
 def _kalman_bucy_gain_form(sys, meas, g0, dz, h):
@@ -463,8 +492,8 @@ def test_kalman_bucy_information_form_matches_gain_form(n):
         cases.append((SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(2.0)), dz[:, :1], 0.0))
     for sys, meas, g0, dz, rtol in cases:
         out = kalman_bucy_run(sys, meas, g0, dz, h)
-        got_means = np.array([g.mean for g in out.posteriors])
-        got_covs = np.array([g.cov.mat for g in out.posteriors])
+        got_means = out.means()
+        got_covs = np.array([cov.mat for cov in out.covs])
         want_means, want_covs = _kalman_bucy_gain_form(sys, meas, g0, dz, h)
         assert max_abs(got_means - want_means) <= rtol * max_abs(want_means)
         assert max_abs(got_covs - want_covs) <= rtol * max_abs(want_covs)
