@@ -7,15 +7,15 @@ Runs benchmarks/run.py (untraced, for the run length BENCHMARK.json fixes)
 once in DIR and once in this tree per pair, one process at a time; the side
 that runs first alternates, the parent first on odd pairs. Prints every
 pair's end-to-end metrics, then per metric the median and quartiles of each
-side, the pairs the change wins, and the verdict: a gain holds when the
-change is better in at least 9 of 10 pairs and its median is better than
-the parent's by more than the parent's interquartile range. Each metric
-also gets the no-regression verdict against its BENCHMARK.json bound (see
-regression). With --trace the runs are traced (--trace 1) and the gain
-verdicts are given per layer metric of BENCHMARK.json instead. Exits 1 if a
-run fails or reports an incorrect output, or, with --trace, if a .calls
-count differs between the runs of one side. Each run takes about 30 s on a
-2-vCPU host.
+side, the pairs the change wins, and the verdict: a gain holds when at
+least ten pairs ran, the change is better in at least 9 of 10 of them and
+its median is better than the parent's by more than the parent's
+interquartile range. Each metric also gets the no-regression verdict
+against its BENCHMARK.json bound (see regression). With --trace the runs
+are traced (--trace 1) and the gain verdicts are given per layer metric of
+BENCHMARK.json instead. Exits 1 if a run fails or reports an incorrect
+output, or, with --trace, if a .calls count differs between the runs of
+one side. Each run takes about 30 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -29,14 +29,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench  # noqa: E402  (the script next to this one)
 
 WIN_SHARE = 0.9  # pairs the change must win for a gain to hold
+MIN_GAIN_PAIRS = 10  # fewer pairs than this never hold a gain
 
 
 def verdict(parent: list, change: list, better: str) -> dict:
     """The gain rule for one metric over paired runs (parent[i] and
     change[i] are pair i): the change wins a pair when it is strictly
-    better; a gain holds when it wins at least WIN_SHARE of the pairs and
-    its median beats the parent's by more than the parent's IQR. better is
-    "higher" or "lower"."""
+    better; a gain holds when there are at least MIN_GAIN_PAIRS pairs, it
+    wins at least WIN_SHARE of them and its median beats the parent's by
+    more than the parent's IQR. better is "higher" or "lower"."""
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("verdict needs two or more pairs, one value per side each")
     sign = {"higher": 1.0, "lower": -1.0}[better]
@@ -46,7 +47,7 @@ def verdict(parent: list, change: list, better: str) -> dict:
         "parent": p,
         "change": c,
         "wins": wins,
-        "gain_holds": (wins >= WIN_SHARE * len(parent)
+        "gain_holds": (len(parent) >= MIN_GAIN_PAIRS and wins >= WIN_SHARE * len(parent)
                        and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]),
     }
 

@@ -146,21 +146,16 @@ def converge_filter(cfg: ExperimentConfig) -> ResultTable:
     h_min = min(cfg.h_values)
     reference_run = kalman_bucy_run if cfg.update_kind == "lmmr" else luenberger_run
     fine = StepConfig(h=h_min, steps=cfg.steps_for(h_min))
-    master = simulate(cfg.system, cfg.measurement, cfg.initial, fine, cfg.seeds)
-    reference = reference_run(cfg.system, cfg.measurement, cfg.initial, master.increments, h_min)
+    _, master = simulate(cfg.system, cfg.measurement, cfg.initial, fine, cfg.seeds)
+    reference = reference_run(cfg.system, cfg.measurement, cfg.initial, master, h_min)
     rows = []
     cov_errors = {}
     for h in sorted(cfg.h_values, reverse=True):
         factor = round(h / h_min)
-        path = coarsen(master, factor)
+        dz = coarsen(master, factor)
         run = run_filter(
-            cfg.system,
-            cfg.measurement,
-            cfg.initial,
-            path.increments,
-            StepConfig(h=h, steps=path.steps),
-            update=cfg.update_kind,
-            predict=cfg.predict_kind,
+            cfg.system, cfg.measurement, cfg.initial, dz, StepConfig(h=h, steps=dz.shape[-2]),
+            update=cfg.update_kind, predict=cfg.predict_kind,
         )
         cov_errors[h] = max_abs(run.covs[-1].mat - reference.covs[-1].mat)
         mean_rmse = error_metrics(run, reference.means()[:, ::factor]).path_rmse
@@ -181,19 +176,14 @@ def compare_filters(cfg: ExperimentConfig) -> ResultTable:
         raise ConfigError(f"mode.task: expected 'compare', got {cfg.task!r}")
     h = cfg.h_values[0]
     step_cfg = StepConfig(h=h, steps=cfg.steps_for(h))
-    paths = simulate(cfg.system, cfg.measurement, cfg.initial, step_cfg, cfg.seeds)
+    states, dz = simulate(cfg.system, cfg.measurement, cfg.initial, step_cfg, cfg.seeds)
     rows = []
     for kind in UPDATE_KINDS:
         run = run_filter(
-            cfg.system,
-            cfg.measurement,
-            cfg.initial,
-            paths.increments,
-            step_cfg,
-            update=kind,
-            predict=cfg.predict_kind,
+            cfg.system, cfg.measurement, cfg.initial, dz, step_cfg,
+            update=kind, predict=cfg.predict_kind,
         )
-        terminal_sq = error_metrics(run, paths.states).terminal_squared
+        terminal_sq = error_metrics(run, states).terminal_squared
         for seed, value in zip(cfg.seeds, terminal_sq.tolist()):
             rows.append(ResultRow(h, seed, f"terminal_sq_error_{kind}", value))
         rows.append(ResultRow(h, None, f"rmse_{kind}", float(np.sqrt(np.mean(terminal_sq)))))

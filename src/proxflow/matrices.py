@@ -29,19 +29,33 @@ SYMMETRY_RTOL = 1e-9
 # is treated as singular rather than silently regularized.
 POSITIVITY_RTOL = 1e-12
 
+_FLOAT_MAX = float(np.finfo(float).max)
 # Below this magnitude M + M^T and M - M^T cannot overflow.
-_HALF_MAX = 0.5 * float(np.finfo(float).max)
+_HALF_MAX = 0.5 * _FLOAT_MAX
+_REALS = (float, int, np.floating, np.integer)
+_SIGNS = {False: "positive", True: "nonnegative"}  # what x must be, by zero_ok
 
 _EIGENVECTORS_1X1 = np.ones((1, 1))
 _EIGENVECTORS_1X1.setflags(write=False)
 
 
+def _finite(x) -> bool:
+    """Whether x is a finite number in float range; a bool is not a number."""
+    return isinstance(x, _REALS) and not isinstance(x, bool) and -_FLOAT_MAX <= x <= _FLOAT_MAX
+
+
 def require_positive(x, name: str, zero_ok: bool = False) -> float:
-    """x as a float, rejecting non-finite values and x <= 0 (x < 0 when zero_ok)."""
-    if not (math.isfinite(x) and (x > 0.0 or (zero_ok and x == 0.0))):
-        kind = "nonnegative" if zero_ok else "positive"
-        raise ValidationError(f"{name} must be {kind} and finite, got {x}")
+    """x as a float: a _finite number > 0 (>= 0 when zero_ok)."""
+    if not (_finite(x) and (x > 0 or (zero_ok and x == 0))):
+        raise ValidationError(f"{name} must be {_SIGNS[zero_ok]} and finite, got {x}")
     return float(x)
+
+
+def require_count(x, name: str, zero_ok: bool = False) -> int:
+    """x as an int: a whole _finite number >= 1 (>= 0 when zero_ok)."""
+    if not (_finite(x) and float(x).is_integer() and (x >= 1 or (zero_ok and x == 0))):
+        raise ValidationError(f"{name} must be a {_SIGNS[zero_ok]} integer, got {x}")
+    return int(x)
 
 
 def require_same_dim(what: str, dim: int, *others: int) -> int:

@@ -41,6 +41,7 @@ from .matrices import (
     matvec,
     max_abs,
     quadratic_matrix_solve,
+    require_count,
     require_hurwitz,
     require_positive,
     require_same_dim,
@@ -114,11 +115,9 @@ class StepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "h", require_positive(self.h, "step size"))
-        if int(self.steps) != self.steps or self.steps < 0:
-            raise ValidationError(f"step count must be a nonnegative integer, got {self.steps}")
+        object.__setattr__(self, "steps", require_count(self.steps, "step count", zero_ok=True))
         if self.beta is not None:
             require_positive(self.beta, "beta")
-        object.__setattr__(self, "steps", int(self.steps))
 
 
 @dataclass(frozen=True, eq=False)

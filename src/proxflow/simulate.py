@@ -7,39 +7,14 @@ come first, then the measurement draws, so paths are a pure function of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import StepSizeError, ValidationError, named_failures
+from .errors import DimensionError, StepSizeError, ValidationError, named_failures
 from .filtering import MeasurementModel
 from .gaussians import Gaussian, require_single
-from .matrices import frozen, matvec, require_same_dim, sqrt_spd
+from .matrices import frozen, matvec, require_count, require_same_dim, sqrt_spd
 from .propagation import LinearSystem, StepConfig
 from .rng import GaussianStream
-
-
-@dataclass(frozen=True, eq=False)
-class SimPath:
-    """True state paths plus measurement increments for S realizations, one per seed."""
-
-    states: np.ndarray  # (S, steps + 1, n)
-    increments: np.ndarray  # (S, steps, m)
-    h: float
-    seed: tuple
-
-    def __post_init__(self):
-        if self.states.shape[-2] != self.increments.shape[-2] + 1:
-            raise ValidationError(
-                f"{self.states.shape[-2]} states require "
-                f"{self.states.shape[-2] - 1} increments, got {self.increments.shape[-2]}"
-            )
-        object.__setattr__(self, "states", frozen(self.states))
-        object.__setattr__(self, "increments", frozen(self.increments))
-
-    @property
-    def steps(self) -> int:
-        return self.increments.shape[-2]
 
 
 def simulate(
@@ -48,14 +23,14 @@ def simulate(
     g0: Gaussian,
     cfg: StepConfig,
     seeds,
-) -> SimPath:
+) -> tuple[np.ndarray, np.ndarray]:
     """Simulate x_{k+1} = x_k + h A x_k + sqrt(2h) B xi_k and
     dz_k = h C x_k + sqrt(h) R^(1/2) eta_k for each of S seeds.
 
     The step must decay: a spectral radius of I + h A at or above 1 raises
     StepSizeError before anything is drawn.
 
-    Each path starts from one draw of the prior g0. Returns states
+    Each path starts from one draw of the prior g0. Returns read-only states
     (S, steps + 1, n) and increments (S, steps, m); each seed's path is bit
     for bit its own run. An overflow raises NumericFailure naming the simulation.
 
@@ -92,25 +67,19 @@ def simulate(
             x = x + h * matvec(sys.a, x) + process[:, k]
             states[:, k + 1] = x
         increments = h * matvec(meas.c, states[:, :-1]) + sensor
-    return SimPath(states=states, increments=increments, h=h, seed=tuple(seeds))
+    states.flags.writeable = increments.flags.writeable = False
+    return states, increments
 
 
-def coarsen(path: SimPath, factor: int) -> SimPath:
-    """Regroup a batch of fine paths onto step factor*h:
-    increments are exact partial sums of the fine increments, states are
-    subsampled, so every step size sees the same underlying noise realization."""
-    if int(factor) != factor or factor < 1:
-        raise ValidationError(f"factor must be a positive integer, got {factor}")
-    factor = int(factor)
-    if path.steps % factor != 0:
-        raise ValidationError(
-            f"{path.steps} steps cannot be regrouped by a factor of {factor}"
-        )
-    s, steps, m = path.increments.shape
-    grouped = path.increments.reshape(s, steps // factor, factor, m).sum(axis=-2)
-    return SimPath(
-        states=path.states[:, ::factor],
-        increments=grouped,
-        h=path.h * factor,
-        seed=path.seed,
-    )
+def coarsen(increments, factor: int) -> np.ndarray:
+    """Regroup fine increments (S, steps, m) onto step factor*h: a read-only
+    (S, steps // factor, m) array of its own, each entry the exact sum of
+    factor consecutive fine ones, so every step size sees the same noise."""
+    factor = require_count(factor, "factor")
+    shape = np.shape(increments)
+    if len(shape) != 3:
+        raise DimensionError(f"increments must have shape (S, steps, m), got shape {shape}")
+    s, steps, m = shape
+    if steps % factor != 0:
+        raise ValidationError(f"{steps} steps cannot be regrouped by a factor of {factor}")
+    return frozen(np.reshape(increments, (s, steps // factor, factor, m)).sum(axis=-2))

@@ -235,12 +235,12 @@ def _filter_benchmark_errors(update, reference_value):
     g0 = Gaussian([0.0], SpdMatrix(2.0))
     h_min = 0.005
     steps = round(20.0 / h_min)
-    master = simulate(sys1, meas, g0, StepConfig(h=h_min, steps=steps), [MASTER_SEED])
+    _, master = simulate(sys1, meas, g0, StepConfig(h=h_min, steps=steps), [MASTER_SEED])
     runs = {}
     cov_errors = []
     for h in (0.02, 0.01, 0.005):
         factor = round(h / h_min)
-        grouped = master.increments[0].reshape(steps // factor, factor, 1).sum(axis=1)
+        grouped = master[0].reshape(steps // factor, factor, 1).sum(axis=1)
         run = run_filter(
             sys1, meas, g0, grouped, StepConfig(h=h, steps=steps // factor), update=update
         )
@@ -256,11 +256,12 @@ def test_c07_kalman_bucy_limit():
     ratios = [a / b for a, b in zip(cov_errors, cov_errors[1:])]
     cov_ok = all(1.6 < r < 2.4 for r in ratios)
 
-    reference = kalman_bucy_run(sys1, meas, g0, master.increments[0], master.h)
+    h_min = 0.005
+    reference = kalman_bucy_run(sys1, meas, g0, master[0], h_min)
     ref_means = reference.means()[:, 0]
     mean_errors = []
     for h in (0.02, 0.01, 0.005):
-        factor = round(h / master.h)
+        factor = round(h / h_min)
         diff = runs[h].means()[:, 0] - ref_means[::factor]
         mean_errors.append(float(np.sqrt(np.mean(diff ** 2))))
     mean_ok = mean_errors[0] > mean_errors[1] > mean_errors[2]
@@ -331,15 +332,15 @@ def test_c10_simulator_statistics():
     g0 = Gaussian([0.0], SpdMatrix(1.0))
     n_steps = 100_000
     h = 0.01
-    path = simulate(sys1, meas, g0, StepConfig(h=h, steps=n_steps), [424242])
+    states, increments = simulate(sys1, meas, g0, StepConfig(h=h, steps=n_steps), [424242])
     pinf = lyapunov_solve(sys1.a, sys1.diffusion())[0, 0]
-    sample_var = float(np.var(path.states[0][:, 0]))
+    sample_var = float(np.var(states[0, :, 0]))
     rho = math.exp(-h)
     n_eff = n_steps / ((1.0 + rho) / (1.0 - rho))
     var_dev = abs(sample_var - pinf)
     var_bound = 3.0 * pinf * math.sqrt(2.0 / n_eff)
 
-    resid = path.increments[0][:, 0] - h * path.states[0][:-1, 0]
+    resid = increments[0, :, 0] - h * states[0, :-1, 0]
     resid_dev = abs(float(np.var(resid)) - h)
     resid_bound = 3.0 * h * math.sqrt(2.0 / n_steps)
     ok = var_dev < var_bound and resid_dev < resid_bound

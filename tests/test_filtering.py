@@ -527,8 +527,8 @@ class TestMonteCarloBenchmark:
         steps = round(horizon / h)
         cfg = StepConfig(h=h, steps=steps)
         paths = [simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, [seed]) for seed in range(1000, 1200)]
-        dz = np.stack([path.increments[0] for path in paths])
-        truth = np.stack([path.states[0] for path in paths])
+        dz = np.concatenate([increments for _, increments in paths])
+        truth = np.concatenate([states for states, _ in paths])
         terminal = {}
         for kind in ("lmmr", "wasserstein"):
             run = run_filter(SCALAR_SYS, SCALAR_MEAS, g0, dz, cfg, update=kind)
@@ -553,12 +553,12 @@ class TestMonteCarloBenchmark:
         sigma = 0.75
         g0 = scalar_gaussian(0.0, 1.0)
         cfg = StepConfig(h=0.02, steps=300)
-        paths = simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, range(5000, 5200))
+        states, dz = simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, range(5000, 5200))
         nees, mse, p_final = {}, {}, {}
         for kind in ("lmmr", "wasserstein"):
-            run = run_filter(SCALAR_SYS, SCALAR_MEAS, g0, paths.increments, cfg,
+            run = run_filter(SCALAR_SYS, SCALAR_MEAS, g0, dz, cfg,
                              update=kind, predict="jko")
-            sq = (run.means() - paths.states)[:, 100:, 0] ** 2
+            sq = (run.means() - states)[:, 100:, 0] ** 2
             p = np.array([cov.mat.item() for cov in run.covs[100:]])
             nees[kind], mse[kind] = (sq / p).mean(axis=1), sq.mean(axis=1)
             p_final[kind] = run.covs[-1].mat.item()
@@ -868,4 +868,24 @@ class TestScalarCovarianceSteps:
         walked = len(halves) + len(settled_halves)
         assert walked > 0
         assert len(solves) == 1 + (2 * walked if n == 2 else 0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_model_run_at_another_h_runs_as_a_fresh_one(self, n):
+        # transport_terms keeps the last h's terms on the model, so a model
+        # run at h = 0.02 carries them into a later run at h = 0.01; that
+        # run's means and covariances must be a fresh model's, bit for bit.
+        def problem():
+            if n == 1:
+                meas = MeasurementModel([[1.0]], SpdMatrix(1.0))
+                return SCALAR_SYS, meas, scalar_gaussian(0.5, 2.0)
+            return _dense_problem(2, 1)[:3]
+
+        dz = 0.1 * np.random.default_rng(6).normal(size=(3, 400, 1))
+        sys, shared, g0 = problem()
+        run_filter(sys, shared, g0, dz[:, :200], StepConfig(h=0.02, steps=200),
+                   update="wasserstein")
+        runs = [run_filter(sys, meas, g0, dz, StepConfig(h=0.01, steps=400), update="wasserstein")
+                for meas in (shared, problem()[1])]
+        assert runs[0].means().tobytes() == runs[1].means().tobytes()
+        assert [c.mat.tobytes() for c in runs[0].covs] == [c.mat.tobytes() for c in runs[1].covs]
 

@@ -1,5 +1,6 @@
-"""scripts/pairs.py's gain rule: the change wins at least 9 of 10 pairs and
-its median beats the parent's by more than the parent's IQR; and its
+"""scripts/pairs.py's gain rule: on at least ten pairs, the change wins at
+least 9 of 10 and its median beats the parent's by more than the parent's
+IQR; and its
 no-regression rule against an end-to-end metric's bound."""
 
 import importlib.util
@@ -41,6 +42,12 @@ def test_a_median_gain_inside_the_parents_iqr_does_not_hold():
     v = _pairs().verdict(PARENT, [p + 1.0 for p in PARENT], "higher")
     assert v["wins"] == 10 and v["parent"]["q3"] - v["parent"]["q1"] > 1.0
     assert not v["gain_holds"]
+
+
+def test_fewer_than_ten_pairs_hold_no_gain():
+    # 4 of 4 pairs won at twice the parent: too few pairs to grant a gain
+    v = _pairs().verdict(PARENT[:4], [2.0 * p for p in PARENT[:4]], "higher")
+    assert v["wins"] == 4 and not v["gain_holds"]
 
 
 def test_lower_is_better_counts_the_other_way():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -73,6 +74,27 @@ class TestStepConfig:
             StepConfig(h=0.1, steps=-1)
         with pytest.raises(ValidationError):
             StepConfig(h=0.1, steps=1, beta=-2.0)
+
+    # a bool, a non-number and an int beyond float range are refused, not
+    # read as 1 or leaked as TypeError, ValueError or OverflowError
+    @pytest.mark.parametrize("h", ["x", None, True, np.bool_(True), 10**400, math.inf, math.nan],
+                             ids=repr)
+    def test_a_step_size_that_is_not_a_positive_number_is_refused(self, h):
+        with pytest.raises(ValidationError, match=rf"^step size must be positive and finite, "
+                                                  rf"got {re.escape(str(h))}$"):
+            StepConfig(h=h, steps=1)
+
+    @pytest.mark.parametrize("steps", ["x", None, True, 10**400, math.inf, math.nan, 1.5, -1],
+                             ids=repr)
+    def test_a_step_count_that_is_not_a_nonnegative_integer_is_refused(self, steps):
+        with pytest.raises(ValidationError, match=rf"^step count must be a nonnegative integer, "
+                                                  rf"got {re.escape(str(steps))}$"):
+            StepConfig(h=0.1, steps=steps)
+
+    @pytest.mark.parametrize("steps", [3, 3.0, np.int64(3), np.float64(3.0)], ids=repr)
+    def test_an_integral_number_is_a_count(self, steps):
+        cfg = StepConfig(h=np.float64(0.1), steps=steps)
+        assert (cfg.h, cfg.steps) == (0.1, 3) and type(cfg.h) is float and type(cfg.steps) is int
 
 
 class TestMakeEquipartition:

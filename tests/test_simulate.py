@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxflow import (
+    DimensionError,
     Gaussian,
     GaussianStream,
     LinearSystem,
     MeasurementModel,
     NumericFailure,
-    SimPath,
     SpdMatrix,
     StepConfig,
     StepSizeError,
@@ -94,28 +94,28 @@ class TestGaussianStream:
 class TestSimulate:
     def test_seed_reproducibility(self):
         cfg = StepConfig(h=0.01, steps=200)
-        a = simulate(SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, cfg, [7])
-        b = simulate(SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, cfg, [7])
-        c = simulate(SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, cfg, [8])
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.increments, b.increments)
-        assert not np.array_equal(a.states, c.states)
+        a_states, a_dz = simulate(SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, cfg, [7])
+        b_states, b_dz = simulate(SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, cfg, [7])
+        c_states, _ = simulate(SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, cfg, [8])
+        assert np.array_equal(a_states, b_states)
+        assert np.array_equal(a_dz, b_dz)
+        assert not np.array_equal(a_states, c_states)
 
     def test_gaussian_initial_draw_fixed_by_seed(self):
         g0 = Gaussian([1.0], SpdMatrix(4.0))
         cfg = StepConfig(h=0.01, steps=1)
-        a = simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, [3])
-        b = simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, [3])
-        assert a.states[0][0, 0] == b.states[0][0, 0]
-        assert a.states[0][0, 0] != 1.0  # actually drawn, not the mean
+        a, _ = simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, [3])
+        b, _ = simulate(SCALAR_SYS, SCALAR_MEAS, g0, cfg, [3])
+        assert a[0, 0, 0] == b[0, 0, 0]
+        assert a[0, 0, 0] != 1.0  # actually drawn, not the mean
 
     def test_stationary_variance(self):
         n_steps = 20_000
         h = 0.01
         g0 = Gaussian([0.0], SpdMatrix(1.0))
-        path = simulate(SCALAR_SYS, SCALAR_MEAS, g0, StepConfig(h=h, steps=n_steps), [2024])
+        states, _ = simulate(SCALAR_SYS, SCALAR_MEAS, g0, StepConfig(h=h, steps=n_steps), [2024])
         pinf = lyapunov_solve(SCALAR_SYS.a, SCALAR_SYS.diffusion())[0, 0]
-        sample_var = float(np.var(path.states[0][:, 0]))
+        sample_var = float(np.var(states[0, :, 0]))
         # integrated autocorrelation time ~ (1+rho)/(1-rho) steps
         rho = math.exp(-h)
         n_eff = n_steps / ((1 + rho) / (1 - rho))
@@ -124,10 +124,10 @@ class TestSimulate:
     def test_increment_residual_statistics(self):
         n_steps = 20_000
         h = 0.01
-        path = simulate(
+        states, increments = simulate(
             SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, StepConfig(h=h, steps=n_steps), [77]
         )
-        resid = path.increments[0][:, 0] - h * path.states[0][:-1, 0]
+        resid = increments[0, :, 0] - h * states[0, :-1, 0]
         assert abs(float(np.var(resid)) - h) < 3.0 * h * math.sqrt(2.0 / n_steps)
 
     @pytest.mark.parametrize("a,factor", [
@@ -149,10 +149,9 @@ class TestSimulate:
     def test_noise_streams_uncorrelated(self):
         n_steps = 20_000
         h = 0.01
-        path = simulate(
+        states, increments = (a[0] for a in simulate(
             SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, StepConfig(h=h, steps=n_steps), [78]
-        )
-        states, increments = path.states[0], path.increments[0]
+        ))
         xi = (states[1:, 0] - (1.0 - h) * states[:-1, 0]) / math.sqrt(2 * h)
         eta = (increments[:, 0] - h * states[:-1, 0]) / math.sqrt(h)
         corr = float(np.corrcoef(xi, eta)[0, 1])
@@ -165,9 +164,8 @@ class TestInputForm:
     CFG = StepConfig(h=0.01, steps=4)
 
     def test_one_seed_is_a_batch_of_one(self):
-        path = simulate(SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, self.CFG, [7])
-        assert path.states.shape == (1, 5, 1) and path.increments.shape == (1, 4, 1)
-        assert path.seed == (7,)
+        states, increments = simulate(SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, self.CFG, [7])
+        assert states.shape == (1, 5, 1) and increments.shape == (1, 4, 1)
 
     @pytest.mark.parametrize("seeds", [7, np.int64(7), "7", [[1, 2]], np.zeros((2, 2), int)],
                              ids=["int", "numpy-int", "str", "nested", "2-D"])
@@ -225,10 +223,10 @@ def test_simulate_matches_stepwise_recursion_bitwise(n, m, scales):
     meas = MeasurementModel(rng.normal(size=(m, n)), random_spd(rng, m))
     g0 = Gaussian(rng.normal(size=n), random_spd(rng, n))
     cfg = StepConfig(h=0.02, steps=40)
-    path = simulate(sys, meas, g0, cfg, [17])
-    states, increments = _stepwise_simulate(sys, meas, g0, cfg, 17, *scales)
-    assert np.array_equal(path.states[0], states)
-    assert np.array_equal(path.increments[0], increments)
+    states, increments = simulate(sys, meas, g0, cfg, [17])
+    want_states, want_increments = _stepwise_simulate(sys, meas, g0, cfg, 17, *scales)
+    assert np.array_equal(states[0], want_states)
+    assert np.array_equal(increments[0], want_increments)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8, 16])
@@ -239,20 +237,18 @@ def test_seed_batch_matches_one_seed_runs_bitwise(n):
     g0 = Gaussian(rng.normal(size=n), random_spd(rng, n))
     cfg = StepConfig(h=0.02, steps=48)
     seeds = [4, 0, 2**64 - 1, 4]
-    batch = simulate(sys, meas, g0, cfg, seeds)
-    assert batch.states.shape == (4, 49, n) and batch.increments.shape == (4, 48, 2)
-    assert batch.seed == tuple(seeds) and batch.steps == 48
+    states, increments = simulate(sys, meas, g0, cfg, seeds)
+    assert states.shape == (4, 49, n) and increments.shape == (4, 48, 2)
     for i, seed in enumerate(seeds):
-        one = simulate(sys, meas, g0, cfg, [seed])
-        assert np.array_equal(batch.states[i], one.states[0])
-        assert np.array_equal(batch.increments[i], one.increments[0])
+        one_states, one_increments = simulate(sys, meas, g0, cfg, [seed])
+        assert np.array_equal(states[i], one_states[0])
+        assert np.array_equal(increments[i], one_increments[0])
     for factor in (2, 3, 8, 16):
-        coarse = coarsen(batch, factor)
-        assert coarse.steps == 48 // factor and coarse.h == batch.h * factor
+        coarse = coarsen(increments, factor)
+        assert coarse.shape == (4, 48 // factor, 2)
         for i, seed in enumerate(seeds):
-            one = coarsen(simulate(sys, meas, g0, cfg, [seed]), factor)
-            assert np.array_equal(coarse.states[i], one.states[0])
-            assert np.array_equal(coarse.increments[i], one.increments[0])
+            _, one_increments = simulate(sys, meas, g0, cfg, [seed])
+            assert np.array_equal(coarse[i], coarsen(one_increments, factor)[0])
     with pytest.raises(ValidationError, match="seeds must not be empty"):
         simulate(sys, meas, g0, cfg, [])
 
@@ -260,58 +256,46 @@ def test_seed_batch_matches_one_seed_runs_bitwise(n):
 class TestCoarsen:
     def test_groups_sum_exactly(self):
         cfg = StepConfig(h=0.01, steps=12)
-        path = simulate(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(1.0)), cfg, [5])
-        coarse = coarsen(path, 4)
-        assert coarse.h == pytest.approx(0.04)
-        assert coarse.steps == 3
-        assert np.allclose(
-            coarse.increments[0][:, 0],
-            path.increments[0][:, 0].reshape(3, 4).sum(axis=1),
-            atol=0,
-        )
-        assert np.array_equal(coarse.states[0], path.states[0][::4])
+        _, dz = simulate(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(1.0)), cfg, [5])
+        coarse = coarsen(dz, 4)
+        assert coarse.shape == (1, 3, 1)
+        assert np.allclose(coarse[0, :, 0], dz[0, :, 0].reshape(3, 4).sum(axis=1), atol=0)
 
     def test_identity_factor(self):
         cfg = StepConfig(h=0.01, steps=4)
-        path = simulate(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(1.0)), cfg, [6])
-        coarse = coarsen(path, 1)
-        assert np.array_equal(coarse.increments, path.increments)
+        _, dz = simulate(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(1.0)), cfg, [6])
+        assert np.array_equal(coarsen(dz, 1), dz)
 
     def test_rejects_non_divisible(self):
-        cfg = StepConfig(h=0.01, steps=10)
-        path = simulate(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(1.0)), cfg, [7])
-        with pytest.raises(ValidationError):
-            coarsen(path, 3)
-
-
-    @pytest.mark.parametrize("factor", [0, 1.5])
-    def test_rejects_a_factor_that_is_not_a_positive_integer(self, factor):
-        cfg = StepConfig(h=0.01, steps=6)
-        path = simulate(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(1.0)), cfg, [7])
         with pytest.raises(ValidationError,
-                           match=rf"^factor must be a positive integer, got {factor}$"):
-            coarsen(path, factor)
+                           match=r"^10 steps cannot be regrouped by a factor of 3$"):
+            coarsen(np.zeros((1, 10, 1)), 3)
+
+    @pytest.mark.parametrize("factor", [0, 1.5, -2, math.inf, math.nan, True, "2", None, 10**400],
+                             ids=repr)
+    def test_rejects_a_factor_that_is_not_a_positive_integer(self, factor):
+        with pytest.raises(ValidationError,
+                           match=rf"^factor must be a positive integer, got {re.escape(str(factor))}$"):
+            coarsen(np.zeros((1, 6, 1)), factor)
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 1), (1, 1, 6, 1)])
+    def test_rejects_increments_that_are_not_3d(self, shape):
+        with pytest.raises(DimensionError,
+                           match=rf"^increments must have shape \(S, steps, m\), "
+                                 rf"got shape {re.escape(str(shape))}$"):
+            coarsen(np.zeros(shape), 1)
 
     @pytest.mark.parametrize("factor", [1, 2])
-    def test_coarsened_arrays_are_read_only(self, factor):
-        # as simulate's own: a write to a path would change every step size that shares it
+    def test_simulated_and_coarsened_arrays_are_read_only(self, factor):
+        # a write to a path would change every step size that shares it
         cfg = StepConfig(h=0.01, steps=6)
-        path = simulate(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(1.0)), cfg, [8, 9])
-        coarse = coarsen(path, factor)
-        for arr in (path.states, path.increments, coarse.states, coarse.increments):
+        states, dz = simulate(SCALAR_SYS, SCALAR_MEAS, Gaussian([0.5], SpdMatrix(1.0)), cfg, [8, 9])
+        coarse = coarsen(dz, factor)
+        for arr in (states, dz, coarse):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0, 0] = 1.0
-
-
-def test_simpath_keeps_read_only_copies():
-    states, increments = np.zeros((1, 3, 1)), np.ones((1, 2, 1))
-    path = SimPath(states=states, increments=increments, h=0.1, seed=(0,))
-    states[0, 0, 0] = increments[0, 0, 0] = 5.0  # the caller's arrays stay its own
-    assert path.states[0, 0, 0] == 0.0 and path.increments[0, 0, 0] == 1.0
-    assert not path.states.flags.writeable and not path.increments.flags.writeable
-
-
-def test_simpath_length_invariant():
-    with pytest.raises(ValidationError):
-        SimPath(states=np.zeros((3, 1)), increments=np.zeros((3, 1)), h=0.1, seed=0)
+        mine = np.array(dz)  # the caller's writable increments stay its own
+        coarse = coarsen(mine, factor)
+        mine[0, 0, 0] += 1.0
+        assert np.array_equal(coarse, coarsen(dz, factor))
