@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, ProxflowError, ValidationError
 from .filtering import PREDICT_KINDS, UPDATE_KINDS, MeasurementModel
 from .gaussians import Gaussian
-from .matrices import SpdMatrix
+from .matrices import SpdMatrix, as_array, require_positive
 from .propagation import MAX_DIM, MAX_STEPS, MODE_GENERAL, MODE_SYMMETRIC, LinearSystem
 from .rng import check_seed
 
@@ -65,34 +65,17 @@ def _object(value, path: str) -> dict:
 
 
 def _array(value, path: str, ndim: int) -> np.ndarray:
-    """A finite numeric array of rank ndim: a flat array of decimals (1) or a
-    row-major nested array of rows (2)."""
-    try:
-        a = np.asarray(value)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: not a numeric array ({exc})") from exc
-    if a.dtype.kind not in "iuf":
+    """as_array of rank ndim, a flat array of decimals (1) or a row-major nested array of
+    rows (2), refused under the path; true, false and strings are not numbers here."""
+    a = _build(path, lambda: as_array(value, path.rsplit(".", 1)[-1], (ndim,)))
+    if not all(type(x) in (int, float) for x in np.asarray(value, dtype=object).flat):
         raise ConfigError(f"{path}: not a numeric array")
-    if a.ndim != ndim:
-        shape = "a flat array of decimals" if ndim == 1 else "a nested (row-major) array of rows"
-        raise ConfigError(f"{path}: expected {shape}")
-    a = a.astype(float)
-    if not np.all(np.isfinite(a)):
-        raise ConfigError(f"{path}: entries must be finite")
     return a
 
 
 def _positive(value, path: str) -> float:
-    """A finite positive number; bools are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: must be a number")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = np.inf
-    if not (np.isfinite(number) and number > 0.0):
-        raise ConfigError(f"{path}: must be a finite positive number, got {number}")
-    return number
+    """A finite positive number as matrices.require_positive reads one, refused under the path."""
+    return _build(path, lambda: require_positive(value, path.rsplit(".", 1)[-1]))
 
 
 def _seed(value, path: str) -> int:

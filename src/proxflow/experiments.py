@@ -15,9 +15,10 @@ from .config import ExperimentConfig
 from .errors import ConfigError, ModeMismatchError, NumericFailure, ValidationError
 from .filtering import UPDATE_KINDS, error_metrics, run_filter
 from .geometry_checks import run_all_checks
-from .matrices import max_abs
+from .matrices import max_abs, require_count
 from .oracles import REFERENCE_SUBSTEPS, exact_cov, exact_mean, kalman_bucy_run, luenberger_run
 from .propagation import MAX_DIM, StepConfig, propagate
+from .rng import check_seed
 from .simulate import coarsen, simulate
 
 MAX_TRIALS = 10_000  # lemma-checks trials per suite: --dims 1-16 takes ~2 min on 2 vCPUs
@@ -194,15 +195,15 @@ def compare_filters(cfg: ExperimentConfig) -> ResultTable:
 def lemma_checks(trials: int, dims, seed: int) -> ResultTable:
     """Randomized geometry identity report: per suite, the trial count,
     failure count, and worst slack/residual."""
-    if trials < 1:
-        raise ConfigError(f"trials: must be >= 1, got {trials}")
+    trials = require_count(trials, "trials")
     if trials > MAX_TRIALS:
         raise ConfigError(f"trials: must be at most {MAX_TRIALS}, got {trials}")
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ConfigError(f"dims: every entry must be a positive integer, got {dims}")
+    if np.ndim(np.asarray(dims, dtype=object)) != 1 or not len(dims):
+        raise ValidationError(f"dims must be a non-empty 1-D sequence of dimensions, got {dims!r}")
+    dims = tuple(require_count(d, "each entry of dims") for d in dims)
     if max(dims) > MAX_DIM:
         raise ConfigError(f"dims: every entry must be at most {MAX_DIM}, got {max(dims)}")
+    seed = check_seed(seed)
     descriptor = json.dumps({"trials": trials, "dims": list(dims), "seed": seed}, sort_keys=True)
     config_hash = hashlib.sha256(descriptor.encode("utf-8")).hexdigest()
     rows = []

@@ -17,11 +17,13 @@ from .gaussians import FilterRun, Gaussian, as_vectors, batch_prior
 from .matrices import (
     POSITIVITY_RTOL,
     SpdMatrix,
+    as_array,
     as_matrix,
     frozen,
     inv_spd,
     matvec,
     max_abs,
+    require_choice,
     require_positive,
     require_same_dim,
     solve,
@@ -200,10 +202,8 @@ def run_filter(
     (NumericFailure for an overflow) and reads "<stage> failed at step k:
     <cause>", where the stage is "<predict> predict" or "<update> update".
     """
-    if update not in UPDATE_KINDS:
-        raise ValidationError(f"unknown update kind {update!r}")
-    if predict not in PREDICT_KINDS:
-        raise ValidationError(f"unknown predict kind {predict!r}")
+    require_choice(update, UPDATE_KINDS, "update kind")
+    require_choice(predict, PREDICT_KINDS, "predict kind")
     mean0, dz = batch_prior(sys, meas, g0, dz, cfg.steps)
     update_fn = _UPDATES[update]
     h, steps = cfg.h, cfg.steps
@@ -250,8 +250,8 @@ class ErrorSummary:
 def error_metrics(run: FilterRun, truth_states) -> ErrorSummary:
     """Terminal squared error and path RMSE of the posterior means vs truth,
     per seed for a batched run (truth then has shape (S, steps + 1, n))."""
-    truth = np.asarray(truth_states, dtype=float)
     means = run.means()
+    truth = as_array(truth_states, "truth path", (means.ndim,))
     if truth.shape != means.shape:
         raise DimensionError(
             f"truth path has shape {truth.shape}, run has {means.shape}"

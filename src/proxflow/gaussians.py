@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError
 from .matrices import (
     SpdMatrix,
+    as_array,
     as_matrix,
     frozen,
     inv_spd,
@@ -28,22 +29,11 @@ from .matrices import (
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
-def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    v = as_vectors(x, dim, name)
-    if v.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional, got shape {v.shape}")
-    return v
-
-
 def as_vectors(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    """One vector, shape (n,), or a batch of S vectors, shape (S, n)."""
-    v = np.asarray(x, dtype=float)
+    """One vector, shape (n,), or a batch of S vectors, shape (S, n); a scalar is (1,)."""
+    v = as_array(x, name, (0, 1, 2))
     if v.ndim == 0:
         v = v.reshape(1)
-    if v.ndim > 2:
-        raise DimensionError(f"{name} must have shape (n,) or (S, n), got {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValidationError(f"{name} has non-finite entries")
     if dim is not None and v.shape[-1] != dim:
         raise DimensionError(f"{name} has length {v.shape[-1]}, expected {dim}")
     return v
@@ -85,14 +75,12 @@ def batch_prior(sys, meas, g0: Gaussian, dz, steps: int | None = None):
     Returns (mean0, dz), with mean0 g0's mean broadcast to shape ([S,] n)."""
     require_same_dim("system, measurement model and prior", sys.dim, meas.state_dim, g0.dim)
     require_single(g0)
-    dz = np.asarray(dz, dtype=float)
-    if dz.ndim not in (2, 3) or dz.shape[-1] != meas.obs_dim or steps not in (None, dz.shape[-2]):
+    dz = as_array(dz, "increments", (2, 3))
+    if dz.shape[-1] != meas.obs_dim or steps not in (None, dz.shape[-2]):
         expected = "steps" if steps is None else steps
         raise DimensionError(
             f"increments have shape {dz.shape}, expected ([S,] {expected}, {meas.obs_dim})"
         )
-    if not np.isfinite(dz).all():
-        raise ValidationError("increments have non-finite entries")
     return np.broadcast_to(g0.mean, dz.shape[:-2] + (g0.dim,)), dz
 
 
@@ -126,11 +114,13 @@ class AffineMap:
 
     def __post_init__(self):
         object.__setattr__(self, "linear", frozen(as_matrix(self.linear, "linear part")))
-        object.__setattr__(self, "offset", frozen(as_vector(self.offset, name="offset")))
+        object.__setattr__(self, "offset", frozen(as_array(self.offset, "offset", (1,))))
         require_same_dim("linear part and offset", self.offset.shape[0], *self.linear.shape)
 
     def __call__(self, x) -> np.ndarray:
-        return self.linear @ np.asarray(x, dtype=float) + self.offset
+        x = as_array(x, "point", (1,))
+        require_same_dim("map and point", self.offset.shape[0], x.shape[0])
+        return self.linear @ x + self.offset
 
 
 def _same_dim(g1: Gaussian, g2: Gaussian) -> int:
@@ -206,12 +196,13 @@ def phi_expectation(g: Gaussian, c, rinv: SpdMatrix, y) -> float:
     """
     require_single(g)
     cm = as_matrix(c, "observation matrix")
+    yv = as_array(y, "measurement", (1,))
     require_same_dim("density and observation matrix", g.dim, cm.shape[1])
-    require_same_dim("observation matrix and inverse noise covariance", cm.shape[0], rinv.dim)
-    yv = as_vector(y, dim=cm.shape[0], name="measurement")
-    resid = yv - cm @ g.mean
-    spread = np.trace(rinv.mat @ cm @ g.cov.mat @ cm.T)
-    return 0.5 * float(resid @ rinv.mat @ resid + spread)
+    require_same_dim("observation matrix, R^-1 and measurement", cm.shape[0], rinv.dim, yv.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf where the misfit overflows
+        resid = yv - cm @ g.mean
+        spread = np.trace(rinv.mat @ cm @ g.cov.mat @ cm.T)
+        return 0.5 * float(resid @ rinv.mat @ resid + spread)
 
 
 def grad_w2_cross(p: SpdMatrix, p0: SpdMatrix) -> np.ndarray:
@@ -237,7 +228,8 @@ def trace_projection(g0: Gaussian, mu, tau: float) -> tuple[float, Gaussian]:
     """
     require_single(g0)
     require_positive(tau, "target trace")
-    mu_v = as_vector(mu, dim=g0.dim, name="target mean")
+    mu_v = as_array(mu, "target mean", (1,))
+    require_same_dim("density and target mean", g0.dim, mu_v.shape[0])
     tau0 = g0.cov.trace()
     g = Gaussian(mu_v, SpdMatrix((tau / tau0) * g0.cov.mat))
     shift = mu_v - g0.mean

@@ -34,6 +34,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 _HALF_MAX = 0.5 * _FLOAT_MAX
 _REALS = (float, int, np.floating, np.integer)
 _SIGNS = {False: "positive", True: "nonnegative"}  # what x must be, by zero_ok
+_RANKS = {1: "a vector", 2: "a matrix", 3: "a 3-D array"}  # what as_array calls a rank
 
 _EIGENVECTORS_1X1 = np.ones((1, 1))
 _EIGENVECTORS_1X1.setflags(write=False)
@@ -58,6 +59,12 @@ def require_count(x, name: str, zero_ok: bool = False) -> int:
     return int(x)
 
 
+def require_choice(x, choices: tuple, what: str) -> None:
+    """Refuse x unless it is one of the strings choices: ValidationError("unknown <what> <x!r>")."""
+    if not (isinstance(x, str) and x in choices):
+        raise ValidationError(f"unknown {what} {x!r}")
+
+
 def require_same_dim(what: str, dim: int, *others: int) -> int:
     """dim, after checking that every other dimension equals it."""
     for other in others:
@@ -74,16 +81,28 @@ def frozen(a) -> np.ndarray:
     return a
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D float array (a scalar becomes 1x1)."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim == 0:
-        m = m.reshape(1, 1)
-    if m.ndim != 2:
-        raise DimensionError(f"{name} must be a matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+def as_array(x, name: str, ndims: tuple) -> np.ndarray:
+    """x as a float array of a rank in ndims with finite entries: the one rule
+    for an array handed in from outside. What numpy cannot read as real
+    numbers (a string, a ragged list, an int beyond float range) raises
+    ValidationError naming it, a rank outside ndims DimensionError."""
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be an array of real numbers") from None
+    if a.ndim not in ndims:
+        ranks = " or ".join(_RANKS[k] for k in ndims if k)
+        raise DimensionError(f"{name} must be {ranks}, got shape {a.shape}")
+    # one entry, as a 1 x 1 covariance on every filter step: a float check, 20x a reduction's speed
+    if not (math.isfinite(a.item()) if a.size == 1 else np.isfinite(a).all()):
         raise ValidationError(f"{name} has non-finite entries")
-    return m
+    return a
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """as_array of rank 2; a scalar becomes 1x1."""
+    m = as_array(a, name, (0, 2))
+    return m.reshape(1, 1) if m.ndim == 0 else m
 
 
 def as_square(a, name: str = "matrix") -> np.ndarray:
@@ -130,12 +149,10 @@ def is_isotropic(m: np.ndarray, level: float) -> bool:
     return max_abs(m - level * np.eye(m.shape[0])) <= SYMMETRY_RTOL * (1.0 + abs(level))
 
 
-def symmetrize(a, name: str = "matrix") -> np.ndarray:
-    """Return (A + A^T)/2, rejecting inputs beyond the asymmetry tolerance."""
-    m = np.asarray(a, dtype=float)
-    scale = np.abs(m).max() if m.size else math.nan  # nan or inf if an entry is not finite
-    if not (scale < _HALF_MAX and m.ndim == 2 and m.shape[0] == m.shape[1]):
-        m = as_square(m, name)  # names the fault, or makes a scalar 1x1
+def symmetrize(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Return (M + M^T)/2 for an as_square array M, rejecting inputs beyond
+    the asymmetry tolerance."""
+    scale = np.abs(m).max()
     asymmetry = _asymmetry(m, scale)
     if asymmetry > SYMMETRY_RTOL * (1.0 + scale):
         raise ValidationError(f"{name} is not symmetric: asymmetry {asymmetry:.3e}")
@@ -157,12 +174,9 @@ class SpdMatrix:
     __slots__ = ("mat", "eigenvalues", "eigenvectors")
 
     def __init__(self, mat):
-        m = np.asarray(mat, dtype=float)
-        if m.ndim == 0 or m.shape == (1, 1):  # scalar fast path: symmetrize's checks in one pass
-            x = m.item()
-            if not math.isfinite(x):
-                raise ValidationError("SPD matrix has non-finite entries")
-            self._freeze_scalar(x)
+        m = as_square(mat, "SPD matrix")
+        if m.shape == (1, 1):  # scalar fast path: symmetrize's checks in float arithmetic
+            self._freeze_scalar(m.item())
             return
         m = symmetrize(m, "SPD matrix")
         try:
@@ -250,14 +264,15 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     """Matrix exponential of A*t: a fresh I, without SciPy, when A*t is all
     zero (e^0 = I exactly); scipy.linalg loads on the first non-zero A*t."""
     m = as_square(a, "exponent matrix")
-    if not np.isfinite(t):
+    if not _finite(t):
         raise ValidationError("time must be finite")
-    mt = m * t
-    if not mt.any():
-        return np.eye(m.shape[0])
-    import scipy.linalg  # about 0.25 s and 28 MiB to load: a scalar run never needs it
-    out = scipy.linalg.expm(mt)
-    if not np.all(np.isfinite(out)):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mt = m * t
+        if not mt.any():
+            return np.eye(m.shape[0])
+        import scipy.linalg  # about 0.25 s and 28 MiB to load: a scalar run never needs it
+        out = scipy.linalg.expm(mt)
+    if not np.isfinite(out).all():
         raise NumericFailure("matrix exponential overflowed")
     return out
 
@@ -276,7 +291,7 @@ def spectral_abscissa(a) -> float:
     return float(np.max(np.linalg.eigvals(m).real))
 
 
-def require_hurwitz(a, name: str = "drift matrix") -> np.ndarray:
+def require_hurwitz(a, name: str) -> np.ndarray:
     m = as_square(a, name)
     alpha = spectral_abscissa(m)
     if alpha >= 0.0:
@@ -292,7 +307,7 @@ def lyapunov_solve(a, qrhs) -> np.ndarray:
     definite exactly when (A, Q^(1/2)) is controllable).
     """
     m = require_hurwitz(a, "A")
-    q = symmetrize(qrhs, "Qrhs")
+    q = symmetrize(as_square(qrhs, "Qrhs"), "Qrhs")
     require_same_dim("A and Qrhs", m.shape[0], q.shape[0])
     wq = np.linalg.eigvalsh(q)
     if wq[0] < -SYMMETRY_RTOL * (1.0 + abs(wq[-1])):
@@ -311,11 +326,13 @@ def quadratic_matrix_solve(c: float, rhs: SpdMatrix) -> SpdMatrix:
     eigenbasis of Rhs so Z commutes with Rhs exactly.
     """
     require_positive(c, "coefficient")
-    return rhs._map(lambda w: 0.5 * c * (np.sqrt(1.0 + 4.0 * w / c) - 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which _map refuses
+        return rhs._map(lambda w: 0.5 * c * (np.sqrt(1.0 + 4.0 * w / c) - 1.0))
 
 
 def sym_skew_split(a) -> tuple[np.ndarray, np.ndarray]:
     """Split A into (symmetric, antisymmetric) parts summing back to A."""
     m = as_square(a)
-    sym = 0.5 * (m + m.T)
-    return sym, m - sym
+    with np.errstate(over="ignore"):  # inf where A + A^T overflows, as in symmetrize
+        sym = 0.5 * (m + m.T)
+        return sym, m - sym

@@ -19,7 +19,6 @@ from .gaussians import (
     LOG_TWO_PI,
     FilterRun,
     Gaussian,
-    as_vector,
     as_vectors,
     batch_prior,
     free_energy,
@@ -29,12 +28,14 @@ from .gaussians import (
 )
 from .matrices import (
     SpdMatrix,
+    as_array,
     as_matrix,
     expm,
     inv_spd,
     is_isotropic,
     is_symmetric,
     matvec,
+    require_choice,
     require_positive,
     require_same_dim,
 )
@@ -307,25 +308,26 @@ class ProxObjective:
     y: np.ndarray | None = None
 
     def __post_init__(self):
+        require_choice(self.kind, (KIND_JKO, KIND_LMMR, KIND_WFILTER), "objective kind")
         if self.kind == KIND_JKO:
             if self.gamma is None or self.beta is None:
                 raise ValidationError("jko-free-energy objective needs gamma and beta")
             require_same_dim("anchor and potential", self.anchor.dim, self.gamma.dim)
             require_positive(self.beta, "beta")
-        elif self.kind in (KIND_LMMR, KIND_WFILTER):
+        else:
             if self.c is None or self.r is None or self.y is None:
                 raise ValidationError(f"{self.kind} objective needs c, r, and y")
             c = as_matrix(self.c, "c")
+            y = as_array(self.y, "y", (1,))
             require_same_dim("anchor and observation matrix", self.anchor.dim, c.shape[1])
-            require_same_dim("observation matrix and R", c.shape[0], self.r.dim)
+            require_same_dim("observation matrix, R and y", c.shape[0], self.r.dim, y.shape[0])
             object.__setattr__(self, "c", c)
-            object.__setattr__(self, "y", as_vector(self.y, dim=c.shape[0], name="y"))
-        else:
-            raise ValidationError(f"unknown objective kind {self.kind!r}")
+            object.__setattr__(self, "y", y)
 
 
 def prox_objective_value(obj: ProxObjective, g: Gaussian, h: float) -> float:
     """Evaluate the proximal objective at a candidate Gaussian."""
+    require_positive(h, "step size", zero_ok=True)
     if obj.kind == KIND_JKO:
         return 0.5 * w2_gaussian(g, obj.anchor) ** 2 + h * free_energy(
             g, obj.gamma, obj.beta
@@ -391,10 +393,11 @@ def _search(obj: ProxObjective, h: float) -> tuple[Gaussian, float]:
 
         ell = np.linalg.cholesky(obj.anchor.cov.mat)
         x0 = np.array([*obj.anchor.mean, math.log(ell[0, 0]), ell[1, 0], math.log(ell[1, 1])])
-    res = scipy.optimize.minimize(
-        value, x0, method="BFGS", jac="3-point",
-        options={"gtol": DESCENT_GRADIENT_TOL, "maxiter": DESCENT_MAX_ITERATIONS},
-    )
+    with named_failures(lambda: "brute-force search failed"):
+        res = scipy.optimize.minimize(
+            value, x0, method="BFGS", jac="3-point",
+            options={"gtol": DESCENT_GRADIENT_TOL, "maxiter": DESCENT_MAX_ITERATIONS},
+        )
     # A precision-loss stop at numeric noise is accepted if the gradient is small.
     stalled = res.status == 2 and np.max(np.abs(res.jac)) < 1e2 * DESCENT_GRADIENT_TOL
     if not (res.success or stalled):
@@ -408,7 +411,8 @@ def brute_force_prox(obj: ProxObjective, h: float) -> tuple[Gaussian, float]:
 
     One BFGS search with numeric gradients, from the anchor, stopping at
     max-abs gradient DESCENT_GRADIENT_TOL. Raises OracleFailure rather than
-    returning a dubious minimizer.
+    returning a dubious minimizer, and NumericFailure ("brute-force search
+    failed: …") where the objective overflows.
     """
     require_positive(h, "step size", zero_ok=True)
     if h == 0.0:

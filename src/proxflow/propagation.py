@@ -31,7 +31,6 @@ from .gaussians import Gaussian, as_vectors, require_single
 from .matrices import (
     SpdMatrix,
     as_matrix,
-    as_square,
     expm,
     frozen,
     inv_sqrt_spd,
@@ -41,6 +40,7 @@ from .matrices import (
     matvec,
     max_abs,
     quadratic_matrix_solve,
+    require_choice,
     require_count,
     require_hurwitz,
     require_positive,
@@ -72,7 +72,7 @@ class LinearSystem:
     __slots__ = ("a", "b", "_diffusion")
 
     def __init__(self, a, b):
-        a = frozen(require_hurwitz(as_square(a, "A")))
+        a = frozen(require_hurwitz(a, "A"))
         bm = frozen(as_matrix(b, "B"))
         if bm.shape[0] != a.shape[0] or bm.shape[1] == 0:
             raise DimensionError(
@@ -168,7 +168,7 @@ def symmetrized_pair(frame: EquipartitionFrame, t: float) -> tuple[np.ndarray, n
     symmetric negative semidefinite with G G^T = -F, so the stationary
     covariance I is preserved at every t.
     """
-    rot = expm(frame.a_ep_skew, -t)
+    rot = expm(-frame.a_ep_skew, t)
     f = rot @ frame.a_ep_sym @ rot.T
     return 0.5 * (f + f.T), rot @ frame.b_ep
 
@@ -186,13 +186,12 @@ def jko_step_symmetric(
     """
     require_single(g_prev)
     n = require_same_dim("state and potential", g_prev.dim, gamma.dim)
-    require_positive(beta, "beta")
-    require_positive(h, "step size")
+    beta, h = require_positive(beta, "beta"), require_positive(h, "step size")
     shifted = np.eye(n) + h * gamma.mat
     mean = np.linalg.solve(shifted, g_prev.mean)
     p0_isqrt = inv_sqrt_spd(g_prev.cov).mat
     rhs = SpdMatrix(p0_isqrt @ shifted @ p0_isqrt)
-    z = quadratic_matrix_solve(beta / h, rhs)
+    z = quadratic_matrix_solve(require_positive(beta / h, "beta / step size"), rhs)
     cov = p0_isqrt @ z.map_eigenvalues(lambda w: w ** -2.0) @ p0_isqrt
     return Gaussian(mean, SpdMatrix(cov))
 
@@ -264,6 +263,7 @@ def propagate(
     "<mode> propagation failed at step k: <cause>".
     """
     require_same_dim("state and system", sys.dim, g0.dim)
+    require_choice(mode, (MODE_SYMMETRIC, MODE_GENERAL), "propagation mode")
     if mode == MODE_SYMMETRIC:
         require_single(g0)  # before the guard, which reads a refusal as numeric
         if not is_symmetric(sys.a):
@@ -281,10 +281,8 @@ def propagate(
             )
         gamma = SpdMatrix(-sys.a)
         step = lambda g: jko_step_symmetric(g, gamma, cfg.beta, cfg.h)
-    elif mode == MODE_GENERAL:
-        _, step = general_step(sys, cfg.h)
     else:
-        raise ValidationError(f"unknown propagation mode {mode!r}")
+        _, step = general_step(sys, cfg.h)
     out = [(0.0, g0)]
     with named_failures(lambda: f"{mode} propagation failed at step {len(out)}"):
         for k in range(1, cfg.steps + 1):

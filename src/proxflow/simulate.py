@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, StepSizeError, ValidationError, named_failures
+from .errors import StepSizeError, ValidationError, named_failures
 from .filtering import MeasurementModel
 from .gaussians import Gaussian, require_single
-from .matrices import frozen, matvec, require_count, require_same_dim, sqrt_spd
+from .matrices import as_array, frozen, matvec, require_count, require_same_dim, sqrt_spd
 from .propagation import LinearSystem, StepConfig
 from .rng import GaussianStream
 
@@ -76,10 +76,8 @@ def coarsen(increments, factor: int) -> np.ndarray:
     (S, steps // factor, m) array of its own, each entry the exact sum of
     factor consecutive fine ones, so every step size sees the same noise."""
     factor = require_count(factor, "factor")
-    shape = np.shape(increments)
-    if len(shape) != 3:
-        raise DimensionError(f"increments must have shape (S, steps, m), got shape {shape}")
-    s, steps, m = shape
+    increments = as_array(increments, "increments", (3,))
+    s, steps, m = increments.shape
     if steps % factor != 0:
         raise ValidationError(f"{steps} steps cannot be regrouped by a factor of {factor}")
-    return frozen(np.reshape(increments, (s, steps // factor, factor, m)).sum(axis=-2))
+    return frozen(increments.reshape(s, steps // factor, factor, m).sum(axis=-2))

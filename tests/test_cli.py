@@ -686,7 +686,7 @@ class TestExitCodes:
         out = tmp_path / "l.csv"
         assert main(["lemma-checks", "--trials", "1", "--dims", "0", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: dims: every entry must be a positive integer, got (0,)\n")
+            "error: each entry of dims must be a positive integer, got 0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command,payload,message", [
@@ -926,9 +926,9 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("text,message", [
         ("[1]", "config root must be an object"),
-        # 10**400 overflows float(): the OverflowError branch of a number field
+        # 10**400 is beyond float range: refused as written
         (json.dumps(FILTER_CONFIG).replace('"horizon": 2.0', '"horizon": 1' + "0" * 400),
-         "steps.horizon: must be a finite positive number, got inf"),
+         "steps.horizon: horizon must be positive and finite, got 1" + "0" * 400),
         ('{"system": ' + "[" * 100_000 + "]" * 100_000 + "}",
          "config is not valid JSON: maximum recursion depth exceeded"),
     ], ids=["root-array", "horizon-400-digits", "nesting-too-deep"])

@@ -513,7 +513,7 @@ class TestErrorMetrics:
         run = run_filter(
             SCALAR_SYS, SCALAR_MEAS, scalar_gaussian(0, 1), np.zeros((2, 1)), StepConfig(h=0.1, steps=2)
         )
-        with pytest.raises(DimensionError, match="truth path has shape"):
+        with pytest.raises(DimensionError, match=r"^truth path must be a matrix, got shape \(3,"):
             error_metrics(run, np.zeros(3))
 
 

@@ -276,9 +276,9 @@ class TestTraceProjection:
             trace_projection(scalar_gaussian(0, 1), [0.0], 0.0)
 
     def test_rejects_a_batch_of_target_means(self):
-        # as_vector: one mean, where as_vectors would take an (S, n) batch
-        with pytest.raises(ValidationError,
-                           match=r"^target mean must be one-dimensional, got shape \(2, 1\)$"):
+        # one mean, where as_vectors would take an (S, n) batch
+        with pytest.raises(DimensionError,
+                           match=r"^target mean must be a vector, got shape \(2, 1\)$"):
             trace_projection(scalar_gaussian(0, 1), [[0.0], [1.0]], 1.0)
 
 

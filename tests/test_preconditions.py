@@ -84,19 +84,18 @@ def test_reference_runs_refuse_a_c_of_the_wrong_width_alike(width):
     assert messages == {want}
 
 
+NOT_A_PATH = "increments must be a matrix or a 3-D array"
 ONE_DIMENSIONAL = {
     "B": (lambda: LinearSystem(-np.eye(2), np.ones(2)), "must be a matrix"),
     "C": (lambda: MeasurementModel(np.ones(2), SpdMatrix(1.0)), "must be a matrix"),
     "square": (lambda: expm(np.array([0.5])), "must be a matrix"),
     "spd": (lambda: SpdMatrix(np.array([2.0])), "must be a matrix"),
-    "run_filter-increments": (
-        lambda: run_filter(SYS2, MEAS2, G2, np.zeros(2), CFG), "increments have shape"
-    ),
+    "run_filter-increments": (lambda: run_filter(SYS2, MEAS2, G2, np.zeros(2), CFG), NOT_A_PATH),
     "kalman_bucy_run-increments": (
-        lambda: kalman_bucy_run(SYS2, MEAS2, G2, np.zeros(2), 0.1), "increments have shape"
+        lambda: kalman_bucy_run(SYS2, MEAS2, G2, np.zeros(2), 0.1), NOT_A_PATH
     ),
     "luenberger_run-increments": (
-        lambda: luenberger_run(SYS2, MEAS2, G2, np.zeros(2), 0.1), "increments have shape"
+        lambda: luenberger_run(SYS2, MEAS2, G2, np.zeros(2), 0.1), NOT_A_PATH
     ),
 }
 
