@@ -67,10 +67,13 @@ def _object(value, path: str) -> dict:
 def _array(value, path: str, ndim: int) -> np.ndarray:
     """as_array of rank ndim, a flat array of decimals (1) or a row-major nested array of
     rows (2), refused under the path; true, false and strings are not numbers here."""
-    a = _build(path, lambda: as_array(value, path.rsplit(".", 1)[-1], (ndim,)))
-    if not all(type(x) in (int, float) for x in np.asarray(value, dtype=object).flat):
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged list
+        a = None
+    if a is None or a.dtype.kind not in "iuf":
         raise ConfigError(f"{path}: not a numeric array")
-    return a
+    return _build(path, lambda: as_array(a, path.rsplit(".", 1)[-1], (ndim,)))
 
 
 def _positive(value, path: str) -> float:

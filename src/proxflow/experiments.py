@@ -197,12 +197,13 @@ def lemma_checks(trials: int, dims, seed: int) -> ResultTable:
     failure count, and worst slack/residual."""
     trials = require_count(trials, "trials")
     if trials > MAX_TRIALS:
-        raise ConfigError(f"trials: must be at most {MAX_TRIALS}, got {trials}")
-    if np.ndim(np.asarray(dims, dtype=object)) != 1 or not len(dims):
-        raise ValidationError(f"dims must be a non-empty 1-D sequence of dimensions, got {dims!r}")
-    dims = tuple(require_count(d, "each entry of dims") for d in dims)
+        raise ValidationError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+    entries = tuple(dims) if np.iterable(dims) else ()
+    if not entries:
+        raise ValidationError(f"dims must be a non-empty sequence of dimensions, got {dims!r}")
+    dims = tuple(require_count(d, "each entry of dims") for d in entries)
     if max(dims) > MAX_DIM:
-        raise ConfigError(f"dims: every entry must be at most {MAX_DIM}, got {max(dims)}")
+        raise ValidationError(f"each entry of dims must be at most {MAX_DIM}, got {max(dims)}")
     seed = check_seed(seed)
     descriptor = json.dumps({"trials": trials, "dims": list(dims), "seed": seed}, sort_keys=True)
     config_hash = hashlib.sha256(descriptor.encode("utf-8")).hexdigest()

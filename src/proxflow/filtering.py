@@ -253,9 +253,7 @@ def error_metrics(run: FilterRun, truth_states) -> ErrorSummary:
     means = run.means()
     truth = as_array(truth_states, "truth path", (means.ndim,))
     if truth.shape != means.shape:
-        raise DimensionError(
-            f"truth path has shape {truth.shape}, run has {means.shape}"
-        )
+        raise DimensionError(f"truth path has shape {truth.shape}, run has {means.shape}")
     with np.errstate(over="ignore"):  # ResultTable turns a non-finite error into exit 2
         sq = np.sum((means - truth) ** 2, axis=-1)
     return ErrorSummary(

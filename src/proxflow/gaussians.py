@@ -32,8 +32,7 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 def as_vectors(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """One vector, shape (n,), or a batch of S vectors, shape (S, n); a scalar is (1,)."""
     v = as_array(x, name, (0, 1, 2))
-    if v.ndim == 0:
-        v = v.reshape(1)
+    v = v.reshape(1) if v.ndim == 0 else v
     if dim is not None and v.shape[-1] != dim:
         raise DimensionError(f"{name} has length {v.shape[-1]}, expected {dim}")
     return v

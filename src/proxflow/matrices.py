@@ -81,11 +81,11 @@ def frozen(a) -> np.ndarray:
     return a
 
 
-def as_array(x, name: str, ndims: tuple) -> np.ndarray:
-    """x as a float array of a rank in ndims with finite entries: the one rule
-    for an array handed in from outside. What numpy cannot read as real
-    numbers (a string, a ragged list, an int beyond float range) raises
-    ValidationError naming it, a rank outside ndims DimensionError."""
+def as_array(x, name: str, ndims: tuple, finite: bool = True) -> np.ndarray:
+    """x as a float array of a rank in ndims, with finite entries unless finite=False
+    (the caller checks them): the one rule for an array from outside. What numpy
+    cannot read as real numbers (a string, a ragged list, an int beyond float
+    range) raises ValidationError naming it, a rank outside ndims DimensionError."""
     try:
         a = np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -94,7 +94,7 @@ def as_array(x, name: str, ndims: tuple) -> np.ndarray:
         ranks = " or ".join(_RANKS[k] for k in ndims if k)
         raise DimensionError(f"{name} must be {ranks}, got shape {a.shape}")
     # one entry, as a 1 x 1 covariance on every filter step: a float check, 20x a reduction's speed
-    if not (math.isfinite(a.item()) if a.size == 1 else np.isfinite(a).all()):
+    if finite and not (math.isfinite(a.item()) if a.size == 1 else np.isfinite(a).all()):
         raise ValidationError(f"{name} has non-finite entries")
     return a
 
@@ -149,10 +149,12 @@ def is_isotropic(m: np.ndarray, level: float) -> bool:
     return max_abs(m - level * np.eye(m.shape[0])) <= SYMMETRY_RTOL * (1.0 + abs(level))
 
 
-def symmetrize(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return (M + M^T)/2 for an as_square array M, rejecting inputs beyond
-    the asymmetry tolerance."""
-    scale = np.abs(m).max()
+def symmetrize(a, name: str = "matrix") -> np.ndarray:
+    """Return (A + A^T)/2, rejecting inputs beyond the asymmetry tolerance."""
+    m = as_array(a, name, (0, 2), finite=False)
+    scale = np.abs(m).max() if m.size else math.nan  # nan or inf if an entry is not finite
+    if not (scale < _HALF_MAX and m.ndim == 2 and m.shape[0] == m.shape[1]):
+        m = as_square(m, name)  # names the fault, or makes a scalar 1x1
     asymmetry = _asymmetry(m, scale)
     if asymmetry > SYMMETRY_RTOL * (1.0 + scale):
         raise ValidationError(f"{name} is not symmetric: asymmetry {asymmetry:.3e}")
@@ -174,9 +176,9 @@ class SpdMatrix:
     __slots__ = ("mat", "eigenvalues", "eigenvectors")
 
     def __init__(self, mat):
-        m = as_square(mat, "SPD matrix")
-        if m.shape == (1, 1):  # scalar fast path: symmetrize's checks in float arithmetic
-            self._freeze_scalar(m.item())
+        m = as_array(mat, "SPD matrix", (0, 2), finite=False)  # symmetrize's max|M| checks
+        if m.size == 1 and math.isfinite(x := m.item()):  # scalar fast path: checks in one pass
+            self._freeze_scalar(x)
             return
         m = symmetrize(m, "SPD matrix")
         try:
@@ -307,7 +309,7 @@ def lyapunov_solve(a, qrhs) -> np.ndarray:
     definite exactly when (A, Q^(1/2)) is controllable).
     """
     m = require_hurwitz(a, "A")
-    q = symmetrize(as_square(qrhs, "Qrhs"), "Qrhs")
+    q = symmetrize(qrhs, "Qrhs")
     require_same_dim("A and Qrhs", m.shape[0], q.shape[0])
     wq = np.linalg.eigvalsh(q)
     if wq[0] < -SYMMETRY_RTOL * (1.0 + abs(wq[-1])):

@@ -379,7 +379,10 @@ def _search(obj: ProxObjective, h: float) -> tuple[Gaussian, float]:
             return x[:1], np.array([[math.exp(x[1])]])
 
         def value(x):
-            return _scalar_objective(obj, h, float(x[0]), math.exp(x[1]))
+            try:
+                return _scalar_objective(obj, h, float(x[0]), math.exp(x[1]))
+            except (OverflowError, ValueError):  # p over- or underflowed: a step BFGS refuses
+                return math.inf
 
         x0 = np.array([obj.anchor.mean[0], math.log(obj.anchor.cov.mat[0, 0])])
     else:
@@ -393,7 +396,7 @@ def _search(obj: ProxObjective, h: float) -> tuple[Gaussian, float]:
 
         ell = np.linalg.cholesky(obj.anchor.cov.mat)
         x0 = np.array([*obj.anchor.mean, math.log(ell[0, 0]), ell[1, 0], math.log(ell[1, 1])])
-    with named_failures(lambda: "brute-force search failed"):
+    with np.errstate(all="ignore"):  # SciPy steps past an inf or nan; a failed search is refused
         res = scipy.optimize.minimize(
             value, x0, method="BFGS", jac="3-point",
             options={"gtol": DESCENT_GRADIENT_TOL, "maxiter": DESCENT_MAX_ITERATIONS},
@@ -411,8 +414,7 @@ def brute_force_prox(obj: ProxObjective, h: float) -> tuple[Gaussian, float]:
 
     One BFGS search with numeric gradients, from the anchor, stopping at
     max-abs gradient DESCENT_GRADIENT_TOL. Raises OracleFailure rather than
-    returning a dubious minimizer, and NumericFailure ("brute-force search
-    failed: …") where the objective overflows.
+    returning a dubious minimizer, also where the objective overflows.
     """
     require_positive(h, "step size", zero_ok=True)
     if h == 0.0:

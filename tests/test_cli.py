@@ -463,7 +463,8 @@ class TestLemmaChecks:
         assert "h,seed,metric,value" in captured
 
     def test_dims_past_desk_scale_rejected(self):
-        with pytest.raises(ConfigError, match=r"^dims: .* at most 16"):
+        with pytest.raises(ValidationError,
+                           match=r"^each entry of dims must be at most 16, got 17$"):
             lemma_checks(1, (2, 17), seed=0)
 
     def test_zero_trials_rejected(self):
@@ -663,7 +664,7 @@ class TestExitCodes:
         out = tmp_path / "l.csv"
         argv = ["lemma-checks", "--trials", "1000000", "--dims", "1-16", "--out", str(out)]
         assert main(argv) == 1
-        assert "error: trials: must be at most 10000, got 1000000" in capsys.readouterr().err
+        assert "error: trials must be at most 10000, got 1000000" in capsys.readouterr().err
         assert not out.exists()
 
     def test_reversed_dims_range_exit_1(self, tmp_path, capsys):

@@ -203,8 +203,11 @@ def test_as_array_texts(value, message):
     (0, [1], "trials must be a positive integer, got 0"),
     (2, [1.7], "each entry of dims must be a positive integer, got 1.7"),
     (2, [True], "each entry of dims must be a positive integer, got True"),
-    (2, [], "dims must be a non-empty 1-D sequence of dimensions, got []"),
-    (2, 5, "dims must be a non-empty 1-D sequence of dimensions, got 5"),
+    (2, [], "dims must be a non-empty sequence of dimensions, got []"),
+    (2, 5, "dims must be a non-empty sequence of dimensions, got 5"),
+    (2, [[1]], "each entry of dims must be a positive integer, got [1]"),
+    (10_001, [1], "trials must be at most 10000, got 10001"),
+    (2, [1, 17], "each entry of dims must be at most 16, got 17"),
 ])
 def test_lemma_checks_counts_follow_the_count_rule(trials, dims, message):
     with pytest.raises(ValidationError) as info:
@@ -231,10 +234,11 @@ CONFIG = {
 
 
 @pytest.mark.parametrize("section,field,value,message", [
-    ("system", "A", [[-1.0], [1.0, 2.0]], "system.A: A must be an array of real numbers"),
+    ("system", "A", [[-1.0], [1.0, 2.0]], "system.A: not a numeric array"),
     ("system", "A", [["-1"]], "system.A: not a numeric array"),
+    ("system", "B", [[1.0, "x"]], "system.B: not a numeric array"),
     ("system", "A", [[True]], "system.A: not a numeric array"),
-    ("system", "B", [[1.0, True]], "system.B: not a numeric array"),
+    ("system", "B", [[10**400]], "system.B: not a numeric array"),
     ("system", "A", [-1.0], "system.A: A must be a matrix, got shape (1,)"),
     ("system", "B", [[1e999]], "system.B: B has non-finite entries"),
     ("initial", "mean", [[0.0]], "initial.mean: mean must be a vector, got shape (1, 1)"),

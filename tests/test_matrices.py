@@ -25,7 +25,7 @@ from proxflow import (
 )
 from proxflow import matrices
 from proxflow.errors import named_failures
-from proxflow.matrices import _HALF_MAX, is_isotropic, max_abs, symmetrize
+from proxflow.matrices import _HALF_MAX, as_square, is_isotropic, max_abs, symmetrize
 from support import random_hurwitz, random_spd
 
 
@@ -435,16 +435,33 @@ def test_spd_of_a_raw_product_equals_spd_of_its_symmetric_part(n):
 
 
 @pytest.mark.parametrize("above", [False, True], ids=["below-half-max", "above-half-max"])
-def test_symmetrize_either_side_of_half_max(above):
+def test_symmetrize_checks_in_one_pass_below_half_max(above, monkeypatch):
     # Largest entry one step either side of _HALF_MAX; M + M^T stays finite.
-    # From it on the asymmetry is taken overflow-safe.
+    # Below it every check is one reduction over M; from it on, as_square
+    # and the overflow-safe asymmetry run.
     x = np.nextafter(_HALF_MAX, math.inf if above else 0.0)
     m = np.array([[1.0, x], [x * (1.0 - 1e-12), 1.0]])
+    names = []
+    monkeypatch.setattr(matrices, "as_square", lambda a, name: names.append(name) or
+                        as_square(a, name))
     out = symmetrize(m)
+    assert names == (["matrix"] if above else [])
     assert np.array_equal(out, 0.5 * (m + m.T))
     assert np.array_equal(symmetrize(out), out)
     with pytest.raises(ValidationError, match="^matrix is not symmetric: asymmetry "):
         symmetrize(m * np.array([[1.0, 1.0], [1.0 - 1e-6, 1.0]]))
+
+
+def test_spd_matrix_takes_its_finite_check_from_symmetrize(monkeypatch):
+    # symmetrize's max|P| is the finite check: no np.isfinite pass reads P's n x n entries
+    shapes = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a, *args, **kw: shapes.append(np.shape(a)) or
+                        isfinite(a, *args, **kw))
+    SpdMatrix(np.eye(3))
+    assert (3, 3) not in shapes
+    with pytest.raises(ValidationError, match="^SPD matrix has non-finite entries$"):
+        SpdMatrix(np.diag([1.0, math.nan, 1.0]))
 
 
 def test_is_isotropic_tolerance_boundary():

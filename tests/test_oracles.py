@@ -813,6 +813,15 @@ class TestBruteForceProx:
         with pytest.raises(ValidationError):
             brute_force_prox(obj, 0.1)
 
+    @pytest.mark.parametrize("dim,h", [(1, 1e200), (1, 1e308), (2, 1e308)])
+    def test_an_objective_past_float_range_fails_the_search(self, dim, h):
+        # SciPy steps past an inf or nan trial value; the search then fails as OracleFailure
+        anchor = Gaussian(np.zeros(dim), SpdMatrix(np.eye(dim)))
+        obj = (ProxObjective("lmmr-kl", anchor, c=[[1.0]], r=SpdMatrix(1.0), y=[0.0]) if dim == 1
+               else ProxObjective("jko-free-energy", anchor, gamma=SpdMatrix(np.eye(2)), beta=1.0))
+        with pytest.raises(OracleFailure, match="^brute-force search failed: "):
+            brute_force_prox(obj, h)
+
     def test_descent_budget_exhaustion_fails_loudly(self, monkeypatch):
         monkeypatch.setattr(oracles, "DESCENT_MAX_ITERATIONS", 1)
         monkeypatch.setattr(oracles, "DESCENT_GRADIENT_TOL", 1e-16)
