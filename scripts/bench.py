@@ -10,9 +10,11 @@ at the repo root: the git SHA and whether src/ differs from it, the hash of
 src/, the Python, numpy and scipy versions, nproc, and per workload the
 median and quartiles of each end-to-end metric over the untraced runs and of
 each per-layer metric over the traced runs (with every run's value), and the
-failed-operation counts. Exits 1 if a run fails or reports an incorrect
-output, or if a per-layer call count differs between the traced runs. Takes
-about (RUNS + TRACED_RUNS) x 30 s per workload on a 2-vCPU host.
+failed-operation counts. A "paired" block that scripts/pairs.py --record
+wrote into an existing BENCH_<pr>.json is kept. Exits 1 if a run fails or
+reports an incorrect output, or if a per-layer call count differs between
+the traced runs. Takes about (RUNS + TRACED_RUNS) x 30 s per workload on a
+2-vCPU host.
 """
 
 from __future__ import annotations
@@ -111,6 +113,8 @@ def main() -> int:
         "workloads": workloads,
     }
     path = ROOT / f"BENCH_{args.pr}.json"
+    if path.exists() and "paired" in (old := json.loads(path.read_text(encoding="utf-8"))):
+        out["paired"] = old["paired"]
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {path.name}")
     return 0

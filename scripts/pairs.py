@@ -2,6 +2,7 @@
 """Compare one benchmark workload between a parent checkout and this tree.
 
     python3 scripts/pairs.py --parent DIR --workload NAME [--pairs 10] [--seed 1] [--trace]
+                             [--record N]
 
 Runs benchmarks/run.py (untraced, for the run length BENCHMARK.json fixes)
 once in DIR and once in this tree per pair, one process at a time; the side
@@ -15,7 +16,10 @@ against its BENCHMARK.json bound (see regression). With --trace the runs
 are traced (--trace 1) and the gain verdicts are given per layer metric of
 BENCHMARK.json instead. Exits 1 if a run fails or reports an incorrect
 output, or, with --trace, if a .calls count differs between the runs of
-one side. Each run takes about 30 s on a 2-vCPU host.
+one side. With --record N (untraced runs only) the summary is also written
+into BENCH_<N>.json at the repo root under "paired", keyed by workload and
+seed (see record); the rest of the file is left as it is. Each run takes
+about 30 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -90,6 +94,30 @@ def verdicts(workload: str, parent: list, change: list, metrics: list) -> dict:
     return found
 
 
+def record(path: Path, workload: str, seed: int, parent: dict, found: dict, pairs: int) -> None:
+    """Write one pairs run's summary into the JSON file at path (made if it
+    is missing) as paired[workload][str(seed)]: the parent's git SHA and
+    src/ hash (parent is a parent run's provenance), the pair count and per
+    metric both sides' medians and IQRs, the ratio of the medians, the pairs
+    the change wins and both verdicts. Every other entry stays as it is."""
+    out = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    out.setdefault("paired", {}).setdefault(workload, {})[str(seed)] = {
+        "parent_sha": parent["git_sha"],
+        "parent_src_sha256": parent["src_sha256"],
+        "pairs": pairs,
+        "metrics": {name: {
+            **{side: {"median": v[side]["median"], "iqr": v[side]["q3"] - v[side]["q1"]}
+               for side in ("parent", "change")},
+            "ratio": (v["change"]["median"] / v["parent"]["median"]
+                      if v["parent"]["median"] else None),
+            "wins": v["wins"],
+            "gain_holds": v["gain_holds"],
+            "regression": v["regression"],
+        } for name, v in found.items()},
+    }
+    path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -97,9 +125,13 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
     parser.add_argument("--trace", action="store_true", help="compare per-layer metrics")
+    parser.add_argument("--record", type=int, metavar="N",
+                        help="also write the summary into BENCH_<N>.json under paired")
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    if args.trace and args.record is not None:
+        parser.error("--record takes untraced runs only")
     spec = json.loads((bench.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = spec["per_layer" if args.trace else "end_to_end"]
     shown = [] if args.trace else [metric["name"] for metric in metrics]
@@ -108,8 +140,11 @@ def main() -> int:
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(bench._run(args.workload, spec["run_seconds"], int(args.trace),
-                                         args.seed, sides[side])[1])
+            provenance, result = bench._run(args.workload, spec["run_seconds"], int(args.trace),
+                                            args.seed, sides[side])
+            runs[side].append(result)
+            if side == "parent":
+                parent = provenance
         print(f"pair {i + 1} ({order[0]} first):" + ";".join(
             f" {name} {_value(runs['parent'][-1], name):.6g} -> "
             f"{_value(runs['change'][-1], name):.6g}" for name in shown), flush=True)
@@ -125,6 +160,10 @@ def main() -> int:
               f"change better in {v['wins']}/{args.pairs} pairs, "
               f"gain {'holds' if v['gain_holds'] else 'does not hold'}"
               + (f", {v['regression']} (bound {metric['bound']:g})" if "regression" in v else ""))
+    if args.record is not None:
+        path = bench.ROOT / f"BENCH_{args.record}.json"
+        record(path, args.workload, args.seed, parent, found, args.pairs)
+        print(f"wrote paired.{args.workload}.{args.seed} into {path.name}")
     return 0
 
 

@@ -8,7 +8,9 @@ mean correction, whose small-step limit is the static-gain observer).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -92,14 +94,21 @@ def _innovate(mean, c, gain, y):
 
 
 def _lmmr_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
-    """The KL update's (gain, P+): P+ from the information form, gain h P+ C' R^-1;
-    at 1 x 1 the information sum is float arithmetic with the matrix sum's bits."""
+    """The KL update's (gain, P+): P+ from the information form, gain h P+ C' R^-1.
+    At 1 x 1 the information sum is float arithmetic with the matrix sum's bits,
+    and so is the gain at n = m = 1: 0.0 + h p c r, since numpy adds each 1 x 1
+    product to +0.0. A float gain that is not finite is formed as matrices
+    instead, which raise under a run's guard."""
     try:
         p_inv, j = inv_spd(p_prior).mat, meas.information_matrix()
         info = SpdMatrix(p_inv.item() + h * j.item() if p_prior.dim == 1 else p_inv + h * j)
     except SingularityError as exc:
         raise SingularityError(f"information matrix (P-)^-1 + h C^T R^-1 C: {exc}") from exc
     cov = inv_spd(info)
+    if meas.c.size == 1:
+        gain = 0.0 + h * cov.mat.item() * meas.c.item() * meas.rinv.item()
+        if math.isfinite(gain):
+            return np.array([[gain]]), cov
     return h * cov.mat @ meas.c.T @ meas.rinv, cov
 
 
@@ -198,6 +207,14 @@ def run_filter(
     repeat too (the steady-state gain of the Riccati recursion), and the
     settled tail steps only the means, mu <- M mu, mu <- mu + K (y - C mu),
     with M = M_h or Phi: the arithmetic the walk's steps do, bit for bit.
+    One path of one state and one sensor steps its tail in Python floats,
+    x <- 0.0 + m x, then x <- x + k (d / h - c x) per increment d, with the
+    array loop's bits: numpy adds each 1 x 1 product to +0.0, as the first
+    step does, so that x is never -0.0, and a zero's sign in c x or
+    k (...), where floats and numpy may differ, is lost when added to x. A
+    float that overflows runs to inf or nan and no later + or * makes it
+    finite again, so only the last mean is checked; if it is not finite,
+    the array loop reruns the tail and raises as below.
     A step that fails, in the walk or the tail, keeps its error class
     (NumericFailure for an overflow) and reads "<stage> failed at step k:
     <cause>", where the stage is "<predict> predict" or "<update> update".
@@ -226,13 +243,30 @@ def run_filter(
                 settled, gain = k + 1, _HALVES[update](prior.cov, meas, h)[0]
                 break
         mu = g.mean
-        for k in range(settled, steps):
+        if settled < steps and mu.size == meas.c.size == 1:
+            tail = _float_tail(mean_map.item(), meas.c.item(), gain.item(), mu.item(),
+                               dz[..., settled:, 0].ravel().tolist(), h)
+            if tail:
+                means[..., settled:, 0], settled = tail, steps
+        for k in range(settled, steps):  # a batch, or the replay of a float tail that overflowed
             stage = predicting
             mu = matvec(mean_map, mu)
             stage = updating
             mu = _innovate(mu, meas.c, gain, dz[..., k, :] / h)
             means[..., k + 1, :] = mu
     return FilterRun(means, tuple(covs + covs[-1:] * (steps + 1 - len(covs))))
+
+
+def _float_tail(m: float, c: float, k: float, x: float, dz: list, h: float) -> list | None:
+    """The means x, then per increment d the settled step x <- 0.0 + m x,
+    x <- x + k (d / h - c x), as Python floats; None if the last is not finite."""
+
+    def step(x, d):
+        x = 0.0 + m * x
+        return x + k * (d / h - c * x)
+
+    tail = list(accumulate(dz, step, initial=x))
+    return tail if math.isfinite(tail[-1]) else None
 
 
 @dataclass(frozen=True, eq=False)

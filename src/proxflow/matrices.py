@@ -45,17 +45,23 @@ def _finite(x) -> bool:
     return isinstance(x, _REALS) and not isinstance(x, bool) and -_FLOAT_MAX <= x <= _FLOAT_MAX
 
 
+def _shown(x) -> str:
+    """x as a refusal shows it: a number, numpy's included, as printed, anything
+    else by repr, so the string "0.1" reads '0.1', not as the number 0.1."""
+    return str(x) if isinstance(x, (int, float, np.number, np.bool_)) else repr(x)
+
+
 def require_positive(x, name: str, zero_ok: bool = False) -> float:
     """x as a float: a _finite number > 0 (>= 0 when zero_ok)."""
     if not (_finite(x) and (x > 0 or (zero_ok and x == 0))):
-        raise ValidationError(f"{name} must be {_SIGNS[zero_ok]} and finite, got {x}")
+        raise ValidationError(f"{name} must be {_SIGNS[zero_ok]} and finite, got {_shown(x)}")
     return float(x)
 
 
 def require_count(x, name: str, zero_ok: bool = False) -> int:
     """x as an int: a whole _finite number >= 1 (>= 0 when zero_ok)."""
     if not (_finite(x) and float(x).is_integer() and (x >= 1 or (zero_ok and x == 0))):
-        raise ValidationError(f"{name} must be a {_SIGNS[zero_ok]} integer, got {x}")
+        raise ValidationError(f"{name} must be a {_SIGNS[zero_ok]} integer, got {_shown(x)}")
     return int(x)
 
 

@@ -647,6 +647,19 @@ def _stepwise_run(sys, meas, g0, dz, cfg, update, predict):
     return out
 
 
+# (A, C, prior mean, data scale) of a one-path tail that runs in floats
+_TAIL_CASES = {
+    "unit": (-1.0, 1.0, 0.5, 0.1),
+    "negzero-start": (-1.0, 1.0, -0.0, 0.0),
+    "negative-c-negzero-data": (-1.0, -1.0, 0.0, -0.0),
+    "c0-negzero-data": (-1.0, 0.0, -0.0, -0.0),
+    "negzero-c": (-1.0, -0.0, 0.5, 0.0),
+    "tiny": (-1.0, -1.0, 1e-300, 1e-300),
+    "huge": (-1.0, 1e-150, 1e300, 1e300),
+    "large-c": (-1.0, 1e3, -1e300, 1e-300),
+}
+
+
 class TestSettledCovariance:
     @staticmethod
     def _count_calls(monkeypatch, space: dict, name):
@@ -719,6 +732,49 @@ class TestSettledCovariance:
             run_filter(SCALAR_SYS, SCALAR_MEAS, scalar_gaussian(0.5, 2.0), dz, cfg,
                        update=update, predict=predict)
         assert len(updates) < 500
+
+    @pytest.mark.parametrize("update", ["lmmr", "wasserstein"])
+    @pytest.mark.parametrize("predict,a,c,mean,scale", [
+        pytest.param(predict, *case, id=f"{name}-{predict}")
+        for name, case in _TAIL_CASES.items() for predict in ("jko", "exact")
+    ] + [pytest.param("exact", -40.0, -1.0, -1e-300, 0.0, id="underflow-exact")])
+    def test_a_one_path_float_tail_is_its_row_of_a_batch_bitwise(self, predict, update,
+                                                                   a, c, mean, scale):
+        # One path of one state steps its settled tail in Python floats, a
+        # batch in numpy. numpy adds a 1 x 1 product to +0.0 and a float
+        # product keeps a -0.0: +-0.0 means, data and C make such zeros, and
+        # so does the last case, whose negative mean decays under zero data
+        # until Phi mu (Phi < 1/2) underflows to -0.0 in the tail.
+        sys = LinearSystem([[a]], [[1.0]])
+        meas = MeasurementModel([[c]], SpdMatrix(1.0))
+        cfg = StepConfig(h=0.02, steps=2000)
+        dz = scale * np.abs(np.random.default_rng(11).normal(size=(2, cfg.steps, 1)))
+        g0 = scalar_gaussian(mean, 2.0)
+        one = run_filter(sys, meas, g0, dz[0], cfg, update=update, predict=predict)
+        batch = run_filter(sys, meas, g0, dz, cfg, update=update, predict=predict)
+        assert one.covs[-1] is one.covs[-2]  # the covariance settled: the tail ran
+        assert one.means().tobytes() == batch.means()[0].tobytes()
+        assert [p.mat.tobytes() for p in one.covs] == [p.mat.tobytes() for p in batch.covs]
+
+    @pytest.mark.parametrize("update", ["lmmr", "wasserstein"])
+    @pytest.mark.parametrize("predict", ["jko", "exact"])
+    def test_a_one_path_tail_makes_no_matvec_per_step(self, monkeypatch, predict, update):
+        # the walk's steps are the same for 1000 and 2000 steps; a one-path
+        # tail is floats, a batch's makes matvecs every step
+        real = filtering.matvec
+        calls = []
+        monkeypatch.setattr(filtering, "matvec", lambda *args: calls.append(1) or real(*args))
+        dz = 0.1 * np.random.default_rng(12).normal(size=(2, 2000, 1))
+        counts = {}
+        for paths in (dz[0], dz):
+            for steps in (1000, 2000):
+                calls.clear()
+                run_filter(SCALAR_SYS, SCALAR_MEAS, scalar_gaussian(0.5, 2.0),
+                           paths[..., :steps, :], StepConfig(h=0.02, steps=steps),
+                           update=update, predict=predict)
+                counts[paths.ndim, steps] = len(calls)
+        assert counts[2, 1000] == counts[2, 2000]
+        assert counts[3, 2000] - counts[3, 1000] == 3 * 1000
 
     @pytest.mark.parametrize("update", ["lmmr", "wasserstein"])
     def test_a_covariance_that_never_settles_is_stepped_every_time(self, monkeypatch, update):
@@ -847,6 +903,15 @@ class TestScalarCovarianceSteps:
                 assert got == want, case
         # the transport update's overflow is in transport_terms, which both share
         assert (faults > 0) == (kind != "wasserstein")
+
+    @pytest.mark.parametrize("c", [-0.0, 0.0, -1e-300, -1.0])
+    def test_the_scalar_gain_keeps_the_matrix_gains_zero_sign(self, c):
+        # h p c r underflows to a zero of c's sign (or is -0.0 for C = -0.0),
+        # where the matrix products add it to +0.0
+        meas = MeasurementModel([[c]], SpdMatrix(1.0))
+        for h in (1e-300, 0.02):
+            case = SpdMatrix(_NEAR_FLOOR), meas, h
+            assert _outcome(filtering._lmmr_half, *case) == _outcome(_matrix_lmmr_half, *case)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_scalar_transport_update_makes_no_solve(self, monkeypatch, n):

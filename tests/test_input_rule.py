@@ -208,6 +208,8 @@ def test_as_array_texts(value, message):
     (2, [[1]], "each entry of dims must be a positive integer, got [1]"),
     (10_001, [1], "trials must be at most 10000, got 10001"),
     (2, [1, 17], "each entry of dims must be at most 16, got 17"),
+    ("2", [1], "trials must be a positive integer, got '2'"),
+    (2, [np.float64(1.5)], "each entry of dims must be a positive integer, got 1.5"),
 ])
 def test_lemma_checks_counts_follow_the_count_rule(trials, dims, message):
     with pytest.raises(ValidationError) as info:

@@ -1,14 +1,17 @@
 """scripts/pairs.py's gain rule: on at least ten pairs, the change wins at
 least 9 of 10 and its median beats the parent's by more than the parent's
-IQR; and its
-no-regression rule against an end-to-end metric's bound."""
+IQR; its no-regression rule against an end-to-end metric's bound; and the
+paired block --record writes into a BENCH_<N>.json."""
 
 import importlib.util
+import json
 import pathlib
+import sys
 
 import pytest
 
-SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "pairs.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "pairs.py"
 
 
 def _pairs():
@@ -130,3 +133,68 @@ def test_end_to_end_rows_carry_the_regression_verdict():
     found = _pairs().verdicts("mc_scalar", parent, change, rows)
     assert found["steps_per_s"]["regression"] == "worse beyond bound"
     assert "regression" not in found["oracles.reference_run.self_s"]
+
+
+def _canned_main(monkeypatch, tmp_path, argv, values):
+    """pairs.py's main over canned runs in tmp_path: values maps "parent"
+    and "change" to their steps_per_s runs, in the order they are asked for;
+    setup_s and peak_rss_mib read the same on both sides."""
+    pairs = _pairs()
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    parent_dir = (tmp_path / "parent").resolve()
+    left = {side: iter(runs) for side, runs in values.items()}
+
+    def run(workload, seconds, trace, seed, checkout):
+        side = "parent" if checkout == parent_dir else "change"
+        metrics = {"steps_per_s": next(left[side]), "setup_s": 0.1, "peak_rss_mib": 50.0}
+        return ({"git_sha": f"{side} sha", "src_sha256": f"{side} src"},
+                {"correct": True,
+                 "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}})
+
+    monkeypatch.setattr(pairs.bench, "_run", run)
+    monkeypatch.setattr(pairs.bench, "ROOT", tmp_path)
+    monkeypatch.setattr(sys, "argv", ["pairs.py", "--parent", str(parent_dir), *argv])
+    return pairs.main()
+
+
+def test_record_writes_the_paired_block_and_keeps_the_rest(monkeypatch, tmp_path, capsys):
+    bench_file = tmp_path / "BENCH_7.json"
+    kept = {"pr": 7, "workloads": {"mc_scalar": {"failed": [0]}},
+            "paired": {"mc_scalar": {"2": {"pairs": 3}}}}
+    bench_file.write_text(json.dumps(kept))
+    assert _canned_main(monkeypatch, tmp_path, ["--workload", "mc_scalar", "--record", "7"],
+                        {"parent": PARENT, "change": [2.0 * p for p in PARENT]}) == 0
+    assert "wrote paired.mc_scalar.1 into BENCH_7.json" in capsys.readouterr().out
+    out = json.loads(bench_file.read_text())
+    assert out["pr"] == 7 and out["workloads"] == kept["workloads"]
+    assert out["paired"]["mc_scalar"]["2"] == {"pairs": 3}
+    one = out["paired"]["mc_scalar"]["1"]
+    assert (one["parent_sha"], one["parent_src_sha256"], one["pairs"]) == (
+        "parent sha", "parent src", 10)
+    assert one["metrics"]["steps_per_s"] == {
+        "parent": {"median": 100.0, "iqr": 2.5}, "change": {"median": 200.0, "iqr": 5.0},
+        "ratio": 2.0, "wins": 10, "gain_holds": True, "regression": "within bound"}
+    assert one["metrics"]["setup_s"] == {
+        "parent": {"median": 0.1, "iqr": 0.0}, "change": {"median": 0.1, "iqr": 0.0},
+        "ratio": 1.0, "wins": 0, "gain_holds": False, "regression": "within bound"}
+    assert set(one["metrics"]) == {"steps_per_s", "setup_s", "peak_rss_mib"}
+
+
+def test_record_makes_a_missing_file_and_a_second_seed_keeps_the_first(monkeypatch, tmp_path):
+    halved = [0.5 * p for p in PARENT[:4]]
+    for seed in ("1", "2"):
+        assert _canned_main(monkeypatch, tmp_path, ["--workload", "converge_scalar", "--pairs",
+                                                    "4", "--seed", seed, "--record", "9"],
+                            {"parent": PARENT[:4], "change": halved}) == 0
+    paired = json.loads((tmp_path / "BENCH_9.json").read_text())
+    assert set(paired) == {"paired"} and set(paired["paired"]["converge_scalar"]) == {"1", "2"}
+    steps = paired["paired"]["converge_scalar"]["2"]["metrics"]["steps_per_s"]
+    assert steps["ratio"] == 0.5 and steps["regression"] == "worse beyond bound"
+    assert not steps["gain_holds"]
+
+
+def test_record_refuses_traced_runs(monkeypatch, tmp_path):
+    with pytest.raises(SystemExit) as info:
+        _canned_main(monkeypatch, tmp_path, ["--workload", "mc_scalar", "--trace", "--record",
+                                             "7"], {"parent": [], "change": []})
+    assert info.value.code == 2 and not (tmp_path / "BENCH_7.json").exists()

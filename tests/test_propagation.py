@@ -76,19 +76,22 @@ class TestStepConfig:
             StepConfig(h=0.1, steps=1, beta=-2.0)
 
     # a bool, a non-number and an int beyond float range are refused, not
-    # read as 1 or leaked as TypeError, ValueError or OverflowError
-    @pytest.mark.parametrize("h", ["x", None, True, np.bool_(True), 10**400, math.inf, math.nan],
-                             ids=repr)
+    # read as 1 or leaked as TypeError, ValueError or OverflowError; a string
+    # is shown in quotes, so "0.1" does not read as the number
+    @pytest.mark.parametrize("h", ["x", "0.1", None, True, np.bool_(True), 10**400, math.inf,
+                                   math.nan], ids=repr)
     def test_a_step_size_that_is_not_a_positive_number_is_refused(self, h):
+        shown = repr(h) if isinstance(h, str) else str(h)
         with pytest.raises(ValidationError, match=rf"^step size must be positive and finite, "
-                                                  rf"got {re.escape(str(h))}$"):
+                                                  rf"got {re.escape(shown)}$"):
             StepConfig(h=h, steps=1)
 
-    @pytest.mark.parametrize("steps", ["x", None, True, 10**400, math.inf, math.nan, 1.5, -1],
+    @pytest.mark.parametrize("steps", ["x", "3", None, True, 10**400, math.inf, math.nan, 1.5, -1],
                              ids=repr)
     def test_a_step_count_that_is_not_a_nonnegative_integer_is_refused(self, steps):
+        shown = repr(steps) if isinstance(steps, str) else str(steps)
         with pytest.raises(ValidationError, match=rf"^step count must be a nonnegative integer, "
-                                                  rf"got {re.escape(str(steps))}$"):
+                                                  rf"got {re.escape(shown)}$"):
             StepConfig(h=0.1, steps=steps)
 
     @pytest.mark.parametrize("steps", [3, 3.0, np.int64(3), np.float64(3.0)], ids=repr)

@@ -1,3 +1,4 @@
+import importlib
 import math
 import pathlib
 import re
@@ -27,6 +28,8 @@ from proxflow import (
 from proxflow.rng import _GAMMA
 from support import load_bench_module, random_spd, random_system
 
+# the module; the package's attribute proxflow.simulate is the function
+SIMULATE = importlib.import_module("proxflow.simulate")
 # An independent plain-float generator: the stream's normals, one at a time.
 _normals = load_bench_module("reference")._normals
 
@@ -253,6 +256,71 @@ def test_seed_batch_matches_one_seed_runs_bitwise(n):
         simulate(sys, meas, g0, cfg, [])
 
 
+def _scaled_draws(monkeypatch, scale):
+    """Make every stream simulate opens draw its normals times scale."""
+    stream = SIMULATE.GaussianStream
+
+    class Scaled(stream):
+        def draw(self, count):
+            return scale * super().draw(count)
+
+    monkeypatch.setattr(SIMULATE, "GaussianStream", Scaled)
+
+
+def _simulated(*args):
+    """simulate(*args)'s arrays, or its refusal's class and text."""
+    try:
+        return simulate(*args)
+    except NumericFailure as exc:
+        return type(exc), str(exc)
+
+
+class TestOneSeedFloatPath:
+    # One seed of one state steps in Python floats, a batch in numpy; the
+    # draws are scaled from 1e-300 to 1e300, or to +-0.0 for a zero start
+    # (its mean +-0.0) and zero noise.
+    @pytest.mark.parametrize("a,mean,p0,b,scale", [
+        (-1.0, 0.5, 1.0, 1.0, 1.0),
+        (-1.0, -0.0, 1.0, 1.0, 0.0),
+        (-1.0, 0.0, 1.0, 1.0, -0.0),
+        (-90.0, -0.0, 1.0, 1e-300, -0.0),
+        (-1.0, 1e-300, 1.0, 1e-300, 1e-300),
+        (-90.0, -1e-300, 1e-6, 1.0, 1e-310),
+        (-1.0, 1e300, 1e300, 1e150, 1.0),
+        (-90.0, -1e300, 1.0, 1.0, 1e300),
+        (-90.0, 1e307, 1.0, 1.0, 1.0),  # a x overflows: both raise
+    ], ids=["unit", "negzero-start", "zero-start-negzero-draws", "fast-negzero", "tiny",
+            "subnormal-draws", "huge", "huge-draws", "overflow"])
+    def test_is_its_row_of_a_batch_bitwise(self, monkeypatch, a, mean, p0, b, scale):
+        _scaled_draws(monkeypatch, scale)
+        sys = LinearSystem([[a]], [[b]])
+        g0 = Gaussian([mean], SpdMatrix(p0))
+        cfg = StepConfig(h=0.02, steps=300)
+        one = _simulated(sys, SCALAR_MEAS, g0, cfg, [7])
+        batch = _simulated(sys, SCALAR_MEAS, g0, cfg, [7, 8])
+        if one[0] is NumericFailure:
+            assert one == batch == (NumericFailure, "simulation overflowed: overflow "
+                                                    "encountered in matmul")
+            return
+        for got, want in zip(one, batch):
+            assert got.shape[0] == 1 and got[0].tobytes() == want[0].tobytes()
+
+    def test_makes_no_matvec_per_step(self, monkeypatch):
+        # the one-seed recursion is floats; a batch's makes one matvec a step
+        real = SIMULATE.matvec
+        calls = []
+        monkeypatch.setattr(SIMULATE, "matvec", lambda *args: calls.append(1) or real(*args))
+        counts = {}
+        for seeds in ([7], [7, 8]):
+            for steps in (100, 200):
+                calls.clear()
+                simulate(SCALAR_SYS, SCALAR_MEAS, SCALAR_PRIOR, StepConfig(h=0.01, steps=steps),
+                         seeds)
+                counts[len(seeds), steps] = len(calls)
+        assert counts[1, 100] == counts[1, 200] == 4
+        assert counts[2, 200] - counts[2, 100] == 100
+
+
 class TestCoarsen:
     def test_groups_sum_exactly(self):
         cfg = StepConfig(h=0.01, steps=12)
@@ -274,8 +342,9 @@ class TestCoarsen:
     @pytest.mark.parametrize("factor", [0, 1.5, -2, math.inf, math.nan, True, "2", None, 10**400],
                              ids=repr)
     def test_rejects_a_factor_that_is_not_a_positive_integer(self, factor):
+        shown = repr(factor) if isinstance(factor, str) else str(factor)
         with pytest.raises(ValidationError,
-                           match=rf"^factor must be a positive integer, got {re.escape(str(factor))}$"):
+                           match=rf"^factor must be a positive integer, got {re.escape(shown)}$"):
             coarsen(np.zeros((1, 6, 1)), factor)
 
     @pytest.mark.parametrize("shape", [(6,), (6, 1), (1, 1, 6, 1)])
