@@ -14,7 +14,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DimensionError, SingularityError, ValidationError, named_failures
+from .errors import (
+    DimensionError,
+    NumericFailure,
+    SingularityError,
+    ValidationError,
+    named_failures,
+)
 from .gaussians import FilterRun, Gaussian, as_vectors, batch_prior
 from .matrices import (
     POSITIVITY_RTOL,
@@ -98,12 +104,13 @@ def _lmmr_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
     At 1 x 1 the information sum is float arithmetic with the matrix sum's bits,
     and so is the gain at n = m = 1: 0.0 + h p c r, since numpy adds each 1 x 1
     product to +0.0. A float gain that is not finite is formed as matrices
-    instead, which raise under a run's guard."""
+    instead, which raise under a run's guard. An information matrix that is
+    singular or not finite is refused under its name, keeping the class."""
     try:
         p_inv, j = inv_spd(p_prior).mat, meas.information_matrix()
         info = SpdMatrix(p_inv.item() + h * j.item() if p_prior.dim == 1 else p_inv + h * j)
-    except SingularityError as exc:
-        raise SingularityError(f"information matrix (P-)^-1 + h C^T R^-1 C: {exc}") from exc
+    except (SingularityError, NumericFailure) as exc:
+        raise type(exc)(f"information matrix (P-)^-1 + h C^T R^-1 C: {exc}") from exc
     cov = inv_spd(info)
     if meas.c.size == 1:
         gain = 0.0 + h * cov.mat.item() * meas.c.item() * meas.rinv.item()

@@ -182,6 +182,9 @@ class SpdMatrix:
     __slots__ = ("mat", "eigenvalues", "eigenvectors")
 
     def __init__(self, mat):
+        if type(mat) is float and math.isfinite(mat):  # a 1 x 1 step's float: no array to read
+            self._freeze_scalar(mat)
+            return
         m = as_array(mat, "SPD matrix", (0, 2), finite=False)  # symmetrize's max|M| checks
         if m.size == 1 and math.isfinite(x := m.item()):  # scalar fast path: checks in one pass
             self._freeze_scalar(x)
@@ -218,12 +221,13 @@ class SpdMatrix:
 
     def _map(self, fn) -> SpdMatrix:
         """fn(P) with the eigenpairs (fn(w), V) for a monotone fn: checks fn(w), runs no eigh.
-        At 1 x 1, _compose is (1 w) 1 and its symmetrization, so fn(P) is the float fn(w)."""
-        w, v = fn(self.eigenvalues), self.eigenvectors
+        At 1 x 1, _compose is (1 w) 1 and its symmetrization, so fn(P) is the float fn(w):
+        fn applied to the float w, whose elementwise ops are the array's IEEE ops."""
         out = SpdMatrix.__new__(SpdMatrix)
-        if w.size == 1:
-            out._freeze_scalar(w.item())
+        if self.eigenvalues.size == 1:
+            out._freeze_scalar(float(fn(self.eigenvalues.item())))
             return out
+        w, v = fn(self.eigenvalues), self.eigenvectors
         mat = _compose(w, v)
         if w[0] > w[-1]:  # decreasing fn: keep the eigenvalues ascending
             w, v = w[::-1], v[:, ::-1]

@@ -166,12 +166,14 @@ def _observer_run(sys, meas, g0, dz, h, optimal: bool) -> FilterRun:
     (S, steps, m) for S paths sharing the covariance path. The loops start
     from arrays, the ([S,] n) means batch_prior returns and P0's matrix, and
     build no Gaussian; one state and one sensor take _scalar_substeps, which
-    gives _matrix_substeps' bits in Python floats. Each interval's mean goes
-    into one ([S,] steps + 1, n) array, where a non-finite row is refused;
-    one SpdMatrix is built per distinct P the loop yields, so a settled P is
-    built once and shared by the later intervals. Returns the steps + 1
-    states at the interval boundaries. A failing interval keeps its error
-    class, as "<run> reference run failed at interval k: <cause>"."""
+    gives _matrix_substeps' bits in Python floats. Each interval's mean is
+    checked where the loop yields it, a one-seed float by math.isfinite and
+    an array by np.isfinite, and a non-finite one is refused; the means are
+    written into one ([S,] steps + 1, n) array after the loop. One SpdMatrix
+    is built per distinct P the loop yields, so a settled P is built once
+    and shared by the later intervals. Returns the steps + 1 states at the
+    interval boundaries. A failing interval keeps its error class, as
+    "<run> reference run failed at interval k: <cause>"."""
     mean0, dz = batch_prior(sys, meas, g0, dz)
     require_positive(h, "step size")
     ct_rinv = meas.c.T @ meas.rinv
@@ -180,18 +182,18 @@ def _observer_run(sys, meas, g0, dz, h, optimal: bool) -> FilterRun:
     run = "Kalman-Bucy" if optimal else "Luenberger"
     substeps = _rk4_count(drift, h, REFERENCE_SUBSTEPS, f"{run} reference run", dz.shape[-2])
     loop = _scalar_substeps if meas.c.shape == (1, 1) else _matrix_substeps
-    means = np.empty((*dz.shape[:-2], dz.shape[-2] + 1, sys.dim))
-    means[..., 0, :] = mean0
-    covs, last = [g0.cov], None
+    rows, covs, last = [], [g0.cov], None
     with named_failures(lambda: f"{run} reference run failed at interval {len(covs)}"):
         for mu, p in loop(sys, meas.c, ct_rinv, mean0, g0.cov.mat, dz, h, substeps, drift, info):
             if p is not last:
                 cov, last = SpdMatrix(p), p
-            row = means[..., len(covs), :]
-            row[...] = mu
-            if not np.isfinite(row).all():
+            if not (math.isfinite(mu) if isinstance(mu, float) else np.isfinite(mu).all()):
                 raise ValidationError("mean has non-finite entries")
+            rows.append(mu)
             covs.append(cov)
+    means = np.empty((*dz.shape[:-2], dz.shape[-2] + 1, sys.dim))
+    means[..., 0, :] = mean0
+    means[..., 1:, :] = np.moveaxis(np.reshape(rows, (-1, *mean0.shape)), 0, -2)
     return FilterRun(means, tuple(covs))
 
 
@@ -230,9 +232,12 @@ def _scalar_substeps(sys, c, ct_rinv, mean0, p0, dz, h, substeps, drift, info):
     Hurwitz A (a < 0) allows only for a +0.0 mean, and adding either zero
     leaves that +0.0. Symmetrizing, 0.5 (q + q), returns q below half the
     largest float, so it is left out. One seed's mean is a float too, and
-    is yielded as one; S > 1 means stay one numpy array. A float that
-    overflows runs to inf or nan (no + or * brings it back) and is refused
-    at its interval's end, where _observer_run writes it into its row."""
+    is yielded as one, and its increments are read once, as a float list;
+    S > 1 means stay one numpy array, stepped per interval's (S, 1) data.
+    Once P has settled, each later interval runs the bare mean substep,
+    with the same operations in the same order. A float that overflows
+    runs to inf or nan (no + or * brings it back) and is refused at its
+    interval's end, where _observer_run checks the yielded mean."""
     f, w = drift.item(), sys.diffusion().item()
     j = None if info is None else info.item()
     a, c, ct_rinv = sys.a.item(), c.item(), ct_rinv.item()
@@ -245,11 +250,12 @@ def _scalar_substeps(sys, c, ct_rinv, mean0, p0, dz, h, substeps, drift, info):
     dt = h / substeps
     one = mean0.size == 1
     mu = mean0.item() if one else mean0
+    data = iter(dz[..., 0].ravel().tolist() if one else np.moveaxis(dz, -2, 0))
     p = p0.item()
     gain = ct_rinv
     settled = False
-    for k in range(dz.shape[-2]):
-        y = dz[..., k, :].item() / h if one else dz[..., k, :] / h
+    for d in data:
+        y = d / h
         for _ in range(substeps):
             if not settled and j is not None:
                 gain = p * ct_rinv
@@ -258,6 +264,13 @@ def _scalar_substeps(sys, c, ct_rinv, mean0, p0, dz, h, substeps, drift, info):
                 q = rk4_step(rate, p, dt)
                 settled = q == p
                 p = q
+        yield mu, p
+        if settled:
+            break
+    for d in data:  # P and the gain have settled: only the mean steps
+        y = d / h
+        for _ in range(substeps):
+            mu = mu + dt * (a * mu + gain * (y - c * mu))
         yield mu, p
 
 

@@ -264,7 +264,11 @@ def test_expm_time_must_be_a_finite_number(t):
     (lambda: expm([[1e308]]), "matrix exponential overflowed"),
     (lambda: quadratic_matrix_solve(5e-324, P2),
      "eigendecomposition produced non-finite eigenvalues"),
-], ids=["expm", "quadratic_matrix_solve"])
+    # h C^T R^-1 C overflows the information matrix's eigenvalues: named, as its floor is
+    (lambda: lmmr_update(G2, MEAS2, [0.0], 1e308),
+     "information matrix (P-)^-1 + h C^T R^-1 C: eigendecomposition produced non-finite "
+     "eigenvalues"),
+], ids=["expm", "quadratic_matrix_solve", "lmmr_update"])
 def test_an_overflow_is_a_numeric_failure_not_a_warning(call, message):
     with pytest.raises(NumericFailure) as info:
         call()

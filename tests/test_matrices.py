@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from proxflow import (
     DimensionError,
     NumericFailure,
+    ProxflowError,
     SingularityError,
     SpdMatrix,
     StabilityError,
@@ -156,6 +158,86 @@ def test_derived_1x1_factors_match_a_fresh_spd_matrix_across_magnitudes(factor, 
         for arr in (got.mat, got.eigenvalues, got.eigenvectors):
             assert not arr.flags.writeable
         assert got.eigenvectors is matrices._EIGENVECTORS_1X1
+
+
+# 1 x 1 values for the float fast paths: the smallest subnormal, below and
+# above the floor, near the top of the float range (where x + x overflows),
+# signed zeros, a negative number and the non-finite values.
+_EDGES = [5e-324, 1e-300, 1.0, 1e300, 1e308, 0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+def _outcome(call):
+    """The bits of call()'s matrix, eigenpair and read-only flags, or its refusal's class and text."""
+    try:
+        p = call()
+    except ProxflowError as exc:
+        return type(exc), str(exc)
+    arrays = (p.mat, p.eigenvalues, p.eigenvectors)
+    return tuple(a.tobytes() for a in arrays), tuple(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("x", _EDGES, ids=repr)
+def test_a_float_spd_matrix_is_the_one_of_its_1x1_array(x):
+    """SpdMatrix(x) for a Python float skips the array read and has the 1x1
+    array's bits, or its refusal, class and text."""
+    want = _outcome(lambda: SpdMatrix(np.array([[x]])))
+    assert _outcome(lambda: SpdMatrix(x)) == want
+    assert _outcome(lambda: SpdMatrix(np.float64(x))) == want
+
+
+def test_a_finite_float_spd_matrix_reads_no_array(monkeypatch):
+    # A finite Python float goes straight to the scalar checks; a non-finite
+    # float, a numpy float and a list are read as arrays, as before.
+    read = []
+    as_array = matrices.as_array
+    monkeypatch.setattr(matrices, "as_array", lambda *args, **kw: read.append(args[0]) or
+                        as_array(*args, **kw))
+
+    def reads(x):
+        read.clear()
+        try:
+            SpdMatrix(x)
+        except ProxflowError:
+            pass
+        return len(read)
+
+    assert [reads(x) for x in (2.5, 1e308, 0.0, -1.0)] == [0, 0, 0, 0]
+    assert all(reads(x) for x in (math.nan, math.inf, np.float64(2.5), [[2.5]]))
+
+
+def _array_map(p, fn):
+    """The 1x1 map on numpy arrays: fn of the eigenvalue array, frozen as one float."""
+    out = SpdMatrix.__new__(SpdMatrix)
+    with np.errstate(over="ignore", invalid="ignore"):  # as quadratic_matrix_solve
+        w = fn(p.eigenvalues)
+    out._freeze_scalar(w.item())
+    return out
+
+
+_COEFFICIENTS = [5e-324, 1e-300, 1.0, 1e308]
+_MAPS = [(sqrt_spd, np.sqrt), (inv_spd, lambda w: 1.0 / w),
+         (inv_sqrt_spd, lambda w: 1.0 / np.sqrt(w))] + [
+    ((lambda p, c=c: quadratic_matrix_solve(c, p)),
+     (lambda w, c=c: 0.5 * c * (np.sqrt(1.0 + 4.0 * w / c) - 1.0))) for c in _COEFFICIENTS]
+
+
+@pytest.mark.parametrize("guard", ["default", "run"])
+@pytest.mark.parametrize("factor,fn", _MAPS, ids=["sqrt", "inv", "inv_sqrt"] + [
+    f"quadratic-{c!r}" for c in _COEFFICIENTS])
+def test_a_1x1_map_of_the_float_eigenvalue_is_the_arrays(factor, fn, guard):
+    """At 1x1 a factor applies fn to the float eigenvalue: the bits of fn
+    applied to the eigenvalue array, or its refusal (floor or non-finite),
+    whether the SPD matrix came from a float or a 1x1 array and whether it
+    runs under a run's guard, which raises floating-point faults."""
+    for x in _EDGES + [1e-11, 3.7e150]:
+        try:
+            sources = [SpdMatrix(x), SpdMatrix(np.array([[x]]))]
+        except ProxflowError:
+            continue
+        for p in sources:
+            with named_failures(lambda: "run") if guard == "run" else contextlib.nullcontext():
+                got = _outcome(lambda: factor(p))
+            assert got == _outcome(lambda: _array_map(p, fn)), (x, got)
 
 
 class TestSqrtSpd:

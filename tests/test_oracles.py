@@ -401,6 +401,29 @@ def test_reference_run_builds_one_spd_matrix_per_distinct_covariance(monkeypatch
     assert all(cov is covs[repeat] for cov in covs[repeat:])
 
 
+@pytest.mark.parametrize(
+    "run", [kalman_bucy_run, luenberger_run], ids=["kalman-bucy", "luenberger"]
+)
+def test_a_one_seed_scalar_run_checks_its_means_without_numpy(monkeypatch, run):
+    # One seed's float mean is checked by math.isfinite where the loop yields
+    # it; a batch's numpy means take one np.isfinite per interval. P settles
+    # at interval 457 (Kalman-Bucy) or 404 (Luenberger): the counts cover
+    # the loop before and after it.
+    g0 = Gaussian([0.5], SpdMatrix(2.0))
+    dz = 0.1 * np.random.default_rng(9).normal(size=(2, 1000, 1))
+    real = np.isfinite
+    calls = []
+    monkeypatch.setattr(np, "isfinite", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    counts = {}
+    for paths in (dz[0], dz):
+        for intervals in (300, 1000):
+            calls.clear()
+            run(SCALAR_SYS, SCALAR_MEAS, g0, paths[..., :intervals, :], 0.02)
+            counts[paths.ndim, intervals] = len(calls)
+    assert counts[2, 300] == counts[2, 1000]
+    assert counts[3, 1000] - counts[3, 300] == 700
+
+
 @pytest.mark.parametrize("n", [1, 3, 8])
 @pytest.mark.parametrize(
     "run", [kalman_bucy_run, luenberger_run], ids=["kalman-bucy", "luenberger"]
