@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
     named_failures,
 )
-from .gaussians import FilterRun, Gaussian, as_vectors, batch_prior
+from .gaussians import FilterRun, Gaussian, as_vectors, batch_prior, require_finite_mean
 from .matrices import (
     POSITIVITY_RTOL,
     SpdMatrix,
@@ -35,9 +35,12 @@ from .matrices import (
     require_positive,
     require_same_dim,
     solve,
+    spd_scalar,
 )
 from .oracles import exact_cov, exact_mean
 from .propagation import LinearSystem, StepConfig, general_step
+
+_OVERFLOW = "h C^T R^-1 C overflows"  # the cause both updates name for it
 
 
 class MeasurementModel:
@@ -72,25 +75,30 @@ class MeasurementModel:
     def transport_terms(self, h: float):
         """(S, gain) = (I + h C^T R^-1 C, h S^-1 C^T R^-1), the P-free part of
         the transport update at step size h. Kept for the last h whose terms
-        are finite, so a run at one h forms them once."""
+        are finite, so a run at one h forms them once. An S that overflows is
+        refused as NumericFailure naming it, with no floating-point warning."""
         if self._transport is None or self._transport[0] != h:
-            scaled = np.eye(self.state_dim) + h * self._info
-            terms = scaled, solve(scaled, h * self.c.T @ self.rinv, "a solve failed")
-            if not all(np.isfinite(t).all() for t in terms):
-                return terms
-            self._transport = (h, *terms)
+            with np.errstate(over="ignore"):  # an overflow is refused just below
+                scaled = np.eye(self.state_dim) + h * self._info
+            if not np.isfinite(scaled).all():
+                raise NumericFailure(f"I + h C^T R^-1 C: {_OVERFLOW}")
+            gain = solve(scaled, h * self.c.T @ self.rinv, "a solve failed")
+            if not np.isfinite(gain).all():
+                return scaled, gain
+            self._transport = (h, scaled, gain)
         return self._transport[1:]
 
 
 def _check_update_inputs(g_prior: Gaussian, meas: MeasurementModel, y, h: float):
+    """(y, h): the measurements as an array and the step size as a float."""
     require_same_dim("prior and measurement model", g_prior.dim, meas.state_dim)
-    require_positive(h, "step size")
+    h = require_positive(h, "step size")
     y = as_vectors(y, dim=meas.obs_dim, name="measurement")
     if y.shape[:-1] != g_prior.mean.shape[:-1]:
         raise DimensionError(
             f"measurements have shape {y.shape}, prior means {g_prior.mean.shape}"
         )
-    return y
+    return y, h
 
 
 def _innovate(mean, c, gain, y):
@@ -101,17 +109,30 @@ def _innovate(mean, c, gain, y):
 
 def _lmmr_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
     """The KL update's (gain, P+): P+ from the information form, gain h P+ C' R^-1.
-    At 1 x 1 the information sum is float arithmetic with the matrix sum's bits,
-    and so is the gain at n = m = 1: 0.0 + h p c r, since numpy adds each 1 x 1
-    product to +0.0. A float gain that is not finite is formed as matrices
-    instead, which raise under a run's guard. An information matrix that is
-    singular or not finite is refused under its name, keeping the class."""
+    At 1 x 1, (P-)^-1 and the information sum x are Python floats, each with
+    the bits and checks of a 1 x 1 SpdMatrix (spd_scalar), and P+ is the one
+    SpdMatrix(1 / x), the bits of inv_spd. So is the gain at n = m = 1:
+    0.0 + h p c r, since numpy adds each 1 x 1 product to +0.0. A float gain
+    that is not finite is formed as matrices instead, which raise under a
+    run's guard. An information matrix that overflows, is singular or is not
+    finite is refused under its name, keeping the class (NumericFailure for
+    an overflow, with no floating-point warning)."""
+    j, scalar = meas.information_matrix(), p_prior.dim == 1
     try:
-        p_inv, j = inv_spd(p_prior).mat, meas.information_matrix()
-        info = SpdMatrix(p_inv.item() + h * j.item() if p_prior.dim == 1 else p_inv + h * j)
+        if scalar:
+            info = spd_scalar(1.0 / p_prior.mat.item()) + h * j.item()
+            overflow = not math.isfinite(info)
+        else:
+            p_inv = inv_spd(p_prior).mat
+            with np.errstate(over="ignore"):  # an overflow is refused just below
+                info = p_inv + h * j
+            overflow = not np.isfinite(info).all()
+        if overflow:
+            raise NumericFailure(_OVERFLOW)
+        info = spd_scalar(info) if scalar else SpdMatrix(info)
     except (SingularityError, NumericFailure) as exc:
         raise type(exc)(f"information matrix (P-)^-1 + h C^T R^-1 C: {exc}") from exc
-    cov = inv_spd(info)
+    cov = SpdMatrix(1.0 / info) if scalar else inv_spd(info)
     if meas.c.size == 1:
         gain = 0.0 + h * cov.mat.item() * meas.c.item() * meas.rinv.item()
         if math.isfinite(gain):
@@ -127,9 +148,9 @@ def lmmr_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -> Gauss
     of (I + h P- C' R^-1 C) mu+ = mu- + h P- C' R^-1 y. The prior mean and y
     may be batches (S, n), (S, m) sharing the covariance.
     """
-    y = _check_update_inputs(g_prior, meas, y, h)
+    y, h = _check_update_inputs(g_prior, meas, y, h)
     gain, cov = _lmmr_half(g_prior.cov, meas, h)
-    return Gaussian(_innovate(g_prior.mean, meas.c, gain, y), cov)
+    return Gaussian._fresh(require_finite_mean(_innovate(g_prior.mean, meas.c, gain, y)), cov)
 
 
 def _wasserstein_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
@@ -153,9 +174,9 @@ def wasserstein_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -
     S mu+ = mu- + h C' R^-1 y: a static gain, free of P-. Batches are as in
     lmmr_update.
     """
-    y = _check_update_inputs(g_prior, meas, y, h)
+    y, h = _check_update_inputs(g_prior, meas, y, h)
     gain, cov = _wasserstein_half(g_prior.cov, meas, h)
-    return Gaussian(_innovate(g_prior.mean, meas.c, gain, y), cov)
+    return Gaussian._fresh(require_finite_mean(_innovate(g_prior.mean, meas.c, gain, y)), cov)
 
 
 _UPDATES = {"lmmr": lmmr_update, "wasserstein": wasserstein_update}
@@ -174,14 +195,18 @@ def _exact_step(sys: LinearSystem, h: float):
     subtraction loses digits only at Q_h's own scale however small the
     noise; s stays high enough that s Phi Phi^T, and so the oracle's output,
     clears the SPD floor. A Q_h read that fails keeps its error class and
-    names the exact predict."""
+    names the exact predict. step runs only under run_filter's named_failures
+    guard, which raises on every overflow, so Phi mu of a checked mean is
+    finite and the step builds its Gaussian with no check of its own."""
     n = sys.dim
     phi = exact_mean(sys, np.eye(n), h).T
     shrink = np.linalg.svd(phi, compute_uv=False)[-1] ** 2
     s = max(h * max_abs(sys.diffusion()), _PROBE_FLOOR / shrink)
     with named_failures(lambda: f"exact predict: cannot read Q_h off the oracle at h={h}"):
         q_h = exact_cov(sys, SpdMatrix(s * np.eye(n)), h).mat - s * (phi @ phi.T)
-    return phi, lambda g: Gaussian(matvec(phi, g.mean), SpdMatrix(phi @ g.cov.mat @ phi.T + q_h))
+    return phi, lambda g: Gaussian._fresh(
+        matvec(phi, g.mean), SpdMatrix(phi @ g.cov.mat @ phi.T + q_h)
+    )
 
 
 def run_filter(

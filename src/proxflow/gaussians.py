@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 from .matrices import (
     SpdMatrix,
+    all_finite,
     as_array,
     as_matrix,
     frozen,
@@ -54,9 +55,28 @@ class Gaussian:
         object.__setattr__(self, "mean", frozen(as_vectors(self.mean, name="mean")))
         require_same_dim("mean and covariance", self.cov.dim, self.mean.shape[-1])
 
+    @classmethod
+    def _fresh(cls, mean: np.ndarray, cov: SpdMatrix) -> Gaussian:
+        """A density whose mean a library step has just computed from checked
+        inputs: a float array of shape ([S,] cov.dim) that nothing else holds.
+        It is frozen in place; none of __post_init__'s reading, copy or
+        dimension check runs, since the as_array rule is for arrays from outside."""
+        mean.setflags(write=False)
+        g = object.__new__(cls)
+        g.__dict__.update(mean=mean, cov=cov)
+        return g
+
     @property
     def dim(self) -> int:
         return self.cov.dim
+
+
+def require_finite_mean(mean: np.ndarray) -> np.ndarray:
+    """mean, a step's computed float array, refused as Gaussian refuses a
+    non-finite mean: the one check a public step makes on its own output."""
+    if not all_finite(mean):
+        raise ValidationError("mean has non-finite entries")
+    return mean
 
 
 def require_single(*gs: Gaussian) -> None:

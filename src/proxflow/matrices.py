@@ -99,10 +99,16 @@ def as_array(x, name: str, ndims: tuple, finite: bool = True) -> np.ndarray:
     if a.ndim not in ndims:
         ranks = " or ".join(_RANKS[k] for k in ndims if k)
         raise DimensionError(f"{name} must be {ranks}, got shape {a.shape}")
-    # one entry, as a 1 x 1 covariance on every filter step: a float check, 20x a reduction's speed
-    if finite and not (math.isfinite(a.item()) if a.size == 1 else np.isfinite(a).all()):
+    if finite and not all_finite(a):
         raise ValidationError(f"{name} has non-finite entries")
     return a
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float array a is finite. One entry, as a 1 x 1
+    covariance or a one-path scalar mean on every filter step, is a float check,
+    20x a reduction's speed."""
+    return math.isfinite(a.item()) if a.size == 1 else np.isfinite(a).all()
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -197,11 +203,8 @@ class SpdMatrix:
         self._freeze(m, w, v)
 
     def _freeze_scalar(self, x: float) -> None:
-        """Hold [[x]], symmetrized as symmetrize does (inf where x + x overflows) and
-        checked as _freeze checks; its eigenpair is (x, 1), read-only."""
-        x = 0.5 * (x + x)
-        _check_eigenvalues(math.isfinite(x), x, x)
-        m = np.array([[x]])
+        """Hold [[spd_scalar(x)]]; its eigenpair is (that float, 1), read-only."""
+        m = np.array([[spd_scalar(x)]])
         m.setflags(write=False)  # and so its view m[0]
         self.mat, self.eigenvalues, self.eigenvectors = m, m[0], _EIGENVECTORS_1X1
 
@@ -242,6 +245,14 @@ class SpdMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SpdMatrix({self.mat!r})"
+
+
+def spd_scalar(x: float) -> float:
+    """The float a 1 x 1 SpdMatrix of x holds: 0.5 (x + x), symmetrized as symmetrize
+    does (inf where x + x overflows), with _freeze's finite and floor checks."""
+    x = 0.5 * (x + x)
+    _check_eigenvalues(math.isfinite(x), x, x)
+    return x
 
 
 def _check_eigenvalues(finite: bool, lo: float, hi: float) -> None:

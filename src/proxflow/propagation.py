@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     named_failures,
 )
-from .gaussians import Gaussian, as_vectors, require_single
+from .gaussians import Gaussian, as_vectors, require_finite_mean, require_single
 from .matrices import (
     SpdMatrix,
     as_matrix,
@@ -192,8 +192,8 @@ def jko_step_symmetric(
     p0_isqrt = inv_sqrt_spd(g_prev.cov).mat
     rhs = SpdMatrix(p0_isqrt @ shifted @ p0_isqrt)
     z = quadratic_matrix_solve(require_positive(beta / h, "beta / step size"), rhs)
-    cov = p0_isqrt @ z.map_eigenvalues(lambda w: w ** -2.0) @ p0_isqrt
-    return Gaussian(mean, SpdMatrix(cov))
+    cov = SpdMatrix(p0_isqrt @ z.map_eigenvalues(lambda w: w ** -2.0) @ p0_isqrt)
+    return Gaussian._fresh(require_finite_mean(mean), cov)
 
 
 def general_mean_map(frame: EquipartitionFrame, h: float) -> np.ndarray:
@@ -239,9 +239,12 @@ def jko_step_general_cov(p_prev: SpdMatrix, sys: LinearSystem, h: float) -> SpdM
 def general_step(sys: LinearSystem, h: float):
     """The general-first-order step g -> (M_h mu, P + h (A P + P A^T + 2 B B^T)),
     returned as (M_h, step) with M_h built once. propagate and the filter's
-    "jko" predict both take it; the filter steps a settled run's means by M_h."""
+    "jko" predict both take it; the filter steps a settled run's means by M_h.
+    step runs only under propagate's and run_filter's named_failures guard,
+    which raises on every overflow, so M_h mu of a checked mean is finite and
+    the step builds its Gaussian with no check of its own."""
     mean_map = general_mean_map(make_equipartition(sys), h)
-    return mean_map, lambda g: Gaussian(
+    return mean_map, lambda g: Gaussian._fresh(
         jko_step_general_mean(g.mean, mean_map), jko_step_general_cov(g.cov, sys, h)
     )
 

@@ -31,7 +31,7 @@ from proxflow import (
     simulate,
     wasserstein_update,
 )
-from proxflow import filtering, propagation
+from proxflow import filtering, gaussians, propagation
 from proxflow.errors import named_failures
 from proxflow.matrices import inv_spd, max_abs, solve
 from support import random_spd
@@ -66,10 +66,10 @@ class TestMeasurementModel:
         other = m.transport_terms(0.01)
         assert other[0] is not scaled and m.transport_terms(0.01)[0] is other[0]
         huge = MeasurementModel([[1e150]], SpdMatrix(1.0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(huge.transport_terms(1e10)[0]).all()
-        with pytest.raises(FloatingPointError), np.errstate(over="raise"):
-            huge.transport_terms(1e10)  # not kept, so a run guard sees the overflow
+        for over in ("warn", "raise"):  # refused by name, in a run guard or not, and not kept
+            with pytest.raises(NumericFailure) as info, np.errstate(over=over):
+                huge.transport_terms(1e10)
+            assert str(info.value) == "I + h C^T R^-1 C: h C^T R^-1 C overflows"
 
 
 class TestLmmrUpdate:
@@ -816,9 +816,14 @@ def _matrix_jko_cov(p, sys, h):
 def _matrix_lmmr_half(p, meas, h):
     """filtering._lmmr_half written as matrix arithmetic."""
     try:
-        info = SpdMatrix(inv_spd(p).mat + h * meas.information_matrix())
-    except SingularityError as exc:
-        raise SingularityError(f"information matrix (P-)^-1 + h C^T R^-1 C: {exc}") from exc
+        p_inv = inv_spd(p).mat
+        with np.errstate(over="ignore"):
+            info = p_inv + h * meas.information_matrix()
+        if not np.isfinite(info).all():
+            raise NumericFailure("h C^T R^-1 C overflows")
+        info = SpdMatrix(info)
+    except (SingularityError, NumericFailure) as exc:
+        raise type(exc)(f"information matrix (P-)^-1 + h C^T R^-1 C: {exc}") from exc
     cov = inv_spd(info)
     return h * cov.mat @ meas.c.T @ meas.rinv, cov
 
@@ -865,6 +870,49 @@ def _guarded(fn, *args):
         return fn(*args)
 
 
+class TestWalkedMeans:
+    """A walked step's mean comes from checked inputs, so it is not read again
+    by the outside-input rule (as_vectors); a public update still refuses a
+    mean it computed that is not finite."""
+
+    @pytest.mark.parametrize("seeds", [None, 3], ids=["one-path", "batch"])
+    @pytest.mark.parametrize("update", ["lmmr", "wasserstein"])
+    @pytest.mark.parametrize("predict", ["jko", "exact"])
+    def test_a_walk_reads_only_its_public_inputs(self, monkeypatch, predict, update, seeds):
+        # as_vectors reads the run's starting Gaussian, then per walked step
+        # jko_step_general_mean's mean (jko only) and the update's y: 2 or 1
+        # reads a step, where building each step's Gaussians read 2 more
+        cfg = StepConfig(h=0.02, steps=50)
+        g0 = scalar_gaussian(0.5, 2.0)
+        dz = 0.1 * np.random.default_rng(7).normal(
+            size=(cfg.steps, 1) if seeds is None else (seeds, cfg.steps, 1))
+        reads = []
+        real = filtering.as_vectors
+
+        def counted(*args, **kwargs):
+            reads.append(1)
+            return real(*args, **kwargs)
+
+        for module in (gaussians, propagation, filtering):
+            monkeypatch.setattr(module, "as_vectors", counted)
+        run = run_filter(SCALAR_SYS, SCALAR_MEAS, g0, dz, cfg, update=update, predict=predict)
+        assert len({p.mat.tobytes() for p in run.covs}) == cfg.steps + 1  # every step walked
+        assert len(reads) == (2 if predict == "jko" else 1) * cfg.steps + 1
+
+    @pytest.mark.parametrize("update", [lmmr_update, wasserstein_update])
+    @pytest.mark.parametrize("n,seeds", [(1, None), (2, None), (2, 3)])
+    def test_a_public_update_refuses_a_mean_that_overflows(self, update, n, seeds):
+        # outside any guard, with numpy's warnings off, the posterior mean
+        # mu + K (y - C mu) = 1e308 + k (-1e308 - 1e308) is -inf or nan
+        meas = MeasurementModel(np.ones((1, n)), SpdMatrix(1.0))
+        mean = np.full((n,) if seeds is None else (seeds, n), 1e308)
+        prior = Gaussian(mean, SpdMatrix(np.eye(n)))
+        y = np.full(mean.shape[:-1] + (1,), -1e308)
+        with np.errstate(all="ignore"), pytest.raises(ValidationError) as info:
+            update(prior, meas, y, 1.0)
+        assert str(info.value) == "mean has non-finite entries"
+
+
 class TestScalarCovarianceSteps:
     _STEPS = {
         "jko-predict": (jko_step_general_cov, _matrix_jko_cov),
@@ -876,8 +924,9 @@ class TestScalarCovarianceSteps:
         assert _A_UNDERFLOW * _NEAR_FLOOR == 0.0
         assert math.copysign(1.0, _A_UNDERFLOW * _NEAR_FLOOR) == -1.0
         huge = MeasurementModel([[1e150]], SpdMatrix(1.0))
-        with np.errstate(over="ignore"):
-            assert not np.isfinite(huge.transport_terms(1e300)[0]).all()
+        for half in (filtering._lmmr_half, filtering._wasserstein_half):  # h C^T R^-1 C overflows
+            with pytest.raises(NumericFailure, match=r"h C\^T R\^-1 C overflows$"):
+                half(SpdMatrix(1.0), huge, 1e300)
 
     @pytest.mark.parametrize("kind", list(_STEPS))
     def test_scalar_steps_keep_the_matrix_bits_across_magnitudes(self, kind):
@@ -901,8 +950,9 @@ class TestScalarCovarianceSteps:
                 faults += 1
             else:
                 assert got == want, case
-        # the transport update's overflow is in transport_terms, which both share
-        assert (faults > 0) == (kind != "wasserstein")
+        # both updates refuse an overflowing h C^T R^-1 C by name, as their
+        # matrix forms do (the transport one in transport_terms, which both share)
+        assert (faults > 0) == (kind == "jko-predict")
 
     @pytest.mark.parametrize("c", [-0.0, 0.0, -1e-300, -1.0])
     def test_the_scalar_gain_keeps_the_matrix_gains_zero_sign(self, c):

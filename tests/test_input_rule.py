@@ -268,7 +268,18 @@ def test_expm_time_must_be_a_finite_number(t):
     (lambda: lmmr_update(G2, MEAS2, [0.0], 1e308),
      "information matrix (P-)^-1 + h C^T R^-1 C: eigendecomposition produced non-finite "
      "eigenvalues"),
-], ids=["expm", "quadratic_matrix_solve", "lmmr_update"])
+    # h C^T R^-1 C itself overflows (3 * 3 * 1e308): named, with no warning, at n = 1 and 2
+    (lambda: lmmr_update(G1, MeasurementModel([[3.0]], P1), [0.0], 1e308),
+     "information matrix (P-)^-1 + h C^T R^-1 C: h C^T R^-1 C overflows"),
+    (lambda: wasserstein_update(G1, MeasurementModel([[3.0]], P1), [0.0], 1e308),
+     "I + h C^T R^-1 C: h C^T R^-1 C overflows"),
+    (lambda: lmmr_update(G2, MeasurementModel([[3.0, 0.0]], P1), [0.0], 1e308),
+     "information matrix (P-)^-1 + h C^T R^-1 C: h C^T R^-1 C overflows"),
+    (lambda: wasserstein_update(G2, MeasurementModel([[3.0, 0.0]], P1), [0.0], 1e308),
+     "I + h C^T R^-1 C: h C^T R^-1 C overflows"),
+], ids=["expm", "quadratic_matrix_solve", "lmmr_update", "lmmr_update-overflow-1",
+        "wasserstein_update-overflow-1", "lmmr_update-overflow-2",
+        "wasserstein_update-overflow-2"])
 def test_an_overflow_is_a_numeric_failure_not_a_warning(call, message):
     with pytest.raises(NumericFailure) as info:
         call()
