@@ -12,7 +12,8 @@ Prints one SHA-256 over, in this order:
 each over STEPS steps at h = H on systems drawn from a fixed seed, and fed the
 simulated increments. A run that raises a ProxflowError is hashed as its class
 and text. With --parent DIR it also computes the hash with DIR/src in a
-subprocess, prints both, and exits 1 naming the first group that differs.
+subprocess, prints both, and exits 1 naming every group that differs, one
+per line.
 """
 
 from __future__ import annotations
@@ -104,13 +105,11 @@ def total(digests: dict) -> str:
     return hashlib.sha256("".join(digests.values()).encode()).hexdigest()
 
 
-def first_difference(ours: dict, parent: dict) -> str | None:
-    """The first group, in our order, whose hash the parent does not share;
-    "the group list" if only the parent has more groups; None if all agree."""
-    differing = [name for name in ours if parent.get(name) != ours[name]]
-    if differing:
-        return differing[0]
-    return "the group list" if parent.keys() != ours.keys() else None
+def differences(ours: dict, parent: dict) -> list:
+    """Every group whose hash the parent does not share, in our order, then
+    every group only the parent has, marked "(parent only)"; [] if all agree."""
+    return ([name for name in ours if parent.get(name) != ours[name]]
+            + [f"{name} (parent only)" for name in parent if name not in ours])
 
 
 _CHILD = """import json, sys
@@ -135,9 +134,10 @@ def main(argv=None) -> int:
                            stdout=subprocess.PIPE, text=True, check=True)
     parent = json.loads(child.stdout)
     print(f"{total(parent)} (parent)")
-    group = first_difference(digests, parent)
-    if group is not None:
-        print(f"differs from the parent, first at: {group}")
+    differing = differences(digests, parent)
+    if differing:
+        print(f"differs from the parent in {len(differing)} groups:")
+        print("\n".join(differing))
         return 1
     print("same bits as the parent")
     return 0

@@ -1,9 +1,10 @@
 """Proximal measurement updates and their composition into discrete filters.
 
 Two update rules act on a Gaussian prior given one noisy measurement: the
-KL-proximal update (information-form covariance shrinkage, whose small-step
-limit is the optimal filter) and the transport-proximal update (static-gain
-mean correction, whose small-step limit is the static-gain observer).
+KL-proximal update (information-form covariance shrinkage, evaluated in gain
+form at n >= 2, whose small-step limit is the optimal filter) and the
+transport-proximal update (static-gain mean correction, whose small-step
+limit is the static-gain observer).
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ from .oracles import exact_cov, exact_mean
 from .propagation import LinearSystem, StepConfig, general_step
 
 _OVERFLOW = "h C^T R^-1 C overflows"  # the cause both updates name for it
+# How far the KL update's gain form may sit from its information form, K and
+# P+ each relative to its largest entry, for n up to 16, cond(P-) up to 1e6, R
+# scaled 1e-4 to 1e4 and h in [1e-3, 1]; tests/test_filtering.py checks it.
+GAIN_FORM_RTOL = 1e-8
 
 
 class MeasurementModel:
@@ -75,14 +80,18 @@ class MeasurementModel:
     def transport_terms(self, h: float):
         """(S, gain) = (I + h C^T R^-1 C, h S^-1 C^T R^-1), the P-free part of
         the transport update at step size h. Kept for the last h whose terms
-        are finite, so a run at one h forms them once. An S that overflows is
-        refused as NumericFailure naming it, with no floating-point warning."""
+        are finite, so a run at one h forms them once. An S or an h C^T R^-1
+        that overflows is refused as NumericFailure naming it, with no
+        floating-point warning."""
         if self._transport is None or self._transport[0] != h:
-            with np.errstate(over="ignore"):  # an overflow is refused just below
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
                 scaled = np.eye(self.state_dim) + h * self._info
+                rhs = h * self.c.T @ self.rinv
             if not np.isfinite(scaled).all():
                 raise NumericFailure(f"I + h C^T R^-1 C: {_OVERFLOW}")
-            gain = solve(scaled, h * self.c.T @ self.rinv, "a solve failed")
+            if not np.isfinite(rhs).all():
+                raise NumericFailure("transport gain h S^-1 C^T R^-1: h C^T R^-1 overflows")
+            gain = solve(scaled, rhs, "a solve failed")
             if not np.isfinite(gain).all():
                 return scaled, gain
             self._transport = (h, scaled, gain)
@@ -108,31 +117,32 @@ def _innovate(mean, c, gain, y):
 
 
 def _lmmr_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
-    """The KL update's (gain, P+): P+ from the information form, gain h P+ C' R^-1.
-    At 1 x 1, (P-)^-1 and the information sum x are Python floats, each with
-    the bits and checks of a 1 x 1 SpdMatrix (spd_scalar), and P+ is the one
-    SpdMatrix(1 / x), the bits of inv_spd. So is the gain at n = m = 1:
+    """The KL update's (gain, P+). At n >= 2 it takes the gain form of the
+    information form (P+)^-1 = (P-)^-1 + h C' R^-1 C, equal to it by the matrix
+    inversion lemma: with W = C P- and S = R + h W C', K = h (S^-1 W)' and
+    P+ = P- - K W, so no eigendecomposition runs. It agrees with the
+    information form within GAIN_FORM_RTOL, relative to the largest entry.
+    An h C P- C' that overflows is refused as NumericFailure naming it, with
+    no floating-point warning; a P+ below the floor as SingularityError
+    naming P+.
+    At 1 x 1 it is the information form in Python floats: (P-)^-1 and the
+    information sum x have the bits and checks of inv_spd and of a 1 x 1
+    SpdMatrix (spd_scalar), and P+ is the one SpdMatrix(1 / x), the bits of
+    inv_spd, with an information sum that overflows or falls below the floor
+    refused under its name, keeping the class. So is the gain at n = m = 1:
     0.0 + h p c r, since numpy adds each 1 x 1 product to +0.0. A float gain
     that is not finite is formed as matrices instead, which raise under a
-    run's guard. An information matrix that overflows, is singular or is not
-    finite is refused under its name, keeping the class (NumericFailure for
-    an overflow, with no floating-point warning)."""
-    j, scalar = meas.information_matrix(), p_prior.dim == 1
+    run's guard."""
+    if p_prior.dim > 1:
+        return _gain_form(p_prior.mat, meas, h)
     try:
-        if scalar:
-            info = spd_scalar(1.0 / p_prior.mat.item()) + h * j.item()
-            overflow = not math.isfinite(info)
-        else:
-            p_inv = inv_spd(p_prior).mat
-            with np.errstate(over="ignore"):  # an overflow is refused just below
-                info = p_inv + h * j
-            overflow = not np.isfinite(info).all()
-        if overflow:
+        info = spd_scalar(1.0 / p_prior.mat.item()) + h * meas.information_matrix().item()
+        if not math.isfinite(info):
             raise NumericFailure(_OVERFLOW)
-        info = spd_scalar(info) if scalar else SpdMatrix(info)
+        info = spd_scalar(info, "SPD matrix")
     except (SingularityError, NumericFailure) as exc:
         raise type(exc)(f"information matrix (P-)^-1 + h C^T R^-1 C: {exc}") from exc
-    cov = SpdMatrix(1.0 / info) if scalar else inv_spd(info)
+    cov = SpdMatrix(1.0 / info)
     if meas.c.size == 1:
         gain = 0.0 + h * cov.mat.item() * meas.c.item() * meas.rinv.item()
         if math.isfinite(gain):
@@ -140,13 +150,36 @@ def _lmmr_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
     return h * cov.mat @ meas.c.T @ meas.rinv, cov
 
 
+def _gain_form(p: np.ndarray, meas: MeasurementModel, h: float):
+    """(K, P+) = (h (S^-1 W)', SpdMatrix(P- - K W)), W = C P-, S = R + h W C'."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        w = meas.c @ p
+        s = meas.r.mat + h * (w @ meas.c.T)
+        if not np.isfinite(s).all():
+            raise NumericFailure("innovation covariance R + h C P- C^T: h C P- C^T overflows")
+        gain = h * solve(s, w, "innovation covariance R + h C P- C^T is singular").T
+        cov = p - gain @ w
+        # K W = h W' S^-1 W is symmetric but for rounding, which grows with
+        # cond(S): keep it out of SpdMatrix's asymmetry check (same bits)
+        cov = 0.5 * (cov + cov.T)
+    try:
+        if not np.isfinite(cov).all():
+            raise NumericFailure("K C P- overflows")
+        return gain, SpdMatrix(cov)
+    except (SingularityError, NumericFailure) as exc:
+        raise type(exc)(f"posterior covariance P- - K C P-: {exc}") from exc
+
+
 def lmmr_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -> Gaussian:
     """KL-proximal measurement update.
 
     Covariance in information form (P+)^-1 = (P-)^-1 + h C' R^-1 C, so
     P+ <= P- always; mean mu+ = mu- + h P+ C' R^-1 (y - C mu-), the solution
-    of (I + h P- C' R^-1 C) mu+ = mu- + h P- C' R^-1 y. The prior mean and y
-    may be batches (S, n), (S, m) sharing the covariance.
+    of (I + h P- C' R^-1 C) mu+ = mu- + h P- C' R^-1 y. At n >= 2 both are
+    evaluated in the equal gain form, K = h P- C' (R + h C P- C')^-1 and
+    P+ = P- - K C P-, within GAIN_FORM_RTOL of the information form (see
+    _lmmr_half). The prior mean and y may be batches (S, n), (S, m) sharing
+    the covariance.
     """
     y, h = _check_update_inputs(g_prior, meas, y, h)
     gain, cov = _lmmr_half(g_prior.cov, meas, h)

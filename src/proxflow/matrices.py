@@ -177,42 +177,65 @@ def symmetrize(a, name: str = "matrix") -> np.ndarray:
 
 
 class SpdMatrix:
-    """Symmetric positive-definite matrix with a cached eigendecomposition.
+    """Symmetric positive-definite matrix with its eigendecomposition on demand.
 
     Construction accepts a matrix P within SYMMETRY_RTOL (1 + max|P|) of
     symmetric and stores (P + P^T)/2, so callers pass raw products; it
-    rejects eigenvalues below the relative floor. Instances are immutable;
-    the cached factors back all matrix-function evaluations.
+    rejects eigenvalues below the relative floor, which it reads with
+    eigvalsh. The eigenpairs (eigenvalues ascending, eigenvectors as
+    columns) are np.linalg.eigh of the stored matrix, run the first time
+    either is read: a covariance that is only stepped, solved with or
+    multiplied never pays for its eigenvectors. A matrix function (_map)
+    and a 1 x 1 matrix hold theirs from the start. Instances are immutable,
+    and the eigenpairs back all matrix-function evaluations.
     """
 
-    __slots__ = ("mat", "eigenvalues", "eigenvectors")
+    __slots__ = ("mat", "_eig")
 
     def __init__(self, mat):
         if type(mat) is float and math.isfinite(mat):  # a 1 x 1 step's float: no array to read
-            self._freeze_scalar(mat)
+            self._freeze_scalar(mat, "SPD matrix")
             return
         m = as_array(mat, "SPD matrix", (0, 2), finite=False)  # symmetrize's max|M| checks
         if m.size == 1 and math.isfinite(x := m.item()):  # scalar fast path: checks in one pass
-            self._freeze_scalar(x)
+            self._freeze_scalar(x, "SPD matrix")
             return
         m = symmetrize(m, "SPD matrix")
         try:
-            w, v = np.linalg.eigh(m)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on finite input
+            w = np.linalg.eigvalsh(m)  # nan or no convergence where (M + M^T)/2 overflowed
+        except np.linalg.LinAlgError as exc:
             raise NumericFailure(f"eigendecomposition failed: {exc}") from exc
-        self._freeze(m, w, v)
+        _check_eigenvalues(np.isfinite(w).all(), w[0], w[-1], "SPD matrix")
+        m.setflags(write=False)
+        self.mat, self._eig = m, None
 
-    def _freeze_scalar(self, x: float) -> None:
+    def _freeze_scalar(self, x: float, name: str = "matrix") -> None:
         """Hold [[spd_scalar(x)]]; its eigenpair is (that float, 1), read-only."""
-        m = np.array([[spd_scalar(x)]])
+        m = np.array([[spd_scalar(x, name)]])
         m.setflags(write=False)  # and so its view m[0]
-        self.mat, self.eigenvalues, self.eigenvectors = m, m[0], _EIGENVECTORS_1X1
+        self.mat, self._eig = m, (m[0], _EIGENVECTORS_1X1)
 
     def _freeze(self, m: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
         _check_eigenvalues(np.isfinite(w).all(), w[0], w[-1])
         for arr in (m, w, v):
             arr.setflags(write=False)
-        self.mat, self.eigenvalues, self.eigenvectors = m, w, v
+        self.mat, self._eig = m, (w, v)
+
+    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._eig is None:
+            w, v = np.linalg.eigh(self.mat)  # of a matrix that passed the floor: finite
+            w.setflags(write=False)
+            v.setflags(write=False)
+            self._eig = (w, v)
+        return self._eig
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigenpairs()[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._eigenpairs()[1]
 
     @property
     def dim(self) -> int:
@@ -227,10 +250,11 @@ class SpdMatrix:
         At 1 x 1, _compose is (1 w) 1 and its symmetrization, so fn(P) is the float fn(w):
         fn applied to the float w, whose elementwise ops are the array's IEEE ops."""
         out = SpdMatrix.__new__(SpdMatrix)
-        if self.eigenvalues.size == 1:
-            out._freeze_scalar(float(fn(self.eigenvalues.item())))
+        w, v = self._eigenpairs()
+        if w.size == 1:
+            out._freeze_scalar(float(fn(w.item())))
             return out
-        w, v = fn(self.eigenvalues), self.eigenvectors
+        w = fn(w)
         mat = _compose(w, v)
         if w[0] > w[-1]:  # decreasing fn: keep the eigenvalues ascending
             w, v = w[::-1], v[:, ::-1]
@@ -247,20 +271,24 @@ class SpdMatrix:
         return f"SpdMatrix({self.mat!r})"
 
 
-def spd_scalar(x: float) -> float:
+def spd_scalar(x: float, name: str = "matrix") -> float:
     """The float a 1 x 1 SpdMatrix of x holds: 0.5 (x + x), symmetrized as symmetrize
-    does (inf where x + x overflows), with _freeze's finite and floor checks."""
+    does (inf where x + x overflows), with _freeze's finite and floor checks; a
+    value below the floor is refused as "<name> is not positive definite ..."."""
     x = 0.5 * (x + x)
-    _check_eigenvalues(math.isfinite(x), x, x)
+    _check_eigenvalues(math.isfinite(x), x, x, name)
     return x
 
 
-def _check_eigenvalues(finite: bool, lo: float, hi: float) -> None:
+def _check_eigenvalues(finite: bool, lo: float, hi: float, name: str = "matrix") -> None:
+    """Refuse eigenvalues in [lo, hi] that are not finite (NumericFailure) or whose
+    smallest is not above POSITIVITY_RTOL (1 + largest) (SingularityError naming
+    name: "SPD matrix" at construction, "matrix" for a matrix function's f(w))."""
     if not finite:
         raise NumericFailure("eigendecomposition produced non-finite eigenvalues")
     if lo <= POSITIVITY_RTOL * (1.0 + hi):
         raise SingularityError(
-            "matrix is not positive definite within the floor: "
+            f"{name} is not positive definite within the floor: "
             f"eigenvalues in [{lo:.3e}, {hi:.3e}]"
         )
 

@@ -11,6 +11,7 @@ from proxflow.matrices import spectral_abscissa
 from proxflow.propagation import LinearSystem
 
 __all__ = [
+    "count_eigh",
     "load_bench_module",
     "random_hurwitz",
     "random_orthogonal",
@@ -40,6 +41,13 @@ def random_system(
         except ControllabilityError:  # pragma: no cover - generic draws pass
             continue
     raise ControllabilityError("could not draw a controllable system")
+
+
+def count_eigh(monkeypatch) -> list:
+    """A list that np.linalg.eigh appends to on every call from now on."""
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    return calls
 
 
 def spd_from(entries):

@@ -3,6 +3,7 @@ and simulated paths, the same on every run, and its comparison against a
 parent checkout."""
 
 import importlib.util
+import json
 import pathlib
 import re
 import subprocess
@@ -29,10 +30,32 @@ def test_two_runs_give_the_same_hash_and_this_tree_is_its_own_parent():
     assert (parent, verdict) == (f"{ours} (parent)", "same bits as the parent")
 
 
-def test_the_first_differing_group_is_named():
-    first_difference = _bits().first_difference
+def test_every_differing_group_is_named_in_order():
+    differences = _bits().differences
     ours = {"simulate": "a", "run_filter": "b", "reference": "c"}
-    assert first_difference(ours, dict(ours)) is None
-    assert first_difference(ours, {**ours, "run_filter": "x", "reference": "y"}) == "run_filter"
-    assert first_difference(ours, {"simulate": "a", "run_filter": "b"}) == "reference"
-    assert first_difference(ours, {**ours, "extra": "d"}) == "the group list"
+    assert differences(ours, dict(ours)) == []
+    assert differences(ours, {**ours, "run_filter": "x", "reference": "y"}) == [
+        "run_filter", "reference"]
+    assert differences(ours, {"simulate": "a", "run_filter": "b"}) == ["reference"]
+    assert differences(ours, {**ours, "extra": "d", "more": "e"}) == [
+        "extra (parent only)", "more (parent only)"]
+    assert differences(ours, {"reference": "c", "simulate": "z", "extra": "d"}) == [
+        "simulate", "run_filter", "extra (parent only)"]
+
+
+def test_a_differing_parent_prints_every_group_one_per_line_and_exits_1(monkeypatch, capsys,
+                                                                        tmp_path):
+    bits = _bits()
+    ours = {"simulate n=1": "a", "run_filter n=2 lmmr": "b", "run_filter n=8 lmmr": "c"}
+    parent = {**ours, "run_filter n=2 lmmr": "x", "run_filter n=8 lmmr": "y"}
+
+    def fake_run(args, **kwargs):
+        return subprocess.CompletedProcess(args, 0, stdout=json.dumps(parent))
+
+    monkeypatch.setattr(bits, "groups", lambda src: ours)
+    monkeypatch.setattr(bits.subprocess, "run", fake_run)
+    assert bits.main(["--parent", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [bits.total(ours), f"{bits.total(parent)} (parent)",
+                     "differs from the parent in 2 groups:",
+                     "run_filter n=2 lmmr", "run_filter n=8 lmmr"]

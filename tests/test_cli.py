@@ -292,15 +292,15 @@ class TestCompareFilters:
         assert not out.exists()
 
     @pytest.mark.parametrize("a,c,mean,cov,predict,failure", [
-        # (P-)^-1 ~ 1e-306 I sits below the floor of the KL update's information form
+        # P- ~ 1e306 I: the KL update's P+ = P- - K C P- falls below the floor
         ([[-1.0, 0.3], [-0.2, -0.8]], [[1.0, 0.5]], 0.0, 1e306, "jko",
-         "lmmr update failed at step 1: information matrix (P-)^-1 + h C^T R^-1 C: "
-         "matrix is not positive definite within the floor"),
+         "lmmr update failed at step 1: posterior covariance P- - K C P-: "
+         "SPD matrix is not positive definite within the floor"),
         ([[-3.0, 0.5], [-0.5, -3.0]], [[1.0, 0.5]], 0.0, 8e307, "jko",
          "jko predict failed at step 1: overflow"),
         ([[-3.0, 0.5], [-0.5, -3.0]], [[1.0, 0.5]], 0.0, 8e307, "exact",
-         "lmmr update failed at step 1: information matrix (P-)^-1 + h C^T R^-1 C: "
-         "matrix is not positive definite within the floor"),
+         "lmmr update failed at step 1: posterior covariance P- - K C P-: "
+         "SPD matrix is not positive definite within the floor"),
         # the simulated truth flips sign each step (I + h A = -0.98) while the
         # exact predict keeps it (e^(A h) = 0.14), so y - C mu- overflows
         ([[-99.0, 0.0], [0.0, -1.0]], [[100.0, 0.0]], 1.78e306, 1.0, "exact",
@@ -343,14 +343,14 @@ class TestCompareFilters:
         out = tmp_path / "x.csv"
         assert main(["compare-filters", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "numeric failure: wasserstein update failed at step 1: matrix is not positive "
+            "numeric failure: wasserstein update failed at step 1: SPD matrix is not positive "
             "definite within the floor: eigenvalues in [2.500e-15, 9.600e-01]\n"
         )
         assert not out.exists()
 
     def test_update_whose_solve_fails_exits_2_naming_the_step(self, tmp_path, capsys):
-        # with C scaled by 1e150, (P-)^-1 + h C^T R^-1 C is singular in
-        # floating point: its unobserved direction falls below the SPD floor
+        # with C scaled by 1e150, the KL posterior's observed variance is
+        # ~1e-299, below the SPD floor: P- - K C P- cancels there to rounding
         payload = {
             "system": {"A": [[-1.0, 100.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
             "measurement": {"C": [[1e150, 5e149]], "R": [[1.0]]},
@@ -363,9 +363,9 @@ class TestCompareFilters:
         out = tmp_path / "x.csv"
         assert main(["compare-filters", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "numeric failure: lmmr update failed at step 1: information matrix "
-            "(P-)^-1 + h C^T R^-1 C: matrix is not positive definite "
-            "within the floor: eigenvalues in [0.000e+00, 2.500e+298]\n"
+            "numeric failure: lmmr update failed at step 1: posterior covariance "
+            "P- - K C P-: SPD matrix is not positive definite "
+            "within the floor: eigenvalues in [1.527e-16, 1.849e-01]\n"
         )
         assert not out.exists()
 
@@ -722,7 +722,7 @@ class TestExitCodes:
             "initial": {"mean": [2.0, 1.0], "cov": [[2.0, 0.5], [0.5, 1.5]]},
             "steps": {"h": [0.04, 0.02, 0.01, 0.005], "horizon": 1.0},
             "mode": {"task": "propagation", "propagation": "general-first-order"},
-        }, "exact covariance: matrix is not positive definite within the floor: "),
+        }, "exact covariance: SPD matrix is not positive definite within the floor: "),
     ], ids=["lyapunov-nan", "equipartition-roots", "closed-form-cov", "exact-mean", "rk4-cov"])
     def test_one_time_read_that_fails_exits_2_naming_itself(self, tmp_path, capsys, command,
                                                              payload, message):

@@ -24,6 +24,7 @@ from proxflow import (
     general_mean_map,
     jko_step_general_cov,
     jko_step_general_mean,
+    jko_step_symmetric,
     lmmr_update,
     make_equipartition,
     propagate,
@@ -34,7 +35,7 @@ from proxflow import (
 from proxflow import filtering, gaussians, propagation
 from proxflow.errors import named_failures
 from proxflow.matrices import inv_spd, max_abs, solve
-from support import random_spd
+from support import count_eigh, random_orthogonal, random_spd
 
 SCALAR_SYS = LinearSystem([[-1.0]], [[1.0]])
 SCALAR_MEAS = MeasurementModel([[1.0]], SpdMatrix(1.0))
@@ -223,10 +224,10 @@ class TestPredictUpdateComposition:
 
 
 class TestUpdateSolveFailure:
-    # The KL update's information matrix (P-)^-1 + h C^T R^-1 C falls below
-    # the SPD floor at P = 1e306 I and C = [1, 0.5], and with C scaled by
-    # 1e150; there I + h C^T R^-1 C is singular in floating point too, so the
-    # transport update's solves fail.
+    # The KL update's posterior P- - K C P- falls below the SPD floor at
+    # P = 1e306 I and C = [1, 0.5], and with C scaled by 1e150, as its
+    # information form (P-)^-1 + h C^T R^-1 C does; there I + h C^T R^-1 C is
+    # singular in floating point too, so the transport update's solves fail.
     @pytest.mark.parametrize("update,scale,prior", [
         (lmmr_update, 1.0, 1e306), (lmmr_update, 1e150, 1.0), (wasserstein_update, 1e150, 1.0),
     ])
@@ -235,8 +236,8 @@ class TestUpdateSolveFailure:
         g = Gaussian(np.zeros(2), SpdMatrix(prior * np.eye(2)))
         # run_filter adds the update's name and step, so the update names neither
         error, cause = {
-            lmmr_update: (SingularityError, "information matrix (P-)^-1 + h C^T R^-1 C: "
-                                            "matrix is not positive definite within the floor"),
+            lmmr_update: (SingularityError, "posterior covariance P- - K C P-: SPD matrix "
+                                            "is not positive definite within the floor"),
             wasserstein_update: (NumericFailure, "a solve failed"),
         }[update]
         with pytest.raises(error, match=rf"^{re.escape(cause)}: "):
@@ -267,6 +268,74 @@ class TestInnovationForm:
         got = update(prior, meas, y, h).mean
         assert got.shape == want.shape
         assert max_abs(got - want) <= 1e-13 * max_abs(want)
+
+
+
+def _information_form(p, c, r, h):
+    """The KL update's (gain, P+) in information form, in plain numpy:
+    P+ = ((P-)^-1 + h C' R^-1 C)^-1 and gain h P+ C' R^-1."""
+    rinv = np.linalg.inv(r)
+    cov = np.linalg.inv(np.linalg.inv(p) + h * c.T @ rinv @ c)
+    return h * cov @ c.T @ rinv, cov
+
+
+class TestGainForm:
+    # At n >= 2 the KL update evaluates its information form in gain form;
+    # by the matrix inversion lemma the two are equal, and in floating point
+    # they agree within GAIN_FORM_RTOL of the largest entry over this grid.
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_gain_form_agrees_with_the_information_form(self, n):
+        rng = np.random.default_rng(70 + n)
+        worst = 0.0
+        for m in sorted({1, (n + 1) // 2, n}):
+            c = rng.normal(size=(m, n))
+            for cond in (1.0, 1e3, 1e6):
+                q = random_orthogonal(rng, n)
+                p = (q * np.geomspace(1.0 / cond, 1.0, n)) @ q.T
+                for scale in (1e-4, 1e-2, 1.0, 1e2, 1e4):
+                    r = random_spd(rng, m).mat * scale
+                    meas = MeasurementModel(c, SpdMatrix(r))
+                    for h in (1e-3, 0.02, 1.0):
+                        want_gain, want_cov = _information_form(p, c, r, h)
+                        SpdMatrix(want_cov)  # the information form accepts every case
+                        gain, cov = filtering._lmmr_half(SpdMatrix(p), meas, h)
+                        for got, want in ((gain, want_gain), (cov.mat, want_cov)):
+                            worst = max(worst, max_abs(got - want) / max_abs(want))
+        assert worst <= filtering.GAIN_FORM_RTOL
+
+
+class TestEighCount:
+    # A covariance that is only stepped, solved with or multiplied never runs
+    # np.linalg.eigh: a run's one call, with the jko predict, is the square
+    # root of the stationary covariance in make_equipartition, made once.
+    @pytest.mark.parametrize("steps", [1, 50])
+    @pytest.mark.parametrize("predict", ["jko", "exact"])
+    @pytest.mark.parametrize("update", ["lmmr", "wasserstein"])
+    def test_a_filter_run_makes_no_eigh_per_step(self, monkeypatch, update, predict, steps):
+        sys, meas, g0, rng = _dense_problem(8, 3)
+        cfg = StepConfig(h=0.02, steps=steps)
+        dz = 0.1 * rng.normal(size=(steps, 3))
+        calls = count_eigh(monkeypatch)
+        run_filter(sys, meas, g0, dz, cfg, update, predict)
+        assert len(calls) == {"jko": 1, "exact": 0}[predict]
+
+    @pytest.mark.parametrize("steps", [1, 50])
+    def test_a_general_first_order_propagation_makes_no_eigh_per_step(self, monkeypatch,
+                                                                       steps):
+        sys, _, g0, _ = _dense_problem(8, 3)
+        calls = count_eigh(monkeypatch)
+        propagate(sys, g0, StepConfig(h=0.02, steps=steps), "general-first-order")
+        assert len(calls) == 1
+
+    def test_a_symmetric_step_makes_two(self, monkeypatch):
+        # (P-)^(-1/2) and the quadratic equation's right-hand side; Z's
+        # eigenpairs come from the right-hand side's, with no eigh
+        rng = np.random.default_rng(9)
+        g, gamma = Gaussian(rng.normal(size=8), random_spd(rng, 8)), random_spd(rng, 8)
+        calls = count_eigh(monkeypatch)
+        for step in range(1, 4):
+            g = jko_step_symmetric(g, gamma, 1.0, 0.02)
+            assert len(calls) == 2 * step
 
 
 class TestRunFilter:
@@ -372,7 +441,7 @@ class TestRunFilter:
         g0 = Gaussian(np.zeros(2), SpdMatrix(np.eye(2)))
         with pytest.raises(SingularityError, match=r"^exact predict: cannot read Q_h off the "
                                                  r"oracle at h=0\.02: exact covariance: "
-                                                 r"matrix is not positive"):
+                                                 r"SPD matrix is not positive"):
             run_filter(sys, meas, g0, np.zeros((10, 1)), StepConfig(h=0.02, steps=10),
                        predict="exact")
 
@@ -385,7 +454,7 @@ class TestRunFilter:
         g0 = Gaussian(np.zeros(2), SpdMatrix(np.eye(2)))
         cfg = StepConfig(h=0.02, steps=50)
         with pytest.raises(SingularityError, match=r"^wasserstein update failed at step 1: "
-                                                   r"matrix is not positive definite"):
+                                                   r"SPD matrix is not positive definite"):
             run_filter(sys, meas, g0, np.zeros((2, cfg.steps, 1)), cfg, "wasserstein", predict)
 
     def test_exact_predict_that_overflows_names_the_step(self):
@@ -402,10 +471,10 @@ class TestRunFilter:
         # 1 + 0.05 (-100 + 2) < 0: the first jko covariance step is indefinite
         ([[-50.0, 0.0], [0.0, -1.0]], 1.0, 0.05, "jko", StepSizeError,
          r"jko predict failed at step 1: covariance step with h=0\.05 lost"),
-        # (P-)^-1 + h C^T R^-1 C falls below the SPD floor at P = 1.5e307 I
+        # P- - K C P- falls below the SPD floor at P = 1.5e307 I
         ([[-1.0, 100.0], [0.0, -1.0]], 1.5e307, 0.02, "exact", SingularityError,
-         r"lmmr update failed at step 1: information matrix \(P-\)\^-1 \+ h C\^T R\^-1 C: "
-         r"matrix is not positive definite within the floor"),
+         r"lmmr update failed at step 1: posterior covariance P- - K C P-: "
+         r"SPD matrix is not positive definite within the floor"),
     ], ids=["jko-predict", "update-solve"])
     def test_failing_step_keeps_its_class_and_names_the_step(self, a, cov, h, predict, error,
                                                              message):
@@ -814,7 +883,7 @@ def _matrix_jko_cov(p, sys, h):
 
 
 def _matrix_lmmr_half(p, meas, h):
-    """filtering._lmmr_half written as matrix arithmetic."""
+    """filtering._lmmr_half's 1 x 1 information form written as matrix arithmetic."""
     try:
         p_inv = inv_spd(p).mat
         with np.errstate(over="ignore"):
@@ -824,7 +893,7 @@ def _matrix_lmmr_half(p, meas, h):
         info = SpdMatrix(info)
     except (SingularityError, NumericFailure) as exc:
         raise type(exc)(f"information matrix (P-)^-1 + h C^T R^-1 C: {exc}") from exc
-    cov = inv_spd(info)
+    cov = SpdMatrix(np.linalg.inv(info.mat))
     return h * cov.mat @ meas.c.T @ meas.rinv, cov
 
 

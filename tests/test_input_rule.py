@@ -264,22 +264,25 @@ def test_expm_time_must_be_a_finite_number(t):
     (lambda: expm([[1e308]]), "matrix exponential overflowed"),
     (lambda: quadratic_matrix_solve(5e-324, P2),
      "eigendecomposition produced non-finite eigenvalues"),
-    # h C^T R^-1 C overflows the information matrix's eigenvalues: named, as its floor is
+    # h C P- C^T overflows (2 * 1e308) in the gain form's innovation covariance: named
     (lambda: lmmr_update(G2, MEAS2, [0.0], 1e308),
-     "information matrix (P-)^-1 + h C^T R^-1 C: eigendecomposition produced non-finite "
-     "eigenvalues"),
-    # h C^T R^-1 C itself overflows (3 * 3 * 1e308): named, with no warning, at n = 1 and 2
+     "innovation covariance R + h C P- C^T: h C P- C^T overflows"),
+    # h C^T R^-1 C itself overflows (3 * 3 * 1e308): named, with no warning, at n = 1 and 2;
+    # at n = 2 the KL update forms h C P- C^T, which overflows alike
     (lambda: lmmr_update(G1, MeasurementModel([[3.0]], P1), [0.0], 1e308),
      "information matrix (P-)^-1 + h C^T R^-1 C: h C^T R^-1 C overflows"),
     (lambda: wasserstein_update(G1, MeasurementModel([[3.0]], P1), [0.0], 1e308),
      "I + h C^T R^-1 C: h C^T R^-1 C overflows"),
     (lambda: lmmr_update(G2, MeasurementModel([[3.0, 0.0]], P1), [0.0], 1e308),
-     "information matrix (P-)^-1 + h C^T R^-1 C: h C^T R^-1 C overflows"),
+     "innovation covariance R + h C P- C^T: h C P- C^T overflows"),
     (lambda: wasserstein_update(G2, MeasurementModel([[3.0, 0.0]], P1), [0.0], 1e308),
      "I + h C^T R^-1 C: h C^T R^-1 C overflows"),
+    # h C^T R^-1 C = 9e297 is finite, but h C^T = 3e308 overflows before R^-1 scales it
+    (lambda: wasserstein_update(G1, MeasurementModel([[3.0]], SpdMatrix(1e11)), [0.0], 1e308),
+     "transport gain h S^-1 C^T R^-1: h C^T R^-1 overflows"),
 ], ids=["expm", "quadratic_matrix_solve", "lmmr_update", "lmmr_update-overflow-1",
         "wasserstein_update-overflow-1", "lmmr_update-overflow-2",
-        "wasserstein_update-overflow-2"])
+        "wasserstein_update-overflow-2", "wasserstein_update-gain-overflow"])
 def test_an_overflow_is_a_numeric_failure_not_a_warning(call, message):
     with pytest.raises(NumericFailure) as info:
         call()

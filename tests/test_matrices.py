@@ -28,7 +28,7 @@ from proxflow import (
 from proxflow import matrices
 from proxflow.errors import named_failures
 from proxflow.matrices import _HALF_MAX, as_square, is_isotropic, max_abs, symmetrize
-from support import random_hurwitz, random_spd
+from support import count_eigh, random_hurwitz, random_spd
 
 
 class TestSpdMatrix:
@@ -73,7 +73,7 @@ class TestSpdMatrix:
         assert type(exc.value) is error and str(exc.value) == message
 
 
-_FLOOR = "matrix is not positive definite within the floor: eigenvalues in "
+_FLOOR = "SPD matrix is not positive definite within the floor: eigenvalues in "
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
@@ -99,6 +99,46 @@ def test_scalar_spd_errors(shape, value, error, message):
     with pytest.raises(error) as exc:
         SpdMatrix(np.full(shape, value))
     assert type(exc.value) is error and str(exc.value) == message
+
+
+class TestLazyEigenpairs:
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_eigenpairs_are_eigh_of_the_stored_matrix_read_only(self, n):
+        rng = np.random.default_rng(60 + n)
+        a = rng.normal(size=(n, n))
+        m = a @ a.T + n * np.eye(n)
+        m[0, 1] += 1e-12 * n  # within the symmetry tolerance: stored as (M + M^T)/2
+        p = SpdMatrix(m)
+        w, v = np.linalg.eigh(symmetrize(m))
+        assert p.eigenvalues.tobytes() == w.tobytes()
+        assert p.eigenvectors.tobytes() == v.tobytes()
+        for arr in (p.eigenvalues, p.eigenvectors):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_eigh_runs_once_on_the_first_read(self, monkeypatch):
+        calls = count_eigh(monkeypatch)
+        p = SpdMatrix(np.diag([1.0, 2.0, 3.0]))
+        assert calls == []
+        p.eigenvectors
+        assert len(calls) == 1
+        p.eigenvalues, p.eigenvectors, p.logdet(), sqrt_spd(p), inv_spd(p)
+        assert len(calls) == 1
+
+    def test_a_matrix_function_and_a_1x1_hold_their_eigenpairs(self, monkeypatch):
+        p = SpdMatrix(np.diag([1.0, 4.0]))
+        p.eigenvalues
+        calls = count_eigh(monkeypatch)
+        for q in (sqrt_spd(p), inv_sqrt_spd(p), SpdMatrix(2.0), SpdMatrix([[2.0]])):
+            q.eigenvalues, q.eigenvectors
+        assert calls == []
+
+    def test_an_overflowing_symmetrization_is_a_numeric_failure(self):
+        # (M + M^T)/2 is inf on the diagonal; LAPACK may fail to converge on
+        # it or return non-finite eigenvalues, and either is a NumericFailure
+        with pytest.raises(NumericFailure, match="^eigendecomposition "):
+            SpdMatrix(np.diag([1.0, 1e308, 1.0]))
 
 
 @pytest.mark.parametrize("shape", [(), (1, 1)], ids=["shape0", "shape2"])
@@ -143,13 +183,15 @@ _SCALARS = [m * 10.0**k for k in range(-11, 300) for m in (1.0, 3.7)] + [1e300]
 def test_derived_1x1_factors_match_a_fresh_spd_matrix_across_magnitudes(factor, fn):
     """At 1x1 a factor is one float fn(w): the matrix a fresh SpdMatrix of
     map_eigenvalues gives, bit for bit, or the same refusal where fn(w) is
-    below the floor, with read-only arrays and the shared eigenvector."""
+    below the floor (which the map calls "matrix", construction "SPD
+    matrix"), with read-only arrays and the shared eigenvector."""
     for x in _SCALARS:
         p = SpdMatrix(x)
         try:
             want = SpdMatrix(p.map_eigenvalues(fn))
         except SingularityError as exc:
-            with pytest.raises(SingularityError, match=f"^{re.escape(str(exc))}$"):
+            refusal = str(exc).removeprefix("SPD ")
+            with pytest.raises(SingularityError, match=f"^{re.escape(refusal)}$"):
                 factor(p)
             continue
         got = factor(p)

@@ -118,7 +118,7 @@ class TestMakeEquipartition:
     def test_stationary_covariance_below_floor_is_named(self):
         # Hurwitz and controllable, but P_inf = 1e-14 lies under the floor
         with pytest.raises(SingularityError, match=r"^stationary covariance of \(A, B\): "
-                           r"matrix is not positive definite within the floor"):
+                           r"SPD matrix is not positive definite within the floor"):
             make_equipartition(LinearSystem([[-1.0]], [[1e-7]]))
 
     def test_similarity_preserves_spectrum(self):
