@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Hash the bits of proxflow's filter runs, reference runs and simulated paths.
 
-    python3 scripts/bits.py [--parent DIR]
+    python3 scripts/bits.py [--parent DIR | --write FILE | --check FILE]
 
 Prints one SHA-256 over, in this order:
 - simulate's states and increments, n in {1, 2, 8}, one seed and 3 seeds;
@@ -13,7 +13,10 @@ each over STEPS steps at h = H on systems drawn from a fixed seed, and fed the
 simulated increments. A run that raises a ProxflowError is hashed as its class
 and text. With --parent DIR it also computes the hash with DIR/src in a
 subprocess, prints both, and exits 1 naming every group that differs, one
-per line.
+per line. --write FILE stores every group's hash in FILE as JSON.
+--check FILE hashes only the n = 1 groups, whose bits agree under every
+OpenBLAS kernel (the n >= 2 ones change with it), and exits 1 naming every
+one that FILE holds another hash for or lacks.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ H, STEPS = 0.02, 600
 SEED = 20_170  # draws every system, prior and measurement model
 DIMS = (1, 2, 8)
 REFERENCE_DIMS = (1, 2)
+HOST_INDEPENDENT_DIMS = (1,)  # what --check hashes
 SEEDS = {"one path": [0], "3 seeds": [0, 1, 2]}
 
 
@@ -74,15 +78,16 @@ def _digest(pf, call) -> str:
     return h.hexdigest()
 
 
-def groups(src: Path) -> dict:
-    """{group name: SHA-256 of its bits}, with proxflow imported from src."""
+def groups(src: Path, dims: tuple = DIMS) -> dict:
+    """{group name: SHA-256 of its bits} for the systems of dimension in dims,
+    with proxflow imported from src."""
     sys.path.insert(0, str(src))
     import numpy as np
     import proxflow as pf
 
     cfg = pf.StepConfig(h=H, steps=STEPS)
     out = {}
-    for n in DIMS:
+    for n in dims:
         system, meas, g0 = _problem(pf, np, n)
         for label, seeds in SEEDS.items():
             states, dz = pf.simulate(system, meas, g0, cfg, seeds)
@@ -112,6 +117,13 @@ def differences(ours: dict, parent: dict) -> list:
             + [f"{name} (parent only)" for name in parent if name not in ours])
 
 
+def unmatched(digests: dict, recorded: dict) -> list:
+    """Every group of digests whose hash recorded does not share, in order,
+    marked "(differs)" or "(not recorded)"; [] if all match."""
+    return [f"{name} ({'differs' if name in recorded else 'not recorded'})"
+            for name in digests if recorded.get(name) != digests[name]]
+
+
 _CHILD = """import json, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
@@ -122,10 +134,26 @@ print(json.dumps(bits.groups(Path(sys.argv[2]))))
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, help="a checkout whose src/ to compare against")
+    what = parser.add_mutually_exclusive_group()
+    what.add_argument("--parent", type=Path, help="a checkout whose src/ to compare against")
+    what.add_argument("--write", type=Path, metavar="FILE", help="store every group's hash")
+    what.add_argument("--check", type=Path, metavar="FILE",
+                      help="compare the n = 1 groups with the hashes FILE stores")
     args = parser.parse_args(argv)
+    if args.check is not None:
+        digests = groups(ROOT / "src", HOST_INDEPENDENT_DIMS)
+        bad = unmatched(digests, json.loads(args.check.read_text()))
+        if bad:
+            print(f"differs from {args.check} in {len(bad)} groups:")
+            print("\n".join(bad))
+            return 1
+        print(f"{len(digests)} n = 1 groups match {args.check}")
+        return 0
     digests = groups(ROOT / "src")
     print(total(digests))
+    if args.write is not None:
+        args.write.write_text(json.dumps(digests, indent=1) + "\n")
+        return 0
     if args.parent is None:
         return 0
     # a fresh process, so the parent's proxflow is the one it imports

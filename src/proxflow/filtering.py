@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .matrices import (
     SpdMatrix,
     as_array,
     as_matrix,
+    float_path,
     frozen,
     inv_spd,
     matvec,
@@ -36,7 +36,6 @@ from .matrices import (
     require_positive,
     require_same_dim,
     solve,
-    spd_scalar,
 )
 from .oracles import exact_cov, exact_mean
 from .propagation import LinearSystem, StepConfig, general_step
@@ -125,24 +124,23 @@ def _lmmr_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
     An h C P- C' that overflows is refused as NumericFailure naming it, with
     no floating-point warning; a P+ below the floor as SingularityError
     naming P+.
-    At 1 x 1 it is the information form in Python floats: (P-)^-1 and the
-    information sum x have the bits and checks of inv_spd and of a 1 x 1
-    SpdMatrix (spd_scalar), and P+ is the one SpdMatrix(1 / x), the bits of
-    inv_spd, with an information sum that overflows or falls below the floor
-    refused under its name, keeping the class. So is the gain at n = m = 1:
-    0.0 + h p c r, since numpy adds each 1 x 1 product to +0.0. A float gain
-    that is not finite is formed as matrices instead, which raise under a
-    run's guard."""
+    At 1 x 1 it is the information form in floats, P+ = SpdMatrix(1 / (1 / p
+    + h J)), J = C' R^-1 C, with the matrix inverses' bits: a sum that
+    overflows is refused by name, and only P+ is floored, so a diffuse prior
+    runs. Each rounded operation is monotone, and so is this map of p: after
+    a monotone predict (the exact one) a run's walk reaches a bitwise repeat.
+    The gain at n = m = 1 is 0.0 + h p c r, as numpy adds each 1 x 1 product
+    to +0.0; one that is not finite is formed as matrices, which raise under
+    a run's guard."""
     if p_prior.dim > 1:
         return _gain_form(p_prior.mat, meas, h)
+    info = 1.0 / p_prior.mat.item() + h * meas.information_matrix().item()
+    if not math.isfinite(info):
+        raise NumericFailure(f"information matrix (P-)^-1 + h C^T R^-1 C: {_OVERFLOW}")
     try:
-        info = spd_scalar(1.0 / p_prior.mat.item()) + h * meas.information_matrix().item()
-        if not math.isfinite(info):
-            raise NumericFailure(_OVERFLOW)
-        info = spd_scalar(info, "SPD matrix")
-    except (SingularityError, NumericFailure) as exc:
-        raise type(exc)(f"information matrix (P-)^-1 + h C^T R^-1 C: {exc}") from exc
-    cov = SpdMatrix(1.0 / info)
+        cov = SpdMatrix(1.0 / info)
+    except SingularityError as exc:
+        raise SingularityError(f"posterior covariance ((P-)^-1 + h C^T R^-1 C)^-1: {exc}") from exc
     if meas.c.size == 1:
         gain = 0.0 + h * cov.mat.item() * meas.c.item() * meas.rinv.item()
         if math.isfinite(gain):
@@ -276,10 +274,9 @@ def run_filter(
     x <- 0.0 + m x, then x <- x + k (d / h - c x) per increment d, with the
     array loop's bits: numpy adds each 1 x 1 product to +0.0, as the first
     step does, so that x is never -0.0, and a zero's sign in c x or
-    k (...), where floats and numpy may differ, is lost when added to x. A
-    float that overflows runs to inf or nan and no later + or * makes it
-    finite again, so only the last mean is checked; if it is not finite,
-    the array loop reruns the tail and raises as below.
+    k (...), where floats and numpy may differ, is lost when added to x. If
+    float_path finds the last mean not finite, the array loop reruns the
+    tail and raises as below.
     A step that fails, in the walk or the tail, keeps its error class
     (NumericFailure for an overflow) and reads "<stage> failed at step k:
     <cause>", where the stage is "<predict> predict" or "<update> update".
@@ -309,8 +306,9 @@ def run_filter(
                 break
         mu = g.mean
         if settled < steps and mu.size == meas.c.size == 1:
-            tail = _float_tail(mean_map.item(), meas.c.item(), gain.item(), mu.item(),
-                               dz[..., settled:, 0].ravel().tolist(), h)
+            m, c, kf = mean_map.item(), meas.c.item(), gain.item()
+            tail = float_path(lambda x, d: (x := 0.0 + m * x) + kf * (d / h - c * x),
+                              mu.item(), dz[..., settled:, 0].ravel().tolist())
             if tail:
                 means[..., settled:, 0], settled = tail, steps
         for k in range(settled, steps):  # a batch, or the replay of a float tail that overflowed
@@ -320,18 +318,6 @@ def run_filter(
             mu = _innovate(mu, meas.c, gain, dz[..., k, :] / h)
             means[..., k + 1, :] = mu
     return FilterRun(means, tuple(covs + covs[-1:] * (steps + 1 - len(covs))))
-
-
-def _float_tail(m: float, c: float, k: float, x: float, dz: list, h: float) -> list | None:
-    """The means x, then per increment d the settled step x <- 0.0 + m x,
-    x <- x + k (d / h - c x), as Python floats; None if the last is not finite."""
-
-    def step(x, d):
-        x = 0.0 + m * x
-        return x + k * (d / h - c * x)
-
-    tail = list(accumulate(dz, step, initial=x))
-    return tail if math.isfinite(tail[-1]) else None
 
 
 @dataclass(frozen=True, eq=False)

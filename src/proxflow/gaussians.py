@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ProxflowError, ValidationError
 from .matrices import (
     SpdMatrix,
     all_finite,
@@ -243,14 +243,20 @@ def trace_projection(g0: Gaussian, mu, tau: float) -> tuple[float, Gaussian]:
 
     The minimizer over that set is the dilation with covariance (tau/tau0) P0,
     and the optimal distance satisfies w2^2 = (sqrt(tau) - sqrt(tau0))^2 + |mu - mu0|^2.
-    Returns (w2, minimizer).
+    Returns (w2, minimizer). A dilation that SpdMatrix refuses keeps its class
+    and names tau.
     """
     require_single(g0)
     require_positive(tau, "target trace")
     mu_v = as_array(mu, "target mean", (1,))
     require_same_dim("density and target mean", g0.dim, mu_v.shape[0])
     tau0 = g0.cov.trace()
-    g = Gaussian(mu_v, SpdMatrix((tau / tau0) * g0.cov.mat))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which SpdMatrix refuses
+            cov = SpdMatrix((tau / tau0) * g0.cov.mat)
+    except ProxflowError as exc:
+        raise type(exc)(f"dilated covariance at target trace {tau}: {exc}") from exc
+    g = Gaussian(mu_v, cov)
     shift = mu_v - g0.mean
     w2 = math.sqrt((math.sqrt(tau) - math.sqrt(tau0)) ** 2 + float(shift @ shift))
     return w2, g

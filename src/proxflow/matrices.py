@@ -10,6 +10,7 @@ I without SciPy; `scipy.linalg` loads on the first non-zero exponent.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -142,6 +143,15 @@ def matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (mat @ x[..., None])[..., 0]
 
 
+def float_path(step, x: float, inputs: list) -> list | None:
+    """x, then x <- step(x, u) per input u, as Python floats; None if the last
+    is not finite. A float that overflows runs to inf or nan and no later + or
+    * makes it finite again, so only the last value is checked: a caller whose
+    path is None reruns its array loop, which raises."""
+    path = list(accumulate(inputs, step, initial=x))
+    return path if math.isfinite(path[-1]) else None
+
+
 def _asymmetry(m: np.ndarray, scale: float) -> float:
     """max|M - M^T| for a finite non-empty square M with max|M| = scale; inf, with no
     floating-point warning, where the difference overflows."""
@@ -186,8 +196,9 @@ class SpdMatrix:
     columns) are np.linalg.eigh of the stored matrix, run the first time
     either is read: a covariance that is only stepped, solved with or
     multiplied never pays for its eigenvectors. A matrix function (_map)
-    and a 1 x 1 matrix hold theirs from the start. Instances are immutable,
-    and the eigenpairs back all matrix-function evaluations.
+    holds its eigenpairs from the start, and so does a 1 x 1 matrix, which
+    is checked and held as the float 0.5 (x + x) (_freeze_scalar). Instances
+    are immutable, and the eigenpairs back all matrix-function evaluations.
     """
 
     __slots__ = ("mat", "_eig")
@@ -210,8 +221,12 @@ class SpdMatrix:
         self.mat, self._eig = m, None
 
     def _freeze_scalar(self, x: float, name: str = "matrix") -> None:
-        """Hold [[spd_scalar(x)]]; its eigenpair is (that float, 1), read-only."""
-        m = np.array([[spd_scalar(x, name)]])
+        """Hold [[0.5 (x + x)]], symmetrized as symmetrize does (inf where x + x
+        overflows), after _freeze's finite and floor checks under name; its
+        eigenpair is (that float, 1), read-only."""
+        x = 0.5 * (x + x)
+        _check_eigenvalues(math.isfinite(x), x, x, name)
+        m = np.array([[x]])
         m.setflags(write=False)  # and so its view m[0]
         self.mat, self._eig = m, (m[0], _EIGENVECTORS_1X1)
 
@@ -269,15 +284,6 @@ class SpdMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SpdMatrix({self.mat!r})"
-
-
-def spd_scalar(x: float, name: str = "matrix") -> float:
-    """The float a 1 x 1 SpdMatrix of x holds: 0.5 (x + x), symmetrized as symmetrize
-    does (inf where x + x overflows), with _freeze's finite and floor checks; a
-    value below the floor is refused as "<name> is not positive definite ..."."""
-    x = 0.5 * (x + x)
-    _check_eigenvalues(math.isfinite(x), x, x, name)
-    return x
 
 
 def _check_eigenvalues(finite: bool, lo: float, hi: float, name: str = "matrix") -> None:
@@ -374,11 +380,15 @@ def quadratic_matrix_solve(c: float, rhs: SpdMatrix) -> SpdMatrix:
     """Unique SPD solution Z of Z^2 + c Z - c Rhs = 0, c > 0.
 
     Closed form Z = (c/2)(-I + (I + (4/c) Rhs)^(1/2)), evaluated on the
-    eigenbasis of Rhs so Z commutes with Rhs exactly.
+    eigenbasis of Rhs so Z commutes with Rhs exactly. A Z that _map refuses
+    (below the floor or not finite) keeps its class and names c.
     """
     require_positive(c, "coefficient")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which _map refuses
-        return rhs._map(lambda w: 0.5 * c * (np.sqrt(1.0 + 4.0 * w / c) - 1.0))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which _map refuses
+            return rhs._map(lambda w: 0.5 * c * (np.sqrt(1.0 + 4.0 * w / c) - 1.0))
+    except (SingularityError, NumericFailure) as exc:
+        raise type(exc)(f"quadratic matrix solve at coefficient {c}: {exc}") from exc
 
 
 def sym_skew_split(a) -> tuple[np.ndarray, np.ndarray]:

@@ -7,15 +7,13 @@ come first, then the measurement draws, so paths are a pure function of
 
 from __future__ import annotations
 
-import math
-from itertools import accumulate
-
 import numpy as np
 
 from .errors import StepSizeError, ValidationError, named_failures
 from .filtering import MeasurementModel
 from .gaussians import Gaussian, require_single
-from .matrices import as_array, frozen, matvec, require_count, require_same_dim, sqrt_spd
+from .matrices import (as_array, float_path, frozen, matvec, require_count, require_same_dim,
+                       sqrt_spd)
 from .propagation import LinearSystem, StepConfig
 from .rng import GaussianStream
 
@@ -43,10 +41,9 @@ def simulate(
     Python floats, x <- x + h (a x) + w, with the array loop's bits: numpy
     adds the 1 x 1 product a x to +0.0, so only a zero's sign can differ, and
     it never reaches x, since a decaying step has a < 0, so a x is -0.0 only
-    for x >= +0.0, where adding either zero gives the same x. A float that
-    overflows runs to inf or nan and no later + or * makes it finite again,
-    so only the last state is checked; if it is not finite, the array loop
-    runs instead and raises with its usual message.
+    for x >= +0.0, where adding either zero gives the same x. If float_path
+    finds the last state not finite, the array loop runs instead and raises
+    with its usual message.
     """
     require_same_dim("system and measurement model", sys.dim, meas.state_dim)
     if not isinstance(g0, Gaussian):
@@ -73,7 +70,9 @@ def simulate(
         process = np.sqrt(2.0 * h) * matvec(sys.b, noise[..., :p])
         sensor = np.sqrt(h) * matvec(sqrt_spd(meas.r).mat, noise[..., p:])
         states[:, 0] = x
-        path = x.size == 1 and _float_path(sys.a.item(), x.item(), h, process.ravel().tolist())
+        a = sys.a.item() if n == 1 else None
+        path = x.size == 1 and float_path(lambda x, w: x + h * (a * x) + w, x.item(),
+                                          process.ravel().tolist())
         if path:
             states[0, :, 0] = path
         else:  # a batch, or the replay of a one-seed path that overflowed
@@ -83,13 +82,6 @@ def simulate(
         increments = h * matvec(meas.c, states[:, :-1]) + sensor
     states.flags.writeable = increments.flags.writeable = False
     return states, increments
-
-
-def _float_path(a: float, x: float, h: float, process: list) -> list | None:
-    """The states x, then x <- x + h (a x) + w per process float w, as Python
-    floats; None if the last is not finite."""
-    path = list(accumulate(process, lambda x, w: x + h * (a * x) + w, initial=x))
-    return path if math.isfinite(path[-1]) else None
 
 
 def coarsen(increments, factor: int) -> np.ndarray:

@@ -398,6 +398,22 @@ class TestCompareFilters:
                          capsys.readouterr().err, re.MULTILINE)
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_diffuse_prior_runs_at_every_dimension(self, tmp_path, n):
+        # A = -I, B = C = R = I, initial covariance 1e13 I: the 1 x 1 KL
+        # update floors only its posterior, as the n >= 2 one does
+        eye = np.eye(n).tolist()
+        payload = {
+            "system": {"A": (-np.eye(n)).tolist(), "B": eye},
+            "measurement": {"C": eye, "R": eye},
+            "initial": {"mean": [0.0] * n, "cov": (1e13 * np.eye(n)).tolist()},
+            "steps": {"h": [0.02], "horizon": 1.0},
+            "seeds": [1, 2],
+            "mode": {"task": "compare", "predict": "jko"},
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main(["compare-filters", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+
     def test_mismatched_measurement_dims_rejected(self, tmp_path):
         payload = json.loads(json.dumps(COMPARE_CONFIG))
         payload["measurement"]["C"] = [[1.0, 0.0]]

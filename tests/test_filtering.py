@@ -34,7 +34,7 @@ from proxflow import (
 )
 from proxflow import filtering, gaussians, propagation
 from proxflow.errors import named_failures
-from proxflow.matrices import inv_spd, max_abs, solve
+from proxflow.matrices import max_abs, solve
 from support import count_eigh, random_orthogonal, random_spd
 
 SCALAR_SYS = LinearSystem([[-1.0]], [[1.0]])
@@ -883,17 +883,16 @@ def _matrix_jko_cov(p, sys, h):
 
 
 def _matrix_lmmr_half(p, meas, h):
-    """filtering._lmmr_half's 1 x 1 information form written as matrix arithmetic."""
+    """filtering._lmmr_half's 1 x 1 information form written as matrix
+    arithmetic, P+ = inv(inv(P-) + h C^T R^-1 C), with P+ the one SpdMatrix."""
+    with np.errstate(over="ignore"):
+        info = np.linalg.inv(p.mat) + h * meas.information_matrix()
+    if not np.isfinite(info).all():
+        raise NumericFailure("information matrix (P-)^-1 + h C^T R^-1 C: h C^T R^-1 C overflows")
     try:
-        p_inv = inv_spd(p).mat
-        with np.errstate(over="ignore"):
-            info = p_inv + h * meas.information_matrix()
-        if not np.isfinite(info).all():
-            raise NumericFailure("h C^T R^-1 C overflows")
-        info = SpdMatrix(info)
-    except (SingularityError, NumericFailure) as exc:
-        raise type(exc)(f"information matrix (P-)^-1 + h C^T R^-1 C: {exc}") from exc
-    cov = SpdMatrix(np.linalg.inv(info.mat))
+        cov = SpdMatrix(np.linalg.inv(info))
+    except SingularityError as exc:
+        raise SingularityError(f"posterior covariance ((P-)^-1 + h C^T R^-1 C)^-1: {exc}") from exc
     return h * cov.mat @ meas.c.T @ meas.rinv, cov
 
 
@@ -1073,3 +1072,60 @@ class TestScalarCovarianceSteps:
         assert runs[0].means().tobytes() == runs[1].means().tobytes()
         assert [c.mat.tobytes() for c in runs[0].covs] == [c.mat.tobytes() for c in runs[1].covs]
 
+
+
+class TestScalarInformationForm:
+    """At 1 x 1 the KL update is P+ = 1 / (1 / p + h J), J = c^2 / r, in floats:
+    (P-)^-1 has no floor of its own, P+ has the SPD floor."""
+
+    @pytest.mark.parametrize("p0", [1e13, 1e20, 1e300])
+    def test_a_diffuse_prior_runs_and_its_first_posterior_is_the_float_formula(self, p0):
+        cfg = StepConfig(h=0.02, steps=5)
+        g0 = scalar_gaussian(0.0, p0)
+        run = run_filter(SCALAR_SYS, SCALAR_MEAS, g0, np.zeros((cfg.steps, 1)), cfg)
+        p = jko_step_general_cov(g0.cov, SCALAR_SYS, cfg.h).mat.item()
+        assert run.covs[1].mat.item() == 1.0 / (1.0 / p + cfg.h * 1.0 * 1.0 / 1.0)
+
+    def test_a_posterior_below_the_floor_names_the_posterior_covariance(self):
+        # (P-)^-1 ~ 1e12 is finite; P+ = 1 / (1e12 + 2e9) sits below the floor
+        meas = MeasurementModel([[1.0]], SpdMatrix(1e-11))
+        prior = scalar_gaussian(0.0, _NEAR_FLOOR)
+        cause = ("posterior covariance ((P-)^-1 + h C^T R^-1 C)^-1: SPD matrix is not positive "
+                 "definite within the floor: eigenvalues in [9.980e-13, 9.980e-13]")
+        with pytest.raises(SingularityError) as info:
+            lmmr_update(prior, meas, [0.0], 0.02)
+        assert str(info.value) == cause
+        sys = LinearSystem([[-1e-9]], [[1e-9]])  # the predict keeps p next to the floor
+        with pytest.raises(SingularityError) as info:
+            run_filter(sys, meas, prior, np.zeros((3, 1)), StepConfig(h=0.02, steps=3))
+        assert str(info.value).startswith("lmmr update failed at step 1: " + cause[:66])
+
+    @pytest.mark.parametrize("h,walked", [(0.02, 490), (0.01, 959), (0.005, 1908)])
+    def test_the_scalar_benchmark_system_settles_at_its_pinned_step(self, monkeypatch, h,
+                                                                     walked):
+        # A = -1, B = C = R = 1, P0 = 2 over a horizon of 20: the walked KL
+        # updates before the settle, 3357 over the three step sizes
+        updates = TestSettledCovariance._count_calls(monkeypatch, filtering._UPDATES, "lmmr")
+        steps = round(20.0 / h)
+        run = run_filter(SCALAR_SYS, SCALAR_MEAS, scalar_gaussian(0.0, 2.0),
+                         np.zeros((steps, 1)), StepConfig(h=h, steps=steps))
+        assert len(updates) == walked
+        assert run.covs[walked] is run.covs[-1]
+        assert run.covs[walked - 1].mat.tobytes() == run.covs[walked].mat.tobytes()
+
+    def test_the_walk_reaches_a_bitwise_repeat_on_a_seeded_grid(self):
+        # Each rounded operation is monotone, so p -> 1 / (1 / p + h J) is a
+        # monotone map of the float p, and so is the exact predict's
+        # phi p phi + Q_h: the walk is a monotone sequence of floats, which
+        # reaches a fixed point. A form that subtracts (Joseph, the gain
+        # form, p / (1 + h p J)) falls into a period-2 orbit on some cases.
+        rng = np.random.default_rng(36)
+        for case in range(300):
+            a, b, c, r, p0 = (10.0 ** rng.uniform(lo, hi)
+                              for lo, hi in ((-1, 1), (-1, 1), (-1, 1), (-2, 1), (-3, 3)))
+            h = min(10.0 ** rng.uniform(-1.5, -0.5), 0.25 / a)
+            cfg = StepConfig(h=h, steps=5000)
+            run = run_filter(LinearSystem([[-a]], [[b]]), MeasurementModel([[c]], SpdMatrix(r)),
+                             scalar_gaussian(0.0, p0), np.zeros((cfg.steps, 1)), cfg,
+                             predict="exact")
+            assert run.covs[-1] is run.covs[-2], (case, a, b, c, r, p0, h)

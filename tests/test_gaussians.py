@@ -281,6 +281,19 @@ class TestTraceProjection:
                            match=r"^target mean must be a vector, got shape \(2, 1\)$"):
             trace_projection(scalar_gaussian(0, 1), [[0.0], [1.0]], 1.0)
 
+    @pytest.mark.parametrize("cov,tau,error,cause", [
+        # tau / tau0 * P underflows to 0: below the floor
+        (1.0, 5e-324, SingularityError, "SPD matrix is not positive definite within the floor: "
+                                        "eigenvalues in [0.000e+00, 0.000e+00]"),
+        # tau / tau0 overflows, and inf * 0 off the diagonal is nan: no warning
+        (1e-10, 1e308, ValidationError, "SPD matrix has non-finite entries"),
+    ], ids=["underflow", "overflow"])
+    def test_a_refused_dilation_names_the_target_trace(self, cov, tau, error, cause):
+        g0 = Gaussian(np.zeros(2), SpdMatrix(cov * np.eye(2)))
+        with pytest.raises(error) as info:
+            trace_projection(g0, [0, 0], tau)
+        assert str(info.value) == f"dilated covariance at target trace {tau}: {cause}"
+
 
 class TestBatchedMean:
     def test_batch_shares_covariance(self):

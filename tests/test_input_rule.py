@@ -263,7 +263,8 @@ def test_expm_time_must_be_a_finite_number(t):
 @pytest.mark.parametrize("call,message", [
     (lambda: expm([[1e308]]), "matrix exponential overflowed"),
     (lambda: quadratic_matrix_solve(5e-324, P2),
-     "eigendecomposition produced non-finite eigenvalues"),
+     "quadratic matrix solve at coefficient 5e-324: eigendecomposition produced non-finite "
+     "eigenvalues"),
     # h C P- C^T overflows (2 * 1e308) in the gain form's innovation covariance: named
     (lambda: lmmr_update(G2, MEAS2, [0.0], 1e308),
      "innovation covariance R + h C P- C^T: h C P- C^T overflows"),

@@ -247,28 +247,34 @@ def test_a_finite_float_spd_matrix_reads_no_array(monkeypatch):
     assert all(reads(x) for x in (math.nan, math.inf, np.float64(2.5), [[2.5]]))
 
 
-def _array_map(p, fn):
-    """The 1x1 map on numpy arrays: fn of the eigenvalue array, frozen as one float."""
+def _array_map(p, fn, named=""):
+    """The 1x1 map on numpy arrays: fn of the eigenvalue array, frozen as one
+    float; a refusal keeps its class, its text prefixed by named."""
     out = SpdMatrix.__new__(SpdMatrix)
     with np.errstate(over="ignore", invalid="ignore"):  # as quadratic_matrix_solve
         w = fn(p.eigenvalues)
-    out._freeze_scalar(w.item())
+    try:
+        out._freeze_scalar(w.item())
+    except ProxflowError as exc:
+        raise type(exc)(f"{named}{exc}") from exc
     return out
 
 
 _COEFFICIENTS = [5e-324, 1e-300, 1.0, 1e308]
-_MAPS = [(sqrt_spd, np.sqrt), (inv_spd, lambda w: 1.0 / w),
-         (inv_sqrt_spd, lambda w: 1.0 / np.sqrt(w))] + [
+_MAPS = [(sqrt_spd, np.sqrt, ""), (inv_spd, lambda w: 1.0 / w, ""),
+         (inv_sqrt_spd, lambda w: 1.0 / np.sqrt(w), "")] + [
     ((lambda p, c=c: quadratic_matrix_solve(c, p)),
-     (lambda w, c=c: 0.5 * c * (np.sqrt(1.0 + 4.0 * w / c) - 1.0))) for c in _COEFFICIENTS]
+     (lambda w, c=c: 0.5 * c * (np.sqrt(1.0 + 4.0 * w / c) - 1.0)),
+     f"quadratic matrix solve at coefficient {c}: ") for c in _COEFFICIENTS]
 
 
 @pytest.mark.parametrize("guard", ["default", "run"])
-@pytest.mark.parametrize("factor,fn", _MAPS, ids=["sqrt", "inv", "inv_sqrt"] + [
+@pytest.mark.parametrize("factor,fn,named", _MAPS, ids=["sqrt", "inv", "inv_sqrt"] + [
     f"quadratic-{c!r}" for c in _COEFFICIENTS])
-def test_a_1x1_map_of_the_float_eigenvalue_is_the_arrays(factor, fn, guard):
+def test_a_1x1_map_of_the_float_eigenvalue_is_the_arrays(factor, fn, named, guard):
     """At 1x1 a factor applies fn to the float eigenvalue: the bits of fn
-    applied to the eigenvalue array, or its refusal (floor or non-finite),
+    applied to the eigenvalue array, or its refusal (floor or non-finite;
+    quadratic_matrix_solve's names its coefficient),
     whether the SPD matrix came from a float or a 1x1 array and whether it
     runs under a run's guard, which raises floating-point faults."""
     for x in _EDGES + [1e-11, 3.7e150]:
@@ -279,7 +285,7 @@ def test_a_1x1_map_of_the_float_eigenvalue_is_the_arrays(factor, fn, guard):
         for p in sources:
             with named_failures(lambda: "run") if guard == "run" else contextlib.nullcontext():
                 got = _outcome(lambda: factor(p))
-            assert got == _outcome(lambda: _array_map(p, fn)), (x, got)
+            assert got == _outcome(lambda: _array_map(p, fn, named)), (x, got)
 
 
 class TestSqrtSpd:
@@ -449,6 +455,18 @@ class TestQuadraticMatrixSolve:
             assert z.eigenvalues[0] > 0
             resid = z.mat @ z.mat + c * z.mat - c * rhs.mat
             assert max_abs(resid) < 1e-10
+
+    @pytest.mark.parametrize("c,error,cause", [
+        # sqrt(1 + 4 w / c) - 1 is 0: Z falls to 0, below the floor
+        (1e308, SingularityError, "matrix is not positive definite within the floor: "
+                                  "eigenvalues in [0.000e+00, 0.000e+00]"),
+        # 4 w / c overflows: Z is not finite
+        (5e-324, NumericFailure, "eigendecomposition produced non-finite eigenvalues"),
+    ], ids=["vanishes", "overflows"])
+    def test_a_refused_solution_names_the_coefficient(self, c, error, cause):
+        with pytest.raises(error) as info:
+            quadratic_matrix_solve(c, SpdMatrix(np.eye(2)))
+        assert str(info.value) == f"quadratic matrix solve at coefficient {c}: {cause}"
 
     def test_rejects_nonpositive_coefficient(self):
         with pytest.raises(ValidationError):
