@@ -40,10 +40,12 @@ SEEDS = {"one path": [0], "3 seeds": [0, 1, 2]}
 
 def _problem(pf, np, n: int):
     """A stable, controllable system with m = ceil(n / 2) sensors, its prior
-    and its measurement model, drawn from SEED and n."""
+    and its measurement model, drawn from SEED and n. The drift's spectral
+    abscissa is -0.5, or -0.7 at n = 1: a 1 x 1 drift of -0.5 would make each
+    product by it an exact halving, which hides a reassociated product."""
     rng = np.random.default_rng([SEED, n])
     a = rng.normal(size=(n, n)) / math.sqrt(n)
-    a -= (np.max(np.linalg.eigvals(a).real) + 0.5) * np.eye(n)
+    a -= (np.max(np.linalg.eigvals(a).real) + (0.7 if n == 1 else 0.5)) * np.eye(n)
     b = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / math.sqrt(n)
     m = (n + 1) // 2
     c = rng.normal(size=(m, n)) / math.sqrt(n)

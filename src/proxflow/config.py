@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, ProxflowError, ValidationError
 from .filtering import PREDICT_KINDS, UPDATE_KINDS, MeasurementModel
 from .gaussians import Gaussian
-from .matrices import SpdMatrix, as_array, require_positive
+from .matrices import SpdMatrix, as_array, require_choice, require_positive
 from .propagation import MAX_DIM, MAX_STEPS, MODE_GENERAL, MODE_SYMMETRIC, LinearSystem
 from .rng import check_seed
 
@@ -66,14 +66,8 @@ def _object(value, path: str) -> dict:
 
 def _array(value, path: str, ndim: int) -> np.ndarray:
     """as_array of rank ndim, a flat array of decimals (1) or a row-major nested array of
-    rows (2), refused under the path; true, false and strings are not numbers here."""
-    try:
-        a = np.asarray(value)
-    except ValueError:  # a ragged list
-        a = None
-    if a is None or a.dtype.kind not in "iuf":
-        raise ConfigError(f"{path}: not a numeric array")
-    return _build(path, lambda: as_array(a, path.rsplit(".", 1)[-1], (ndim,)))
+    rows (2), refused under the path."""
+    return _build(path, lambda: as_array(value, path.rsplit(".", 1)[-1], (ndim,)))
 
 
 def _positive(value, path: str) -> float:
@@ -89,11 +83,9 @@ def _seed(value, path: str) -> int:
         return _build(path, lambda: check_seed(value))
 
 
-def _choice(mode: dict, key: str, choices: tuple, default: str) -> str:
-    value = mode.get(key, default)
-    if value not in choices:
-        raise ConfigError(f"mode.{key}: must be one of {choices}, got {value!r}")
-    return value
+def _choice(mode: dict, key: str, choices: tuple, default: str, what: str) -> str:
+    """mode[key] (default if absent) under matrices.require_choice, refused under mode.key."""
+    return _build(f"mode.{key}", lambda: require_choice(mode.get(key, default), choices, what))
 
 
 def _output_path(value, path: str) -> str | None:
@@ -123,7 +115,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("config root must be an object")
 
     mode = _object(raw.get("mode", {}), "mode")
-    task = _choice(mode, "task", TASKS, "propagation")
+    task = _choice(mode, "task", TASKS, "propagation", "task")
 
     sys_raw = _object(_require(raw, "system", ""), "system")
     a = _array(_require(sys_raw, "A", "system."), "system.A", 2)
@@ -173,9 +165,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if task in ("filter", "compare") and not seeds:
         raise ConfigError("seeds: at least one seed is required for filter tasks")
 
-    propagation_mode = _choice(mode, "propagation", (MODE_SYMMETRIC, MODE_GENERAL), MODE_SYMMETRIC)
-    update_kind = _choice(mode, "update", UPDATE_KINDS, "lmmr")
-    predict_kind = _choice(mode, "predict", PREDICT_KINDS, "jko")
+    propagation_mode = _choice(mode, "propagation", (MODE_SYMMETRIC, MODE_GENERAL),
+                               MODE_SYMMETRIC, "propagation mode")
+    update_kind = _choice(mode, "update", UPDATE_KINDS, "lmmr", "update kind")
+    predict_kind = _choice(mode, "predict", PREDICT_KINDS, "jko", "predict kind")
 
     output = _object(raw.get("output", {}), "output")
     out_csv = _output_path(output.get("csv"), "output.csv")

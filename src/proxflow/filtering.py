@@ -97,8 +97,15 @@ class MeasurementModel:
         return self._transport[1:]
 
 
-def _check_update_inputs(g_prior: Gaussian, meas: MeasurementModel, y, h: float):
-    """(y, h): the measurements as an array and the step size as a float."""
+def _innovate(mean, c, gain, y):
+    """mu- + gain (y - C mu-): both updates and run_filter's settled steps
+    move the means this way."""
+    return mean + matvec(gain, y - matvec(c, mean))
+
+
+def _update(half, g_prior: Gaussian, meas: MeasurementModel, y, h: float) -> Gaussian:
+    """The body both public updates share: check y (one vector per prior mean) and h,
+    take (gain, P+) from the covariance half, and move the means by _innovate."""
     require_same_dim("prior and measurement model", g_prior.dim, meas.state_dim)
     h = require_positive(h, "step size")
     y = as_vectors(y, dim=meas.obs_dim, name="measurement")
@@ -106,13 +113,8 @@ def _check_update_inputs(g_prior: Gaussian, meas: MeasurementModel, y, h: float)
         raise DimensionError(
             f"measurements have shape {y.shape}, prior means {g_prior.mean.shape}"
         )
-    return y, h
-
-
-def _innovate(mean, c, gain, y):
-    """mu- + gain (y - C mu-): both updates and run_filter's settled steps
-    move the means this way."""
-    return mean + matvec(gain, y - matvec(c, mean))
+    gain, cov = half(g_prior.cov, meas, h)
+    return Gaussian._fresh(require_finite_mean(_innovate(g_prior.mean, meas.c, gain, y)), cov)
 
 
 def _lmmr_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
@@ -179,9 +181,7 @@ def lmmr_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -> Gauss
     _lmmr_half). The prior mean and y may be batches (S, n), (S, m) sharing
     the covariance.
     """
-    y, h = _check_update_inputs(g_prior, meas, y, h)
-    gain, cov = _lmmr_half(g_prior.cov, meas, h)
-    return Gaussian._fresh(require_finite_mean(_innovate(g_prior.mean, meas.c, gain, y)), cov)
+    return _update(_lmmr_half, g_prior, meas, y, h)
 
 
 def _wasserstein_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
@@ -205,9 +205,7 @@ def wasserstein_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -
     S mu+ = mu- + h C' R^-1 y: a static gain, free of P-. Batches are as in
     lmmr_update.
     """
-    y, h = _check_update_inputs(g_prior, meas, y, h)
-    gain, cov = _wasserstein_half(g_prior.cov, meas, h)
-    return Gaussian._fresh(require_finite_mean(_innovate(g_prior.mean, meas.c, gain, y)), cov)
+    return _update(_wasserstein_half, g_prior, meas, y, h)
 
 
 _UPDATES = {"lmmr": lmmr_update, "wasserstein": wasserstein_update}

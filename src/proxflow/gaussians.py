@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ProxflowError, ValidationError
+from .errors import DimensionError, NumericFailure, ProxflowError, ValidationError
 from .matrices import (
     SpdMatrix,
     all_finite,
@@ -243,8 +243,8 @@ def trace_projection(g0: Gaussian, mu, tau: float) -> tuple[float, Gaussian]:
 
     The minimizer over that set is the dilation with covariance (tau/tau0) P0,
     and the optimal distance satisfies w2^2 = (sqrt(tau) - sqrt(tau0))^2 + |mu - mu0|^2.
-    Returns (w2, minimizer). A dilation that SpdMatrix refuses keeps its class
-    and names tau.
+    Returns (w2, minimizer). A dilation that overflows is a NumericFailure, one
+    that SpdMatrix refuses keeps its class, and either names tau.
     """
     require_single(g0)
     require_positive(tau, "target trace")
@@ -252,8 +252,11 @@ def trace_projection(g0: Gaussian, mu, tau: float) -> tuple[float, Gaussian]:
     require_same_dim("density and target mean", g0.dim, mu_v.shape[0])
     tau0 = g0.cov.trace()
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which SpdMatrix refuses
-            cov = SpdMatrix((tau / tau0) * g0.cov.mat)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, refused just below
+            dilated = (tau / tau0) * g0.cov.mat
+        if not all_finite(dilated):
+            raise NumericFailure("(tau / tau0) P0 overflows")
+        cov = SpdMatrix(dilated)
     except ProxflowError as exc:
         raise type(exc)(f"dilated covariance at target trace {tau}: {exc}") from exc
     g = Gaussian(mu_v, cov)

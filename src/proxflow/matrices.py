@@ -30,6 +30,7 @@ SYMMETRY_RTOL = 1e-9
 # is treated as singular rather than silently regularized.
 POSITIVITY_RTOL = 1e-12
 
+_FLOAT = np.dtype(float)
 _FLOAT_MAX = float(np.finfo(float).max)
 # Below this magnitude M + M^T and M - M^T cannot overflow.
 _HALF_MAX = 0.5 * _FLOAT_MAX
@@ -66,10 +67,12 @@ def require_count(x, name: str, zero_ok: bool = False) -> int:
     return int(x)
 
 
-def require_choice(x, choices: tuple, what: str) -> None:
-    """Refuse x unless it is one of the strings choices: ValidationError("unknown <what> <x!r>")."""
+def require_choice(x, choices: tuple, what: str) -> str:
+    """x, one of the strings choices, or ValidationError("unknown <what> <x!r>: must be
+    one of <choices>")."""
     if not (isinstance(x, str) and x in choices):
-        raise ValidationError(f"unknown {what} {x!r}")
+        raise ValidationError(f"unknown {what} {x!r}: must be one of {', '.join(choices)}")
+    return x
 
 
 def require_same_dim(what: str, dim: int, *others: int) -> int:
@@ -91,10 +94,15 @@ def frozen(a) -> np.ndarray:
 def as_array(x, name: str, ndims: tuple, finite: bool = True) -> np.ndarray:
     """x as a float array of a rank in ndims, with finite entries unless finite=False
     (the caller checks them): the one rule for an array from outside. What numpy
-    cannot read as real numbers (a string, a ragged list, an int beyond float
-    range) raises ValidationError naming it, a rank outside ndims DimensionError."""
+    reads as booleans, text or complex numbers, or cannot read as real numbers (a
+    ragged list, an int beyond float range), raises ValidationError naming it, a
+    rank outside ndims DimensionError. Integer and object arrays convert to float."""
     try:
-        a = np.asarray(x, dtype=float)
+        a = np.asarray(x)
+        if a.dtype is not _FLOAT:
+            if a.dtype.kind not in "iufO":  # bool, text, complex, ...
+                raise TypeError
+            a = a.astype(float)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be an array of real numbers") from None
     if a.ndim not in ndims:
@@ -205,11 +213,11 @@ class SpdMatrix:
 
     def __init__(self, mat):
         if type(mat) is float and math.isfinite(mat):  # a 1 x 1 step's float: no array to read
-            self._freeze_scalar(mat, "SPD matrix")
+            self._freeze_scalar(mat)
             return
         m = as_array(mat, "SPD matrix", (0, 2), finite=False)  # symmetrize's max|M| checks
         if m.size == 1 and math.isfinite(x := m.item()):  # scalar fast path: checks in one pass
-            self._freeze_scalar(x, "SPD matrix")
+            self._freeze_scalar(x)
             return
         m = symmetrize(m, "SPD matrix")
         try:
@@ -220,21 +228,15 @@ class SpdMatrix:
         m.setflags(write=False)
         self.mat, self._eig = m, None
 
-    def _freeze_scalar(self, x: float, name: str = "matrix") -> None:
+    def _freeze_scalar(self, x: float) -> None:
         """Hold [[0.5 (x + x)]], symmetrized as symmetrize does (inf where x + x
-        overflows), after _freeze's finite and floor checks under name; its
-        eigenpair is (that float, 1), read-only."""
+        overflows), after the finite and floor checks; its eigenpair is (that
+        float, 1), read-only."""
         x = 0.5 * (x + x)
-        _check_eigenvalues(math.isfinite(x), x, x, name)
+        _check_eigenvalues(math.isfinite(x), x, x, "SPD matrix")
         m = np.array([[x]])
         m.setflags(write=False)  # and so its view m[0]
         self.mat, self._eig = m, (m[0], _EIGENVECTORS_1X1)
-
-    def _freeze(self, m: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
-        _check_eigenvalues(np.isfinite(w).all(), w[0], w[-1])
-        for arr in (m, w, v):
-            arr.setflags(write=False)
-        self.mat, self._eig = m, (w, v)
 
     def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
@@ -262,18 +264,18 @@ class SpdMatrix:
 
     def _map(self, fn) -> SpdMatrix:
         """fn(P) with the eigenpairs (fn(w), V) for a monotone fn: checks fn(w), runs no eigh.
-        At 1 x 1, _compose is (1 w) 1 and its symmetrization, so fn(P) is the float fn(w):
-        fn applied to the float w, whose elementwise ops are the array's IEEE ops."""
-        out = SpdMatrix.__new__(SpdMatrix)
+        At 1 x 1, _compose's (1 w) 1 and 0.5 (x + x) are exact below overflow, so
+        fn(P) holds the float fn(w)."""
         w, v = self._eigenpairs()
-        if w.size == 1:
-            out._freeze_scalar(float(fn(w.item())))
-            return out
         w = fn(w)
         mat = _compose(w, v)
         if w[0] > w[-1]:  # decreasing fn: keep the eigenvalues ascending
             w, v = w[::-1], v[:, ::-1]
-        out._freeze(mat, w, v)
+        _check_eigenvalues(np.isfinite(w).all(), w[0], w[-1])
+        for arr in (mat, w, v):
+            arr.setflags(write=False)
+        out = SpdMatrix.__new__(SpdMatrix)
+        out.mat, out._eig = mat, (w, v)
         return out
 
     def logdet(self) -> float:

@@ -917,9 +917,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: ") as err:
             parse_config(json.dumps(payload))
         assert path[-1] in str(err.value)
-        if path[0] == "mode" and len(path) == 2:  # a choice names the bad value
-            assert re.search(rf"must be one of \(.*\), got {re.escape(repr(value))}$",
-                             str(err.value))
+        if path[0] == "mode" and len(path) == 2:  # a choice names the bad value and the choices
+            assert re.search(rf": unknown [a-z ]+ {re.escape(repr(value))}: must be one of "
+                             rf"[a-z-]+(, [a-z-]+)+$", str(err.value))
 
     def test_compare_takes_one_step_size(self):
         payload = json.loads(json.dumps(COMPARE_CONFIG))

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from proxflow import (
     DimensionError,
     Gaussian,
+    NumericFailure,
     SingularityError,
     SpdMatrix,
     ValidationError,
@@ -285,8 +286,8 @@ class TestTraceProjection:
         # tau / tau0 * P underflows to 0: below the floor
         (1.0, 5e-324, SingularityError, "SPD matrix is not positive definite within the floor: "
                                         "eigenvalues in [0.000e+00, 0.000e+00]"),
-        # tau / tau0 overflows, and inf * 0 off the diagonal is nan: no warning
-        (1e-10, 1e308, ValidationError, "SPD matrix has non-finite entries"),
+        # tau / tau0 overflows, and inf * 0 off the diagonal is nan: computed, no warning
+        (1e-10, 1e308, NumericFailure, "(tau / tau0) P0 overflows"),
     ], ids=["underflow", "overflow"])
     def test_a_refused_dilation_names_the_target_trace(self, cov, tau, error, cause):
         g0 = Gaussian(np.zeros(2), SpdMatrix(cov * np.eye(2)))

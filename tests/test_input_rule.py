@@ -145,6 +145,8 @@ VALUES = {
     "[]": [],
     "1e308": 1e308,
     "5e-324": 5e-324,
+    "[[True]]": [[True]],
+    "[['1.5']]": [["1.5"]],
 }
 
 
@@ -165,22 +167,24 @@ def test_a_bad_value_is_refused_by_name_or_computed(name, call):
 
 
 KINDS = {
-    "propagate.mode": ("unknown propagation mode", lambda v: propagate(SYS2, G2, CFG, v)),
-    "run_filter.update": ("unknown update kind",
+    "propagate.mode": ("unknown propagation mode", "symmetric-exact, general-first-order",
+                       lambda v: propagate(SYS2, G2, CFG, v)),
+    "run_filter.update": ("unknown update kind", "lmmr, wasserstein",
                           lambda v: run_filter(SYS2, MEAS2, G2, DZ, CFG, update=v)),
-    "run_filter.predict": ("unknown predict kind",
+    "run_filter.predict": ("unknown predict kind", "jko, exact",
                            lambda v: run_filter(SYS2, MEAS2, G2, DZ, CFG, predict=v)),
     "ProxObjective.kind": ("unknown objective kind",
+                           "jko-free-energy, lmmr-kl, wasserstein-filter",
                            lambda v: ProxObjective(v, G2, gamma=P2, beta=1.0)),
 }
 
 
-@pytest.mark.parametrize("text,call", KINDS.values(), ids=KINDS.keys())
+@pytest.mark.parametrize("text,choices,call", KINDS.values(), ids=KINDS.keys())
 @pytest.mark.parametrize("kind", [np.array([1, 2]), ["lmmr"], 1], ids=["array", "list", "int"])
-def test_a_kind_that_is_not_a_string_is_unknown(text, call, kind):
+def test_a_kind_that_is_not_a_string_is_unknown(text, choices, call, kind):
     with pytest.raises(ValidationError) as info:
         call(kind)
-    assert str(info.value) == f"{text} {kind!r}"
+    assert str(info.value) == f"{text} {kind!r}: must be one of {choices}"
 
 
 @pytest.mark.parametrize("value,message", [
@@ -188,6 +192,9 @@ def test_a_kind_that_is_not_a_string_is_unknown(text, call, kind):
     ([[1.0], [1.0, 2.0]], "SPD matrix must be an array of real numbers"),
     ([[10**400]], "SPD matrix must be an array of real numbers"),
     ([[None]], "SPD matrix has non-finite entries"),
+    ([[True]], "SPD matrix must be an array of real numbers"),
+    (np.array([[1.0 + 0j]]), "SPD matrix must be an array of real numbers"),
+    (np.array([[b"1"]]), "SPD matrix must be an array of real numbers"),
     (np.zeros((1, 1, 1)), "SPD matrix must be a matrix, got shape (1, 1, 1)"),
     ([], "SPD matrix must be a matrix, got shape (0,)"),
 ])
@@ -236,11 +243,11 @@ CONFIG = {
 
 
 @pytest.mark.parametrize("section,field,value,message", [
-    ("system", "A", [[-1.0], [1.0, 2.0]], "system.A: not a numeric array"),
-    ("system", "A", [["-1"]], "system.A: not a numeric array"),
-    ("system", "B", [[1.0, "x"]], "system.B: not a numeric array"),
-    ("system", "A", [[True]], "system.A: not a numeric array"),
-    ("system", "B", [[10**400]], "system.B: not a numeric array"),
+    ("system", "A", [[-1.0], [1.0, 2.0]], "system.A: A must be an array of real numbers"),
+    ("system", "A", [["-1"]], "system.A: A must be an array of real numbers"),
+    ("system", "B", [[1.0, "x"]], "system.B: B must be an array of real numbers"),
+    ("system", "A", [[True]], "system.A: A must be an array of real numbers"),
+    ("system", "B", [[10**400]], "system.B: B must be an array of real numbers"),
     ("system", "A", [-1.0], "system.A: A must be a matrix, got shape (1,)"),
     ("system", "B", [[1e999]], "system.B: B has non-finite entries"),
     ("initial", "mean", [[0.0]], "initial.mean: mean must be a vector, got shape (1, 1)"),
@@ -288,3 +295,48 @@ def test_an_overflow_is_a_numeric_failure_not_a_warning(call, message):
     with pytest.raises(NumericFailure) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble, np.int8, np.uint8,
+                                   np.int64, object], ids=lambda d: np.dtype(d).name)
+def test_an_integer_float_or_object_array_reads_as_floats(dtype):
+    assert SpdMatrix(np.array([[2]], dtype=dtype)).mat.tobytes() == SpdMatrix(2.0).mat.tobytes()
+    two = SpdMatrix(np.array([[2, 1], [1, 2]], dtype=dtype)).mat
+    assert two.dtype == np.float64 and two.tolist() == [[2.0, 1.0], [1.0, 2.0]]
+
+
+# The config reads its arrays and its kinds by the library's rules, so it refuses
+# what the library refuses, under the field's path, with the library's cause.
+CONFIG_ARRAYS = {
+    "bool": [[True]],
+    "numeric string": [["1.5"]],
+    "ragged": [[-1.0], [1.0, 2.0]],
+    "beyond float range": [[10**400]],
+    "null": [[None]],
+    "infinite": [[math.inf]],
+    "vector": [-1.0],
+}
+
+
+@pytest.mark.parametrize("value", CONFIG_ARRAYS.values(), ids=CONFIG_ARRAYS.keys())
+def test_the_library_and_the_config_refuse_an_array_alike(value):
+    with pytest.raises(ValidationError) as library:
+        LinearSystem(value, [[1.0]])
+    payload = json.loads(json.dumps(CONFIG))
+    payload["system"]["A"] = value
+    with pytest.raises(ConfigError) as config:
+        parse_config(json.dumps(payload))
+    assert str(config.value) == f"system.A: {library.value}"
+
+
+@pytest.mark.parametrize("key,slot", [("propagation", "propagate.mode"),
+                                      ("update", "run_filter.update"),
+                                      ("predict", "run_filter.predict")])
+@pytest.mark.parametrize("value", ["kalman", 1, ["lmmr"], None], ids=repr)
+def test_the_library_and_the_config_refuse_a_kind_alike(key, slot, value):
+    with pytest.raises(ValidationError) as library:
+        KINDS[slot][-1](value)
+    payload = {**CONFIG, "mode": {key: value}}
+    with pytest.raises(ConfigError) as config:
+        parse_config(json.dumps(payload))
+    assert str(config.value) == f"mode.{key}: {library.value}"

@@ -249,14 +249,15 @@ def test_a_finite_float_spd_matrix_reads_no_array(monkeypatch):
 
 def _array_map(p, fn, named=""):
     """The 1x1 map on numpy arrays: fn of the eigenvalue array, frozen as one
-    float; a refusal keeps its class, its text prefixed by named."""
+    float; a refusal keeps its class, its text prefixed by named, and names
+    a "matrix", not an "SPD matrix" as a construction does."""
     out = SpdMatrix.__new__(SpdMatrix)
     with np.errstate(over="ignore", invalid="ignore"):  # as quadratic_matrix_solve
         w = fn(p.eigenvalues)
     try:
         out._freeze_scalar(w.item())
     except ProxflowError as exc:
-        raise type(exc)(f"{named}{exc}") from exc
+        raise type(exc)(f"{named}{str(exc).removeprefix('SPD ')}") from exc
     return out
 
 
