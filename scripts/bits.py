@@ -13,15 +13,18 @@ each over STEPS steps at h = H on systems drawn from a fixed seed, and fed the
 simulated increments. A run that raises a ProxflowError is hashed as its class
 and text. With --parent DIR it also computes the hash with DIR/src in a
 subprocess, prints both, and exits 1 naming every group that differs, one
-per line. --write FILE stores every group's hash in FILE as JSON.
---check FILE hashes only the n = 1 groups, whose bits agree under every
-OpenBLAS kernel (the n >= 2 ones change with it), and exits 1 naming every
-one that FILE holds another hash for or lacks.
+per line. --write FILE stores every group's hash in FILE as JSON, with the
+name of the OpenBLAS kernel (core) that numpy runs here, or null where it
+cannot be read. --check FILE hashes every group where this host's core is
+the one FILE records, and otherwise only the n = 1 groups, whose bits agree
+under every kernel (the n >= 2 ones change with it), saying why; it exits 1
+naming every hashed group that FILE holds another hash for or lacks.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import math
@@ -34,7 +37,9 @@ H, STEPS = 0.02, 600
 SEED = 20_170  # draws every system, prior and measurement model
 DIMS = (1, 2, 8)
 REFERENCE_DIMS = (1, 2)
-HOST_INDEPENDENT_DIMS = (1,)  # what --check hashes
+HOST_INDEPENDENT_DIMS = (1,)  # what --check hashes under another OpenBLAS core
+CORE = "OpenBLAS core"  # the key a --write file holds the core under
+CORE_FUNCTION = "scipy_openblas_get_corename64_"  # in the OpenBLAS that numpy wheels bundle
 SEEDS = {"one path": [0], "3 seeds": [0, 1, 2]}
 
 
@@ -108,6 +113,24 @@ def groups(src: Path, dims: tuple = DIMS) -> dict:
     return out
 
 
+def openblas_core() -> str | None:
+    """The OpenBLAS kernel numpy's bundled library runs here, as the library
+    names it (OPENBLAS_CORETYPE picks another), or None if it cannot be read."""
+    import numpy as np
+
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob(
+            "*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))  # the copy numpy loaded: dlopen shares it
+        except OSError:
+            continue
+        if hasattr(dll, CORE_FUNCTION):
+            corename = getattr(dll, CORE_FUNCTION)
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def total(digests: dict) -> str:
     return hashlib.sha256("".join(digests.values()).encode()).hexdigest()
 
@@ -140,21 +163,29 @@ def main(argv=None) -> int:
     what.add_argument("--parent", type=Path, help="a checkout whose src/ to compare against")
     what.add_argument("--write", type=Path, metavar="FILE", help="store every group's hash")
     what.add_argument("--check", type=Path, metavar="FILE",
-                      help="compare the n = 1 groups with the hashes FILE stores")
+                      help="compare the groups this host's OpenBLAS core reproduces "
+                           "with the hashes FILE stores")
     args = parser.parse_args(argv)
     if args.check is not None:
-        digests = groups(ROOT / "src", HOST_INDEPENDENT_DIMS)
-        bad = unmatched(digests, json.loads(args.check.read_text()))
+        recorded = json.loads(args.check.read_text())
+        core = openblas_core()
+        if core is not None and core == recorded.get(CORE):
+            digests, what = groups(ROOT / "src"), f"groups (OpenBLAS core {core})"
+        else:
+            print(f"n >= 2 groups not checked: OpenBLAS core {core} here, "
+                  f"{recorded.get(CORE)} in {args.check}")
+            digests, what = groups(ROOT / "src", HOST_INDEPENDENT_DIMS), "n = 1 groups"
+        bad = unmatched(digests, recorded)
         if bad:
             print(f"differs from {args.check} in {len(bad)} groups:")
             print("\n".join(bad))
             return 1
-        print(f"{len(digests)} n = 1 groups match {args.check}")
+        print(f"{len(digests)} {what} match {args.check}")
         return 0
     digests = groups(ROOT / "src")
     print(total(digests))
     if args.write is not None:
-        args.write.write_text(json.dumps(digests, indent=1) + "\n")
+        args.write.write_text(json.dumps({CORE: openblas_core(), **digests}, indent=1) + "\n")
         return 0
     if args.parent is None:
         return 0

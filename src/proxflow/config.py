@@ -129,7 +129,8 @@ def parse_config(text: str) -> ExperimentConfig:
         meas_raw = _object(_require(raw, "measurement", ""), "measurement")
         c = _array(_require(meas_raw, "C", "measurement."), "measurement.C", 2)
         r = _array(_require(meas_raw, "R", "measurement."), "measurement.R", 2)
-        measurement = _build("measurement", lambda: MeasurementModel(c, SpdMatrix(r)))
+        r_spd = _build("measurement.R", lambda: SpdMatrix(r, "R"))
+        measurement = _build("measurement", lambda: MeasurementModel(c, r_spd))
         if measurement.state_dim != system.dim:
             raise ConfigError(
                 f"measurement.C: acts on dim {measurement.state_dim}, system has dim {system.dim}"
@@ -138,7 +139,8 @@ def parse_config(text: str) -> ExperimentConfig:
     init_raw = _object(_require(raw, "initial", ""), "initial")
     mean = _array(_require(init_raw, "mean", "initial."), "initial.mean", 1)
     cov = _array(_require(init_raw, "cov", "initial."), "initial.cov", 2)
-    initial = _build("initial", lambda: Gaussian(mean, SpdMatrix(cov)))
+    cov_spd = _build("initial.cov", lambda: SpdMatrix(cov, "cov"))
+    initial = _build("initial", lambda: Gaussian(mean, cov_spd))
     if initial.dim != system.dim:
         raise ConfigError(f"initial.mean: dim {initial.dim} does not match system {system.dim}")
 

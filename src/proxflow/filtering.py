@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     DimensionError,
     NumericFailure,
-    SingularityError,
     ValidationError,
     named_failures,
 )
@@ -139,10 +138,7 @@ def _lmmr_half(p_prior: SpdMatrix, meas: MeasurementModel, h: float):
     info = 1.0 / p_prior.mat.item() + h * meas.information_matrix().item()
     if not math.isfinite(info):
         raise NumericFailure(f"information matrix (P-)^-1 + h C^T R^-1 C: {_OVERFLOW}")
-    try:
-        cov = SpdMatrix(1.0 / info)
-    except SingularityError as exc:
-        raise SingularityError(f"posterior covariance ((P-)^-1 + h C^T R^-1 C)^-1: {exc}") from exc
+    cov = SpdMatrix(1.0 / info, "posterior covariance ((P-)^-1 + h C^T R^-1 C)^-1")
     if meas.c.size == 1:
         gain = 0.0 + h * cov.mat.item() * meas.c.item() * meas.rinv.item()
         if math.isfinite(gain):
@@ -162,12 +158,10 @@ def _gain_form(p: np.ndarray, meas: MeasurementModel, h: float):
         # K W = h W' S^-1 W is symmetric but for rounding, which grows with
         # cond(S): keep it out of SpdMatrix's asymmetry check (same bits)
         cov = 0.5 * (cov + cov.T)
-    try:
-        if not np.isfinite(cov).all():
-            raise NumericFailure("K C P- overflows")
-        return gain, SpdMatrix(cov)
-    except (SingularityError, NumericFailure) as exc:
-        raise type(exc)(f"posterior covariance P- - K C P-: {exc}") from exc
+    name = "posterior covariance P- - K C P-"
+    if not np.isfinite(cov).all():
+        raise NumericFailure(f"{name}: K C P- overflows")
+    return gain, SpdMatrix(cov, name)
 
 
 def lmmr_update(g_prior: Gaussian, meas: MeasurementModel, y, h: float) -> Gaussian:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericFailure, ProxflowError, ValidationError
+from .errors import DimensionError, NumericFailure, ValidationError
 from .matrices import (
     SpdMatrix,
     all_finite,
@@ -243,23 +243,20 @@ def trace_projection(g0: Gaussian, mu, tau: float) -> tuple[float, Gaussian]:
 
     The minimizer over that set is the dilation with covariance (tau/tau0) P0,
     and the optimal distance satisfies w2^2 = (sqrt(tau) - sqrt(tau0))^2 + |mu - mu0|^2.
-    Returns (w2, minimizer). A dilation that overflows is a NumericFailure, one
-    that SpdMatrix refuses keeps its class, and either names tau.
+    Returns (w2, minimizer). A dilation that overflows is a NumericFailure; it
+    and one that SpdMatrix refuses name tau.
     """
     require_single(g0)
     require_positive(tau, "target trace")
     mu_v = as_array(mu, "target mean", (1,))
     require_same_dim("density and target mean", g0.dim, mu_v.shape[0])
     tau0 = g0.cov.trace()
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, refused just below
-            dilated = (tau / tau0) * g0.cov.mat
-        if not all_finite(dilated):
-            raise NumericFailure("(tau / tau0) P0 overflows")
-        cov = SpdMatrix(dilated)
-    except ProxflowError as exc:
-        raise type(exc)(f"dilated covariance at target trace {tau}: {exc}") from exc
-    g = Gaussian(mu_v, cov)
+    name = f"dilated covariance at target trace {tau}"
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, refused just below
+        dilated = (tau / tau0) * g0.cov.mat
+    if not all_finite(dilated):
+        raise NumericFailure(f"{name}: (tau / tau0) P0 overflows")
+    g = Gaussian(mu_v, SpdMatrix(dilated, name))
     shift = mu_v - g0.mean
     w2 = math.sqrt((math.sqrt(tau) - math.sqrt(tau0)) ** 2 + float(shift @ shift))
     return w2, g

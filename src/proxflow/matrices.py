@@ -42,9 +42,14 @@ _EIGENVECTORS_1X1 = np.ones((1, 1))
 _EIGENVECTORS_1X1.setflags(write=False)
 
 
+def _real(x) -> bool:
+    """Whether x is an int or a float, numpy's included; a bool is not a number."""
+    return isinstance(x, _REALS) and not isinstance(x, bool)
+
+
 def _finite(x) -> bool:
     """Whether x is a finite number in float range; a bool is not a number."""
-    return isinstance(x, _REALS) and not isinstance(x, bool) and -_FLOAT_MAX <= x <= _FLOAT_MAX
+    return _real(x) and -_FLOAT_MAX <= x <= _FLOAT_MAX
 
 
 def _shown(x) -> str:
@@ -93,16 +98,17 @@ def frozen(a) -> np.ndarray:
 
 def as_array(x, name: str, ndims: tuple, finite: bool = True) -> np.ndarray:
     """x as a float array of a rank in ndims, with finite entries unless finite=False
-    (the caller checks them): the one rule for an array from outside. What numpy
-    reads as booleans, text or complex numbers, or cannot read as real numbers (a
-    ragged list, an int beyond float range), raises ValidationError naming it, a
-    rank outside ndims DimensionError. Integer and object arrays convert to float."""
-    try:
-        a = np.asarray(x)
-        if a.dtype is not _FLOAT:
-            if a.dtype.kind not in "iufO":  # bool, text, complex, ...
-                raise TypeError
-            a = a.astype(float)
+    (the caller checks them): the one rule for an array from outside. An entry that is
+    not an int or a float (a bool, text, a ragged row), or an int beyond float range,
+    raises ValidationError naming it, a rank outside ndims DimensionError."""
+    try:  # a float64 array as it is, another int or float one whole, anything else by entry
+        a = x
+        if not (isinstance(x, np.ndarray) and x.dtype is _FLOAT):
+            if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
+                x = np.asarray(x, object)
+                if not all(_real(e) for e in x.flat):
+                    raise TypeError
+            a = x.astype(float)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be an array of real numbers") from None
     if a.ndim not in ndims:
@@ -179,7 +185,7 @@ def is_isotropic(m: np.ndarray, level: float) -> bool:
     return max_abs(m - level * np.eye(m.shape[0])) <= SYMMETRY_RTOL * (1.0 + abs(level))
 
 
-def symmetrize(a, name: str = "matrix") -> np.ndarray:
+def symmetrize(a, name: str) -> np.ndarray:
     """Return (A + A^T)/2, rejecting inputs beyond the asymmetry tolerance."""
     m = as_array(a, name, (0, 2), finite=False)
     scale = np.abs(m).max() if m.size else math.nan  # nan or inf if an entry is not finite
@@ -207,33 +213,34 @@ class SpdMatrix:
     holds its eigenpairs from the start, and so does a 1 x 1 matrix, which
     is checked and held as the float 0.5 (x + x) (_freeze_scalar). Instances
     are immutable, and the eigenpairs back all matrix-function evaluations.
+    Every refusal starts with name, the matrix the caller built.
     """
 
     __slots__ = ("mat", "_eig")
 
-    def __init__(self, mat):
+    def __init__(self, mat, name: str = "SPD matrix"):
         if type(mat) is float and math.isfinite(mat):  # a 1 x 1 step's float: no array to read
-            self._freeze_scalar(mat)
+            self._freeze_scalar(mat, name)
             return
-        m = as_array(mat, "SPD matrix", (0, 2), finite=False)  # symmetrize's max|M| checks
+        m = as_array(mat, name, (0, 2), finite=False)  # symmetrize's max|M| checks
         if m.size == 1 and math.isfinite(x := m.item()):  # scalar fast path: checks in one pass
-            self._freeze_scalar(x)
+            self._freeze_scalar(x, name)
             return
-        m = symmetrize(m, "SPD matrix")
+        m = symmetrize(m, name)
         try:
             w = np.linalg.eigvalsh(m)  # nan or no convergence where (M + M^T)/2 overflowed
         except np.linalg.LinAlgError as exc:
-            raise NumericFailure(f"eigendecomposition failed: {exc}") from exc
-        _check_eigenvalues(np.isfinite(w).all(), w[0], w[-1], "SPD matrix")
+            raise NumericFailure(f"{name}: eigendecomposition failed: {exc}") from exc
+        _check_eigenvalues(np.isfinite(w).all(), w[0], w[-1], name)
         m.setflags(write=False)
         self.mat, self._eig = m, None
 
-    def _freeze_scalar(self, x: float) -> None:
+    def _freeze_scalar(self, x: float, name: str) -> None:
         """Hold [[0.5 (x + x)]], symmetrized as symmetrize does (inf where x + x
         overflows), after the finite and floor checks; its eigenpair is (that
         float, 1), read-only."""
         x = 0.5 * (x + x)
-        _check_eigenvalues(math.isfinite(x), x, x, "SPD matrix")
+        _check_eigenvalues(math.isfinite(x), x, x, name)
         m = np.array([[x]])
         m.setflags(write=False)  # and so its view m[0]
         self.mat, self._eig = m, (m[0], _EIGENVECTORS_1X1)
@@ -262,16 +269,16 @@ class SpdMatrix:
         """V diag(fn(w)) V^T as a plain symmetric array."""
         return _compose(fn(self.eigenvalues), self.eigenvectors)
 
-    def _map(self, fn) -> SpdMatrix:
-        """fn(P) with the eigenpairs (fn(w), V) for a monotone fn: checks fn(w), runs no eigh.
-        At 1 x 1, _compose's (1 w) 1 and 0.5 (x + x) are exact below overflow, so
-        fn(P) holds the float fn(w)."""
+    def _map(self, fn, name: str = "matrix") -> SpdMatrix:
+        """fn(P) with the eigenpairs (fn(w), V) for a monotone fn: checks fn(w) as the matrix
+        name, runs no eigh. At 1 x 1, _compose's (1 w) 1 and 0.5 (x + x) are exact below
+        overflow, so fn(P) holds the float fn(w)."""
         w, v = self._eigenpairs()
         w = fn(w)
         mat = _compose(w, v)
         if w[0] > w[-1]:  # decreasing fn: keep the eigenvalues ascending
             w, v = w[::-1], v[:, ::-1]
-        _check_eigenvalues(np.isfinite(w).all(), w[0], w[-1])
+        _check_eigenvalues(np.isfinite(w).all(), w[0], w[-1], name)
         for arr in (mat, w, v):
             arr.setflags(write=False)
         out = SpdMatrix.__new__(SpdMatrix)
@@ -288,12 +295,12 @@ class SpdMatrix:
         return f"SpdMatrix({self.mat!r})"
 
 
-def _check_eigenvalues(finite: bool, lo: float, hi: float, name: str = "matrix") -> None:
-    """Refuse eigenvalues in [lo, hi] that are not finite (NumericFailure) or whose
-    smallest is not above POSITIVITY_RTOL (1 + largest) (SingularityError naming
-    name: "SPD matrix" at construction, "matrix" for a matrix function's f(w))."""
+def _check_eigenvalues(finite: bool, lo: float, hi: float, name: str) -> None:
+    """Refuse eigenvalues in [lo, hi] of the matrix name that are not finite
+    (NumericFailure) or whose smallest is not above POSITIVITY_RTOL (1 + largest)
+    (SingularityError)."""
     if not finite:
-        raise NumericFailure("eigendecomposition produced non-finite eigenvalues")
+        raise NumericFailure(f"{name}: eigendecomposition produced non-finite eigenvalues")
     if lo <= POSITIVITY_RTOL * (1.0 + hi):
         raise SingularityError(
             f"{name} is not positive definite within the floor: "
@@ -383,14 +390,12 @@ def quadratic_matrix_solve(c: float, rhs: SpdMatrix) -> SpdMatrix:
 
     Closed form Z = (c/2)(-I + (I + (4/c) Rhs)^(1/2)), evaluated on the
     eigenbasis of Rhs so Z commutes with Rhs exactly. A Z that _map refuses
-    (below the floor or not finite) keeps its class and names c.
+    (below the floor or not finite) names c.
     """
     require_positive(c, "coefficient")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which _map refuses
-            return rhs._map(lambda w: 0.5 * c * (np.sqrt(1.0 + 4.0 * w / c) - 1.0))
-    except (SingularityError, NumericFailure) as exc:
-        raise type(exc)(f"quadratic matrix solve at coefficient {c}: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which _map refuses
+        return rhs._map(lambda w: 0.5 * c * (np.sqrt(1.0 + 4.0 * w / c) - 1.0),
+                        f"quadratic matrix solve at coefficient {c}")
 
 
 def sym_skew_split(a) -> tuple[np.ndarray, np.ndarray]:

@@ -294,13 +294,13 @@ class TestCompareFilters:
     @pytest.mark.parametrize("a,c,mean,cov,predict,failure", [
         # P- ~ 1e306 I: the KL update's P+ = P- - K C P- falls below the floor
         ([[-1.0, 0.3], [-0.2, -0.8]], [[1.0, 0.5]], 0.0, 1e306, "jko",
-         "lmmr update failed at step 1: posterior covariance P- - K C P-: "
-         "SPD matrix is not positive definite within the floor"),
+         "lmmr update failed at step 1: posterior covariance P- - K C P- "
+         "is not positive definite within the floor"),
         ([[-3.0, 0.5], [-0.5, -3.0]], [[1.0, 0.5]], 0.0, 8e307, "jko",
          "jko predict failed at step 1: overflow"),
         ([[-3.0, 0.5], [-0.5, -3.0]], [[1.0, 0.5]], 0.0, 8e307, "exact",
-         "lmmr update failed at step 1: posterior covariance P- - K C P-: "
-         "SPD matrix is not positive definite within the floor"),
+         "lmmr update failed at step 1: posterior covariance P- - K C P- "
+         "is not positive definite within the floor"),
         # the simulated truth flips sign each step (I + h A = -0.98) while the
         # exact predict keeps it (e^(A h) = 0.14), so y - C mu- overflows
         ([[-99.0, 0.0], [0.0, -1.0]], [[100.0, 0.0]], 1.78e306, 1.0, "exact",
@@ -364,7 +364,7 @@ class TestCompareFilters:
         assert main(["compare-filters", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "numeric failure: lmmr update failed at step 1: posterior covariance "
-            "P- - K C P-: SPD matrix is not positive definite "
+            "P- - K C P- is not positive definite "
             "within the floor: eigenvalues in [1.527e-16, 1.849e-01]\n"
         )
         assert not out.exists()

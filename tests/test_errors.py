@@ -7,10 +7,12 @@ import pathlib
 import numpy as np
 import pytest
 
+from proxflow import errors
 from proxflow.errors import (
     ConfigError,
     DimensionError,
     NumericFailure,
+    ProxflowError,
     SingularityError,
     StepSizeError,
     ValidationError,
@@ -122,6 +124,27 @@ def test_only_matrices_turns_a_linalg_error_into_numeric_failure():
     found = _sites(lambda node: isinstance(node, ast.ExceptHandler) and node.type is not None
                    and "LinAlgError" in ast.unparse(node.type))
     assert sorted(found) == [("matrices.py", "SpdMatrix.__init__"), ("matrices.py", "solve")]
+
+
+def _catches_a_proxflow_error(node):
+    """Whether node is an except handler naming a class of proxflow.errors."""
+    return isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+        isinstance(name, ast.Name) and isinstance(getattr(errors, name.id, None), type)
+        and issubclass(getattr(errors, name.id), ProxflowError) for name in ast.walk(node.type))
+
+
+def test_no_matrix_caller_renames_a_refusal():
+    # SpdMatrix and _map take the name of the matrix they check, so no caller
+    # catches a refusal to put the name in front; what is left changes the
+    # class or names a block of several steps
+    found = _sites(_catches_a_proxflow_error)
+    assert sorted(found) == [
+        ("cli.py", "main"), ("cli.py", "main"), ("cli.py", "seed"),
+        ("config.py", "_build"), ("config.py", "_seed"),
+        ("errors.py", "named_failures"), ("errors.py", "named_failures"),
+        ("experiments.py", "converge_propagation"),
+        ("propagation.py", "jko_step_general_cov"),
+    ]
 
 
 def test_only_rng_compares_a_seed_with_its_limit():

@@ -236,7 +236,7 @@ class TestUpdateSolveFailure:
         g = Gaussian(np.zeros(2), SpdMatrix(prior * np.eye(2)))
         # run_filter adds the update's name and step, so the update names neither
         error, cause = {
-            lmmr_update: (SingularityError, "posterior covariance P- - K C P-: SPD matrix "
+            lmmr_update: (SingularityError, "posterior covariance P- - K C P- "
                                             "is not positive definite within the floor"),
             wasserstein_update: (NumericFailure, "a solve failed"),
         }[update]
@@ -473,8 +473,8 @@ class TestRunFilter:
          r"jko predict failed at step 1: covariance step with h=0\.05 lost"),
         # P- - K C P- falls below the SPD floor at P = 1.5e307 I
         ([[-1.0, 100.0], [0.0, -1.0]], 1.5e307, 0.02, "exact", SingularityError,
-         r"lmmr update failed at step 1: posterior covariance P- - K C P-: "
-         r"SPD matrix is not positive definite within the floor"),
+         r"lmmr update failed at step 1: posterior covariance P- - K C P- "
+         r"is not positive definite within the floor"),
     ], ids=["jko-predict", "update-solve"])
     def test_failing_step_keeps_its_class_and_names_the_step(self, a, cov, h, predict, error,
                                                              message):
@@ -889,10 +889,7 @@ def _matrix_lmmr_half(p, meas, h):
         info = np.linalg.inv(p.mat) + h * meas.information_matrix()
     if not np.isfinite(info).all():
         raise NumericFailure("information matrix (P-)^-1 + h C^T R^-1 C: h C^T R^-1 C overflows")
-    try:
-        cov = SpdMatrix(np.linalg.inv(info))
-    except SingularityError as exc:
-        raise SingularityError(f"posterior covariance ((P-)^-1 + h C^T R^-1 C)^-1: {exc}") from exc
+    cov = SpdMatrix(np.linalg.inv(info), "posterior covariance ((P-)^-1 + h C^T R^-1 C)^-1")
     return h * cov.mat @ meas.c.T @ meas.rinv, cov
 
 
@@ -1090,7 +1087,7 @@ class TestScalarInformationForm:
         # (P-)^-1 ~ 1e12 is finite; P+ = 1 / (1e12 + 2e9) sits below the floor
         meas = MeasurementModel([[1.0]], SpdMatrix(1e-11))
         prior = scalar_gaussian(0.0, _NEAR_FLOOR)
-        cause = ("posterior covariance ((P-)^-1 + h C^T R^-1 C)^-1: SPD matrix is not positive "
+        cause = ("posterior covariance ((P-)^-1 + h C^T R^-1 C)^-1 is not positive "
                  "definite within the floor: eigenvalues in [9.980e-13, 9.980e-13]")
         with pytest.raises(SingularityError) as info:
             lmmr_update(prior, meas, [0.0], 0.02)

@@ -147,6 +147,8 @@ VALUES = {
     "5e-324": 5e-324,
     "[[True]]": [[True]],
     "[['1.5']]": [["1.5"]],
+    "[[True, 0.0], [0.0, 1.0]]": [[True, 0.0], [0.0, 1.0]],
+    "[[2**64, '1.5']]": [[2**64, "1.5"]],
 }
 
 
@@ -191,8 +193,12 @@ def test_a_kind_that_is_not_a_string_is_unknown(text, choices, call, kind):
     ("x", "SPD matrix must be an array of real numbers"),
     ([[1.0], [1.0, 2.0]], "SPD matrix must be an array of real numbers"),
     ([[10**400]], "SPD matrix must be an array of real numbers"),
-    ([[None]], "SPD matrix has non-finite entries"),
+    ([[None]], "SPD matrix must be an array of real numbers"),
     ([[True]], "SPD matrix must be an array of real numbers"),
+    ([[True, 0.0], [0.0, 1.0]], "SPD matrix must be an array of real numbers"),
+    ([[1.0, np.bool_(False)], [0.0, 1.0]], "SPD matrix must be an array of real numbers"),
+    ([[2**64, "1.5"]], "SPD matrix must be an array of real numbers"),
+    ([[2.0, 1.0], [1.0, 1 + 0j]], "SPD matrix must be an array of real numbers"),
     (np.array([[1.0 + 0j]]), "SPD matrix must be an array of real numbers"),
     (np.array([[b"1"]]), "SPD matrix must be an array of real numbers"),
     (np.zeros((1, 1, 1)), "SPD matrix must be a matrix, got shape (1, 1, 1)"),
@@ -247,6 +253,7 @@ CONFIG = {
     ("system", "A", [["-1"]], "system.A: A must be an array of real numbers"),
     ("system", "B", [[1.0, "x"]], "system.B: B must be an array of real numbers"),
     ("system", "A", [[True]], "system.A: A must be an array of real numbers"),
+    ("system", "A", [[-1.0, True], [0.0, -1.0]], "system.A: A must be an array of real numbers"),
     ("system", "B", [[10**400]], "system.B: B must be an array of real numbers"),
     ("system", "A", [-1.0], "system.A: A must be a matrix, got shape (1,)"),
     ("system", "B", [[1e999]], "system.B: B has non-finite entries"),
@@ -305,10 +312,34 @@ def test_an_integer_float_or_object_array_reads_as_floats(dtype):
     assert two.dtype == np.float64 and two.tolist() == [[2.0, 1.0], [1.0, 2.0]]
 
 
+def test_a_list_of_ints_and_floats_numpys_included_reads_as_floats():
+    mixed = SpdMatrix([[2, np.float32(1.0)], [np.int8(1), np.float64(2.0)]]).mat
+    assert mixed.tobytes() == SpdMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])).mat.tobytes()
+    assert SpdMatrix([[2**64]]).mat.item() == float(2**64)
+
+
+@pytest.mark.parametrize("section,field,value,message", [
+    ("measurement", "R", [[-1.0]], "measurement.R: R is not positive definite within the floor: "
+                                   "eigenvalues in [-1.000e+00, -1.000e+00]"),
+    ("initial", "cov", [[0.0]], "initial.cov: cov is not positive definite within the floor: "
+                                "eigenvalues in [0.000e+00, 0.000e+00]"),
+    ("initial", "cov", [[1e308]],
+     "initial.cov: cov: eigendecomposition produced non-finite eigenvalues"),
+])
+def test_a_refused_config_covariance_names_its_field(section, field, value, message):
+    payload = {**json.loads(json.dumps(CONFIG)), "mode": {"task": "filter"}, "seeds": [1],
+               "measurement": {"C": [[1.0]], "R": [[1.0]]}}
+    payload[section][field] = value
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(payload))
+    assert str(info.value) == message
+
+
 # The config reads its arrays and its kinds by the library's rules, so it refuses
 # what the library refuses, under the field's path, with the library's cause.
 CONFIG_ARRAYS = {
     "bool": [[True]],
+    "bool next to numbers": [[-1.0, True], [0.0, -1.0]],
     "numeric string": [["1.5"]],
     "ragged": [[-1.0], [1.0, 2.0]],
     "beyond float range": [[10**400]],

@@ -61,7 +61,7 @@ class TestSpdMatrix:
              "SPD matrix is not symmetric: asymmetry inf"),
             # (M + M^T)/2 overflows although M is finite, as for [[1e308]]
             ([[1e308, 0.0], [0.0, 1e308]], NumericFailure,
-             "eigendecomposition produced non-finite eigenvalues"),
+             "SPD matrix: eigendecomposition produced non-finite eigenvalues"),
         ],
         ids=["asymmetric", "symmetric"],
     )
@@ -87,7 +87,7 @@ _FLOOR = "SPD matrix is not positive definite within the floor: eigenvalues in "
         (-1.0, SingularityError, _FLOOR + "[-1.000e+00, -1.000e+00]"),
         (1e-13, SingularityError, _FLOOR + "[1.000e-13, 1.000e-13]"),
         # (M + M^T)/2 overflows although M is finite
-        (1e308, NumericFailure, "eigendecomposition produced non-finite eigenvalues"),
+        (1e308, NumericFailure, "SPD matrix: eigendecomposition produced non-finite eigenvalues"),
     ],
     ids=["nan", "inf", "-inf", "zero", "negative", "1e-13", "1e308"],
 )
@@ -109,7 +109,7 @@ class TestLazyEigenpairs:
         m = a @ a.T + n * np.eye(n)
         m[0, 1] += 1e-12 * n  # within the symmetry tolerance: stored as (M + M^T)/2
         p = SpdMatrix(m)
-        w, v = np.linalg.eigh(symmetrize(m))
+        w, v = np.linalg.eigh(symmetrize(m, "matrix"))
         assert p.eigenvalues.tobytes() == w.tobytes()
         assert p.eigenvectors.tobytes() == v.tobytes()
         for arr in (p.eigenvalues, p.eigenvectors):
@@ -137,7 +137,7 @@ class TestLazyEigenpairs:
     def test_an_overflowing_symmetrization_is_a_numeric_failure(self):
         # (M + M^T)/2 is inf on the diagonal; LAPACK may fail to converge on
         # it or return non-finite eigenvalues, and either is a NumericFailure
-        with pytest.raises(NumericFailure, match="^eigendecomposition "):
+        with pytest.raises(NumericFailure, match="^SPD matrix: eigendecomposition "):
             SpdMatrix(np.diag([1.0, 1e308, 1.0]))
 
 
@@ -247,32 +247,28 @@ def test_a_finite_float_spd_matrix_reads_no_array(monkeypatch):
     assert all(reads(x) for x in (math.nan, math.inf, np.float64(2.5), [[2.5]]))
 
 
-def _array_map(p, fn, named=""):
+def _array_map(p, fn, name):
     """The 1x1 map on numpy arrays: fn of the eigenvalue array, frozen as one
-    float; a refusal keeps its class, its text prefixed by named, and names
-    a "matrix", not an "SPD matrix" as a construction does."""
+    float whose refusal names name, as a construction names its matrix."""
     out = SpdMatrix.__new__(SpdMatrix)
     with np.errstate(over="ignore", invalid="ignore"):  # as quadratic_matrix_solve
         w = fn(p.eigenvalues)
-    try:
-        out._freeze_scalar(w.item())
-    except ProxflowError as exc:
-        raise type(exc)(f"{named}{str(exc).removeprefix('SPD ')}") from exc
+    out._freeze_scalar(w.item(), name)
     return out
 
 
 _COEFFICIENTS = [5e-324, 1e-300, 1.0, 1e308]
-_MAPS = [(sqrt_spd, np.sqrt, ""), (inv_spd, lambda w: 1.0 / w, ""),
-         (inv_sqrt_spd, lambda w: 1.0 / np.sqrt(w), "")] + [
+_MAPS = [(sqrt_spd, np.sqrt, "matrix"), (inv_spd, lambda w: 1.0 / w, "matrix"),
+         (inv_sqrt_spd, lambda w: 1.0 / np.sqrt(w), "matrix")] + [
     ((lambda p, c=c: quadratic_matrix_solve(c, p)),
      (lambda w, c=c: 0.5 * c * (np.sqrt(1.0 + 4.0 * w / c) - 1.0)),
-     f"quadratic matrix solve at coefficient {c}: ") for c in _COEFFICIENTS]
+     f"quadratic matrix solve at coefficient {c}") for c in _COEFFICIENTS]
 
 
 @pytest.mark.parametrize("guard", ["default", "run"])
-@pytest.mark.parametrize("factor,fn,named", _MAPS, ids=["sqrt", "inv", "inv_sqrt"] + [
+@pytest.mark.parametrize("factor,fn,name", _MAPS, ids=["sqrt", "inv", "inv_sqrt"] + [
     f"quadratic-{c!r}" for c in _COEFFICIENTS])
-def test_a_1x1_map_of_the_float_eigenvalue_is_the_arrays(factor, fn, named, guard):
+def test_a_1x1_map_of_the_float_eigenvalue_is_the_arrays(factor, fn, name, guard):
     """At 1x1 a factor applies fn to the float eigenvalue: the bits of fn
     applied to the eigenvalue array, or its refusal (floor or non-finite;
     quadratic_matrix_solve's names its coefficient),
@@ -286,7 +282,7 @@ def test_a_1x1_map_of_the_float_eigenvalue_is_the_arrays(factor, fn, named, guar
         for p in sources:
             with named_failures(lambda: "run") if guard == "run" else contextlib.nullcontext():
                 got = _outcome(lambda: factor(p))
-            assert got == _outcome(lambda: _array_map(p, fn, named)), (x, got)
+            assert got == _outcome(lambda: _array_map(p, fn, name)), (x, got)
 
 
 class TestSqrtSpd:
@@ -459,15 +455,15 @@ class TestQuadraticMatrixSolve:
 
     @pytest.mark.parametrize("c,error,cause", [
         # sqrt(1 + 4 w / c) - 1 is 0: Z falls to 0, below the floor
-        (1e308, SingularityError, "matrix is not positive definite within the floor: "
+        (1e308, SingularityError, " is not positive definite within the floor: "
                                   "eigenvalues in [0.000e+00, 0.000e+00]"),
         # 4 w / c overflows: Z is not finite
-        (5e-324, NumericFailure, "eigendecomposition produced non-finite eigenvalues"),
+        (5e-324, NumericFailure, ": eigendecomposition produced non-finite eigenvalues"),
     ], ids=["vanishes", "overflows"])
     def test_a_refused_solution_names_the_coefficient(self, c, error, cause):
         with pytest.raises(error) as info:
             quadratic_matrix_solve(c, SpdMatrix(np.eye(2)))
-        assert str(info.value) == f"quadratic matrix solve at coefficient {c}: {cause}"
+        assert str(info.value) == f"quadratic matrix solve at coefficient {c}{cause}"
 
     def test_rejects_nonpositive_coefficient(self):
         with pytest.raises(ValidationError):
@@ -544,10 +540,10 @@ class TestTraceInequality:
 def test_symmetrize_tolerance_boundary():
     base = np.array([[1.0, 0.5], [0.5, 1.0]])
     drift = np.array([[0.0, 1e-12], [0.0, 0.0]])
-    out = symmetrize(base + drift)
+    out = symmetrize(base + drift, "matrix")
     assert max_abs(out - out.T) == 0.0
     with pytest.raises(ValidationError):
-        symmetrize(base + np.array([[0.0, 1e-3], [0.0, 0.0]]))
+        symmetrize(base + np.array([[0.0, 1e-3], [0.0, 0.0]]), "matrix")
 
 
 def _recursion_products(n):
@@ -587,12 +583,12 @@ def test_symmetrize_checks_in_one_pass_below_half_max(above, monkeypatch):
     names = []
     monkeypatch.setattr(matrices, "as_square", lambda a, name: names.append(name) or
                         as_square(a, name))
-    out = symmetrize(m)
+    out = symmetrize(m, "matrix")
     assert names == (["matrix"] if above else [])
     assert np.array_equal(out, 0.5 * (m + m.T))
-    assert np.array_equal(symmetrize(out), out)
+    assert np.array_equal(symmetrize(out, "matrix"), out)
     with pytest.raises(ValidationError, match="^matrix is not symmetric: asymmetry "):
-        symmetrize(m * np.array([[1.0, 1.0], [1.0 - 1e-6, 1.0]]))
+        symmetrize(m * np.array([[1.0, 1.0], [1.0 - 1e-6, 1.0]]), "matrix")
 
 
 def test_spd_matrix_takes_its_finite_check_from_symmetrize(monkeypatch):

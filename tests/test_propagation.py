@@ -441,10 +441,11 @@ class TestPropagate:
         sys = LinearSystem([[-1.0, 10.0], [0.0, -1.0]], np.eye(2))
         p0 = SpdMatrix(1e307 * np.eye(2))
         with pytest.raises(NumericFailure, match=r"^general-first-order propagation failed "
-                                                 r"at step 1: eigendecomposition"):
+                                                 r"at step 1: SPD matrix: eigendecomposition"):
             propagate(sys, Gaussian([0.0, 0.0], p0), StepConfig(h=1.0, steps=2),
                       "general-first-order")
-        with pytest.raises(NumericFailure, match=r"^eigendecomposition produced non-finite"):
+        with pytest.raises(NumericFailure,
+                           match=r"^SPD matrix: eigendecomposition produced non-finite"):
             jko_step_general_cov(p0, sys, 1.0)
 
     def test_step_size_failure_keeps_its_class_and_names_the_step(self):
